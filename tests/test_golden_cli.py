@@ -1,0 +1,30 @@
+"""Byte-for-byte regression corpus for the CLI.
+
+`golden_cli/cases.json` lists argv vectors (README commands, file inputs
+and two validation errors) with their exit codes; `<name>.out` holds the
+exact stdout each produced when the corpus was captured.  Paths in argv
+are relative to `golden_cli/`.  Refactors must leave every case unchanged.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from sll.cli import main
+
+GOLDEN = Path(__file__).parent / "golden_cli"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_cli(case, capsys, monkeypatch):
+    monkeypatch.delenv("SLL_PRECISION", raising=False)
+    monkeypatch.chdir(GOLDEN)
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()
