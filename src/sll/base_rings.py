@@ -48,17 +48,6 @@ def _ptrim(a):
     return tuple(a[:i])
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a, f, p):
     # f monic
     a = list(a)
@@ -80,17 +69,38 @@ def _pgcd(a, b, p):
     return a
 
 
-def _frob_power(base, k, f, p):
-    # base^(p^k) mod f by k successive p-th powers
+def _mulmod(a, b, g, mod):
+    """a * b reduced by the monic g, coefficients mod `mod` (p or p^n).
+
+    a and b are residues of equal length len(g) - 1; so is the result.
+    The multiplication kernel of both F_q and W_n(F_q)."""
+    m = len(a)
+    if m == 1:
+        return ((a[0] * b[0]) % mod,)
+    out = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % mod
+    for k in range(2 * m - 2, m - 1, -1):
+        c = out[k]
+        if c:
+            for j in range(m + 1):
+                out[k - m + j] = (out[k - m + j] - c * g[j]) % mod
+    return tuple(out[:m])
+
+
+def _frob_power(base, k, f, p, mod):
+    # base^(p^k) mod f by k successive p-th powers, coefficients mod `mod`
     g = base
     for _ in range(k):
-        h = (1,)
+        h = (1,) + (0,) * (len(g) - 1)
         e = p
         sq = g
         while e:
             if e & 1:
-                h = _pmod(_pmul(h, sq, p), f, p)
-            sq = _pmod(_pmul(sq, sq, p), f, p)
+                h = _mulmod(h, sq, f, mod)
+            sq = _mulmod(sq, sq, f, mod)
             e >>= 1
         g = h
     return g
@@ -102,9 +112,11 @@ def is_irreducible(poly, p):
     m = len(poly) - 1
     if m < 1 or poly[-1] != 1:
         return False
-    x = (0, 1)
+    if m == 1:
+        return True
+    x = (0, 1) + (0,) * (m - 2)
     # x^(p^m) must equal x mod poly
-    if _pmod(_frob_power(x, m, poly, p) + (0,) * 0, poly, p) != _pmod(x, poly, p):
+    if _frob_power(x, m, poly, p, p) != x:
         return False
     # no factor of degree m/r for prime r | m
     r = 2
@@ -116,8 +128,7 @@ def is_irreducible(poly, p):
             mm //= r
         r += 1
     for r in primes:
-        g = _frob_power(x, m // r, poly, p)
-        diff = list(g) + [0] * max(0, 2 - len(g))
+        diff = list(_frob_power(x, m // r, poly, p, p))
         diff[1] = (diff[1] - 1) % p
         if len(_pgcd(poly, _ptrim(diff), p)) > 1:
             return False
@@ -171,8 +182,7 @@ class FFElement:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        prod = _pmod(_pmul(self.coeffs, other.coeffs, f.p), f.modulus, f.p)
-        return FFElement(f, prod + (0,) * (f.m - len(prod)))
+        return FFElement(f, _mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
 
     def __pow__(self, e):
         f = self.field
@@ -313,17 +323,6 @@ class FiniteField:
             raise InternalInvariantError("modulus has no root in quadratic extension")
         return big, FieldEmbedding(self, big, root)
 
-    def to_json(self):
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, doc):
-        try:
-            return cls(int(doc["p"]), int(doc.get("m", 1)),
-                       tuple(doc["modulus"]) if "modulus" in doc else None)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad field document: {exc}") from exc
-
 
 class FieldEmbedding:
     """Ring embedding F_q -> F_{q'} determined by a root of the source modulus."""
@@ -380,7 +379,8 @@ class WittElement:
 
     def __mul__(self, other):
         self._check(other)
-        return WittElement(self.ring, self.ring._mul_coeffs(self.coeffs, other.coeffs))
+        r = self.ring
+        return WittElement(r, _mulmod(self.coeffs, other.coeffs, r.lifted_modulus, r.pn))
 
     def __pow__(self, e):
         if e < 0:
@@ -430,7 +430,7 @@ class WittRing:
         m = field.m
         self.lifted_modulus = self._lift_modulus()
         # sigma: substitution by x^p, as an m x m matrix over Z/p^n
-        xp = self._pow_gen(self.p)
+        xp = _frob_power(self.gen().coeffs, 1, self.lifted_modulus, self.p, self.pn)
         self._sigma_mat = self._powers_matrix(xp)
         inv = _int_identity(m)
         for _ in range((m - 1) % m if m > 1 else 0):
@@ -456,77 +456,24 @@ class WittRing:
                 r = pow(r, p, pn)
             return ((-r) % pn, 1)
 
-        def mul(a, b):
-            out = [0] * (2 * m - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % pn
-            for k in range(2 * m - 2, m - 1, -1):
-                c = out[k]
-                if c:
-                    out[k] = 0
-                    for j in range(m + 1):
-                        out[k - m + j] = (out[k - m + j] - c * naive[j]) % pn
-            return tuple(out[:m])
-
         theta = (0, 1) + (0,) * (m - 2)
         for _ in range(self.n + 1):
             # theta <- theta^q, one digit of convergence per p-power
-            acc = theta
-            for _ in range(m):
-                out = (1,) + (0,) * (m - 1)
-                e = p
-                sq = acc
-                while e:
-                    if e & 1:
-                        out = mul(out, sq)
-                    sq = mul(sq, sq)
-                    e >>= 1
-                acc = out
-            theta = acc
+            theta = _frob_power(theta, m, naive, p, pn)
         # columns of B are theta^i; B = Id mod p, hence invertible
         pows = [(1,) + (0,) * (m - 1)]
         for _ in range(m):
-            pows.append(mul(pows[-1], theta))
+            pows.append(_mulmod(pows[-1], theta, naive, pn))
         B = [[pows[j][i] for j in range(m)] for i in range(m)]
         c = _solve_unit_system(B, list(pows[m]), pn, p)
         return tuple((-ci) % pn for ci in c) + (1,)
-
-    def _mul_coeffs(self, a, b):
-        m, pn = self.field.m, self.pn
-        if m == 1:
-            return ((a[0] * b[0]) % pn,)
-        g = self.lifted_modulus
-        out = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % pn
-        for k in range(2 * m - 2, m - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for j in range(m + 1):
-                    out[k - m + j] = (out[k - m + j] - c * g[j]) % pn
-        return tuple(out[:m])
-
-    def _pow_gen(self, e):
-        out = self.one().coeffs
-        base = self.gen().coeffs
-        while e:
-            if e & 1:
-                out = self._mul_coeffs(out, base)
-            base = self._mul_coeffs(base, base)
-            e >>= 1
-        return out
 
     def _powers_matrix(self, img):
         """Matrix of the substitution x |-> img on the power basis."""
         m = self.field.m
         cols = [(1,) + (0,) * (m - 1)]
         for _ in range(m - 1):
-            cols.append(self._mul_coeffs(cols[-1], img))
+            cols.append(_mulmod(cols[-1], img, self.lifted_modulus, self.pn))
         return [[cols[j][i] for j in range(m)] for i in range(m)]
 
     # -- ring interface ---------------------------------------------------------
@@ -670,18 +617,6 @@ class WittRing:
                 raise DomainError(f"element not divisible by p^{k}")
             out.append(c // pk)
         return WittElement(self, tuple(out))
-
-    def reduce_precision(self, x, k):
-        """The image of x in W_k(F_q) (k <= n)."""
-        target = WittRing(self.field, k)
-        pk = self.p ** k
-        return target.element(tuple(c % pk for c in x.coeffs))
-
-    def to_json(self, x=None):
-        doc = {"p": self.p, "m": self.field.m, "n": self.n}
-        if x is not None:
-            doc["coeffs"] = list(x.coeffs)
-        return doc
 
 
 class WittEmbedding:

@@ -13,29 +13,11 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+import traceback
 
-from . import deformation, dieudonne, jsonio, local_model, singularity
-from .base_rings import FiniteField, WittRing
-from .errors import (
-    AlgebraError,
-    DomainError,
-    InternalInvariantError,
-    PreconditionError,
-    SmoothShortCircuit,
-    ValidationError,
-)
-
-COMMANDS = ("witt", "series-reduce", "dieudonne", "deform", "local-model")
-
-
-@dataclass
-class JobSpec:
-    """A validated job: command, parsed input document, per-command options."""
-
-    command: str
-    payload: object
-    options: dict
+from . import deformation, dieudonne, jsonio, linalg, local_model, singularity
+from .base_rings import WittRing
+from .errors import DomainError, PreconditionError, SmoothShortCircuit, ValidationError
 
 
 def default_precision():
@@ -66,8 +48,8 @@ def _load_document(spec):
 
 
 def _ring_for(args):
-    q = getattr(args, "q", None) or 2
-    field = local_model.field_for_q(int(q))
+    q = getattr(args, "q", None)
+    field = local_model.field_for_q(2 if q is None else q)
     n = getattr(args, "n", None)
     n = int(n) if n is not None else default_precision()
     if n < 1:
@@ -76,13 +58,27 @@ def _ring_for(args):
 
 
 def _module_for(args):
+    """The fixture or the module file; a file module must pass validate(),
+    except for the validate op, which reports the checks instead."""
     fixture = getattr(args, "fixture", None)
     file_doc = getattr(args, "file", None)
     if (fixture is None) == (file_doc is None):
         raise ValidationError("give exactly one of --fixture or --file")
     if fixture is not None:
         return dieudonne.make_standard(_ring_for(args), fixture)
-    return dieudonne.DieudonneModule.from_json(_load_document(file_doc))
+    module = dieudonne.DieudonneModule.from_json(_load_document(file_doc))
+    if getattr(args, "op", None) == "validate":
+        return module
+    return module.require_valid("module file")
+
+
+def _class_doc(ring, cls):
+    """The class tag, plus a' and its valuation for an ordinary double point."""
+    doc = {"class": cls.tag}
+    if cls.tag == "OrdinaryDoublePoint":
+        doc["a_prime"] = jsonio.elem_to_json(ring, cls.a_prime)
+        doc["a_prime_valuation"] = cls.valuation
+    return doc
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -132,9 +128,9 @@ def _cmd_series_reduce(args):
         result = singularity.normal_form(f)
     except SmoothShortCircuit as sig:
         return {"class": "Smooth", "detail": sig.reason, "normal_form": None}
-    doc = jsonio.normal_form_to_json(ring, result)
-    cls = singularity.classify_local_ring(f)
-    return {"class": cls.tag, "detail": cls.detail, "normal_form": doc}
+    cls = singularity.double_point_class(result)
+    return {"class": cls.tag, "detail": cls.detail,
+            "normal_form": jsonio.normal_form_to_json(ring, result)}
 
 
 def _cmd_dieudonne(args):
@@ -188,12 +184,9 @@ def _cmd_dieudonne(args):
 
 
 def _random_unimodular(ring, rng):
-    from . import linalg
-
     while True:
         g = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
-        gbar = [[ring.residue(x) for x in row] for row in g]
-        if linalg.rank_field(ring.field, gbar) == 4:
+        if linalg.rank_field(ring.field, linalg.mat_map(g, ring.residue)) == 4:
             return g
 
 
@@ -211,15 +204,9 @@ def _cmd_deform(args):
     frame = deformation.HodgeFrame(module, y_idx, x_idx)
     rel = deformation.deformation_equation(frame)
     cls = singularity.classify_local_ring(rel)
-    doc = {
-        "relation": rel.to_text(),
-        "relation_series": jsonio.series_to_json(rel),
-        "class": cls.tag,
-        "detail": cls.detail,
-    }
-    if cls.tag == "OrdinaryDoublePoint":
-        doc["a_prime"] = jsonio.elem_to_json(module.ring, cls.a_prime)
-        doc["a_prime_valuation"] = cls.valuation
+    doc = _class_doc(module.ring, cls)
+    doc.update(relation=rel.to_text(), relation_series=jsonio.series_to_json(rel),
+               detail=cls.detail)
     return doc
 
 
@@ -230,29 +217,20 @@ def _cmd_local_model(args):
         return {"q": q, "count": len(fiber), "points": [pl.to_json() for pl in fiber]}
     if args.op == "tangents":
         fiber = local_model.enumerate_special_fiber(q)
-        pts = []
+        pts, singular = [], []
         for pl in fiber:
             doc = pl.to_json()
             doc["tangent_dimension"] = local_model.tangent_dimension(pl)
             pts.append(doc)
-        singular = [pl.to_json() for pl in fiber if local_model.tangent_dimension(pl) == 4]
+            if doc["tangent_dimension"] == 4:
+                singular.append(pl.to_json())
         return {"q": q, "count": len(fiber), "points": pts, "singular": singular}
     if args.op == "chart":
-        field = local_model.field_for_q(q)
-        n = int(args.n) if args.n is not None else default_precision()
-        ring = WittRing(field, n)
+        ring = _ring_for(args)
         eq = local_model.chart_equation(ring)
-        cls = singularity.classify_local_ring(eq)
-        doc = {
-            "q": q,
-            "n": n,
-            "equation": eq.to_text(),
-            "equation_series": jsonio.series_to_json(eq),
-            "class": cls.tag,
-        }
-        if cls.tag == "OrdinaryDoublePoint":
-            doc["a_prime"] = jsonio.elem_to_json(ring, cls.a_prime)
-            doc["a_prime_valuation"] = cls.valuation
+        doc = _class_doc(ring, singularity.classify_local_ring(eq))
+        doc.update(q=q, n=ring.n, equation=eq.to_text(),
+                   equation_series=jsonio.series_to_json(eq))
         return doc
     raise ValidationError(f"unknown local-model operation {args.op!r}")
 
@@ -301,20 +279,18 @@ def _parser():
     return top
 
 
+HANDLERS = {
+    "witt": _cmd_witt,
+    "series-reduce": _cmd_series_reduce,
+    "dieudonne": _cmd_dieudonne,
+    "deform": _cmd_deform,
+    "local-model": _cmd_local_model,
+}
+
+
 def run(argv=None):
     args = _parser().parse_args(argv)
-    job = JobSpec(args.command, None, vars(args))
-    if job.command == "witt":
-        return _cmd_witt(args)
-    if job.command == "series-reduce":
-        return _cmd_series_reduce(args)
-    if job.command == "dieudonne":
-        return _cmd_dieudonne(args)
-    if job.command == "deform":
-        return _cmd_deform(args)
-    if job.command == "local-model":
-        return _cmd_local_model(args)
-    raise ValidationError(f"unknown command {job.command!r}")
+    return HANDLERS[args.command](args)
 
 
 def main(argv=None):
@@ -327,7 +303,8 @@ def main(argv=None):
     except OSError as exc:
         print(json.dumps({"error": {"kind": "io", "message": str(exc)}}, sort_keys=True))
         return 3
-    except (InternalInvariantError, AlgebraError) as exc:
+    except Exception as exc:  # internal invariant violations and anything unforeseen
+        traceback.print_exc()  # to stderr; stdout keeps its one JSON document
         print(json.dumps({"error": {"kind": "internal", "message": str(exc)}},
                          sort_keys=True))
         return 4

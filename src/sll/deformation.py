@@ -44,7 +44,7 @@ class HodgeFrame:
             raise PreconditionError("frame indices must partition the basis")
         ring = self.module.ring
         fld = ring.field
-        vbar = [[ring.residue(x) for x in row] for row in self.module.V_matrix]
+        vbar = linalg.mat_map(self.module.V_matrix, ring.residue)
         if linalg.rank_field(fld, vbar) != 2:
             raise PreconditionError("V has the wrong mod-p rank for a Hodge frame")
         picked = [[fld.one() if r == i else fld.zero() for i in self.Y_indices] for r in range(4)]

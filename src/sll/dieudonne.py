@@ -21,9 +21,9 @@ full precision, which is why constructors demand n >= 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import linalg
+from . import jsonio, linalg
 from .base_rings import WittRing
 from .errors import DomainError, PreconditionError, ValidationError
 
@@ -85,7 +85,7 @@ class DieudonneModule:
         # elementary-divisor valuations (0, 0, 1, 1): det J = unit p^2 and
         # rank 2 mod p, stated in a form that survives n = 2
         divisors, _, _ = linalg.smith_form_local(ring, [row[:] for row in self.J])
-        jbar = [[ring.residue(x) for x in row] for row in self.J]
+        jbar = linalg.mat_map(self.J, ring.residue)
         ftj = linalg.mat_mul(linalg.transpose(self.F_matrix), self.J)
         jv = self.sigma_matrix(linalg.mat_mul(self.J, self.V_matrix))
         return {
@@ -100,6 +100,13 @@ class DieudonneModule:
     def is_valid(self):
         return all(self.validate().values())
 
+    def require_valid(self, what):
+        """self, or a ValidationError naming the failed checks."""
+        bad = [k for k, ok in self.validate().items() if not ok]
+        if bad:
+            raise ValidationError(f"{what} violates invariants: {bad}")
+        return self
+
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
@@ -107,12 +114,7 @@ class DieudonneModule:
             return [[list(x.coeffs) for x in row] for row in A]
 
         return {
-            "ring": {
-                "p": self.ring.p,
-                "m": self.ring.field.m,
-                "n": self.ring.n,
-                "modulus": list(self.ring.field.modulus),
-            },
+            "ring": jsonio.ring_to_json(self.ring),
             "F": enc(self.F_matrix),
             "V": enc(self.V_matrix),
             "J": enc(self.J),
@@ -120,22 +122,15 @@ class DieudonneModule:
 
     @classmethod
     def from_json(cls, doc):
-        from .base_rings import FiniteField
-
         try:
-            rdoc = doc["ring"]
-            fld = FiniteField(
-                int(rdoc["p"]), int(rdoc.get("m", 1)),
-                tuple(rdoc["modulus"]) if "modulus" in rdoc else None,
-            )
-            ring = WittRing(fld, int(rdoc["n"]))
+            ring = jsonio.ring_from_json(doc["ring"])
             mats = []
             for key in ("F", "V", "J"):
                 rows = doc[key]
                 if len(rows) != 4 or any(len(r) != 4 for r in rows):
                     raise ValidationError(f"{key} must be a 4x4 matrix")
-                mats.append([[ring.element(tuple(x) if isinstance(x, list) else x)
-                              for x in row] for row in rows])
+                mats.append([[ring.element(jsonio.coeff_from_json(x)) for x in row]
+                             for row in rows])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad module document: {exc}") from exc
         return cls(ring, *mats)
@@ -179,26 +174,17 @@ def make_standard(ring, case):
         J = [[0, 1, 0, 1], [-1, 0, p, 0], [0, -p, 0, p], [-1, 0, -p, 0]]
     else:
         raise ValidationError(f"unknown standard case {case!r}; choose from {STANDARD_CASES}")
-    module = DieudonneModule(ring, F, V, J)
-    bad = [k for k, ok in module.validate().items() if not ok]
-    if bad:
-        raise ValidationError(f"fixture {case} violates invariants: {bad}")
-    return module
+    return DieudonneModule(ring, F, V, J).require_valid(f"fixture {case}")
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
-def _mod_p_matrix(module, A):
-    ring = module.ring
-    return [[ring.residue(x) for x in row] for row in A]
-
-
 def a_number(module):
     """dim of M / (F, V)M = 4 - rank of the mod-p columns of [F | V]."""
-    fbar = _mod_p_matrix(module, module.F_matrix)
-    vbar = _mod_p_matrix(module, module.V_matrix)
+    fbar = linalg.mat_map(module.F_matrix, module.ring.residue)
+    vbar = linalg.mat_map(module.V_matrix, module.ring.residue)
     combined = [frow + vrow for frow, vrow in zip(fbar, vbar)]
     return 4 - linalg.rank_field(module.ring.field, combined)
 
@@ -206,7 +192,7 @@ def a_number(module):
 def p_rank(module):
     """Dimension of the stable image of the semilinear reduction F-bar."""
     fld = module.ring.field
-    fbar = _mod_p_matrix(module, module.F_matrix)
+    fbar = linalg.mat_map(module.F_matrix, module.ring.residue)
     basis = linalg.identity(fld, 4)
     span = [list(row) for row in zip(*basis)]
     for _ in range(4):

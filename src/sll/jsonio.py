@@ -5,6 +5,10 @@ integers only, no floats.  Witt elements are encoded by their polynomial
 coefficients mod p^n ({"coeffs": [...]}) with the Teichmuller digit
 encoding ({"digits": [...]}) accepted as an alternative; digits flatten
 to plain integers over prime fields.
+
+This module is the one decoder of field, ring and coefficient documents.
+Every integer it reads (p, m, n, exponents, coefficients, digits) must be
+a JSON integer: floats and booleans are rejected, never truncated.
 """
 
 from __future__ import annotations
@@ -16,15 +20,33 @@ from .singularity import NormalFormResult
 from .quadforms import QuadraticForm
 
 
+def _int(x, what):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _ints(xs, what):
+    if not isinstance(xs, list):
+        raise ValidationError(f"{what} must be a list of integers, got {xs!r}")
+    return tuple(_int(x, what) for x in xs)
+
+
+def coeff_from_json(x):
+    """A ring element's encoding: an integer or a coefficient list."""
+    return _ints(x, "coefficient") if isinstance(x, list) else _int(x, "coefficient")
+
+
+def field_from_json(doc):
+    """F_q from a field document, or from the field entries of a ring document."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"field or ring document must be a JSON object, got {doc!r}")
+    modulus = _ints(doc["modulus"], "modulus") if "modulus" in doc else None
+    return FiniteField(_int(doc.get("p"), "p"), _int(doc.get("m", 1), "m"), modulus)
+
+
 def ring_from_json(doc):
-    try:
-        p = int(doc["p"])
-        m = int(doc.get("m", 1))
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"ring document needs integer p, m, n: {exc}") from exc
-    modulus = tuple(doc["modulus"]) if "modulus" in doc else None
-    return WittRing(FiniteField(p, m, modulus), n)
+    return WittRing(field_from_json(doc), _int(doc.get("n"), "n"))
 
 
 def ring_to_json(ring):
@@ -48,12 +70,11 @@ def elem_to_json(ring, x, with_digits=True):
 def elem_from_fields(ring, doc):
     """An element from either a coeffs vector or a digits vector."""
     if "coeffs" in doc:
-        return ring.element(tuple(doc["coeffs"]))
+        return ring.element(_ints(doc["coeffs"], "coefficient"))
     if "digits" in doc:
-        digs = []
-        for d in doc["digits"]:
-            digs.append(ring.field.element(tuple(d) if isinstance(d, list) else int(d)))
-        return ring.from_digits(digs)
+        if not isinstance(doc["digits"], list):
+            raise ValidationError("digits must be a list")
+        return ring.from_digits([ring.field.element(coeff_from_json(d)) for d in doc["digits"]])
     raise ValidationError("element document needs 'coeffs' or 'digits'")
 
 
@@ -66,12 +87,12 @@ def coeff_ring_to_json(ring):
 
 
 def coeff_ring_from_json(doc):
-    kind = doc.get("type", "witt")
+    # field_from_json rejects a document that is not an object
+    kind = doc.get("type", "witt") if isinstance(doc, dict) else "witt"
     if kind == "witt":
         return ring_from_json(doc)
     if kind == "field":
-        return FiniteField(int(doc["p"]), int(doc.get("m", 1)),
-                           tuple(doc["modulus"]) if "modulus" in doc else None)
+        return field_from_json(doc)
     raise ValidationError(f"unknown coefficient ring type {kind!r}")
 
 
@@ -92,15 +113,12 @@ def series_to_json(f):
 def series_from_json(doc):
     try:
         coeff_ring = coeff_ring_from_json(doc["coeff_ring"])
-        nvars = int(doc["nvars"])
-        degree = int(doc["degree"])
+        nvars = _int(doc["nvars"], "nvars")
+        degree = _int(doc["degree"], "degree")
         names = doc.get("vars")
         ring = SeriesRing(coeff_ring, nvars, degree, names)
-        terms = []
-        for t in doc["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
-            c = t["coeff"]
-            terms.append((exps, tuple(c) if isinstance(c, list) else int(c)))
+        terms = [(_ints(t["exps"], "exponent"), coeff_from_json(t["coeff"]))
+                 for t in doc["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad series document: {exc}") from exc
     return ring.from_terms(terms)
@@ -119,8 +137,8 @@ def quadform_to_json(q):
 def quadform_from_json(coeff_ring, doc):
     upper = {}
     for t in doc["upper"]:
-        upper[(int(t["i"]), int(t["j"]))] = tuple(t["coeff"])
-    return QuadraticForm(coeff_ring, int(doc["nvars"]), upper)
+        upper[(_int(t["i"], "index"), _int(t["j"], "index"))] = coeff_from_json(t["coeff"])
+    return QuadraticForm(coeff_ring, _int(doc["nvars"], "nvars"), upper)
 
 
 def normal_form_to_json(ring, result: NormalFormResult):

@@ -50,14 +50,6 @@ def mat_vec(A, v):
     return out
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(A):
-    return [[-a for a in row] for row in A]
-
-
 def mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
@@ -107,32 +99,9 @@ def invert(ring, A):
     return [row[n:] for row in work]
 
 
-def solve(ring, A, b):
-    """Solve A x = b for A invertible modulo the maximal ideal."""
-    return mat_vec(invert(ring, A), b)
-
-
 def rank_field(field, A):
     """Rank of a matrix over a finite field, by row reduction."""
-    work = [row[:] for row in A]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = field.invert(work[rank][col])
-        work[rank] = [inv * x for x in work[rank]]
-        for r in range(rows):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(rref_field(field, A)[1])
 
 
 def rref_field(field, A):

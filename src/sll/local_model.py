@@ -15,36 +15,36 @@ condition into p + t11*t22 - t12*t21.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
 from .base_rings import FiniteField, WittRing
+from .deformation import T_VARS
 from .errors import PreconditionError, ValidationError
 from .series import SeriesRing
 from .singularity import default_truncation
 
-T_VARS = ("t11", "t12", "t21", "t22")
-
 
 def field_for_q(q):
-    """The deterministic field of order q (desk scale q <= 9... 25)."""
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            m = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                m += 1
-            if qq != 1:
-                raise ValidationError(f"{q} is not a prime power")
-            return FiniteField(p, m)
-    raise ValidationError(f"{q} is out of desk scale")
+    """The deterministic field of order q = p^m."""
+    if q < 2:
+        raise ValidationError(f"{q} is not a prime power")
+    # the least divisor > 1 is the prime p
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    m, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        m += 1
+    if rest != 1:
+        raise ValidationError(f"{q} is not a prime power")
+    return FiniteField(p, m)
 
 
 def pairing_matrix(ring):
     """The 4x4 alternating matrix of the pairing over `ring` (a FiniteField
     gets the mod-p matrix, a WittRing the integral one)."""
-    p = ring.p if isinstance(ring, WittRing) else ring.p
+    p = ring.p
     rows = [
         [0, 0, 0, p],
         [0, 0, 1, 0],
@@ -70,10 +70,6 @@ class IsotropicPlane:
 
     def vectors(self):
         return [list(self.basis[0]), list(self.basis[1])]
-
-    def contains_vector(self, v):
-        rows = self.vectors()
-        return linalg.rank_field(self.field, rows + [list(v)]) == 2
 
     def to_json(self):
         return {"basis": [[list(x.coeffs) for x in row] for row in self.basis]}

@@ -109,8 +109,7 @@ def is_nondegenerate(Q):
     G = bilinear_gram(Q)
     ring = Q.coeff_ring
     if isinstance(ring, WittRing):
-        Gbar = [[ring.residue(x) for x in row] for row in G]
-        return linalg.rank_field(ring.field, Gbar) == Q.nvars
+        return linalg.rank_field(ring.field, linalg.mat_map(G, ring.residue)) == Q.nvars
     return linalg.rank_field(ring, G) == Q.nvars
 
 

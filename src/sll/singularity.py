@@ -256,10 +256,11 @@ def classify_local_ring(f):
         nf = reduce_to_quadric(f)
     except SmoothShortCircuit as sig:
         return LocalRingClass("Smooth", detail=sig.reason)
-    return LocalRingClass(
-        "OrdinaryDoublePoint",
-        a_prime=nf.a_prime,
-        valuation=A.valuation(nf.a_prime),
-        detail="normal_form",
-        normal_form=nf,
-    )
+    return double_point_class(nf)
+
+
+def double_point_class(nf):
+    """The class R/(f) has when f reduces to the certified normal form nf."""
+    a = nf.a_prime
+    return LocalRingClass("OrdinaryDoublePoint", a_prime=a, valuation=a.ring.valuation(a),
+                          detail="normal_form", normal_form=nf)

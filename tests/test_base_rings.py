@@ -15,6 +15,8 @@ from sll.base_rings import (
 from sll.errors import DomainError, ValidationError
 from sll.jsonio import elem_from_fields, elem_to_json
 
+from .oracles import TableField
+
 
 def W(p, m, n):
     return WittRing(FiniteField(p, m), n)
@@ -231,3 +233,14 @@ def test_element_json_roundtrip():
         doc = elem_to_json(ring, x)
         assert elem_from_fields(ring, {"coeffs": doc["coeffs"]}) == x
         assert elem_from_fields(ring, {"digits": doc["digits"]}) == x
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_field_multiplication_matches_table_oracle(q):
+    table = TableField(q)
+    # the oracle's lexicographic modulus, which need not be the built-in one
+    field = FiniteField(table.p, table.m, table.modulus)
+    elems = [field.element(e) for e in table.elems]
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert (a * b).coeffs == table.elems[table.mul(i, j)]

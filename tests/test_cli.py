@@ -219,3 +219,97 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["local-model", "bogus-op", "--q", "2"])
     assert err.value.code == 2
+
+
+def _zero_module_doc():
+    zero = [[[0]] * 4 for _ in range(4)]
+    return {"ring": {"p": 2, "m": 1, "n": 2}, "F": zero, "V": zero, "J": zero}
+
+
+BAD_INPUTS = {
+    "witt_coeff_string": ["witt", "add", '{"p":2,"m":1,"n":2,"coeffs":[["a"],[1]]}'],
+    "modulus_string": ["witt", "add", '{"p":2,"m":2,"n":2,"modulus":"ab","coeffs":[[1,0],[1,0]]}'],
+    "series_coeff_ring_int": ["series-reduce", '{"coeff_ring":5,"nvars":1,"degree":3,"terms":[]}'],
+    "module_n_string": ["dieudonne", "invariants", "--file", "@module"],
+    "p_float": ["witt", "add", '{"p":2.9,"m":1,"n":2,"coeffs":[[1],[1]]}'],
+    "p_bool": ["witt", "add", '{"p":true,"m":1,"n":2,"coeffs":[[1],[1]]}'],
+    "m_float": ["witt", "add", '{"p":2,"m":1.7,"n":2,"coeffs":[[1],[1]]}'],
+    "n_bool": ["witt", "add", '{"p":2,"m":1,"n":true,"coeffs":[[1],[1]]}'],
+    "coeff_float": ["witt", "mul", '{"p":3,"m":1,"n":2,"coeffs":[[1.7],[1]]}'],
+    "coeff_bool": ["witt", "mul", '{"p":3,"m":1,"n":2,"coeffs":[[true],[1]]}'],
+    "digit_bool": ["witt", "frob", '{"p":2,"m":1,"n":2,"digits":[[true,0]]}'],
+    "digits_not_list": ["witt", "frob", '{"p":2,"m":1,"n":2,"digits":[[1],3]}'],
+    "series_exponent_float": [
+        "series-reduce",
+        '{"coeff_ring":{"p":2,"n":2},"nvars":1,"degree":3,"terms":[{"exps":[1.0],"coeff":[1]}]}',
+    ],
+    "series_coeff_float": [
+        "series-reduce",
+        '{"coeff_ring":{"p":2,"n":2},"nvars":1,"degree":3,"terms":[{"exps":[1],"coeff":0.5}]}',
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_malformed_input_is_one_validation_error(name, tmp_path, capsys):
+    doc = _zero_module_doc()
+    doc["ring"]["n"] = "x"
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if a == "@module" else a for a in BAD_INPUTS[name]]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+
+
+def test_unforeseen_exception_is_internal_error(capsys, monkeypatch):
+    from sll import cli
+
+    def broken(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "local-model", broken)
+    code, doc = run_cli(capsys, "local-model", "points", "--q", "2")
+    assert code == 4
+    assert doc == {"error": {"kind": "internal", "message": "boom"}}
+
+
+@pytest.mark.parametrize("q", [11, 25])
+def test_fixtures_beyond_small_primes(q, capsys):
+    code, doc = run_cli(capsys, "dieudonne", "invariants", "--fixture", "iia", "--q", str(q))
+    assert code == 0
+    assert doc == {"a_number": 2, "p_rank": 0, "kernel_type": "NonAlphaSquare"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dieudonne", "invariants", "--fixture", "iia", "--q", "6"],
+    ["local-model", "points", "--q", "12"],
+    ["local-model", "points", "--q", "11"],
+    ["local-model", "chart", "--q", "0"],
+])
+def test_bad_field_sizes_exit_2(argv, capsys):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2 and "error" in doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["dieudonne", "invariants"],
+    ["dieudonne", "dual"],
+    ["dieudonne", "lagrangian-search"],
+    ["deform"],
+])
+def test_invalid_module_file_is_rejected(argv, tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(_zero_module_doc()))
+    code, doc = run_cli(capsys, *argv, "--file", str(path))
+    assert code == 2
+    assert "fv_is_p" in doc["error"]["message"]
+
+
+def test_validate_reports_an_invalid_module_file(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(_zero_module_doc()))
+    code, doc = run_cli(capsys, "dieudonne", "validate", "--file", str(path))
+    assert code == 0
+    assert doc["valid"] is False and doc["checks"]["fv_is_p"] is False

@@ -3,7 +3,7 @@ import pytest
 from sll import linalg
 from sll.base_rings import FiniteField, WittRing
 from sll.deformation import nonordinary_locus, reduce_relation_mod_p, standard_display
-from sll.errors import PreconditionError
+from sll.errors import PreconditionError, ValidationError
 from sll.local_model import (
     chart_equation,
     enumerate_special_fiber,
@@ -185,3 +185,20 @@ def test_fiber_stable_under_pairing_similitudes(q):
             for plane in fiber
         }
         assert moved == fiber
+
+
+@pytest.mark.parametrize("q, pm", [(2, (2, 1)), (11, (11, 1)), (16, (2, 4)), (25, (5, 2)), (27, (3, 3)), (49, (7, 2))])
+def test_field_for_q_factors_q(q, pm):
+    field = field_for_q(q)
+    assert (field.p, field.m, field.q) == (*pm, q)
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 100])
+def test_field_for_q_rejects_non_prime_powers(q):
+    with pytest.raises(ValidationError):
+        field_for_q(q)
+
+
+def test_fiber_enumeration_keeps_its_size_limit():
+    with pytest.raises(PreconditionError):
+        enumerate_special_fiber(11)
