@@ -7,12 +7,17 @@ arithmetic; Witt coordinates (Teichmuller digits) are a conversion layer,
 and the classical ghost-component construction is kept alongside as an
 independent oracle (`ghost_sum_digits`, `ghost_product_digits`).
 
+F_q = F_p[x]/(modulus) is the n = 1 case, W_1(F_q): both rings expose
+`pn` (p^n, or p for a field) and `lifted_modulus` (the modulus itself for
+a field), and one element class, `Residue`, does the arithmetic of both.
+
 Elements are immutable value objects; rings are shareable read-only
 contexts; every operation is pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import DomainError, InternalInvariantError, ValidationError
@@ -25,6 +30,10 @@ BUILTIN_MODULI = {
     (3, 2): (1, 0, 1),       # x^2 + 1
     (5, 2): (2, 0, 1),       # x^2 + 2
 }
+
+# largest supported characteristic: primality is trial division, and the
+# fields this package handles are desk scale
+MAX_CHARACTERISTIC = 2 ** 16
 
 
 def is_prime(p):
@@ -149,46 +158,47 @@ def find_irreducible(p, m):
 
 
 # ---------------------------------------------------------------------------
-# finite fields
+# elements of F_q = W_1(F_q) and of W_n(F_q)
 
 
-class FFElement:
-    """Element of a FiniteField: the reduced polynomial of degree < m."""
+class Residue:
+    """Element of (Z/N)[x]/(g): the shared arithmetic of F_q (N = p, g the
+    field modulus) and W_n(F_q) (N = p^n, g the lifted modulus), read from
+    the ring's `pn` and `lifted_modulus`."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, field, coeffs):
-        self.field = field
+    def __init__(self, ring, coeffs):
+        self.ring = ring
         self.coeffs = coeffs
 
     def _check(self, other):
-        if not isinstance(other, FFElement) or other.field != self.field:
-            raise DomainError("operands lie in different fields")
+        if not isinstance(other, Residue) or other.ring != self.ring:
+            raise DomainError("operands lie in different rings")
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return FFElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        pn = self.ring.pn
+        return type(self)(self.ring, tuple((a + b) % pn for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
-        return FFElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        pn = self.ring.pn
+        return type(self)(self.ring, tuple((a - b) % pn for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple((-a) % p for a in self.coeffs))
+        pn = self.ring.pn
+        return type(self)(self.ring, tuple((-a) % pn for a in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
-        f = self.field
-        return FFElement(f, _mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
+        r = self.ring
+        return type(self)(r, _mulmod(self.coeffs, other.coeffs, r.lifted_modulus, r.pn))
 
     def __pow__(self, e):
-        f = self.field
         if e < 0:
-            return self.field.invert(self) ** (-e)
-        out = f.one()
+            return self.ring.invert(self) ** (-e)
+        out = self.ring.one()
         base = self
         while e:
             if e & 1:
@@ -198,26 +208,50 @@ class FFElement:
         return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FFElement)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
+        return isinstance(other, Residue) and other.ring == self.ring and other.coeffs == self.coeffs
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, self.coeffs))
+        return hash(self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)
 
     def __repr__(self):
-        return f"FF({self.field.p}^{self.field.m}; {list(self.coeffs)})"
+        return f"{type(self).__name__}({self.ring!r}; {list(self.coeffs)})"
+
+
+# The subclasses re-bind __mul__ (and __add__) in their own namespace: the
+# benchmark tracer wraps these methods per class, by name.
+
+
+class FFElement(Residue):
+    """Element of a FiniteField: the reduced polynomial of degree < m."""
+
+    __slots__ = ()
+    __mul__ = Residue.__mul__
+
+
+class WittElement(Residue):
+    """Element of W_n(F_q): a reduced polynomial with coefficients mod p^n."""
+
+    __slots__ = ()
+    __mul__ = Residue.__mul__
+    __add__ = Residue.__add__
+
+
+# ---------------------------------------------------------------------------
+# finite fields
 
 
 class FiniteField:
-    """F_q = F_p[x]/(modulus), q = p^m, with a fixed monic irreducible modulus."""
+    """F_q = F_p[x]/(modulus), q = p^m, with a fixed monic irreducible modulus.
+
+    As a coefficient ring it is W_1(F_q): `pn` is p and `lifted_modulus` is
+    the modulus."""
 
     def __init__(self, p, m=1, modulus=None):
+        if p > MAX_CHARACTERISTIC:
+            raise ValidationError(f"characteristic {p} is above the limit {MAX_CHARACTERISTIC}")
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
         if m < 1:
@@ -233,6 +267,8 @@ class FiniteField:
         self.m = m
         self.q = p ** m
         self.modulus = modulus
+        self.pn = p
+        self.lifted_modulus = modulus
 
     def __eq__(self, other):
         return (
@@ -248,15 +284,14 @@ class FiniteField:
 
     def element(self, coeffs):
         if isinstance(coeffs, FFElement):
-            if coeffs.field != self:
+            if coeffs.ring != self:
                 raise DomainError("element from a different field")
             return coeffs
         if isinstance(coeffs, int):
             return FFElement(self, ((coeffs % self.p),) + (0,) * (self.m - 1))
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.m:
-            red = _pmod(coeffs, self.modulus, self.p)
-            coeffs = red
+            coeffs = _pmod(coeffs, self.modulus, self.p)
         return FFElement(self, coeffs + (0,) * (self.m - len(coeffs)))
 
     def zero(self):
@@ -298,117 +333,27 @@ class FiniteField:
 
     def sqrt(self, e):
         """A square root in this field, or None.  Exhaustive search (desk scale)."""
-        for c in self.elements():
-            if c * c == e:
-                return c
-        return None
+        return next((c for c in self.elements() if c * c == e), None)
 
     def extension_quadratic(self):
-        """The field F_{q^2} together with the embedding F_q -> F_{q^2}.
+        """The field F_{q^2} and the image of this field's generator in it.
 
         The target modulus is the deterministic irreducible of degree 2m
-        over F_p; the embedding sends the generator to the smallest root
-        of this field's modulus in the target.
+        over F_p; the image is the smallest root of this field's modulus in
+        the target.
         """
         big = FiniteField(self.p, 2 * self.m)
-        root = None
-        for cand in big.elements():
+        for root in big.elements():
             acc = big.zero()
             for c in reversed(self.modulus):
-                acc = acc * cand + big.element(c)
+                acc = acc * root + big.element(c)
             if not acc:
-                root = cand
-                break
-        if root is None:
-            raise InternalInvariantError("modulus has no root in quadratic extension")
-        return big, FieldEmbedding(self, big, root)
-
-
-class FieldEmbedding:
-    """Ring embedding F_q -> F_{q'} determined by a root of the source modulus."""
-
-    def __init__(self, src, dst, gen_image):
-        self.src = src
-        self.dst = dst
-        self.gen_image = gen_image
-        pows = [dst.one()]
-        for _ in range(src.m - 1):
-            pows.append(pows[-1] * gen_image)
-        self._pows = pows
-
-    def __call__(self, e):
-        if e.field != self.src:
-            raise DomainError("element not in the source field")
-        acc = self.dst.zero()
-        for c, pw in zip(e.coeffs, self._pows):
-            if c:
-                acc = acc + self.dst.element(c) * pw
-        return acc
+                return big, root
+        raise InternalInvariantError("modulus has no root in quadratic extension")
 
 
 # ---------------------------------------------------------------------------
 # truncated Witt rings
-
-
-class WittElement:
-    """Element of W_n(F_q): a reduced polynomial with coefficients mod p^n."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def _check(self, other):
-        if not isinstance(other, WittElement) or other.ring != self.ring:
-            raise DomainError("operands lie in different Witt rings")
-
-    def __add__(self, other):
-        self._check(other)
-        pn = self.ring.pn
-        return WittElement(self.ring, tuple((a + b) % pn for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        pn = self.ring.pn
-        return WittElement(self.ring, tuple((a - b) % pn for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        pn = self.ring.pn
-        return WittElement(self.ring, tuple((-a) % pn for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        r = self.ring
-        return WittElement(r, _mulmod(self.coeffs, other.coeffs, r.lifted_modulus, r.pn))
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.ring.invert(self) ** (-e)
-        out = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittElement)
-            and other.ring == self.ring
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring.field.p, self.ring.field.m, self.ring.n, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return f"W({self.ring.field.p}^{self.ring.field.m},{self.ring.n}; {list(self.coeffs)})"
 
 
 class WittRing:
@@ -427,16 +372,13 @@ class WittRing:
         self.n = n
         self.p = field.p
         self.pn = field.p ** n
-        m = field.m
         self.lifted_modulus = self._lift_modulus()
-        # sigma: substitution by x^p, as an m x m matrix over Z/p^n
-        xp = _frob_power(self.gen().coeffs, 1, self.lifted_modulus, self.p, self.pn)
-        self._sigma_mat = self._powers_matrix(xp)
-        inv = _int_identity(m)
-        for _ in range((m - 1) % m if m > 1 else 0):
-            inv = _int_matmul(self._sigma_mat, inv, self.pn)
-        self._sigma_inv_mat = inv
         gen = self.gen()
+        # sigma is the substitution x |-> x^p and sigma^(-1) = sigma^(m-1) the
+        # substitution x |-> x^(p^(m-1)), both as m x m matrices over Z/p^n
+        x, g = gen.coeffs, self.lifted_modulus
+        self._sigma_mat = self._powers_matrix(_frob_power(x, 1, g, self.p, self.pn))
+        self._sigma_inv_mat = self._powers_matrix(_frob_power(x, field.m - 1, g, self.p, self.pn))
         if self.frobenius(gen) ** (field.q // field.p) != gen and field.m > 1:
             # x^q must equal x: the defining Newton iteration is stationary
             raise InternalInvariantError("lifted modulus is not the Hensel lift")
@@ -557,7 +499,7 @@ class WittRing:
 
     def teichmuller(self, a):
         """The unique multiplicative lift [a] of a in F_q."""
-        if a.field != self.field:
+        if a.ring != self.field:
             raise DomainError("element not in the residue field")
         y = self.element(tuple(a.coeffs))
         q = self.field.q
@@ -620,19 +562,18 @@ class WittRing:
 
 
 class WittEmbedding:
-    """Ring embedding W_n(F_q) -> W_n(F_{q^2}) over a residue-field embedding.
+    """Ring embedding W_n(F_q) -> W_n(F_{q'}) given by a root in F_{q'} of
+    the source field's modulus.
 
     Sends the Teichmuller generator of the source to the Teichmuller lift
-    of its image root; Z/p^n-linear on polynomial coefficients.
+    of the root; Z/p^n-linear on polynomial coefficients.
     """
 
-    def __init__(self, src, dst, field_embedding):
+    def __init__(self, src, dst, root):
         if src.n != dst.n or src.p != dst.p:
             raise DomainError("incompatible Witt rings")
         self.src = src
         self.dst = dst
-        self.field_embedding = field_embedding
-        root = field_embedding(src.field.gen()) if src.field.m > 1 else dst.field.zero()
         img = dst.teichmuller(root) if src.field.m > 1 else dst.zero()
         pows = [dst.one()]
         for _ in range(src.field.m - 1):
@@ -651,9 +592,9 @@ class WittEmbedding:
 
 def witt_quadratic_extension(ring):
     """W_n(F_{q^2}) together with the embedding of W_n(F_q)."""
-    big_field, femb = ring.field.extension_quadratic()
+    big_field, root = ring.field.extension_quadratic()
     big = WittRing(big_field, ring.n)
-    return big, WittEmbedding(ring, big, femb)
+    return big, WittEmbedding(ring, big, root)
 
 
 def sqrt_unit(ring, u):
@@ -762,16 +703,22 @@ def _coordinates_to_digits(field, coords):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4096)
+def _element_ghosts(ring, coeffs):
+    """Ghost vector of the element of `ring` with these coefficients;
+    memoized, since oracle checks run many pairs over few elements."""
+    lifts = [tuple(int(c) for c in d.coeffs) for d in _witt_coordinates(ring, ring.element(coeffs))]
+    return tuple(_ghost_vector(lifts, ring.p, ring.n, tuple(int(c) for c in ring.field.modulus)))
+
+
 def _ghost_binary(a, b, combine):
     ring = a.ring
     if b.ring != ring:
         raise DomainError("operands lie in different Witt rings")
     p, n = ring.p, ring.n
     mod = tuple(int(c) for c in ring.field.modulus)
-    la = [tuple(int(c) for c in d.coeffs) for d in _witt_coordinates(ring, a)]
-    lb = [tuple(int(c) for c in d.coeffs) for d in _witt_coordinates(ring, b)]
-    ga = _ghost_vector(la, p, n, mod)
-    gb = _ghost_vector(lb, p, n, mod)
+    ga = _element_ghosts(ring, a.coeffs)
+    gb = _element_ghosts(ring, b.coeffs)
     gc = [combine(x, y) for x, y in zip(ga, gb)]
     comps = _ghost_solve(gc, p, n, mod)
     coords = [ring.field.element(tuple(c % p for c in comp)) for comp in comps]
@@ -791,15 +738,6 @@ def ghost_product_digits(a, b):
 
 # ---------------------------------------------------------------------------
 # small integer linear algebra mod p^n (construction-time only)
-
-
-def _int_identity(m):
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-
-def _int_matmul(A, B, pn):
-    m = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(m)) % pn for j in range(m)] for i in range(m)]
 
 
 def _int_matvec(A, v, pn):

@@ -238,8 +238,16 @@ def _cmd_local_model(args):
 # -- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become ValidationError, so they too end in exit code 2
+    with one JSON error document; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sll",
         description="exact local computations: Witt rings, series reduction, "
         "Dieudonne modules, deformation relations, local-model fibers",

@@ -79,19 +79,17 @@ def expand_pairing(frame, left, right, sring=None, left_vars=(0, 1), right_vars=
     lv = [t[k] for k in left_vars]
     rv = [t[k] for k in right_vars]
 
-    def pair(i, j):
-        return module.pair(module.basis_vector(i), module.basis_vector(j))
-
+    J = module.J  # J[i][j] = <e_i, e_j>
     x1, x2 = frame.X_indices
-    rel = sring.constant(pair(left, right))
+    rel = sring.constant(J[left][right])
     # <e_left, rv_j X_j>
-    rel = rel + rv[0].scalar_mul(pair(left, x1)) + rv[1].scalar_mul(pair(left, x2))
+    rel = rel + rv[0].scalar_mul(J[left][x1]) + rv[1].scalar_mul(J[left][x2])
     # <lv_i X_i, e_right> = -lv_i <e_right, X_i>
-    rel = rel - lv[0].scalar_mul(pair(right, x1)) - lv[1].scalar_mul(pair(right, x2))
+    rel = rel - lv[0].scalar_mul(J[right][x1]) - lv[1].scalar_mul(J[right][x2])
     # <lv_i X_i, rv_j X_j>
     for i, ti in ((x1, lv[0]), (x2, lv[1])):
         for j, tj in ((x1, rv[0]), (x2, rv[1])):
-            c = pair(i, j)
+            c = J[i][j]
             if c:
                 rel = rel + (ti * tj).scalar_mul(c)
     return rel

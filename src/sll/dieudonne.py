@@ -309,7 +309,8 @@ def _complete_witness(module, g1, g2):
     """Try to complete an isotropic direct-summand pair to the full
     pairing shape <X1,Y1> = 1, <X2,Y2> = p, all other pairings zero."""
     ring = module.ring
-    A = [[module.pair(module.basis_vector(j), g) for g in (g1, g2)] for j in range(4)]
+    # A[j] = (<e_j, g1>, <e_j, g2>)
+    A = [[a, b] for a, b in zip(linalg.mat_vec(module.J, g1), linalg.mat_vec(module.J, g2))]
     vals, U, V = linalg.smith_form_local(ring, A)
     if vals != [0, 1]:
         return None

@@ -14,12 +14,13 @@ condition into p + t11*t22 - t12*t21.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import linalg
-from .base_rings import FiniteField, WittRing
+from .base_rings import MAX_CHARACTERISTIC, FiniteField, WittRing
 from .deformation import T_VARS
 from .errors import PreconditionError, ValidationError
 from .series import SeriesRing
@@ -30,8 +31,10 @@ def field_for_q(q):
     """The deterministic field of order q = p^m."""
     if q < 2:
         raise ValidationError(f"{q} is not a prime power")
-    # the least divisor > 1 is the prime p
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    # the least divisor > 1 is the prime p; a q with no divisor up to the
+    # characteristic limit is left for FiniteField to reject
+    limit = min(math.isqrt(q), MAX_CHARACTERISTIC)
+    p = next((d for d in range(2, limit + 1) if q % d == 0), q)
     m, rest = 0, q
     while rest % p == 0:
         rest //= p
@@ -41,9 +44,11 @@ def field_for_q(q):
     return FiniteField(p, m)
 
 
+@functools.lru_cache(maxsize=64)
 def pairing_matrix(ring):
     """The 4x4 alternating matrix of the pairing over `ring` (a FiniteField
-    gets the mod-p matrix, a WittRing the integral one)."""
+    gets the mod-p matrix, a WittRing the integral one), as row tuples
+    built once per ring."""
     p = ring.p
     rows = [
         [0, 0, 0, p],
@@ -51,7 +56,7 @@ def pairing_matrix(ring):
         [0, -1, 0, 0],
         [-p, 0, 0, 0],
     ]
-    return [[ring.from_int(x) for x in row] for row in rows]
+    return tuple(tuple(ring.from_int(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class IsotropicPlane:
 
     def __repr__(self):
         def fmt(row):
-            return "(" + ",".join(str(x.coeffs[0]) if x.field.m == 1 else str(list(x.coeffs)) for x in row) + ")"
+            return "(" + ",".join(str(x.coeffs[0]) if x.ring.m == 1 else str(list(x.coeffs)) for x in row) + ")"
 
         return f"IsotropicPlane[{fmt(self.basis[0])}, {fmt(self.basis[1])}]"
 

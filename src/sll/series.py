@@ -330,7 +330,7 @@ def _coeff_text(coeff_ring, c):
     coeffs = c.coeffs
     if not any(coeffs[1:]):
         v = coeffs[0]
-        modulus = getattr(coeff_ring, "pn", coeff_ring.p)
+        modulus = coeff_ring.pn
         if v > modulus // 2:
             v -= modulus
         return str(v)

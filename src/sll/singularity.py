@@ -252,11 +252,7 @@ def classify_local_ring(f):
             return LocalRingClass("Smooth", detail=f"unit_linear_coefficient_{i + 1}")
     if not is_nondegenerate(QuadraticForm.from_series(f)):
         return LocalRingClass("Undetermined", detail="degenerate_quadratic_part")
-    try:
-        nf = reduce_to_quadric(f)
-    except SmoothShortCircuit as sig:
-        return LocalRingClass("Smooth", detail=sig.reason)
-    return double_point_class(nf)
+    return double_point_class(reduce_to_quadric(f))
 
 
 def double_point_class(nf):

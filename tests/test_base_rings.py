@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sll.base_rings import (
+    MAX_CHARACTERISTIC,
     FiniteField,
     WittRing,
     ghost_product_digits,
@@ -61,12 +62,17 @@ def test_frobenius_teichmuller_equivariance_W2F4():
 
 
 def test_frobenius_has_order_m():
-    ring = W(2, 2, 3)
-    rng = random.Random(1)
-    for _ in range(50):
-        x = ring.random_element(rng)
-        assert ring.frobenius(ring.frobenius(x)) == x
-        assert ring.frobenius_inv(ring.frobenius(x)) == x
+    # m = 3 is the first degree where sigma^(-1) = sigma^(m-1) differs from sigma
+    for ring in (W(2, 1, 3), W(2, 2, 3), W(2, 3, 2), W(3, 3, 2)):
+        rng = random.Random(1)
+        for _ in range(50):
+            x = ring.random_element(rng)
+            y = x
+            for _ in range(ring.field.m):
+                y = ring.frobenius(y)
+            assert y == x
+            assert ring.frobenius_inv(ring.frobenius(x)) == x
+            assert ring.frobenius(ring.frobenius_inv(x)) == x
 
 
 def test_frobenius_is_ring_automorphism_W2F4_exhaustive():
@@ -178,9 +184,19 @@ def test_parent_mismatch_raises():
         a + b
     with pytest.raises(DomainError):
         a * b
+    # F_2 and W_1(F_2) share one element class but are different rings
+    field = FiniteField(2)
+    w1 = WittRing(field, 1)
+    with pytest.raises(DomainError):
+        field.one() + w1.one()
+    with pytest.raises(DomainError):
+        w1.one() * field.one()
+    assert field.one() != w1.one()
 
 
 def test_invalid_inputs_rejected():
+    with pytest.raises(ValidationError):
+        FiniteField(MAX_CHARACTERISTIC + 1)
     with pytest.raises(ValidationError):
         FiniteField(4)
     with pytest.raises(ValidationError):
@@ -214,15 +230,16 @@ def test_sqrt_unit_hensel():
 
 
 def test_quadratic_extension_embedding_is_a_ring_hom():
-    ring = W(3, 1, 2)
-    big, emb = witt_quadratic_extension(ring)
-    assert big.field.q == 9 and big.n == 2
-    rng = random.Random(6)
-    for _ in range(50):
-        a, b = ring.random_element(rng), ring.random_element(rng)
-        assert emb(a + b) == emb(a) + emb(b)
-        assert emb(a * b) == emb(a) * emb(b)
-    assert emb(ring.one()) == big.one()
+    # W_2(F_3) -> W_2(F_9), and W_2(F_4) -> W_2(F_16) where the root matters
+    for ring in (W(3, 1, 2), W(2, 2, 2)):
+        big, emb = witt_quadratic_extension(ring)
+        assert big.field.q == ring.field.q ** 2 and big.n == ring.n
+        rng = random.Random(6)
+        for _ in range(50):
+            a, b = ring.random_element(rng), ring.random_element(rng)
+            assert emb(a + b) == emb(a) + emb(b)
+            assert emb(a * b) == emb(a) * emb(b)
+        assert emb(ring.one()) == big.one()
 
 
 def test_element_json_roundtrip():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -215,10 +216,18 @@ def test_env_precision_default(capsys, monkeypatch):
     assert code == 2
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["local-model", "bogus-op", "--q", "2"])
-    assert err.value.code == 2
+def test_usage_error_exits_2(capsys):
+    for argv in (
+        ["local-model", "bogus-op", "--q", "2"],
+        ["dieudonne", "invariants", "--fixture", "nosuch"],
+        ["dieudonne", "invariants", "--fixture", "iia", "--seed", "1"],
+        ["local-model", "points", "--q", "two"],
+        [],
+    ):
+        code = main(argv)
+        doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
+        assert code == 2
+        assert list(doc) == ["error"] and doc["error"]["kind"] == "ValidationError"
 
 
 def _zero_module_doc():
@@ -287,9 +296,15 @@ def test_fixtures_beyond_small_primes(q, capsys):
     ["local-model", "points", "--q", "12"],
     ["local-model", "points", "--q", "11"],
     ["local-model", "chart", "--q", "0"],
+    # characteristic above MAX_CHARACTERISTIC: rejected before any trial division
+    ["witt", "add", '{"p":100000000000031,"m":1,"n":2,"coeffs":[[1],[1]]}'],
+    ["local-model", "chart", "--q", "100000000000031"],
+    ["local-model", "chart", "--q", str(65537 * 65539)],
 ])
 def test_bad_field_sizes_exit_2(argv, capsys):
+    start = time.perf_counter()
     code, doc = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and "error" in doc
 
 

@@ -1,9 +1,9 @@
 """Byte-for-byte regression corpus for the CLI.
 
-`golden_cli/cases.json` lists argv vectors (README commands, file inputs
-and two validation errors) with their exit codes; `<name>.out` holds the
-exact stdout each produced when the corpus was captured.  Paths in argv
-are relative to `golden_cli/`.  Refactors must leave every case unchanged.
+`golden_cli/cases.json` lists argv vectors (README commands, file inputs,
+two validation errors and two usage errors) with their exit codes;
+`<name>.out` holds the exact stdout each produces.  Paths in argv are
+relative to `golden_cli/`.  Refactors must leave every case unchanged.
 """
 
 import json
@@ -21,10 +21,7 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 def test_golden_cli(case, capsys, monkeypatch):
     monkeypatch.delenv("SLL_PRECISION", raising=False)
     monkeypatch.chdir(GOLDEN)
-    try:
-        code = main(list(case["argv"]))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = main(list(case["argv"]))
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()

@@ -193,7 +193,8 @@ def test_field_for_q_factors_q(q, pm):
     assert (field.p, field.m, field.q) == (*pm, q)
 
 
-@pytest.mark.parametrize("q", [0, 1, 6, 12, 100])
+# the last two have no prime factor up to the characteristic limit
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 100, 10 ** 14 + 31, 65537 * 65539])
 def test_field_for_q_rejects_non_prime_powers(q):
     with pytest.raises(ValidationError):
         field_for_q(q)
