@@ -1,11 +1,11 @@
 """sll: exact local computations over truncated Witt rings.
 
 Subpackages: base_rings (F_q and W_n(F_q)), series (truncated multivariate
-power series), quadforms (quadratic forms and split standardization),
-singularity (normal forms of non-degenerate quadratic singularities),
-dieudonne (quasi-polarized rank-4 modules), deformation (first-order
-isotropy relations and displays), local_model (special-fiber enumeration),
-cli (JSON command-line front end).
+power series), quadforms (quadratic forms and the split/non-split class of
+their quadrics), singularity (normal forms of non-degenerate quadratic
+singularities), dieudonne (quasi-polarized rank-4 modules), deformation
+(first-order isotropy relations and displays), local_model (special-fiber
+enumeration), cli (JSON command-line front end).
 """
 
 from .base_rings import (
@@ -13,8 +13,6 @@ from .base_rings import (
     WittRing,
     ghost_product_digits,
     ghost_sum_digits,
-    sqrt_unit,
-    witt_quadratic_extension,
 )
 from .deformation import (
     HodgeFrame,
@@ -41,7 +39,7 @@ from .local_model import (
     singular_points,
     tangent_dimension,
 )
-from .quadforms import QuadraticForm, bilinear_gram, is_nondegenerate, standardize_split
+from .quadforms import QuadraticForm, bilinear_gram, is_nondegenerate, quadric_class
 from .series import SeriesRing, TruncatedSeries
 from .singularity import (
     LocalRingClass,
@@ -57,14 +55,12 @@ __all__ = [
     "WittRing",
     "ghost_sum_digits",
     "ghost_product_digits",
-    "sqrt_unit",
-    "witt_quadratic_extension",
     "SeriesRing",
     "TruncatedSeries",
     "QuadraticForm",
     "bilinear_gram",
     "is_nondegenerate",
-    "standardize_split",
+    "quadric_class",
     "NormalFormResult",
     "LocalRingClass",
     "kill_linear_term",

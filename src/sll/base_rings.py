@@ -31,9 +31,12 @@ BUILTIN_MODULI = {
     (5, 2): (2, 0, 1),       # x^2 + 2
 }
 
-# largest supported characteristic: primality is trial division, and the
-# fields this package handles are desk scale
+# size limits, all desk scale: the characteristic (primality is trial
+# division), the residue-field degree m, and the ring order q^n (Teichmuller
+# lifts and digits cost O(n^2 log q) multiplications)
 MAX_CHARACTERISTIC = 2 ** 16
+MAX_DEGREE = 8
+MAX_RING_ORDER = 2 ** 256
 
 
 def is_prime(p):
@@ -145,12 +148,14 @@ def is_irreducible(poly, p):
 
 
 def find_irreducible(p, m):
-    """First monic irreducible of degree m over F_p in lexicographic order."""
+    """First monic irreducible of degree m over F_p in lexicographic order
+    (constant term slowest).  The scan starts at constant term 1, since x
+    divides every candidate with constant term 0."""
     if m == 1:
         return (0, 1)
     if (p, m) in BUILTIN_MODULI:
         return BUILTIN_MODULI[(p, m)]
-    for tail in itertools.product(range(p), repeat=m):
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         poly = tuple(tail) + (1,)
         if is_irreducible(poly, p):
             return poly
@@ -256,6 +261,8 @@ class FiniteField:
             raise ValidationError(f"{p} is not prime")
         if m < 1:
             raise ValidationError("extension degree must be >= 1")
+        if m > MAX_DEGREE:
+            raise ValidationError(f"extension degree {m} is above the limit {MAX_DEGREE}")
         if modulus is None:
             modulus = find_irreducible(p, m)
         modulus = tuple(c % p for c in modulus)
@@ -331,26 +338,6 @@ class FiniteField:
     def frobenius(self, e):
         return e ** self.p
 
-    def sqrt(self, e):
-        """A square root in this field, or None.  Exhaustive search (desk scale)."""
-        return next((c for c in self.elements() if c * c == e), None)
-
-    def extension_quadratic(self):
-        """The field F_{q^2} and the image of this field's generator in it.
-
-        The target modulus is the deterministic irreducible of degree 2m
-        over F_p; the image is the smallest root of this field's modulus in
-        the target.
-        """
-        big = FiniteField(self.p, 2 * self.m)
-        for root in big.elements():
-            acc = big.zero()
-            for c in reversed(self.modulus):
-                acc = acc * root + big.element(c)
-            if not acc:
-                return big, root
-        raise InternalInvariantError("modulus has no root in quadratic extension")
-
 
 # ---------------------------------------------------------------------------
 # truncated Witt rings
@@ -368,6 +355,9 @@ class WittRing:
     def __init__(self, field, n):
         if n < 1:
             raise ValidationError("truncation length must be >= 1")
+        # q >= 2, so an n this long fails before q^n is formed
+        if n >= MAX_RING_ORDER.bit_length() or field.q ** n > MAX_RING_ORDER:
+            raise ValidationError(f"ring order q^n = {field.q}^{n} is above the limit 2^256")
         self.field = field
         self.n = n
         self.p = field.p
@@ -559,61 +549,6 @@ class WittRing:
                 raise DomainError(f"element not divisible by p^{k}")
             out.append(c // pk)
         return WittElement(self, tuple(out))
-
-
-class WittEmbedding:
-    """Ring embedding W_n(F_q) -> W_n(F_{q'}) given by a root in F_{q'} of
-    the source field's modulus.
-
-    Sends the Teichmuller generator of the source to the Teichmuller lift
-    of the root; Z/p^n-linear on polynomial coefficients.
-    """
-
-    def __init__(self, src, dst, root):
-        if src.n != dst.n or src.p != dst.p:
-            raise DomainError("incompatible Witt rings")
-        self.src = src
-        self.dst = dst
-        img = dst.teichmuller(root) if src.field.m > 1 else dst.zero()
-        pows = [dst.one()]
-        for _ in range(src.field.m - 1):
-            pows.append(pows[-1] * img)
-        self._pows = pows
-
-    def __call__(self, x):
-        if x.ring != self.src:
-            raise DomainError("element not in the source ring")
-        acc = self.dst.zero()
-        for c, pw in zip(x.coeffs, self._pows):
-            if c:
-                acc = acc + self.dst.from_int(c) * pw
-        return acc
-
-
-def witt_quadratic_extension(ring):
-    """W_n(F_{q^2}) together with the embedding of W_n(F_q)."""
-    big_field, root = ring.field.extension_quadratic()
-    big = WittRing(big_field, ring.n)
-    return big, WittEmbedding(ring, big, root)
-
-
-def sqrt_unit(ring, u):
-    """Square root of a unit in W_n(F_q) for odd p, or None if the residue
-    is a non-square.  Field root by exhaustive search, then Hensel lifting
-    (the derivative 2x is a unit since p is odd)."""
-    if ring.p == 2:
-        raise DomainError("Hensel square roots need odd p")
-    if not ring.is_unit(u):
-        raise DomainError("square roots only for units")
-    r0 = ring.field.sqrt(ring.residue(u))
-    if r0 is None:
-        return None
-    z = ring.teichmuller(r0)
-    for _ in range(max(1, ring.n).bit_length() + 1):
-        z = z - (z * z - u) * ring.invert(z + z)
-    if z * z != u:
-        raise InternalInvariantError("Hensel square root failed to converge")
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,11 @@ def _cmd_dieudonne(args):
     module = _module_for(args)
     ring = module.ring
     if args.op == "validate":
+        spot = args.spot_checks
+        if spot < 0:
+            raise ValidationError("--spot-checks must be >= 0")
         checks = module.validate()
         doc = {"checks": checks, "valid": all(checks.values())}
-        spot = int(getattr(args, "spot_checks", 0) or 0)
         if spot:
             rng = random.Random(args.seed)
             stable = 0

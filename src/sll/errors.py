@@ -20,10 +20,6 @@ class PreconditionError(AlgebraError):
         self.part = part
 
 
-class UnsupportedCharacteristicError(PreconditionError):
-    """Operation is not available at this residue characteristic."""
-
-
 class ValidationError(AlgebraError):
     """Malformed external input (JSON documents, CLI arguments)."""
 

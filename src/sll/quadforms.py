@@ -1,25 +1,15 @@
 """Quadratic forms over W_n(F_q) and F_q: associated bilinear form,
-non-degeneracy, and split standardization for odd residue characteristic.
+non-degeneracy, and the split/non-split class of the smooth quadric a
+non-degenerate form cuts out over the residue field.
 
-Square roots needed by the standardization are looked for in F_q first;
-when a residue is a non-square the computation moves, once, to F_{q^2}
-and reports the extension.  At p = 2 non-degeneracy testing still works
-(only invertibility of the Gram matrix is needed); split standardization
-is refused there.
+Both only read the form modulo p, so they work at every p, including 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
-from .base_rings import WittRing, sqrt_unit, witt_quadratic_extension
-from .errors import (
-    DomainError,
-    PreconditionError,
-    UnsupportedCharacteristicError,
-)
-from .series import SeriesRing, TruncatedSeries
+from .base_rings import WittRing
+from .errors import DomainError, PreconditionError
 
 
 class QuadraticForm:
@@ -84,12 +74,6 @@ class QuadraticForm:
     def __repr__(self):
         return f"QuadraticForm({self.nvars} vars, {len(self.upper)} terms)"
 
-    def evaluate(self, point):
-        acc = self.coeff_ring.zero()
-        for (i, j), c in self.upper.items():
-            acc = acc + c * point[i] * point[j]
-        return acc
-
 
 def bilinear_gram(Q):
     """Gram matrix of B(x,y) = Q(x+y) - Q(x) - Q(y), i.e. Qmat + Qmat^T."""
@@ -104,184 +88,66 @@ def bilinear_gram(Q):
     return G
 
 
+def _residue_map(ring):
+    """The residue field of a coefficient ring and the reduction onto it."""
+    if isinstance(ring, WittRing):
+        return ring.field, ring.residue
+    return ring, lambda x: x
+
+
 def is_nondegenerate(Q):
     """True iff det of the Gram matrix is a unit in the coefficient ring."""
-    G = bilinear_gram(Q)
-    ring = Q.coeff_ring
-    if isinstance(ring, WittRing):
-        return linalg.rank_field(ring.field, linalg.mat_map(G, ring.residue)) == Q.nvars
-    return linalg.rank_field(ring, G) == Q.nvars
+    field, res = _residue_map(Q.coeff_ring)
+    return linalg.rank_field(field, linalg.mat_map(bilinear_gram(Q), res)) == Q.nvars
 
 
-def split_form(coeff_ring, nvars):
-    """x1 x2 + x3 x4 + ... on an even number of variables."""
-    if nvars % 2:
-        raise DomainError("split form needs an even number of variables")
-    one = coeff_ring.one()
-    return QuadraticForm(coeff_ring, nvars, {(2 * k, 2 * k + 1): one for k in range(nvars // 2)})
+def quadric_class(Q):
+    """"split" or "nonsplit": the class of the smooth quadric Q = 0 over the
+    residue field F_q, for a non-degenerate Q in an even number 2k of
+    variables.  Split means hyperbolic, x1 x2 + ... + x_{2k-1} x_2k after a
+    change of variables; in 4 variables the split quadric is P^1 x P^1 with
+    (q+1)^2 points and the non-split one has q^2 + 1.
 
-
-@dataclass
-class SplitStandardization:
-    """Result of standardize_split: Q(C y) is the split form over `ring`
-    (the original Witt ring, or its on-demand quadratic extension)."""
-
-    ring: object
-    matrix: list
-    extended: bool
-    embedding: object = None
-    steps: list = field(default_factory=list)
-
-    def transformed_form(self, Q):
-        """Q(C y) as a QuadraticForm over self.ring, for verification."""
-        work = _embed_form(Q, self.ring, self.embedding)
-        n = work.nvars
-        sring = SeriesRing(self.ring, n, 3)
-        qs = work.to_series(sring)
-        images = [
-            _linear_combination(sring, [self.matrix[i][j] for j in range(n)])
-            for i in range(n)
-        ]
-        return QuadraticForm.from_series(qs.substitute(images))
-
-
-def _linear_combination(sring, coeffs):
-    acc = sring.zero()
-    for i, c in enumerate(coeffs):
-        if c:
-            acc = acc + sring.variable(i).scalar_mul(c)
-    return acc
-
-
-def _embed_form(Q, ring, embedding):
-    if embedding is None:
-        return Q
-    return QuadraticForm(ring, Q.nvars, {k: embedding(c) for k, c in Q.upper.items()})
-
-
-def _is_disjoint_monomial_pairing(Q):
-    seen = set()
-    for (i, j), c in Q.upper.items():
-        if i == j or i in seen or j in seen or not Q.coeff_ring.is_unit(c):
-            return False
-        seen.add(i)
-        seen.add(j)
-    return len(seen) == Q.nvars
-
-
-def standardize_split(Q):
-    """Change of basis C with Q(C y) = y1 y2 + y3 y4 + ... exactly.
-
-    Requires odd residue characteristic, non-degenerate Q, and an even
-    number of variables.  If a needed square root is missing from F_q the
-    computation extends once to F_{q^2}; the returned object carries the
-    ring it worked in and the embedding used.
+    Odd p: split iff (-1)^k det(Gram) is a square in F_q (Euler's
+    criterion).  p = 2: split iff the Arf invariant, sum Q(e_i) Q(f_i) over
+    a symplectic basis of the Gram form, has absolute trace 0.  See
+    Lidl-Niederreiter, Finite Fields, section 6.2.
     """
-    ring = Q.coeff_ring
-    if not isinstance(ring, WittRing):
-        raise DomainError("split standardization works over Witt coefficient rings")
-    if ring.p == 2:
-        raise UnsupportedCharacteristicError("split standardization needs odd p")
-    if Q.nvars % 2:
-        raise PreconditionError("split standardization needs an even number of variables")
-    if not is_nondegenerate(Q):
-        raise PreconditionError("form is degenerate", part="quadratic")
-
     n = Q.nvars
-    if Q == split_form(ring, n):
-        return SplitStandardization(ring, linalg.identity(ring, n), False, None, ["already split"])
+    if n % 2:
+        raise PreconditionError("the quadric class needs an even number of variables")
+    field, res = _residue_map(Q.coeff_ring)
+    G = linalg.mat_map(bilinear_gram(Q), res)
+    if linalg.rank_field(field, G) < n:
+        raise PreconditionError("form is degenerate", part="quadratic")
+    if field.p != 2:
+        disc = linalg.det(field, G) * field.from_int((-1) ** (n // 2))
+        return "split" if disc ** ((field.q - 1) // 2) == field.one() else "nonsplit"
 
-    if _is_disjoint_monomial_pairing(Q):
-        # pure relabeling: send each monomial q_ij x_i x_j to a hyperbolic
-        # pair, absorbing the unit into one leg; C is a signed/scaled permutation
-        C = linalg.zeros(ring, n, n)
-        steps = ["monomial relabeling"]
-        pairs = sorted(Q.upper.keys())
-        for k, (i, j) in enumerate(pairs):
-            c = Q.upper[(i, j)]
-            C[i][2 * k] = ring.invert(c)
-            C[j][2 * k + 1] = ring.one()
-        return SplitStandardization(ring, C, False, None, steps)
+    upper = [(i, j, res(c)) for (i, j), c in Q.upper.items()]
 
-    # general route: congruence-diagonalize S = G/2, then pair the diagonal
-    steps = []
-    half = ring.invert(ring.from_int(2))
-    G = bilinear_gram(Q)
-    S = [[half * x for x in row] for row in G]
-    C = linalg.identity(ring, n)
+    def B(v, w):
+        return sum((a * b for a, b in zip(v, linalg.mat_vec(G, w))), field.zero())
 
-    def col_op(j, i, f):
-        # x_j gets a multiple of x_i mixed in: col_j(C) += f * col_i(C)
-        for r in range(n):
-            C[r][j] = C[r][j] + f * C[r][i]
+    def value(v):
+        return sum((c * v[i] * v[j] for i, j, c in upper), field.zero())
 
-    for t in range(n):
-        if not ring.is_unit(S[t][t]):
-            swap = next((r for r in range(t + 1, n) if ring.is_unit(S[r][r])), None)
-            if swap is not None:
-                for r in range(n):
-                    S[r][t], S[r][swap] = S[r][swap], S[r][t]
-                S[t], S[swap] = S[swap], S[t]
-                for r in range(n):
-                    C[r][t], C[r][swap] = C[r][swap], C[r][t]
-            else:
-                i, j = next(
-                    (i, j)
-                    for i in range(t, n)
-                    for j in range(t, n)
-                    if i != j and ring.is_unit(S[i][j])
-                )
-                if i != t:
-                    for r in range(n):
-                        S[r][t], S[r][i] = S[r][i], S[r][t]
-                    S[t], S[i] = S[i], S[t]
-                    for r in range(n):
-                        C[r][t], C[r][i] = C[r][i], C[r][t]
-                    if j == t:
-                        j = i
-                # x_t <- x_t + x_j makes S_tt = S_tt + 2 S_tj + S_jj a unit
-                one = ring.one()
-                for r in range(n):
-                    S[r][t] = S[r][t] + S[r][j]
-                S[t] = [S[t][c] + S[j][c] for c in range(n)]
-                col_op(t, j, one)
-        piv_inv = ring.invert(S[t][t])
-        for j in range(t + 1, n):
-            if S[t][j]:
-                f = -(piv_inv * S[t][j])
-                for r in range(n):
-                    S[r][j] = S[r][j] + f * S[r][t]
-                S[j] = [S[j][c] + f * S[t][c] for c in range(n)]
-                col_op(j, t, f)
-    diag = [S[t][t] for t in range(n)]
-    steps.append("diagonalized")
-
-    # all square roots are of residues of elements computed over the base
-    # field, so a single quadratic extension always suffices
-    ratios = [-(diag[2 * k + 1] * ring.invert(diag[2 * k])) for k in range(n // 2)]
-    work_ring, embedding = ring, None
-    if any(sqrt_unit(ring, r) is None for r in ratios):
-        work_ring, embedding = witt_quadratic_extension(ring)
-        steps.append(f"extended residue field to F_{work_ring.field.q}")
-        diag = [embedding(d) for d in diag]
-        ratios = [embedding(r) for r in ratios]
-        C = [[embedding(x) for x in row] for row in C]
-
-    # c x^2 + d y^2 = (c(x - a y)) (x + a y) with a^2 = -d/c
-    P = linalg.zeros(work_ring, n, n)
-    for k in range(n // 2):
-        c = diag[2 * k]
-        alpha = sqrt_unit(work_ring, ratios[k])
-        if alpha is None:
-            raise PreconditionError("square root missing after extension")
-        cinv = work_ring.invert(c)
-        half_w = work_ring.invert(work_ring.from_int(2))
-        # inverse of the map (u,v) = (c(x - a y), x + a y)
-        P[2 * k][2 * k] = cinv * half_w
-        P[2 * k][2 * k + 1] = half_w
-        ainv = work_ring.invert(alpha)
-        P[2 * k + 1][2 * k] = -(cinv * half_w * ainv)
-        P[2 * k + 1][2 * k + 1] = half_w * ainv
-        steps.append(f"paired variables {2 * k + 1},{2 * k + 2}")
-    C = linalg.mat_mul(C, P)
-    return SplitStandardization(work_ring, C, embedding is not None, embedding, steps)
+    # symplectic basis of the alternating form G: pair e with some f,
+    # B(e, f) = 1, and project the remaining vectors onto <e, f>^perp
+    rest = linalg.identity(field, n)
+    arf = field.zero()
+    while rest:
+        e = rest.pop()
+        f = rest.pop(next(k for k, w in enumerate(rest) if B(e, w)))
+        f = [field.invert(B(e, f)) * x for x in f]
+        projected = []
+        for v in rest:
+            bf, be = B(v, f), B(v, e)
+            projected.append([x - bf * y + be * z for x, y, z in zip(v, e, f)])
+        rest = projected
+        arf = arf + value(e) * value(f)
+    trace, t = arf, arf
+    for _ in range(field.m - 1):
+        t = field.frobenius(t)
+        trace = trace + t
+    return "nonsplit" if trace else "split"

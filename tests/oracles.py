@@ -3,7 +3,8 @@
 Everything here recomputes expected values through a different route than
 the code under test: naive dict-based polynomial arithmetic for series
 multiplication and composition, an integer-table Grassmannian filter for
-the local-model fiber, and a standalone row reduction for ranks.  Only
+the local-model fiber, a standalone row reduction for ranks, and
+brute-force point counts of quadrics over integer-table fields.  Only
 base coefficient arithmetic is shared (it is itself checked against the
 ghost construction).
 """
@@ -125,21 +126,26 @@ def _int_poly_mul_mod(a, b, mod, p):
     return tuple(out) + (0,) * (m - len(out))
 
 
-def _first_irreducible(p, m):
+def _has_no_root(poly, p):
+    """Irreducibility test valid for degree <= 3: no root in F_p."""
+    for r in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            return False
+    return True
+
+
+def first_irreducible(p, m, irreducible=_has_no_root):
+    """The first monic poly of degree m over F_p, in lexicographic order with
+    the constant term slowest, that passes `irreducible(poly, p)`: a full
+    scan, constant term 0 included."""
     if m == 1:
         return (0, 1)
     for tail in itertools.product(range(p), repeat=m):
         poly = tuple(tail) + (1,)
-        # degree <= 3: irreducible iff no roots (m = 2, 3)
-        has_root = False
-        for r in range(p):
-            acc = 0
-            for c in reversed(poly):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                has_root = True
-                break
-        if not has_root:
+        if irreducible(poly, p):
             return poly
     raise AssertionError("no irreducible found")
 
@@ -156,7 +162,7 @@ class TableField:
             m += 1
         assert qq == 1
         self.p, self.m, self.q = p, m, q
-        self.modulus = _first_irreducible(p, m)
+        self.modulus = first_irreducible(p, m)
         self.elems = list(itertools.product(range(p), repeat=m))
         self.index = {e: i for i, e in enumerate(self.elems)}
         self.add_table = [
@@ -174,6 +180,19 @@ class TableField:
 
     def mul(self, a, b):
         return self.mul_table[a][b]
+
+
+def projective_quadric_points(F, nvars, upper):
+    """Number of points of the projective quadric sum c_ij x_i x_j = 0 over
+    the TableField F, where `upper` maps (i, j), i <= j, to element indices:
+    the affine zeros other than the origin, divided by q - 1."""
+    zeros = 0
+    for v in itertools.product(range(F.q), repeat=nvars):
+        acc = 0
+        for (i, j), c in upper.items():
+            acc = F.add(acc, F.mul(c, F.mul(v[i], v[j])))
+        zeros += acc == 0
+    return (zeros - 1) // (F.q - 1)
 
 
 def grassmannian_isotropic_count(q):

@@ -4,19 +4,20 @@ import random
 import pytest
 
 from sll.base_rings import (
+    BUILTIN_MODULI,
     MAX_CHARACTERISTIC,
+    MAX_DEGREE,
     FiniteField,
     WittRing,
+    find_irreducible,
     ghost_product_digits,
     ghost_sum_digits,
     is_irreducible,
-    sqrt_unit,
-    witt_quadratic_extension,
 )
 from sll.errors import DomainError, ValidationError
 from sll.jsonio import elem_from_fields, elem_to_json
 
-from .oracles import TableField
+from .oracles import TableField, first_irreducible
 
 
 def W(p, m, n):
@@ -203,6 +204,14 @@ def test_invalid_inputs_rejected():
         FiniteField(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
     with pytest.raises(ValidationError):
         WittRing(FiniteField(2), 0)
+    with pytest.raises(ValidationError):
+        FiniteField(2, MAX_DEGREE + 1)
+    # ring order q^n above 2^256
+    with pytest.raises(ValidationError):
+        WittRing(FiniteField(2), 257)
+    with pytest.raises(ValidationError):
+        WittRing(FiniteField(3, 2), 1024)
+    assert WittRing(FiniteField(2), 256).n == 256
     assert is_irreducible((1, 1, 1), 2)
     assert not is_irreducible((1, 0, 1), 2)  # x^2 + 1 = (x+1)^2 over F_2
 
@@ -217,29 +226,6 @@ def test_unit_inversion_and_nonunit_rejection():
                 ring.invert(u)
             continue
         assert u * ring.invert(u) == ring.one()
-
-
-def test_sqrt_unit_hensel():
-    ring = W(5, 1, 3)
-    for k in range(1, 5):
-        u = ring.from_int(k * k)
-        r = sqrt_unit(ring, u)
-        assert r is not None and r * r == u
-    # 2 is a non-square mod 5
-    assert sqrt_unit(ring, ring.from_int(2)) is None
-
-
-def test_quadratic_extension_embedding_is_a_ring_hom():
-    # W_2(F_3) -> W_2(F_9), and W_2(F_4) -> W_2(F_16) where the root matters
-    for ring in (W(3, 1, 2), W(2, 2, 2)):
-        big, emb = witt_quadratic_extension(ring)
-        assert big.field.q == ring.field.q ** 2 and big.n == ring.n
-        rng = random.Random(6)
-        for _ in range(50):
-            a, b = ring.random_element(rng), ring.random_element(rng)
-            assert emb(a + b) == emb(a) + emb(b)
-            assert emb(a * b) == emb(a) * emb(b)
-        assert emb(ring.one()) == big.one()
 
 
 def test_element_json_roundtrip():
@@ -261,3 +247,12 @@ def test_field_multiplication_matches_table_oracle(q):
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             assert (a * b).coeffs == table.elems[table.mul(i, j)]
+
+
+def test_find_irreducible_matches_full_scan():
+    # skipping constant term 0 does not change the first irreducible; the
+    # full scan's cost grows with p^(m-1), hence the bound on q
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(2, 7):
+            if p ** m <= 2 * 10 ** 4 and (p, m) not in BUILTIN_MODULI:
+                assert find_irreducible(p, m) == first_irreducible(p, m, is_irreducible)

@@ -223,6 +223,7 @@ def test_usage_error_exits_2(capsys):
         ["dieudonne", "invariants", "--fixture", "iia", "--seed", "1"],
         ["local-model", "points", "--q", "two"],
         [],
+        ["dieudonne", "validate", "--fixture", "iib", "--q", "2", "--n", "2", "--spot-checks", "-3"],
     ):
         code = main(argv)
         doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
@@ -300,12 +301,25 @@ def test_fixtures_beyond_small_primes(q, capsys):
     ["witt", "add", '{"p":100000000000031,"m":1,"n":2,"coeffs":[[1],[1]]}'],
     ["local-model", "chart", "--q", "100000000000031"],
     ["local-model", "chart", "--q", str(65537 * 65539)],
+    # extension degree above MAX_DEGREE, ring order q^n above 2^256
+    ["witt", "add", '{"p":2,"m":40,"n":2,"coeffs":[[1],[1]]}'],
+    ["witt", "digits", '{"p":3,"m":2,"n":1024,"coeffs":[[1,0]]}'],
 ])
 def test_bad_field_sizes_exit_2(argv, capsys):
     start = time.perf_counter()
     code, doc = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and "error" in doc
+
+
+def test_large_characteristic_cubic_field_is_fast(capsys):
+    # the modulus scan skips the p^2 candidates with constant term 0
+    start = time.perf_counter()
+    code, doc = run_cli(
+        capsys, "witt", "add", '{"p":65521,"m":3,"n":2,"coeffs":[[1,0,0],[1,0,0]]}'
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["coeffs"] == [2, 0, 0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from sll.base_rings import FiniteField, WittRing
-from sll.errors import PreconditionError, UnsupportedCharacteristicError
-from sll.quadforms import (
-    QuadraticForm,
-    bilinear_gram,
-    is_nondegenerate,
-    split_form,
-    standardize_split,
-)
+from sll.deformation import classify_point, standard_frame
+from sll.dieudonne import make_standard
+from sll.errors import PreconditionError
+from sll.quadforms import QuadraticForm, bilinear_gram, is_nondegenerate, quadric_class
 from sll.series import SeriesRing
+
+from .oracles import TableField, projective_quadric_points
+
+QS = [2, 3, 4, 5, 7, 8, 9]
 
 
 def ring_W(p, m, n):
@@ -84,50 +84,67 @@ def test_from_series_and_back():
     assert q.to_series(S) == f.graded_part(2)
 
 
-def test_standardize_already_split_is_identity():
-    ring = ring_W(3, 1, 2)
-    q = split_form(ring, 4)
-    res = standardize_split(q)
-    assert not res.extended
-    eye = [[ring.one() if i == j else ring.zero() for j in range(4)] for i in range(4)]
-    assert res.matrix == eye
+@pytest.mark.parametrize("nvars", [2, 4])
+@pytest.mark.parametrize("q", QS)
+def test_quadric_class_matches_point_count(q, nvars):
+    table = TableField(q)
+    # the oracle's modulus, so residues read off as table elements
+    ring = WittRing(FiniteField(table.p, table.m, table.modulus), 2)
+    k = nvars // 2
+    split_points = (q ** k - 1) * (q ** (k - 1) + 1) // (q - 1)
+    nonsplit_points = (q ** k + 1) * (q ** (k - 1) - 1) // (q - 1)
+    rng = random.Random(100 * q + nvars)
+    seen = set()
+    for _ in range(24):
+        Q = random_nondegenerate_form(ring, nvars, rng)
+        upper = {
+            key: table.index[tuple(ring.residue(c).coeffs)] for key, c in Q.upper.items()
+        }
+        count = projective_quadric_points(table, nvars, upper)
+        assert count in (split_points, nonsplit_points)
+        want = "split" if count == split_points else "nonsplit"
+        assert quadric_class(Q) == want
+        seen.add(want)
+    # both classes are exercised
+    assert seen == {"split", "nonsplit"}
 
 
-def test_standardize_signed_permutation_case():
-    ring = ring_W(3, 1, 2)
+@pytest.mark.parametrize("q", QS)
+def test_iib_double_point_is_split(q):
+    table = TableField(q)
+    ring = ring_W(table.p, table.m, 2)
+    cls = classify_point(standard_frame(make_standard(ring, "iib")))
+    q_prime = cls.normal_form.q_prime
     one = ring.one()
-    q = QuadraticForm(ring, 4, {(0, 3): one, (1, 2): -one})
-    res = standardize_split(q)
-    assert not res.extended
-    # every column of C is a single signed unit entry
-    for j in range(4):
-        col = [res.matrix[i][j] for i in range(4)]
-        nonzero = [x for x in col if x]
-        assert len(nonzero) == 1 and ring.is_unit(nonzero[0])
-    assert res.transformed_form(q) == split_form(res.ring, 4)
+    assert q_prime == QuadraticForm(ring, 4, {(0, 3): one, (1, 2): -one})
+    assert quadric_class(q_prime) == "split"
 
 
-def test_standardize_sum_of_squares_W2F9():
-    ring = ring_W(3, 2, 2)  # F_9 contains sqrt(-1)
-    one = ring.one()
-    q = QuadraticForm(ring, 2, {(0, 0): one, (1, 1): one})
-    res = standardize_split(q)
-    assert not res.extended
-    assert res.transformed_form(q) == split_form(res.ring, 2)
+def test_hyperbolic_form_is_split():
+    for p, m in [(2, 1), (2, 2), (3, 1), (5, 1)]:
+        ring = ring_W(p, m, 2)
+        one = ring.one()
+        for nvars in (2, 4, 6):
+            q = QuadraticForm(ring, nvars, {(2 * k, 2 * k + 1): one for k in range(nvars // 2)})
+            assert quadric_class(q) == "split"
+    # split (36 = (5+1)^2 points), though pairing the diagonal in order
+    # gives two non-split planes x^2 + 2y^2
+    ring = ring_W(5, 1, 2)
+    diag = QuadraticForm(ring, 4, {(i, i): ring.from_int(c) for i, c in enumerate((1, 2, -1, -2))})
+    assert quadric_class(diag) == "split"
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
-def test_random_split_standardization_is_exact(p, m):
-    ring = ring_W(p, m, 2)
-    rng = random.Random(10 * p + m)
-    extensions = 0
-    for _ in range(50):
-        q = random_nondegenerate_form(ring, 4, rng)
-        res = standardize_split(q)
-        assert res.transformed_form(q) == split_form(res.ring, 4)
-        extensions += res.extended
-    # the on-demand extension path is actually exercised
-    assert extensions > 0
+def test_sum_of_squares_class_depends_on_q():
+    # x^2 + y^2 is split iff -1 is a square; x^2 + xy + y^2 iff F_4 is in F_q
+    for p, m, want in [(3, 1, "nonsplit"), (3, 2, "split"), (5, 1, "split"), (7, 1, "nonsplit")]:
+        ring = ring_W(p, m, 2)
+        one = ring.one()
+        assert quadric_class(QuadraticForm(ring, 2, {(0, 0): one, (1, 1): one})) == want
+    for m, want in [(1, "nonsplit"), (2, "split"), (3, "nonsplit")]:
+        field = FiniteField(2, m)
+        one = field.one()
+        q = QuadraticForm(field, 2, {(0, 0): one, (0, 1): one, (1, 1): one})
+        assert quadric_class(q) == want
 
 
 def test_nondegeneracy_invariant_under_linear_changes():
@@ -167,15 +184,13 @@ def test_gram_linearity():
         )
 
 
-def test_split_standardization_refused_at_p2():
-    ring = ring_W(2, 1, 2)
-    with pytest.raises(UnsupportedCharacteristicError):
-        standardize_split(split_form(ring, 2))
-
-
-def test_split_standardization_refuses_degenerate_and_odd_nvars():
-    ring = ring_W(3, 1, 2)
-    with pytest.raises(PreconditionError):
-        standardize_split(QuadraticForm(ring, 2, {(0, 0): ring.p_element()}))
-    with pytest.raises(PreconditionError):
-        standardize_split(QuadraticForm(ring, 3, {(0, 0): ring.one(), (1, 2): ring.one()}))
+def test_quadric_class_refuses_degenerate_and_odd_nvars():
+    for p in (2, 3):
+        ring = ring_W(p, 1, 2)
+        one = ring.one()
+        with pytest.raises(PreconditionError):
+            quadric_class(QuadraticForm(ring, 2, {(0, 0): ring.p_element()}))
+        with pytest.raises(PreconditionError):
+            quadric_class(QuadraticForm(ring, 4, {(0, 1): one, (2, 2): one}))
+        with pytest.raises(PreconditionError):
+            quadric_class(QuadraticForm(ring, 3, {(0, 0): one, (1, 2): one}))
