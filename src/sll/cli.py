@@ -19,6 +19,9 @@ from . import deformation, dieudonne, jsonio, linalg, local_model, singularity
 from .base_rings import WittRing
 from .errors import DomainError, PreconditionError, SmoothShortCircuit, ValidationError
 
+# each spot check is a random base change plus a-number and p-rank, a few ms
+MAX_SPOT_CHECKS = 1000
+
 
 def default_precision():
     raw = os.environ.get("SLL_PRECISION", "3")
@@ -138,8 +141,8 @@ def _cmd_dieudonne(args):
     ring = module.ring
     if args.op == "validate":
         spot = args.spot_checks
-        if spot < 0:
-            raise ValidationError("--spot-checks must be >= 0")
+        if not 0 <= spot <= MAX_SPOT_CHECKS:
+            raise ValidationError(f"--spot-checks must be between 0 and {MAX_SPOT_CHECKS}")
         checks = module.validate()
         doc = {"checks": checks, "valid": all(checks.values())}
         if spot:
@@ -168,7 +171,7 @@ def _cmd_dieudonne(args):
             ],
         }
     if args.op == "lagrangian-search":
-        res = dieudonne.lagrangian_witness_search(module)
+        res = dieudonne.lagrangian_witness_search(module, args.max_nodes)
         doc = {
             "found": res.found,
             "precision": res.precision,
@@ -273,6 +276,8 @@ def _parser():
     dd.add_argument("--n", type=int, default=None, help="truncation length (default SLL_PRECISION)")
     dd.add_argument("--spot-checks", dest="spot_checks", type=int, default=0,
                     help="validate: also re-check invariants under this many random base changes")
+    dd.add_argument("--max-nodes", dest="max_nodes", type=int, default=None,
+                    help="lagrangian-search: stop after visiting this many search nodes")
 
     de = sub.add_parser("deform", help="deformation relation and classification")
     de.add_argument("--fixture", choices=list(dieudonne.STANDARD_CASES), default=None)

@@ -337,66 +337,133 @@ def _complete_witness(module, g1, g2):
     return LagrangianWitness(y1, y2, x1, x2)
 
 
+def _solutions(field, rows, nvars):
+    """The x in F_q^nvars with sum_j c_j x_j + c = 0 for every row
+    (c_1, ..., c_nvars, c), in lexicographic order of the entries'
+    coefficient tuples (the order of FiniteField.elements).
+
+    Row reduction of the reversed columns writes each pivot unknown through
+    the free unknowns to its left, so two solutions first differ at a free
+    unknown, and running the free unknowns' coefficients through
+    itertools.product visits the solutions in lexicographic order."""
+    reduced, pivots = linalg.rref_field(
+        field, [row[nvars - 1::-1] + [-row[nvars]] for row in rows])
+    if nvars in pivots:
+        return
+    bound = {nvars - 1 - col: row for row, col in zip(reduced, pivots)}
+    free = [j for j in range(nvars) if j not in bound]
+    m = field.m
+    for flat in itertools.product(range(field.p), repeat=m * len(free)):
+        x = {f: field.element(flat[m * i:m * i + m]) for i, f in enumerate(free)}
+        for j, row in bound.items():
+            acc = row[nvars]
+            for f in free:
+                if row[nvars - 1 - f]:
+                    acc = acc - row[nvars - 1 - f] * x[f]
+            x[j] = acc
+        yield [x[j] for j in range(nvars)]
+
+
 def lagrangian_witness_search(module, max_nodes=None):
     """Digit-by-digit backtracking search for a rank-2 direct summand
     L <= VM, isotropic at full precision, completable to the standard
     pairing shape.  A found witness is a proof; exhaustion is evidence
-    only, since finite precision cannot certify non-liftability."""
+    only, since finite precision cannot certify non-liftability.
+
+    The generators g1, g2 carry 1 at two pivot positions and Teichmuller
+    digits at the other two, the free slots.  A node at level k + 1 adds
+    p^k [delta] at the four free slots and keeps g1, g2 in VM and isotropic
+    mod p^{k+1}.  For k >= 1 these conditions are F_q-linear in delta, as
+    p^{2k} <delta1, delta2> vanishes mod p^{k+1}, and each node solves one
+    system for its children; at k = 0, delta1 runs over the solutions of
+    g1's membership equations and delta2 is solved for with delta1 fixed.
+    Solutions are visited in lexicographic digit order, so the search meets
+    the witness that trying all q^4 digit choices per level meets first.
+
+    `nodes` counts the nodes visited.  With `max_nodes` the search visits
+    at most that many, and a search cut short says so in its message."""
+    if max_nodes is not None and max_nodes < 0:
+        raise ValidationError("max_nodes must be >= 0")
     ring = module.ring
     n = ring.n
     field = ring.field
     vals, U = _vm_membership_data(module)
-    field_elts = sorted(field.elements(), key=lambda e: e.coeffs)
+    Ubar = linalg.mat_map(U, ring.residue)
+    Jbar = linalg.mat_map(module.J, ring.residue)
+    JbarT = linalg.transpose(Jbar)
+    zero = field.zero()
     nodes = 0
+    cut = False
 
-    def assemble(pivots, frees, digit_lists):
-        g1 = [ring.zero()] * 4
-        g2 = [ring.zero()] * 4
-        g1[pivots[0]] = ring.one()
-        g2[pivots[1]] = ring.one()
-        for s, (slot_idx, pos) in enumerate(frees):
-            digs = list(digit_lists[s]) + [field.zero()] * (n - len(digit_lists[s]))
-            vec = g1 if slot_idx == 0 else g2
-            vec[pos] = ring.from_digits(digs)
-        return g1, g2
+    def digit(x, k):
+        # Teichmuller digit k of an x of valuation >= k
+        return ring.residue(ring.divide_exact_p(x, k))
 
     for pivots in itertools.combinations(range(4), 2):
-        nonpivot = [j for j in range(4) if j not in pivots]
-        # free slots: (generator, position); generator 0 carries pivot[0]
-        frees = [(0, nonpivot[0]), (0, nonpivot[1]), (1, nonpivot[0]), (1, nonpivot[1])]
+        free = [j for j in range(4) if j not in pivots]
 
-        def dfs(level, digit_lists):
-            nonlocal nodes
-            if max_nodes is not None and nodes > max_nodes:
-                return None
-            g1, g2 = assemble(pivots, frees, digit_lists)
-            prec = min(level, n)
-            if prec:
-                if not _in_vm_mod(module, vals, U, g1, prec):
-                    return None
-                if not _in_vm_mod(module, vals, U, g2, prec):
-                    return None
-                if ring.valuation(module.pair(g1, g2)) < prec:
-                    return None
+        def membership_rows(g, k):
+            # digit k of (U g)_i + sum_j u_ij delta_j = 0, for each v_i > k
+            coords = linalg.mat_vec(U, g)
+            return [[urow[free[0]], urow[free[1]], digit(c, k)]
+                    for v, c, urow in zip(vals, coords, Ubar) if v > k]
+
+        def children(k, g1, g2):
+            rows1 = membership_rows(g1, k)
+            rows2 = membership_rows(g2, k)
+            if k:
+                # digit k of <g1, g2>, plus <delta1, g2> + <g1, delta2>
+                right = linalg.mat_vec(Jbar, [ring.residue(x) for x in g2])
+                left = linalg.mat_vec(JbarT, [ring.residue(x) for x in g1])
+                isotropy = [right[free[0]], right[free[1]], left[free[0]], left[free[1]],
+                            digit(module.pair(g1, g2), k)]
+                system = ([row[:2] + [zero, zero, row[2]] for row in rows1]
+                          + [[zero, zero] + row for row in rows2] + [isotropy])
+                yield from _solutions(field, system, 4)
+                return
+            # mod p, g1 = e_pivot0 + delta1 and g2 = e_pivot1 + delta2
+            for d1 in _solutions(field, rows1, 2):
+                h1 = [ring.residue(x) for x in g1]
+                h1[free[0]], h1[free[1]] = d1
+                left = linalg.mat_vec(JbarT, h1)
+                isotropy = [left[free[0]], left[free[1]], left[pivots[1]]]
+                for d2 in _solutions(field, rows2 + [isotropy], 2):
+                    yield d1 + d2
+
+        def dfs(level, g1, g2):
+            nonlocal nodes, cut
             if level == n:
+                if not (_in_vm_mod(module, vals, U, g1, n) and _in_vm_mod(module, vals, U, g2, n)):
+                    return None
                 if ring.valuation(module.pair(g1, g2)) < n:
                     return None
-                witness = _complete_witness(module, g1, g2)
-                return witness
-            for combo in itertools.product(field_elts, repeat=4):
-                nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
+                return _complete_witness(module, g1, g2)
+            pk = ring.from_int(ring.p ** level)
+            for delta in children(level, g1, g2):
+                if max_nodes is not None and nodes >= max_nodes:
+                    cut = True
                     return None
-                new_lists = [digit_lists[s] + [combo[s]] for s in range(4)]
-                got = dfs(level + 1, new_lists)
-                if got is not None:
+                nodes += 1
+                h1, h2 = g1[:], g2[:]
+                for s, d in enumerate(delta):
+                    if d:
+                        vec, pos = (h1, h2)[s // 2], free[s % 2]
+                        vec[pos] = vec[pos] + ring.teichmuller(d) * pk
+                got = dfs(level + 1, h1, h2)
+                if got is not None or cut:
                     return got
             return None
 
-        witness = dfs(0, [[], [], [], []])
+        witness = dfs(0, module.basis_vector(pivots[0]), module.basis_vector(pivots[1]))
         if witness is not None:
             return LagrangianSearchResult(
                 True, witness, n, nodes, "witness found (proof of the pairing shape)"
+            )
+        if cut:
+            return LagrangianSearchResult(
+                False, None, n, nodes,
+                f"node budget of {max_nodes} spent before the search at precision {n} "
+                "finished; a search cut short is not evidence",
             )
     return LagrangianSearchResult(
         False, None, n, nodes,

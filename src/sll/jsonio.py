@@ -19,6 +19,10 @@ from .series import SeriesRing
 from .singularity import NormalFormResult
 from .quadforms import QuadraticForm
 
+# series documents: every series the package builds has at most 4 variables,
+# and the quadratic-part checks row-reduce an nvars x nvars Gram matrix
+MAX_NVARS = 8
+
 
 def _int(x, what):
     if isinstance(x, bool) or not isinstance(x, int):
@@ -114,6 +118,8 @@ def series_from_json(doc):
     try:
         coeff_ring = coeff_ring_from_json(doc["coeff_ring"])
         nvars = _int(doc["nvars"], "nvars")
+        if nvars > MAX_NVARS:
+            raise ValidationError(f"nvars {nvars} is above the limit {MAX_NVARS}")
         degree = _int(doc["degree"], "degree")
         names = doc.get("vars")
         ring = SeriesRing(coeff_ring, nvars, degree, names)

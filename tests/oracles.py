@@ -6,12 +6,21 @@ multiplication and composition, an integer-table Grassmannian filter for
 the local-model fiber, a standalone row reduction for ranks, and
 brute-force point counts of quadrics over integer-table fields.  Only
 base coefficient arithmetic is shared (it is itself checked against the
-ghost construction).
+ghost construction).  The brute-force witness search reuses the
+membership test, the Smith data and the witness completion of
+`sll.dieudonne`, but not its linear solver.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from sll.dieudonne import (
+    LagrangianSearchResult,
+    _complete_witness,
+    _in_vm_mod,
+    _vm_membership_data,
+)
 
 
 # -- naive sparse polynomial arithmetic (independent of sll.series internals)
@@ -226,3 +235,76 @@ def grassmannian_isotropic_count(q):
     bases_per_plane = (q * q - 1) * (q * q - q)
     assert count % bases_per_plane == 0
     return count // bases_per_plane
+
+
+# -- brute-force Lagrangian witness search
+
+
+def brute_force_witness_search(module, max_nodes=None):
+    """The Lagrangian witness search as it was before linear lifting: all
+    q^4 digit choices at every level.
+
+    Digit-by-digit backtracking search for a rank-2 direct summand
+    L <= VM, isotropic at full precision, completable to the standard
+    pairing shape.  A found witness is a proof; exhaustion is evidence
+    only, since finite precision cannot certify non-liftability."""
+    ring = module.ring
+    n = ring.n
+    field = ring.field
+    vals, U = _vm_membership_data(module)
+    field_elts = sorted(field.elements(), key=lambda e: e.coeffs)
+    nodes = 0
+
+    def assemble(pivots, frees, digit_lists):
+        g1 = [ring.zero()] * 4
+        g2 = [ring.zero()] * 4
+        g1[pivots[0]] = ring.one()
+        g2[pivots[1]] = ring.one()
+        for s, (slot_idx, pos) in enumerate(frees):
+            digs = list(digit_lists[s]) + [field.zero()] * (n - len(digit_lists[s]))
+            vec = g1 if slot_idx == 0 else g2
+            vec[pos] = ring.from_digits(digs)
+        return g1, g2
+
+    for pivots in itertools.combinations(range(4), 2):
+        nonpivot = [j for j in range(4) if j not in pivots]
+        # free slots: (generator, position); generator 0 carries pivot[0]
+        frees = [(0, nonpivot[0]), (0, nonpivot[1]), (1, nonpivot[0]), (1, nonpivot[1])]
+
+        def dfs(level, digit_lists):
+            nonlocal nodes
+            if max_nodes is not None and nodes > max_nodes:
+                return None
+            g1, g2 = assemble(pivots, frees, digit_lists)
+            prec = min(level, n)
+            if prec:
+                if not _in_vm_mod(module, vals, U, g1, prec):
+                    return None
+                if not _in_vm_mod(module, vals, U, g2, prec):
+                    return None
+                if ring.valuation(module.pair(g1, g2)) < prec:
+                    return None
+            if level == n:
+                if ring.valuation(module.pair(g1, g2)) < n:
+                    return None
+                witness = _complete_witness(module, g1, g2)
+                return witness
+            for combo in itertools.product(field_elts, repeat=4):
+                nodes += 1
+                if max_nodes is not None and nodes > max_nodes:
+                    return None
+                new_lists = [digit_lists[s] + [combo[s]] for s in range(4)]
+                got = dfs(level + 1, new_lists)
+                if got is not None:
+                    return got
+            return None
+
+        witness = dfs(0, [[], [], [], []])
+        if witness is not None:
+            return LagrangianSearchResult(
+                True, witness, n, nodes, "witness found (proof of the pairing shape)"
+            )
+    return LagrangianSearchResult(
+        False, None, n, nodes,
+        f"no witness at precision {n}; exhaustion is evidence, not a proof",
+    )

@@ -144,6 +144,17 @@ def test_dieudonne_lagrangian_search(capsys):
     assert code == 0 and doc["found"] is False
 
 
+def test_lagrangian_search_node_budget(capsys):
+    argv = ["dieudonne", "lagrangian-search", "--fixture", "iia", "--q", "3", "--n", "2"]
+    code, full = run_cli(capsys, *argv)
+    assert code == 0 and full["found"] is True and full["nodes"] == 2
+    code, doc = run_cli(capsys, *argv, "--max-nodes", "2")
+    assert code == 0 and doc == full
+    code, doc = run_cli(capsys, *argv, "--max-nodes", "1")
+    assert code == 0 and doc["found"] is False and doc["nodes"] == 1
+    assert "budget of 1" in doc["message"] and "witness" not in doc
+
+
 def test_deform_fixture_iib(capsys):
     code, doc = run_cli(capsys, "deform", "--fixture", "iib", "--q", "2", "--n", "3")
     assert code == 0
@@ -224,8 +235,15 @@ def test_usage_error_exits_2(capsys):
         ["local-model", "points", "--q", "two"],
         [],
         ["dieudonne", "validate", "--fixture", "iib", "--q", "2", "--n", "2", "--spot-checks", "-3"],
+        # above MAX_SPOT_CHECKS: refused before any base change
+        ["dieudonne", "validate", "--fixture", "iib", "--q", "2", "--n", "2",
+         "--spot-checks", "100000000"],
+        ["dieudonne", "lagrangian-search", "--fixture", "iib", "--q", "2", "--n", "2",
+         "--max-nodes", "-1"],
     ):
+        start = time.perf_counter()
         code = main(argv)
+        assert time.perf_counter() - start < 1.0, argv
         doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
         assert code == 2
         assert list(doc) == ["error"] and doc["error"]["kind"] == "ValidationError"
@@ -304,6 +322,8 @@ def test_fixtures_beyond_small_primes(q, capsys):
     # extension degree above MAX_DEGREE, ring order q^n above 2^256
     ["witt", "add", '{"p":2,"m":40,"n":2,"coeffs":[[1],[1]]}'],
     ["witt", "digits", '{"p":3,"m":2,"n":1024,"coeffs":[[1,0]]}'],
+    # series variables above MAX_NVARS
+    ["series-reduce", '{"coeff_ring":{"p":2,"m":1,"n":2},"nvars":3000,"degree":3,"terms":[]}'],
 ])
 def test_bad_field_sizes_exit_2(argv, capsys):
     start = time.perf_counter()

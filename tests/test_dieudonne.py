@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from sll import linalg
 from sll.base_rings import FiniteField, WittRing
 from sll.dieudonne import (
+    STANDARD_CASES,
     DieudonneModule,
     a_number,
     base_change,
@@ -15,8 +17,9 @@ from sll.dieudonne import (
     p_rank,
 )
 from sll.errors import PreconditionError, ValidationError
+from sll.local_model import field_for_q
 
-from .oracles import independent_rank
+from .oracles import brute_force_witness_search, independent_rank
 
 
 def ring_W(p, m, n):
@@ -276,6 +279,82 @@ def test_witness_search_away_from_axis_aligned_bases():
                 assert module.pair(w.X1, w.Y1) == ring.one()
                 assert module.pair(w.X2, w.Y2) == ring.p_element()
                 assert not module.pair(w.Y1, w.Y2)
+
+
+def _fixtures_at(q, n):
+    """Every standard fixture over W_n(F_q); supersingular_a1 needs odd p."""
+    ring = WittRing(field_for_q(q), n)
+    return [(case, make_standard(ring, case)) for case in STANDARD_CASES
+            if case != "supersingular_a1" or q % 2]
+
+
+def _seeded_base_changes(ring, rng):
+    """A base change that is 1 mod p, and a generic one."""
+    mild = [[ring.from_int(int(i == j)) + ring.random_element(rng) * ring.p_element()
+             for j in range(4)] for i in range(4)]
+    while True:
+        generic = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
+        if linalg.rank_field(ring.field, linalg.mat_map(generic, ring.residue)) == 4:
+            return mild, generic
+
+
+def _assert_certified(module, w):
+    ring = module.ring
+    basis = [w.X1, w.X2, w.Y1, w.Y2]
+    gram = [[module.pair(u, v) for v in basis] for u in basis]
+    p = ring.p
+    shape = [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
+    assert gram == [[ring.from_int(x) for x in row] for row in shape]
+    assert ring.is_unit(linalg.det(ring, basis))
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (2, 3)])
+def test_witness_search_matches_brute_force(q, n):
+    # same verdict and the very same witness as trying all q^4 digits per level
+    for case, fixture in _fixtures_at(q, n):
+        rng = random.Random(f"{case}-{q}-{n}")
+        for g in _seeded_base_changes(fixture.ring, rng):
+            module = base_change(fixture, g)
+            want = brute_force_witness_search(module)
+            got = lagrangian_witness_search(module)
+            assert got.found == want.found == (case != "iib"), (case, q, n)
+            assert got.witness == want.witness, (case, q, n)
+            # linear lifting visits only digit choices the enumeration also tries
+            assert got.nodes <= want.nodes, (case, q, n)
+            if got.found:
+                _assert_certified(module, got.witness)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_witness_search_at_scale(q):
+    for case, module in _fixtures_at(q, 4):
+        start = time.perf_counter()
+        res = lagrangian_witness_search(module)
+        assert time.perf_counter() - start < 1.0, case
+        assert res.found == (case != "iib"), case
+        if res.found:
+            _assert_certified(module, res.witness)
+
+
+def test_witness_search_budget_is_a_hard_cap():
+    ring = ring_W(3, 1, 2)
+    rng = random.Random(5)
+    modules = [make_standard(ring, "iia")]
+    for case in ("iia", "iib", "mixed"):
+        modules.append(base_change(make_standard(ring, case), _seeded_base_changes(ring, rng)[1]))
+    for module in modules:
+        full = lagrangian_witness_search(module)
+        assert full.nodes >= 1
+        for budget in range(full.nodes + 2):
+            res = lagrangian_witness_search(module, max_nodes=budget)
+            assert res.nodes <= budget
+            if budget >= full.nodes:
+                assert res == full
+            else:
+                assert not res.found
+                assert "budget" in res.message and "exhaustion" not in res.message
+    with pytest.raises(ValidationError):
+        lagrangian_witness_search(modules[0], max_nodes=-1)
 
 
 def test_module_json_roundtrip():
