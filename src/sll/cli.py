@@ -171,7 +171,7 @@ def _cmd_dieudonne(args):
             ],
         }
     if args.op == "lagrangian-search":
-        res = dieudonne.lagrangian_witness_search(module, args.max_nodes)
+        res = dieudonne.lagrangian_witness_search(module)
         doc = {
             "found": res.found,
             "precision": res.precision,
@@ -276,8 +276,6 @@ def _parser():
     dd.add_argument("--n", type=int, default=None, help="truncation length (default SLL_PRECISION)")
     dd.add_argument("--spot-checks", dest="spot_checks", type=int, default=0,
                     help="validate: also re-check invariants under this many random base changes")
-    dd.add_argument("--max-nodes", dest="max_nodes", type=int, default=None,
-                    help="lagrangian-search: stop after visiting this many search nodes")
 
     de = sub.add_parser("deform", help="deformation relation and classification")
     de.add_argument("--fixture", choices=list(dieudonne.STANDARD_CASES), default=None)

@@ -240,7 +240,7 @@ def grassmannian_isotropic_count(q):
 # -- brute-force Lagrangian witness search
 
 
-def brute_force_witness_search(module, max_nodes=None):
+def brute_force_witness_search(module):
     """The Lagrangian witness search as it was before linear lifting: all
     q^4 digit choices at every level.
 
@@ -273,8 +273,6 @@ def brute_force_witness_search(module, max_nodes=None):
 
         def dfs(level, digit_lists):
             nonlocal nodes
-            if max_nodes is not None and nodes > max_nodes:
-                return None
             g1, g2 = assemble(pivots, frees, digit_lists)
             prec = min(level, n)
             if prec:
@@ -291,8 +289,6 @@ def brute_force_witness_search(module, max_nodes=None):
                 return witness
             for combo in itertools.product(field_elts, repeat=4):
                 nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    return None
                 new_lists = [digit_lists[s] + [combo[s]] for s in range(4)]
                 got = dfs(level + 1, new_lists)
                 if got is not None:

@@ -144,17 +144,6 @@ def test_dieudonne_lagrangian_search(capsys):
     assert code == 0 and doc["found"] is False
 
 
-def test_lagrangian_search_node_budget(capsys):
-    argv = ["dieudonne", "lagrangian-search", "--fixture", "iia", "--q", "3", "--n", "2"]
-    code, full = run_cli(capsys, *argv)
-    assert code == 0 and full["found"] is True and full["nodes"] == 2
-    code, doc = run_cli(capsys, *argv, "--max-nodes", "2")
-    assert code == 0 and doc == full
-    code, doc = run_cli(capsys, *argv, "--max-nodes", "1")
-    assert code == 0 and doc["found"] is False and doc["nodes"] == 1
-    assert "budget of 1" in doc["message"] and "witness" not in doc
-
-
 def test_deform_fixture_iib(capsys):
     code, doc = run_cli(capsys, "deform", "--fixture", "iib", "--q", "2", "--n", "3")
     assert code == 0
@@ -238,8 +227,6 @@ def test_usage_error_exits_2(capsys):
         # above MAX_SPOT_CHECKS: refused before any base change
         ["dieudonne", "validate", "--fixture", "iib", "--q", "2", "--n", "2",
          "--spot-checks", "100000000"],
-        ["dieudonne", "lagrangian-search", "--fixture", "iib", "--q", "2", "--n", "2",
-         "--max-nodes", "-1"],
     ):
         start = time.perf_counter()
         code = main(argv)

@@ -327,13 +327,18 @@ def test_witness_search_matches_brute_force(q, n):
 
 @pytest.mark.parametrize("q", [7, 8, 9])
 def test_witness_search_at_scale(q):
-    for case, module in _fixtures_at(q, 4):
-        start = time.perf_counter()
-        res = lagrangian_witness_search(module)
-        assert time.perf_counter() - start < 1.0, case
-        assert res.found == (case != "iib"), case
-        if res.found:
-            _assert_certified(module, res.witness)
+    # the fixtures and both seeded base changes of each; a base change can
+    # raise the node count, as the search walks whole solution sets
+    for case, fixture in _fixtures_at(q, 4):
+        rng = random.Random(f"{case}-{q}-4")
+        for module in [fixture] + [base_change(fixture, g)
+                                   for g in _seeded_base_changes(fixture.ring, rng)]:
+            start = time.perf_counter()
+            res = lagrangian_witness_search(module)
+            assert time.perf_counter() - start < 1.0, case
+            assert res.found == (case != "iib"), case
+            if res.found:
+                _assert_certified(module, res.witness)
 
 
 def test_witness_search_budget_is_a_hard_cap():
