@@ -120,7 +120,7 @@ def _cmd_witt(args):
 
 def _cmd_series_reduce(args):
     f = jsonio.series_from_json(_load_document(args.input))
-    if args.degree:
+    if args.degree is not None:
         if args.degree > f.parent.degree:
             raise ValidationError("--degree cannot exceed the document's truncation")
         f = f.truncate(args.degree)
@@ -222,13 +222,9 @@ def _cmd_local_model(args):
         return {"q": q, "count": len(fiber), "points": [pl.to_json() for pl in fiber]}
     if args.op == "tangents":
         fiber = local_model.enumerate_special_fiber(q)
-        pts, singular = [], []
-        for pl in fiber:
-            doc = pl.to_json()
-            doc["tangent_dimension"] = local_model.tangent_dimension(pl)
-            pts.append(doc)
-            if doc["tangent_dimension"] == 4:
-                singular.append(pl.to_json())
+        pts = [dict(pl.to_json(), tangent_dimension=local_model.tangent_dimension(pl))
+               for pl in fiber]
+        singular = [{"basis": doc["basis"]} for doc in pts if doc["tangent_dimension"] == 4]
         return {"q": q, "count": len(fiber), "points": pts, "singular": singular}
     if args.op == "chart":
         ring = _ring_for(args)

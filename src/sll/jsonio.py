@@ -71,6 +71,13 @@ def elem_to_json(ring, x, with_digits=True):
     return doc
 
 
+def _digit(field, x):
+    """An integer digit, or a coefficient list of length m."""
+    if isinstance(x, list) and len(x) != field.m:
+        raise ValidationError(f"a digit of F_{field.q} has {field.m} coefficients, got {x!r}")
+    return field.element(coeff_from_json(x))
+
+
 def elem_from_fields(ring, doc):
     """An element from either a coeffs vector or a digits vector."""
     if "coeffs" in doc:
@@ -78,7 +85,7 @@ def elem_from_fields(ring, doc):
     if "digits" in doc:
         if not isinstance(doc["digits"], list):
             raise ValidationError("digits must be a list")
-        return ring.from_digits([ring.field.element(coeff_from_json(d)) for d in doc["digits"]])
+        return ring.from_digits([_digit(ring.field, d) for d in doc["digits"]])
     raise ValidationError("element document needs 'coeffs' or 'digits'")
 
 
@@ -122,6 +129,9 @@ def series_from_json(doc):
             raise ValidationError(f"nvars {nvars} is above the limit {MAX_NVARS}")
         degree = _int(doc["degree"], "degree")
         names = doc.get("vars")
+        if names is not None and (not isinstance(names, list) or len(names) != nvars
+                                  or not all(isinstance(v, str) for v in names)):
+            raise ValidationError(f"vars must be null or a list of {nvars} strings, got {names!r}")
         ring = SeriesRing(coeff_ring, nvars, degree, names)
         terms = [(_ints(t["exps"], "exponent"), coeff_from_json(t["coeff"]))
                  for t in doc["terms"]]

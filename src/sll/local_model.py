@@ -7,9 +7,14 @@ The pairing on the standard basis e1..e4 is
     psi(e1, e4) = p,   psi(e2, e3) = 1,   all other basis pairings zero,
 
 i.e. the alternating matrix [[0, I'], [-I'^T, 0]] with I' = [[0, p], [1, 0]].
-Mod p its radical is the plane <e1, e4>, which is the singular point of
-the special fiber; the chart at that point expands the single isotropy
-condition into p + t11*t22 - t12*t21.
+Mod p the pairing is x2*y3 - x3*y2 and its radical is R = <e1, e4>.  A
+plane is isotropic exactly when it meets R, so the special fiber is the
+Schubert divisor {L : L meets R} of Gr(2, 4): a cone over P^1 x P^1 whose
+only singular point is R.  The points are generated from that description
+and the tangent dimension is read off it (4 at R, 3 elsewhere); the
+filtering enumerator and the rank-based tangent dimension they replace are
+kept as references in tests/oracles.py.  The chart at R expands the single
+isotropy condition into p + t11*t22 - t12*t21.
 """
 
 from __future__ import annotations
@@ -114,61 +119,46 @@ def radical_plane(field):
 
 def enumerate_special_fiber(q):
     """All psi-isotropic 2-planes of F_q^4 in canonical echelon form,
-    deterministically ordered by echelon cell and then by free entries.
-
-    For an alternating form a plane span(v, w) is isotropic iff
-    psi(v, w) = 0, a single condition."""
+    deterministically ordered by echelon cell and then by free entries:
+    the echelon planes whose (e2, e3)-minor, the mod-p pairing, is zero."""
     field = field_for_q(q)
     if field.q > 9:
         raise PreconditionError("special-fiber enumeration is desk scale: q <= 9")
-    elements = sorted(field.elements(), key=lambda e: e.coeffs)
+    elements = list(field.elements())
     zero, one = field.zero(), field.one()
+
+    def row(pivot, cols, vals):
+        vec = [zero] * 4
+        vec[pivot] = one
+        for c, v in zip(cols, vals):
+            vec[c] = v
+        return tuple(vec)
+
     out = []
-    for pivots in itertools.combinations(range(4), 2):
-        i, j = pivots
-        free_cols = [c for c in range(4) if c not in pivots and c > i]
-        free1 = [c for c in free_cols if c != j]
-        free2 = [c for c in range(4) if c > j]
-        for vals1 in itertools.product(elements, repeat=len(free1)):
-            row1 = [zero] * 4
-            row1[i] = one
-            for c, v in zip(free1, vals1):
-                row1[c] = v
+    for i, j in itertools.combinations(range(4), 2):
+        if (i, j) == (1, 2):  # the minor is 1
+            continue
+        # in cells (e1, e2) and (e1, e3) the minor is row 1's entry at e3, e2
+        pinned = {(0, 1): 2, (0, 2): 1}.get((i, j))
+        free1 = [c for c in range(i + 1, 4) if c != j]
+        free2 = range(j + 1, 4)
+        for vals1 in itertools.product(*([zero] if c == pinned else elements for c in free1)):
+            row1 = row(i, free1, vals1)
             for vals2 in itertools.product(elements, repeat=len(free2)):
-                row2 = [zero] * 4
-                row2[j] = one
-                for c, v in zip(free2, vals2):
-                    row2[c] = v
-                if pairing_value(field, row1, row2):
-                    continue
-                out.append(IsotropicPlane(field, (tuple(row1), tuple(row2))))
+                out.append(IsotropicPlane(field, (row1, row(j, free2, vals2))))
     return out
 
 
 def tangent_dimension(plane):
     """Dimension of {phi : P -> F_q^4 / P with psi(phi v, w) + psi(v, phi w)
-    = 0}: 4 at the radical plane, 3 everywhere else on the fiber."""
+    = 0}.  The fiber is a cone over P^1 x P^1 with vertex R = <e1, e4>, so
+    this is 4 at R and 3 everywhere else on the fiber."""
     field = plane.field
     v, w = plane.vectors()
     if pairing_value(field, v, w):
         raise PreconditionError("plane is not isotropic")
-    # complement basis: standard vectors outside the plane
-    comp = []
-    for k in range(4):
-        e = [field.one() if i == k else field.zero() for i in range(4)]
-        rows = plane.vectors() + [c for c in comp] + [e]
-        if linalg.rank_field(field, rows) == 2 + len(comp) + 1:
-            comp.append(e)
-        if len(comp) == 2:
-            break
-    u1, u2 = comp
-    row = [
-        pairing_value(field, u1, w),
-        pairing_value(field, u2, w),
-        pairing_value(field, v, u1),
-        pairing_value(field, v, u2),
-    ]
-    return 4 - (1 if any(row) else 0)
+    # a rank-2 plane is R exactly when both basis vectors lie in R
+    return 3 if any(x[1] or x[2] for x in (v, w)) else 4
 
 
 def singular_points(q):

@@ -6,9 +6,14 @@ multiplication and composition, an integer-table Grassmannian filter for
 the local-model fiber, a standalone row reduction for ranks, and
 brute-force point counts of quadrics over integer-table fields.  Only
 base coefficient arithmetic is shared (it is itself checked against the
-ghost construction).  The brute-force witness search reuses the
-membership test, the Smith data and the witness completion of
-`sll.dieudonne`, but not its linear solver.
+ghost construction).  `filter_special_fiber` (every echelon plane,
+filtered by its pairing) and `rank_tangent_dimension` (the tangent
+equation on a complement found by rank tests) are the references for
+the fiber and tangent dimensions that `sll.local_model` reads off the
+Schubert-divisor description; they share `IsotropicPlane` and
+`pairing_value` with it, but not its generator.  The brute-force witness
+search reuses the membership test, the Smith data and the witness
+completion of `sll.dieudonne`, but not its linear solver.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from sll.dieudonne import (
     _in_vm_mod,
     _vm_membership_data,
 )
+from sll.errors import PreconditionError
+from sll.local_model import IsotropicPlane, field_for_q, pairing_value
 
 
 # -- naive sparse polynomial arithmetic (independent of sll.series internals)
@@ -114,6 +121,63 @@ def independent_rank(field, rows):
                 work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+# -- the local-model fiber by filtering, tangent dimensions by rank tests
+
+
+def filter_special_fiber(q):
+    """Every echelon 2-plane of F_q^4 whose basis pairs to zero, ordered by
+    echelon cell and then by free entries.  For an alternating form a plane
+    span(v, w) is isotropic iff psi(v, w) = 0, a single condition."""
+    field = field_for_q(q)
+    elements = sorted(field.elements(), key=lambda e: e.coeffs)
+    zero, one = field.zero(), field.one()
+    out = []
+    for pivots in itertools.combinations(range(4), 2):
+        i, j = pivots
+        free_cols = [c for c in range(4) if c not in pivots and c > i]
+        free1 = [c for c in free_cols if c != j]
+        free2 = [c for c in range(4) if c > j]
+        for vals1 in itertools.product(elements, repeat=len(free1)):
+            row1 = [zero] * 4
+            row1[i] = one
+            for c, v in zip(free1, vals1):
+                row1[c] = v
+            for vals2 in itertools.product(elements, repeat=len(free2)):
+                row2 = [zero] * 4
+                row2[j] = one
+                for c, v in zip(free2, vals2):
+                    row2[c] = v
+                if pairing_value(field, row1, row2):
+                    continue
+                out.append(IsotropicPlane(field, (tuple(row1), tuple(row2))))
+    return out
+
+
+def rank_tangent_dimension(plane):
+    """Dimension of {phi : P -> F_q^4 / P with psi(phi v, w) + psi(v, phi w)
+    = 0}, from the pairings of the plane with a complement of standard
+    vectors chosen by rank tests."""
+    field = plane.field
+    v, w = plane.vectors()
+    if pairing_value(field, v, w):
+        raise PreconditionError("plane is not isotropic")
+    comp = []
+    for k in range(4):
+        e = [field.one() if i == k else field.zero() for i in range(4)]
+        if independent_rank(field, plane.vectors() + comp + [e]) == 2 + len(comp) + 1:
+            comp.append(e)
+        if len(comp) == 2:
+            break
+    u1, u2 = comp
+    row = [
+        pairing_value(field, u1, w),
+        pairing_value(field, u2, w),
+        pairing_value(field, v, u1),
+        pairing_value(field, v, u2),
+    ]
+    return 4 - (1 if any(row) else 0)
 
 
 # -- integer-table finite fields for the Grassmannian filter oracle

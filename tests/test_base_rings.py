@@ -238,6 +238,16 @@ def test_element_json_roundtrip():
         assert elem_from_fields(ring, {"digits": doc["digits"]}) == x
 
 
+def test_digit_lists_must_have_length_m():
+    ring = W(2, 2, 2)
+    for digit in ([1, 0, 1], [1], []):
+        with pytest.raises(ValidationError):
+            elem_from_fields(ring, {"digits": [digit, [0, 0]]})
+    # integer digits stay allowed; a length-m list is the digit itself
+    assert elem_from_fields(ring, {"digits": [1, [0, 1]]}) == elem_from_fields(
+        ring, {"digits": [[1, 0], [0, 1]]})
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_field_multiplication_matches_table_oracle(q):
     table = TableField(q)

@@ -227,6 +227,9 @@ def test_usage_error_exits_2(capsys):
         # above MAX_SPOT_CHECKS: refused before any base change
         ["dieudonne", "validate", "--fixture", "iib", "--q", "2", "--n", "2",
          "--spot-checks", "100000000"],
+        # a truncation degree of 0 is given, not absent
+        ["series-reduce", '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,'
+         '"terms":[{"exps":[1,1],"coeff":1}]}', "--degree", "0"],
     ):
         start = time.perf_counter()
         code = main(argv)
@@ -258,6 +261,22 @@ BAD_INPUTS = {
         "series-reduce",
         '{"coeff_ring":{"p":2,"n":2},"nvars":1,"degree":3,"terms":[{"exps":[1.0],"coeff":[1]}]}',
     ],
+    "series_vars_ints": [
+        "series-reduce",
+        '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,"vars":[1,2],'
+        '"terms":[{"exps":[1,1],"coeff":1}]}',
+    ],
+    "series_vars_string": [
+        "series-reduce",
+        '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,"vars":"ab",'
+        '"terms":[{"exps":[1,1],"coeff":1}]}',
+    ],
+    "series_vars_empty": [
+        "series-reduce",
+        '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,"vars":[],'
+        '"terms":[{"exps":[1,1],"coeff":1}]}',
+    ],
+    "digit_list_too_long": ["witt", "frob", '{"p":2,"m":2,"n":2,"digits":[[[1,0,1],[0,0]]]}'],
     "series_coeff_float": [
         "series-reduce",
         '{"coeff_ring":{"p":2,"n":2},"nvars":1,"degree":3,"terms":[{"exps":[1],"coeff":0.5}]}',

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sll import linalg
@@ -5,6 +7,7 @@ from sll.base_rings import FiniteField, WittRing
 from sll.deformation import nonordinary_locus, reduce_relation_mod_p, standard_display
 from sll.errors import PreconditionError, ValidationError
 from sll.local_model import (
+    IsotropicPlane,
     chart_equation,
     enumerate_special_fiber,
     field_for_q,
@@ -17,7 +20,12 @@ from sll.local_model import (
 )
 from sll.singularity import classify_local_ring
 
-from .oracles import grassmannian_isotropic_count
+from .oracles import (
+    filter_special_fiber,
+    grassmannian_isotropic_count,
+    independent_rank,
+    rank_tangent_dimension,
+)
 
 
 def test_pairing_matrix_invariants():
@@ -59,6 +67,29 @@ def test_fiber_count_matches_grassmannian_filter_oracle(q):
     fiber = enumerate_special_fiber(q)
     assert len(set(fiber)) == len(fiber)  # canonical forms, no duplicates
     assert len(fiber) == grassmannian_isotropic_count(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_schubert_fiber_matches_filter_and_rank_oracles(q):
+    fiber = enumerate_special_fiber(q)
+    assert fiber == filter_special_fiber(q)
+    radical = radical_plane(field_for_q(q)).vectors()
+    strata = Counter()
+    for plane in fiber:
+        assert tangent_dimension(plane) == rank_tangent_dimension(plane)
+        # dim(L meet R) = 4 - dim(L + R)
+        strata[4 - independent_rank(plane.field, plane.vectors() + radical)] += 1
+    assert strata == {1: q ** 3 + 2 * q ** 2 + q, 2: 1}
+
+
+def test_tangent_dimension_does_not_depend_on_the_basis():
+    field = field_for_q(3)
+    one, zero, two = field.one(), field.zero(), field.from_int(2)
+    # the radical <e1, e4> and span(e1, e2), neither basis in echelon form
+    radical = IsotropicPlane(field, ((zero, zero, zero, one), (two, zero, zero, one)))
+    smooth = IsotropicPlane(field, ((one, one, zero, zero), (one, two, zero, zero)))
+    assert tangent_dimension(radical) == rank_tangent_dimension(radical) == 4
+    assert tangent_dimension(smooth) == rank_tangent_dimension(smooth) == 3
 
 
 def test_fiber_deterministic_order():
