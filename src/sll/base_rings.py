@@ -9,7 +9,8 @@ independent oracle (`ghost_sum_digits`, `ghost_product_digits`).
 
 F_q = F_p[x]/(modulus) is the n = 1 case, W_1(F_q): both rings expose
 `pn` (p^n, or p for a field) and `lifted_modulus` (the modulus itself for
-a field), and one element class, `Residue`, does the arithmetic of both.
+a field), one element class, `Residue`, does the arithmetic of both, and
+one base class, `_CoeffRing`, builds and compares them.
 
 Elements are immutable value objects; rings are shareable read-only
 contexts; every operation is pure.
@@ -245,14 +246,65 @@ class WittElement(Residue):
 
 
 # ---------------------------------------------------------------------------
+# coefficient rings
+
+
+class _CoeffRing:
+    """Construction and equality shared by FiniteField and WittRing.
+
+    A subclass sets `pn`, `lifted_modulus` and `_key` (what equality and the
+    hash read) in its constructor and names its element class `_element`;
+    elements have m = deg(lifted_modulus) coefficients mod `pn`."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key == self._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def element(self, x):
+        """The element given by an int, by an element of this ring, or by a
+        list of exactly m coefficients."""
+        m = len(self.lifted_modulus) - 1
+        if isinstance(x, int):
+            return self._element(self, (x % self.pn,) + (0,) * (m - 1))
+        if isinstance(x, Residue):
+            if x.ring != self:
+                raise DomainError("element from a different ring")
+            return x
+        coeffs = tuple(int(c) % self.pn for c in x)
+        if len(coeffs) != m:
+            raise ValidationError("coefficient vector has wrong length")
+        return self._element(self, coeffs)
+
+    from_int = element
+
+    def zero(self):
+        return self.element(0)
+
+    def one(self):
+        return self.element(1)
+
+    def elements(self):
+        for coeffs in itertools.product(range(self.pn), repeat=len(self.lifted_modulus) - 1):
+            yield self._element(self, coeffs)
+
+    def random_element(self, rng):
+        m = len(self.lifted_modulus) - 1
+        return self._element(self, tuple(rng.randrange(self.pn) for _ in range(m)))
+
+
+# ---------------------------------------------------------------------------
 # finite fields
 
 
-class FiniteField:
+class FiniteField(_CoeffRing):
     """F_q = F_p[x]/(modulus), q = p^m, with a fixed monic irreducible modulus.
 
     As a coefficient ring it is W_1(F_q): `pn` is p and `lifted_modulus` is
     the modulus."""
+
+    _element = FFElement
 
     def __init__(self, p, m=1, modulus=None):
         if p > MAX_CHARACTERISTIC:
@@ -276,52 +328,16 @@ class FiniteField:
         self.modulus = modulus
         self.pn = p
         self.lifted_modulus = modulus
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        self._key = (p, m, modulus)
 
     def __repr__(self):
         return f"FiniteField({self.p}, {self.m})"
-
-    def element(self, coeffs):
-        if isinstance(coeffs, FFElement):
-            if coeffs.ring != self:
-                raise DomainError("element from a different field")
-            return coeffs
-        if isinstance(coeffs, int):
-            return FFElement(self, ((coeffs % self.p),) + (0,) * (self.m - 1))
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) > self.m:
-            coeffs = _pmod(coeffs, self.modulus, self.p)
-        return FFElement(self, coeffs + (0,) * (self.m - len(coeffs)))
-
-    def zero(self):
-        return FFElement(self, (0,) * self.m)
-
-    def one(self):
-        return self.element(1)
-
-    def from_int(self, k):
-        return self.element(k)
 
     def gen(self):
         """Residue class of x (a root of the modulus)."""
         if self.m == 1:
             return self.zero()
         return FFElement(self, (0, 1) + (0,) * (self.m - 2))
-
-    def elements(self):
-        for coeffs in itertools.product(range(self.p), repeat=self.m):
-            yield FFElement(self, coeffs)
-
-    def random_element(self, rng):
-        return FFElement(self, tuple(rng.randrange(self.p) for _ in range(self.m)))
 
     def is_unit(self, e):
         return bool(e)
@@ -343,7 +359,7 @@ class FiniteField:
 # truncated Witt rings
 
 
-class WittRing:
+class WittRing(_CoeffRing):
     """W_n(F_q) = (Z/p^n)[x]/(lifted modulus), |W_n(F_q)| = q^n.
 
     The lifted modulus is the Hensel lift of the field modulus: the unique
@@ -351,6 +367,8 @@ class WittRing:
     Teichmuller representative.  Frobenius is x |-> x^p applied by a
     precomputed substitution matrix (O(m^2) per application).
     """
+
+    _element = WittElement
 
     def __init__(self, field, n):
         if n < 1:
@@ -362,6 +380,7 @@ class WittRing:
         self.n = n
         self.p = field.p
         self.pn = field.p ** n
+        self._key = (field, n)
         self.lifted_modulus = self._lift_modulus()
         gen = self.gen()
         # sigma is the substitution x |-> x^p and sigma^(-1) = sigma^(m-1) the
@@ -376,29 +395,28 @@ class WittRing:
     # -- construction internals ------------------------------------------------
 
     def _lift_modulus(self):
-        """Minimal polynomial over Z/p^n of the Teichmuller lift of the
-        field generator, computed inside the naive-lift quotient ring."""
-        m, p, pn = self.field.m, self.field.p, self.pn
-        naive = tuple(int(c) for c in self.field.modulus)
-        if m == 1:
-            # the Teichmuller lift t of the root r of x + c satisfies
-            # t^p = t; iterate the p-power map on -c
-            r = (-naive[0]) % pn
-            for _ in range(self.n + 1):
-                r = pow(r, p, pn)
-            return ((-r) % pn, 1)
-
-        theta = (0, 1) + (0,) * (m - 2)
+        """The product of X - theta^(p^i), i < m, over the Teichmuller lift
+        theta of x and its conjugates, computed in the naive-lift ring
+        (Z/p^n)[x]/(modulus).  Its coefficients are symmetric functions of
+        the conjugates, so they are constants in Z/p^n."""
+        m, p, pn = self.field.m, self.p, self.pn
+        naive = self.field.modulus
+        zero = (0,) * m
+        # the class of x in the naive ring; for m = 1 the root of the modulus
+        theta = _pmod((0, 1), naive, pn)
+        theta += zero[len(theta):]
         for _ in range(self.n + 1):
-            # theta <- theta^q, one digit of convergence per p-power
+            # theta <- theta^q, one digit of convergence per q-power
             theta = _frob_power(theta, m, naive, p, pn)
-        # columns of B are theta^i; B = Id mod p, hence invertible
-        pows = [(1,) + (0,) * (m - 1)]
+        g = [(1,) + zero[1:]]  # coefficients in X, low degree first
         for _ in range(m):
-            pows.append(_mulmod(pows[-1], theta, naive, pn))
-        B = [[pows[j][i] for j in range(m)] for i in range(m)]
-        c = _solve_unit_system(B, list(pows[m]), pn, p)
-        return tuple((-ci) % pn for ci in c) + (1,)
+            # g <- g * (X - theta), then theta <- theta^p
+            g = [tuple((a - b) % pn for a, b in zip(lo, _mulmod(theta, hi, naive, pn)))
+                 for lo, hi in zip([zero] + g, g + [zero])]
+            theta = _frob_power(theta, 1, naive, p, pn)
+        if any(any(c[1:]) for c in g):
+            raise InternalInvariantError("lifted modulus has non-constant coefficients")
+        return tuple(c[0] for c in g)
 
     def _powers_matrix(self, img):
         """Matrix of the substitution x |-> img on the power basis."""
@@ -410,39 +428,8 @@ class WittRing:
 
     # -- ring interface ---------------------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittRing)
-            and other.field == self.field
-            and other.n == self.n
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n))
-
     def __repr__(self):
         return f"WittRing(F_{self.field.q}, n={self.n})"
-
-    def element(self, coeffs):
-        if isinstance(coeffs, WittElement):
-            if coeffs.ring != self:
-                raise DomainError("element from a different Witt ring")
-            return coeffs
-        if isinstance(coeffs, int):
-            return WittElement(self, ((coeffs % self.pn),) + (0,) * (self.field.m - 1))
-        coeffs = tuple(int(c) % self.pn for c in coeffs)
-        if len(coeffs) != self.field.m:
-            raise ValidationError("coefficient vector has wrong length")
-        return WittElement(self, coeffs)
-
-    def zero(self):
-        return WittElement(self, (0,) * self.field.m)
-
-    def one(self):
-        return self.element(1)
-
-    def from_int(self, k):
-        return self.element(k)
 
     def p_element(self):
         return self.element(self.p)
@@ -452,13 +439,6 @@ class WittRing:
             g = self.lifted_modulus
             return self.element((-g[0]) % self.pn)
         return WittElement(self, (0, 1) + (0,) * (self.field.m - 2))
-
-    def elements(self):
-        for coeffs in itertools.product(range(self.pn), repeat=self.field.m):
-            yield WittElement(self, coeffs)
-
-    def random_element(self, rng):
-        return WittElement(self, tuple(rng.randrange(self.pn) for _ in range(self.field.m)))
 
     def is_unit(self, x):
         return self.valuation(x) == 0
@@ -522,7 +502,7 @@ class WittRing:
         pk = self.one()
         pe = self.p_element()
         for d in ds:
-            acc = acc + self.teichmuller(self.field.element(d) if not isinstance(d, FFElement) else d) * pk
+            acc = acc + self.teichmuller(self.field.element(d)) * pk
             pk = pk * pe
         return acc
 
@@ -672,27 +652,10 @@ def ghost_product_digits(a, b):
 
 
 # ---------------------------------------------------------------------------
-# small integer linear algebra mod p^n (construction-time only)
+# the Frobenius substitution matrix, applied mod p^n
 
 
 def _int_matvec(A, v, pn):
     m = len(A)
     return tuple(sum(A[i][k] * v[k] for k in range(m)) % pn for i in range(m))
 
-
-def _solve_unit_system(B, v, pn, p):
-    """Solve B c = v over Z/p^n where B is invertible mod p."""
-    m = len(B)
-    A = [row[:] + [v[i]] for i, row in enumerate(B)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if A[r][col] % p), None)
-        if piv is None:
-            raise InternalInvariantError("system is singular mod p")
-        A[col], A[piv] = A[piv], A[col]
-        inv = pow(A[col][col], -1, pn)
-        A[col] = [(x * inv) % pn for x in A[col]]
-        for r in range(m):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [(x - f * y) % pn for x, y in zip(A[r], A[col])]
-    return [A[i][m] % pn for i in range(m)]

@@ -73,26 +73,18 @@ def expand_pairing(frame, left, right, sring=None, left_vars=(0, 1), right_vars=
     carrying the same variable row) is directly assertable.
     """
     module = frame.module
-    ring = module.ring
-    sring = sring or relation_ring(ring)
+    sring = sring or relation_ring(module.ring)
     t = sring.variables()  # t11, t12, t21, t22
-    lv = [t[k] for k in left_vars]
-    rv = [t[k] for k in right_vars]
 
-    J = module.J  # J[i][j] = <e_i, e_j>
-    x1, x2 = frame.X_indices
-    rel = sring.constant(J[left][right])
-    # <e_left, rv_j X_j>
-    rel = rel + rv[0].scalar_mul(J[left][x1]) + rv[1].scalar_mul(J[left][x2])
-    # <lv_i X_i, e_right> = -lv_i <e_right, X_i>
-    rel = rel - lv[0].scalar_mul(J[right][x1]) - lv[1].scalar_mul(J[right][x2])
-    # <lv_i X_i, rv_j X_j>
-    for i, ti in ((x1, lv[0]), (x2, lv[1])):
-        for j, tj in ((x1, rv[0]), (x2, rv[1])):
-            c = J[i][j]
-            if c:
-                rel = rel + (ti * tj).scalar_mul(c)
-    return rel
+    def deformed(index, variables):
+        vec = [sring.zero()] * 4
+        vec[index] = sring.one()
+        for x, k in zip(frame.X_indices, variables):
+            vec[x] = vec[x] + t[k]
+        return vec
+
+    J = linalg.mat_map(module.J, sring.constant)  # J[i][j] = <e_i, e_j>
+    return linalg.bilinear(J, deformed(left, left_vars), deformed(right, right_vars), sring.zero())
 
 
 def deformation_equation(frame, degree=None):

@@ -53,14 +53,7 @@ class DieudonneModule:
         return linalg.mat_vec(self.V_matrix, [self.ring.frobenius_inv(x) for x in vec])
 
     def pair(self, x, y):
-        acc = self.ring.zero()
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.J[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        acc = acc + xi * row[j] * yj
-        return acc
+        return linalg.bilinear(self.J, x, y, self.ring.zero())
 
     def basis_vector(self, i):
         return [self.ring.one() if j == i else self.ring.zero() for j in range(4)]

@@ -2,9 +2,11 @@
 
 Matrices are lists of row lists of ring elements.  The ring object must
 provide zero(), one(), is_unit(e), invert(e); elements support +, -, *.
-Over a local ring, Gaussian elimination always pivots on units, which is
-sufficient for every invertible matrix this package meets (invertibility
-mod the maximal ideal).
+One Gauss-Jordan loop, `rref_field`, serves fields and Witt rings alike: it
+pivots on units, which over a field are the nonzero entries and over the
+local ring W_n(F_q) suffice for every matrix invertible mod the maximal
+ideal, the only kind `invert` accepts.  `bilinear` evaluates v^T G w for
+the package's pairings, over a coefficient ring or over a series ring.
 """
 
 from __future__ import annotations
@@ -82,21 +84,24 @@ def det(ring, A):
 
 
 def invert(ring, A):
-    """Inverse of a matrix that is invertible modulo the maximal ideal."""
+    """Inverse of a matrix that is invertible modulo the maximal ideal: the
+    right half of the reduced form of [A | I]."""
     n = len(A)
-    work = [row[:] + idr[:] for row, idr in zip(A, identity(ring, n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if ring.is_unit(work[r][col])), None)
-        if piv is None:
-            raise DomainError("matrix is not invertible over the local ring")
-        work[col], work[piv] = work[piv], work[col]
-        inv = ring.invert(work[col][col])
-        work[col] = [inv * x for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    work, pivots = rref_field(ring, [row + idr for row, idr in zip(A, identity(ring, n))])
+    if pivots != list(range(n)):
+        raise DomainError("matrix is not invertible over the local ring")
     return [row[n:] for row in work]
+
+
+def bilinear(G, v, w, zero):
+    """v^T G w, summed from `zero` over the nonzero entries of v, G and w."""
+    acc = zero
+    for vi, row in zip(v, G):
+        if vi:
+            for gij, wj in zip(row, w):
+                if gij and wj:
+                    acc = acc + vi * gij * wj
+    return acc
 
 
 def rank_field(field, A):
@@ -104,19 +109,21 @@ def rank_field(field, A):
     return len(rref_field(field, A)[1])
 
 
-def rref_field(field, A):
-    """Reduced row echelon form over a finite field; returns (rref, pivots)."""
+def rref_field(ring, A):
+    """Reduced row echelon form with unit pivots; returns (rref, pivots).
+    Over a field this is the usual RREF; over W_n(F_q) a column with no
+    unit entry below the pivot rows is passed over."""
     work = [row[:] for row in A]
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots = []
     rank = 0
     for col in range(cols):
-        piv = next((r for r in range(rank, rows) if work[r][col]), None)
+        piv = next((r for r in range(rank, rows) if ring.is_unit(work[r][col])), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv = field.invert(work[rank][col])
+        inv = ring.invert(work[rank][col])
         work[rank] = [inv * x for x in work[rank]]
         for r in range(rows):
             if r != rank and work[r][col]:

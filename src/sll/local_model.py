@@ -66,17 +66,20 @@ def pairing_matrix(ring):
 
 @dataclass(frozen=True)
 class IsotropicPlane:
-    """A 2-plane in F_q^4, stored by its reduced-row-echelon basis."""
+    """A 2-plane in F_q^4, stored by its reduced-row-echelon basis: any
+    spanning pair is accepted and reduced, so equal planes compare equal."""
 
     field: FiniteField
-    basis: tuple  # two 4-tuples of field elements, RREF
+    basis: tuple  # two 4-tuples of field elements, RREF after __post_init__
 
     def __post_init__(self):
         rows = [list(r) for r in self.basis]
         if len(rows) != 2 or any(len(r) != 4 for r in rows):
             raise ValidationError("plane basis must be 2x4")
-        if linalg.rank_field(self.field, rows) != 2:
+        red, pivots = linalg.rref_field(self.field, rows)
+        if len(pivots) != 2:
             raise ValidationError("plane basis must have rank 2")
+        object.__setattr__(self, "basis", tuple(tuple(r) for r in red))
 
     def vectors(self):
         return [list(self.basis[0]), list(self.basis[1])]
@@ -91,24 +94,8 @@ class IsotropicPlane:
         return f"IsotropicPlane[{fmt(self.basis[0])}, {fmt(self.basis[1])}]"
 
 
-def plane_from_rows(field, rows):
-    """Canonicalize a spanning pair into an IsotropicPlane (RREF form)."""
-    red, _ = linalg.rref_field(field, [list(r) for r in rows])
-    red = [row for row in red if any(row)]
-    if len(red) != 2:
-        raise ValidationError("rows do not span a plane")
-    return IsotropicPlane(field, (tuple(red[0]), tuple(red[1])))
-
-
 def pairing_value(field, v, w):
-    G = pairing_matrix(field)
-    acc = field.zero()
-    for i, vi in enumerate(v):
-        if vi:
-            for j, wj in enumerate(w):
-                if wj:
-                    acc = acc + vi * G[i][j] * wj
-    return acc
+    return linalg.bilinear(pairing_matrix(field), v, w, field.zero())
 
 
 def radical_plane(field):
@@ -182,13 +169,5 @@ def chart_equation(ring, center=None, degree=None):
     sring = SeriesRing(ring, 4, degree, T_VARS)
     t = sring.variables()
     zero, one = sring.zero(), sring.one()
-    row1 = [one, t[0], t[1], zero]
-    row2 = [zero, t[2], t[3], one]
-    G = pairing_matrix(ring)
-    acc = sring.zero()
-    for i in range(4):
-        if row1[i]:
-            for j in range(4):
-                if row2[j] and G[i][j]:
-                    acc = acc + (row1[i] * row2[j]).scalar_mul(G[i][j])
-    return acc
+    G = linalg.mat_map(pairing_matrix(ring), sring.constant)
+    return linalg.bilinear(G, [one, t[0], t[1], zero], [zero, t[2], t[3], one], zero)

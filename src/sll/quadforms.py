@@ -23,7 +23,7 @@ class QuadraticForm:
         for (i, j), c in upper.items():
             if not (0 <= i <= j < nvars):
                 raise DomainError("upper-triangular index out of range")
-            c = coeff_ring.from_int(c) if isinstance(c, int) else coeff_ring.element(c)
+            c = coeff_ring.element(c)
             if c:
                 table[(i, j)] = c
         self.upper = table
@@ -127,7 +127,7 @@ def quadric_class(Q):
     upper = [(i, j, res(c)) for (i, j), c in Q.upper.items()]
 
     def B(v, w):
-        return sum((a * b for a, b in zip(v, linalg.mat_vec(G, w))), field.zero())
+        return linalg.bilinear(G, v, w, field.zero())
 
     def value(v):
         return sum((c * v[i] * v[j] for i, j, c in upper), field.zero())

@@ -55,7 +55,7 @@ class SeriesRing:
         return self.constant(self.coeff_ring.one())
 
     def constant(self, c):
-        c = self._coerce(c)
+        c = self.coeff_ring.element(c)
         if not c:
             return TruncatedSeries(self, {})
         return TruncatedSeries(self, {(0,) * self.nvars: c})
@@ -78,7 +78,7 @@ class SeriesRing:
                 raise ValidationError("bad exponent vector")
             if sum(exps) >= self.degree:
                 continue
-            c = self._coerce(c)
+            c = self.coeff_ring.element(c)
             acc = coeffs.get(exps)
             c = acc + c if acc is not None else c
             if c:
@@ -96,11 +96,6 @@ class SeriesRing:
                 e[i] += 1
             out.append(tuple(e))
         return sorted(set(out), reverse=True)
-
-    def _coerce(self, c):
-        if isinstance(c, int):
-            return self.coeff_ring.from_int(c)
-        return self.coeff_ring.element(c)
 
     def with_degree(self, degree):
         return SeriesRing(self.coeff_ring, self.nvars, degree, self.var_names)
@@ -163,7 +158,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.parent, out)
 
     def scalar_mul(self, c):
-        c = self.parent._coerce(c)
+        c = self.parent.coeff_ring.element(c)
         out = {}
         for e, v in self.coeffs.items():
             s = c * v
@@ -262,7 +257,7 @@ class TruncatedSeries:
     def evaluate(self, point):
         """Value of the representing polynomial at a coefficient-ring point."""
         ring = self.parent
-        point = [ring._coerce(c) for c in point]
+        point = [ring.coeff_ring.element(c) for c in point]
         if len(point) != ring.nvars:
             raise PreconditionError("evaluation needs one value per variable")
         acc = ring.coeff_ring.zero()

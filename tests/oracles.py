@@ -180,10 +180,12 @@ def rank_tangent_dimension(plane):
     return 4 - (1 if any(row) else 0)
 
 
-# -- integer-table finite fields for the Grassmannian filter oracle
+# -- integer polynomials mod a monic modulus, and integer-table finite fields
+# for the Grassmannian filter oracle
 
 
-def _int_poly_mul_mod(a, b, mod, p):
+def int_poly_mul_mod(a, b, mod, p):
+    """a * b reduced by the monic `mod`, coefficients mod p (any modulus)."""
     m = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -197,6 +199,17 @@ def _int_poly_mul_mod(a, b, mod, p):
                 out[k - m + j] = (out[k - m + j] - c * mod[j]) % p
     out = out[:m]
     return tuple(out) + (0,) * (m - len(out))
+
+
+def int_poly_pow_mod(a, e, mod, p):
+    """a^e reduced by the monic `mod`, coefficients mod p, by squaring."""
+    out = int_poly_mul_mod((1,), (1,), mod, p)
+    while e:
+        if e & 1:
+            out = int_poly_mul_mod(out, a, mod, p)
+        a = int_poly_mul_mod(a, a, mod, p)
+        e >>= 1
+    return out
 
 
 def _has_no_root(poly, p):
@@ -243,7 +256,7 @@ class TableField:
             for a in self.elems
         ]
         self.mul_table = [
-            [self.index[_int_poly_mul_mod(a, b, self.modulus, p)] for b in self.elems]
+            [self.index[int_poly_mul_mod(a, b, self.modulus, p)] for b in self.elems]
             for a in self.elems
         ]
         self.neg = [self.index[tuple((-x) % p for x in a)] for a in self.elems]

@@ -17,7 +17,7 @@ from sll.base_rings import (
 from sll.errors import DomainError, ValidationError
 from sll.jsonio import elem_from_fields, elem_to_json
 
-from .oracles import TableField, first_irreducible
+from .oracles import TableField, first_irreducible, int_poly_mul_mod, int_poly_pow_mod
 
 
 def W(p, m, n):
@@ -171,11 +171,18 @@ def test_ghost_oracle_random_p5_n3():
 
 
 def test_lifted_modulus_reduces_to_modulus_and_is_stationary():
-    for p, m, n in [(2, 2, 3), (2, 3, 2), (3, 2, 3), (5, 2, 3)]:
+    grid = [(2, 1), (2, 2), (2, 3), (2, 8), (3, 1), (3, 2), (3, 5), (5, 2), (7, 2), (65521, 3)]
+    for (p, m), n in itertools.product(grid, (1, 2, 3, 4)):
         ring = W(p, m, n)
-        assert tuple(c % p for c in ring.lifted_modulus) == ring.field.modulus
-        g = ring.gen()
-        assert g ** (p ** m) == g  # Newton iteration is stationary
+        g = ring.lifted_modulus
+        assert tuple(c % p for c in g) == ring.field.modulus
+        x = ring.gen()
+        assert x ** (p ** m) == x  # Newton iteration is stationary
+        # with the oracle's polynomial arithmetic: x^q = x mod g over Z/p^n,
+        # i.e. g divides x^q - x; with g = modulus mod p this pins the Hensel lift
+        pn = p ** n
+        x_mod_g = int_poly_mul_mod((0, 1), (1,), g, pn)
+        assert int_poly_pow_mod(x_mod_g, p ** m, g, pn) == x_mod_g
 
 
 def test_parent_mismatch_raises():
@@ -196,6 +203,13 @@ def test_parent_mismatch_raises():
 
 
 def test_invalid_inputs_rejected():
+    # a coefficient list has exactly m entries, in a field as in a Witt ring
+    with pytest.raises(ValidationError):
+        FiniteField(2, 2).element([1, 0, 1])
+    with pytest.raises(ValidationError):
+        FiniteField(2, 2).element([1])
+    with pytest.raises(ValidationError):
+        W(2, 2, 2).element([1])
     with pytest.raises(ValidationError):
         FiniteField(MAX_CHARACTERISTIC + 1)
     with pytest.raises(ValidationError):

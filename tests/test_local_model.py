@@ -13,7 +13,6 @@ from sll.local_model import (
     field_for_q,
     pairing_matrix,
     pairing_value,
-    plane_from_rows,
     radical_plane,
     singular_points,
     tangent_dimension,
@@ -105,7 +104,7 @@ def test_tangent_dimension_of_a_smooth_point():
     field = field_for_q(2)
     one, zero = field.one(), field.zero()
     # span(e1, e2) is isotropic and not the radical
-    plane = plane_from_rows(field, [[one, zero, zero, zero], [zero, one, zero, zero]])
+    plane = IsotropicPlane(field, [[one, zero, zero, zero], [zero, one, zero, zero]])
     assert tangent_dimension(plane) == 3
 
 
@@ -123,7 +122,7 @@ def test_singular_points_are_exactly_the_radical(q):
 def test_tangent_rejects_non_isotropic_plane():
     field = field_for_q(2)
     one, zero = field.one(), field.zero()
-    plane = plane_from_rows(field, [[zero, one, zero, zero], [zero, zero, one, zero]])
+    plane = IsotropicPlane(field, [[zero, one, zero, zero], [zero, zero, one, zero]])
     with pytest.raises(PreconditionError):
         tangent_dimension(plane)
 
@@ -166,10 +165,23 @@ def test_chart_center_must_be_the_radical():
     ring = WittRing(FiniteField(2), 2)
     field = ring.field
     one, zero = field.one(), field.zero()
-    other = plane_from_rows(field, [[one, zero, zero, zero], [zero, one, zero, zero]])
+    other = IsotropicPlane(field, [[one, zero, zero, zero], [zero, one, zero, zero]])
     with pytest.raises(PreconditionError):
         chart_equation(ring, center=other)
     assert chart_equation(ring, center=radical_plane(field)) == chart_equation(ring)
+
+
+def test_plane_basis_is_reduced_to_echelon_form():
+    ring = WittRing(FiniteField(3), 2)
+    field = ring.field
+    one, zero, two = field.one(), field.zero(), field.element(2)
+    # R = <e1, e4> spanned by e4 and 2 e1 + e4
+    plane = IsotropicPlane(field, ((zero, zero, zero, one), (two, zero, zero, one)))
+    assert plane == radical_plane(field)
+    assert hash(plane) == hash(radical_plane(field))
+    assert chart_equation(ring, center=plane) == chart_equation(ring)
+    with pytest.raises(ValidationError):
+        IsotropicPlane(field, ((one, zero, zero, one), (two, zero, zero, two)))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -212,7 +224,7 @@ def test_fiber_stable_under_pairing_similitudes(q):
             conj[i][j] == lam * Jbar[i][j] for i in range(4) for j in range(4)
         )
         moved = {
-            plane_from_rows(field, [linalg.mat_vec(g, r) for r in plane.vectors()])
+            IsotropicPlane(field, [linalg.mat_vec(g, r) for r in plane.vectors()])
             for plane in fiber
         }
         assert moved == fiber
