@@ -112,9 +112,9 @@ def _cmd_witt(args):
     if args.op == "frob":
         return jsonio.elem_to_json(ring, ring.frobenius(x))
     if args.op == "digits":
-        return {"p": ring.p, "m": ring.field.m, "n": ring.n,
-                "digits": jsonio._digits_list(ring, x),
-                "valuation": ring.valuation(x)}
+        doc = jsonio.elem_to_json(ring, x)
+        del doc["coeffs"]
+        return dict(doc, valuation=ring.valuation(x))
     raise ValidationError(f"unknown witt operation {args.op!r}")
 
 

@@ -13,7 +13,9 @@ a JSON integer: floats and booleans are rejected, never truncated.
 
 from __future__ import annotations
 
-from .base_rings import FiniteField, WittRing
+import math
+
+from .base_rings import FiniteField, WittRing, find_irreducible
 from .errors import ValidationError
 from .series import SeriesRing
 from .singularity import NormalFormResult
@@ -22,6 +24,9 @@ from .quadforms import QuadraticForm
 # series documents: every series the package builds has at most 4 variables,
 # and the quadratic-part checks row-reduce an nvars x nvars Gram matrix
 MAX_NVARS = 8
+# a series with a term of degree >= 3 may span at most C(15, 4) monomials of
+# degree < D (4 variables at D = 12), since reduction work grows with the count
+MAX_SERIES_MONOMIALS = 1365
 
 
 def _int(x, what):
@@ -66,6 +71,10 @@ def _digits_list(ring, x):
 
 def elem_to_json(ring, x, with_digits=True):
     doc = {"p": ring.p, "m": ring.field.m, "n": ring.n, "coeffs": list(x.coeffs)}
+    # coefficients and digits are read against the field modulus, so the
+    # document names it whenever it is not the default one
+    if ring.field.modulus != find_irreducible(ring.p, ring.field.m):
+        doc["modulus"] = list(ring.field.modulus)
     if with_digits:
         doc["digits"] = _digits_list(ring, x)
     return doc
@@ -137,7 +146,13 @@ def series_from_json(doc):
                  for t in doc["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad series document: {exc}") from exc
-    return ring.from_terms(terms)
+    f = ring.from_terms(terms)
+    size = math.comb(degree - 1 + nvars, nvars)
+    if f.degree_bound() >= 3 and size > MAX_SERIES_MONOMIALS:
+        raise ValidationError(
+            f"a series with terms of degree >= 3 may span at most {MAX_SERIES_MONOMIALS} "
+            f"monomials; {nvars} variables below degree {degree} span {size}")
+    return f
 
 
 def quadform_to_json(q):

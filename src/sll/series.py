@@ -8,8 +8,6 @@ serialization.  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import DomainError, PreconditionError, ValidationError
 
 
@@ -86,16 +84,6 @@ class SeriesRing:
             elif exps in coeffs:
                 del coeffs[exps]
         return TruncatedSeries(self, coeffs)
-
-    def monomials(self, d):
-        """Exponent vectors of total degree exactly d, graded-lex order."""
-        out = []
-        for combo in itertools.combinations_with_replacement(range(self.nvars), d):
-            e = [0] * self.nvars
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-        return sorted(set(out), reverse=True)
 
     def with_degree(self, degree):
         return SeriesRing(self.coeff_ring, self.nvars, degree, self.var_names)

@@ -1,13 +1,15 @@
 """Normal-form reduction of truncated series with non-degenerate quadratic
 part, over A = W_n(F_q) with maximal ideal (p).
 
-Pipeline: a coordinate shift kills the linear term (solved by fixed-point
-iteration against the inverse Gram matrix), then iterated coordinate
-corrections absorb every part of degree 3 .. D-1.  The output is a
-certificate f(phi(x)) = unit * (a' + Q'(x)), exact up to the truncation
-degree, with a' congruent to the original constant modulo p^3 when the
-linear coefficients start in (p^2); more generally linear coefficients in
-(p^r) give agreement modulo p^(2r).
+Pipeline: one absorbing step.  The degree-d part of f, written as
+sum x_i h_i, is absorbed by the substitution x -> x - G^{-1} h, where G is
+the Gram matrix of the quadratic part.  Repeated at d = 1 until the linear
+part vanishes, the step is the Newton iteration for the shift that kills
+the linear term; applied once at each d = 3 .. D-1, it strips the higher
+terms.  The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), exact
+up to the truncation degree, with a' congruent to the original constant
+modulo p^3 when the linear coefficients start in (p^2); more generally
+linear coefficients in (p^r) give agreement modulo p^(2r).
 
 The canonical pipeline produces unit = 1: degree-d parts are absorbed by
 substitutions alone, which is possible exactly because the Gram matrix is
@@ -22,7 +24,7 @@ from . import linalg
 from .base_rings import WittRing
 from .errors import InternalInvariantError, PreconditionError, SmoothShortCircuit
 from .quadforms import QuadraticForm, bilinear_gram, is_nondegenerate
-from .series import SeriesRing, TruncatedSeries
+from .series import TruncatedSeries
 
 
 def default_truncation(p):
@@ -75,119 +77,93 @@ def _coeff_ring_of(f):
     return ring
 
 
-def _gradient_at(f, b):
-    """The vector (d f / d x_i)(b), exact: substitution by constants does
-    not lose truncation."""
+def _quadratic_inverse(f):
+    """The quadratic part Q of f and the inverse of its Gram matrix."""
+    Q = QuadraticForm.from_series(f)
+    if not is_nondegenerate(Q):
+        raise PreconditionError("quadratic part is degenerate", part="quadratic")
+    return Q, linalg.invert(f.parent.coeff_ring, bilinear_gram(Q))
+
+
+def _absorbing_step(f, d, Ginv):
+    """The substitution x_j -> x_j - sum_k Ginv[j][k] h_k, where the degree-d
+    part of f is sum_i x_i h_i, each monomial given to its smallest-index
+    variable (None if there is no such part).  It cancels that part up to
+    terms of higher degree (d >= 3) or higher valuation (d = 1)."""
     ring = f.parent
-    A = ring.coeff_ring
-    n = ring.nvars
-    # cache powers of each b_i
-    maxdeg = f.degree_bound()
-    pows = []
-    for i in range(n):
-        row = [A.one()]
-        for _ in range(maxdeg):
-            row.append(row[-1] * b[i])
-        pows.append(row)
-    grad = [A.zero() for _ in range(n)]
+    h = [{} for _ in range(ring.nvars)]
     for e, c in f.coeffs.items():
-        for i, ei in enumerate(e):
-            if ei == 0:
+        if sum(e) == d:
+            i = next(k for k, ek in enumerate(e) if ek)
+            h[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+    if not any(h):
+        return None
+    step = []
+    for j, row in enumerate(Ginv):
+        terms = dict(ring.variable(j).coeffs)
+        for g, hk in zip(row, h):
+            if not g:
                 continue
-            term = c * A.from_int(ei)
-            for j, ej in enumerate(e):
-                k = ej - 1 if j == i else ej
-                if k:
-                    term = term * pows[j][k]
-            grad[i] = grad[i] + term
-    return grad
+            for e, c in hk.items():
+                s = terms[e] - g * c if e in terms else -(g * c)
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
+        step.append(TruncatedSeries(ring, terms))
+    return step
 
 
 def kill_linear_term(f):
     """Shift b with the linear part of f(x + b) identically zero.
 
-    Returns (b, f_shifted).  b is found by the fixed-point iteration
-    b <- b - G^{-1} grad f(b); since the corrections gain a factor of p at
-    every step, the iteration reaches an exact fixed point in at most n
-    rounds.  Linear coefficients in (p^r) give b in (p^r), hence a
-    constant term preserved modulo p^(2r).
+    Returns (b, f_shifted).  The degree-1 absorbing step, repeated until the
+    linear part vanishes, is b <- b - G^{-1} grad f(b), since grad f(b) is
+    the linear part of f(x + b).  Each correction gains a factor of p, so
+    at most n rounds run.  Linear coefficients in (p^r) give b in (p^r),
+    hence a constant term preserved modulo p^(2r).
     """
     A = _coeff_ring_of(f)
-    lin = f.linear_coefficients()
-    for i, c in enumerate(lin):
+    for i, c in enumerate(f.linear_coefficients()):
         if A.is_unit(c):
             raise SmoothShortCircuit("unit linear coefficient", index=i)
-    Q = QuadraticForm.from_series(f)
-    if not is_nondegenerate(Q):
-        raise PreconditionError("quadratic part is degenerate", part="quadratic")
+    _, Ginv = _quadratic_inverse(f)
     if not A.in_maximal_ideal(f.constant_term()):
         raise PreconditionError("constant term must lie in the maximal ideal", part="constant")
 
-    n = f.parent.nvars
-    Ginv = linalg.invert(A, bilinear_gram(Q))
-    b = [A.zero() for _ in range(n)]
+    b = [A.zero()] * f.parent.nvars
     for _ in range(2 * A.n + 4):
-        grad = _gradient_at(f, b)
-        if not any(grad):
-            break
-        step = linalg.mat_vec(Ginv, grad)
-        b = [bi - si for bi, si in zip(b, step)]
-    else:
-        raise InternalInvariantError("linear-term iteration did not converge")
-
-    ring = f.parent
-    shift = [ring.variable(i) + ring.constant(b[i]) for i in range(n)]
-    f_shifted = f.substitute(shift)
-    if any(f_shifted.linear_coefficients()):
-        raise InternalInvariantError("linear part survived the shift")
-    return b, f_shifted
+        step = _absorbing_step(f, 1, Ginv)
+        if step is None:
+            return b, f
+        f = f.substitute(step)
+        b = [bi + si.constant_term() for bi, si in zip(b, step)]
+    raise InternalInvariantError("linear-term iteration did not converge")
 
 
 def strip_higher_terms(f):
-    """Iterated corrections x -> x + c(x) absorbing all parts of degree
-    3 .. D-1; at step d the degree-d part is written as sum x_i h_i (each
-    monomial assigned to its smallest-index variable) and c = -G^{-1} h.
+    """The absorbing step at each degree d = 3 .. D-1 in turn.
 
     Returns (phi, unit, Q_prime) with f(phi(x)) = unit * (a + Q'(x)) up to
     degree D; the canonical unit is 1 and Q' equals the input quadratic
     part exactly.
     """
-    A = _coeff_ring_of(f)
+    _coeff_ring_of(f)
     if any(f.linear_coefficients()):
         raise PreconditionError("strip_higher_terms needs a vanishing linear part", part="linear")
-    Q = QuadraticForm.from_series(f)
-    if not is_nondegenerate(Q):
-        raise PreconditionError("quadratic part is degenerate", part="quadratic")
+    Q, Ginv = _quadratic_inverse(f)
 
     ring = f.parent
-    n = ring.nvars
-    D = ring.degree
-    Ginv = linalg.invert(A, bilinear_gram(Q))
     phi = ring.variables()
-    fcur = f
-    for d in range(3, D):
-        part = fcur.graded_part(d)
-        if not part:
+    for d in range(3, ring.degree):
+        step = _absorbing_step(f, d, Ginv)
+        if step is None:
             continue
-        # degree-d part as sum_i x_i h_i(x), h_i homogeneous of degree d-1
-        h = [ring.zero() for _ in range(n)]
-        for e, c in part.coeffs.items():
-            i = next(k for k, ek in enumerate(e) if ek)
-            rest = tuple(ek - 1 if k == i else ek for k, ek in enumerate(e))
-            h[i] = h[i] + ring.from_terms([(rest, c)])
-        corr = []
-        for j in range(n):
-            acc = ring.zero()
-            for k in range(n):
-                if h[k]:
-                    acc = acc + h[k].scalar_mul(Ginv[j][k])
-            corr.append(-acc)
-        step = [ring.variable(j) + corr[j] for j in range(n)]
-        fcur = fcur.substitute(step)
-        if fcur.graded_part(d):
+        f = f.substitute(step)
+        if f.graded_part(d):
             raise InternalInvariantError(f"degree-{d} part survived its correction step")
         phi = [comp.substitute(step) for comp in phi]
-    q_prime = QuadraticForm.from_series(fcur)
+    q_prime = QuadraticForm.from_series(f)
     if q_prime.upper != Q.upper:
         raise InternalInvariantError("quadratic part drifted during stripping")
     return phi, ring.one(), q_prime
@@ -200,10 +176,8 @@ def reduce_to_quadric(f):
     and a non-degenerate quadratic part."""
     b, f1 = kill_linear_term(f)
     psi, unit, q_prime = strip_higher_terms(f1)
-    ring = f.parent
-    phi = [psi[i] + ring.constant(b[i]) for i in range(ring.nvars)]
-    a_prime = f1.constant_term()
-    result = NormalFormResult(a_prime, q_prime, phi, unit)
+    phi = [c + f.parent.constant(bi) for c, bi in zip(psi, b)]
+    result = NormalFormResult(f1.constant_term(), q_prime, phi, unit)
     if not result.certificate_holds(f):
         raise InternalInvariantError("reduction certificate failed")
     return result
@@ -225,9 +199,7 @@ def normal_form(f):
             raise PreconditionError(
                 f"linear coefficient {i + 1} has valuation < 2", part="linear"
             )
-    if not is_nondegenerate(QuadraticForm.from_series(f)):
-        raise PreconditionError("quadratic part is degenerate", part="quadratic")
-    result = reduce_to_quadric(f)
+    result = reduce_to_quadric(f)  # raises on a degenerate quadratic part
     k = min(3, A.n)
     if A.digits(result.a_prime)[:k] != A.digits(a)[:k]:
         raise InternalInvariantError("constant-term refinement a' = a mod p^3 failed")

@@ -53,6 +53,20 @@ def test_witt_digits_accepts_digit_encoding_back(capsys):
     assert code == 0 and doc2["coeffs"] == [6]
 
 
+def test_element_documents_name_a_non_default_modulus(capsys):
+    # over x^3 + x^2 + 1 (the default for F_8 is x^3 + x + 1) the same
+    # coefficients are another element, with other digits
+    given = {"p": 2, "m": 3, "n": 2, "modulus": [1, 0, 1, 1], "coeffs": [[1, 2, 3]]}
+    for op in ("frob", "digits"):
+        code, doc = run_cli(capsys, "witt", op, json.dumps(given))
+        assert code == 0 and doc["modulus"] == [1, 0, 1, 1]
+    ring = jsonio.ring_from_json(doc)
+    x = ring.element((1, 2, 3))
+    assert doc["digits"] == jsonio.elem_to_json(ring, x)["digits"]
+    code, doc = run_cli(capsys, "witt", "frob", json.dumps(dict(given, modulus=[1, 1, 0, 1])))
+    assert code == 0 and "modulus" not in doc
+
+
 def test_witt_validation_errors(capsys):
     code, doc = run_cli(capsys, "witt", "add", '{"p":2,"m":1,"n":2,"coeffs":[[1]]}')
     assert code == 2 and "error" in doc
@@ -165,6 +179,21 @@ def test_deform_output_feeds_series_reduce(capsys):
     assert code == 0
     assert doc2["class"] == "OrdinaryDoublePoint"
     assert doc2["normal_form"]["a_prime"]["coeffs"] == [3]
+
+
+def test_quadratic_series_are_exempt_from_the_monomial_limit(capsys):
+    # the relation at the characteristic limit has D = 2p + 2 = 131044
+    code, doc = run_cli(capsys, "deform", "--fixture", "iib", "--q", "65521", "--n", "2")
+    assert code == 0 and doc["relation_series"]["degree"] == 131044
+    code, doc2 = run_cli(capsys, "series-reduce", json.dumps(doc["relation_series"]))
+    assert code == 0 and doc2["class"] == "OrdinaryDoublePoint"
+    # a cubic term puts the same document over the limit
+    cubic = dict(doc["relation_series"])
+    cubic["terms"] = cubic["terms"] + [{"exps": [3, 0, 0, 0], "coeff": [1]}]
+    start = time.perf_counter()
+    code, doc3 = run_cli(capsys, "series-reduce", json.dumps(cubic))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "monomials" in doc3["error"]["message"]
 
 
 def test_deform_explicit_frame(capsys):
@@ -330,6 +359,9 @@ def test_fixtures_beyond_small_primes(q, capsys):
     ["witt", "digits", '{"p":3,"m":2,"n":1024,"coeffs":[[1,0]]}'],
     # series variables above MAX_NVARS
     ["series-reduce", '{"coeff_ring":{"p":2,"m":1,"n":2},"nvars":3000,"degree":3,"terms":[]}'],
+    # x1*x2 + x1^3 + x2^3 at D = 80: 3240 monomials, above MAX_SERIES_MONOMIALS
+    ["series-reduce", '{"coeff_ring":{"p":3,"m":1,"n":3},"nvars":2,"degree":80,"terms":['
+     '{"exps":[1,1],"coeff":1},{"exps":[3,0],"coeff":1},{"exps":[0,3],"coeff":1}]}'],
 ])
 def test_bad_field_sizes_exit_2(argv, capsys):
     start = time.perf_counter()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sll.base_rings import FiniteField, WittRing
-from sll.errors import DomainError, PreconditionError
+from sll.errors import DomainError, PreconditionError, ValidationError
 from sll.jsonio import series_from_json, series_to_json
 from sll.series import SeriesRing
 
@@ -217,6 +217,23 @@ def test_json_roundtrip():
     for _ in range(20):
         f = random_series(S, rng)
         assert series_from_json(series_to_json(f)) == f
+
+
+def test_json_monomial_limit():
+    # with a term of degree >= 3, 4 variables decode up to D = 12 (1365
+    # monomials) and not at D = 13 (1820); quadratic series are exempt
+    ring = ring_W(5, 1, 3)
+    for D in (12, 13):
+        S = SeriesRing(ring, 4, D)
+        x = S.variables()
+        quadric = x[0] * x[3] - x[1] * x[2]
+        assert series_from_json(series_to_json(quadric)) == quadric
+        cubic = quadric + x[0] * x[1] * x[2]
+        if D == 12:
+            assert series_from_json(series_to_json(cubic)) == cubic
+        else:
+            with pytest.raises(ValidationError, match="1820"):
+                series_from_json(series_to_json(cubic))
 
 
 def test_parent_mismatch_rejected():
