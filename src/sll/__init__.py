@@ -8,17 +8,11 @@ singularities), dieudonne (quasi-polarized rank-4 modules), deformation
 enumeration), cli (JSON command-line front end).
 """
 
-from .base_rings import (
-    FiniteField,
-    WittRing,
-    ghost_product_digits,
-    ghost_sum_digits,
-)
+from .base_rings import FiniteField, WittRing
 from .deformation import (
     HodgeFrame,
     classify_point,
     deformation_equation,
-    display_tangent_frobenius,
     nonordinary_locus,
     standard_display,
     standard_frame,
@@ -53,8 +47,6 @@ from .singularity import (
 __all__ = [
     "FiniteField",
     "WittRing",
-    "ghost_sum_digits",
-    "ghost_product_digits",
     "SeriesRing",
     "TruncatedSeries",
     "QuadraticForm",
@@ -79,7 +71,6 @@ __all__ = [
     "deformation_equation",
     "classify_point",
     "standard_display",
-    "display_tangent_frobenius",
     "nonordinary_locus",
     "IsotropicPlane",
     "enumerate_special_fiber",

@@ -3,9 +3,9 @@
 W_n(F_q) is realized as (Z/p^n)[x]/(g) where g is the distinguished monic
 lift of the field's defining polynomial whose root class is multiplicative
 (g divides x^q - x).  Multiplication is therefore plain polynomial
-arithmetic; Witt coordinates (Teichmuller digits) are a conversion layer,
-and the classical ghost-component construction is kept alongside as an
-independent oracle (`ghost_sum_digits`, `ghost_product_digits`).
+arithmetic, and Witt coordinates (Teichmuller digits) are a conversion
+layer.  The test suite checks both against the classical ghost-component
+construction.
 
 F_q = F_p[x]/(modulus) is the n = 1 case, W_1(F_q): both rings expose
 `pn` (p^n, or p for a field) and `lifted_modulus` (the modulus itself for
@@ -18,7 +18,6 @@ contexts; every operation is pure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .errors import DomainError, InternalInvariantError, ValidationError
@@ -519,7 +518,7 @@ class WittRing(_CoeffRing):
                 v = min(v, w)
         return v
 
-    def divide_exact_p(self, x, k=1):
+    def divide_exact_p(self, x, k):
         """Divide by p^k.  Requires p^k | x; the result carries only
         n - k trusted digits (caller does the precision bookkeeping)."""
         pk = self.p ** k
@@ -529,126 +528,6 @@ class WittRing(_CoeffRing):
                 raise DomainError(f"element not divisible by p^{k}")
             out.append(c // pk)
         return WittElement(self, tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# ghost-component oracle
-#
-# The classical Witt-vector construction, computed over the naive integral
-# lift Lambda = Z[x]/(modulus), entirely with exact integer arithmetic.
-# Independent of the polynomial-representation arithmetic above: it only
-# reads Teichmuller digit vectors and returns the digits the universal Witt
-# sum/product polynomials prescribe.
-
-
-def _lam_mul(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    dm = len(mod) - 1
-    for k in range(len(out) - 1, dm - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for j in range(dm + 1):
-                out[k - dm + j] -= c * mod[j]
-    out = out[:dm]
-    return tuple(out) + (0,) * (dm - len(out))
-
-
-def _lam_pow(a, e, mod):
-    dm = len(mod) - 1
-    out = (1,) + (0,) * (dm - 1)
-    base = a
-    while e:
-        if e & 1:
-            out = _lam_mul(out, base, mod)
-        base = _lam_mul(base, base, mod)
-        e >>= 1
-    return out
-
-
-def _ghost_vector(lifts, p, n, mod):
-    ghosts = []
-    for k in range(n):
-        w = tuple(0 for _ in range(len(mod) - 1))
-        for i in range(k + 1):
-            term = _lam_pow(lifts[i], p ** (k - i), mod)
-            w = tuple(a + (p ** i) * t for a, t in zip(w, term))
-        ghosts.append(w)
-    return ghosts
-
-
-def _ghost_solve(ghosts, p, n, mod):
-    comps = []
-    for k in range(n):
-        num = ghosts[k]
-        for i in range(k):
-            term = _lam_pow(comps[i], p ** (k - i), mod)
-            num = tuple(a - (p ** i) * t for a, t in zip(num, term))
-        pk = p ** k
-        for c in num:
-            if c % pk:
-                raise InternalInvariantError("ghost solve-back lost integrality")
-        comps.append(tuple(c // pk for c in num))
-    return comps
-
-
-def _witt_coordinates(ring, x):
-    """Classical Witt coordinates of x: the Teichmuller expansion
-    x = sum p^i [d_i] has coordinates x_i = d_i^(p^i); the two agree over
-    prime fields."""
-    out = []
-    for i, d in enumerate(ring.digits(x)):
-        for _ in range(i):
-            d = ring.field.frobenius(d)
-        out.append(d)
-    return out
-
-
-def _coordinates_to_digits(field, coords):
-    out = []
-    for i, c in enumerate(coords):
-        # p-th root is frobenius^(m-1); invert the i-fold twist
-        for _ in range(i * (field.m - 1) % field.m if field.m > 1 else 0):
-            c = field.frobenius(c)
-        out.append(c)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=4096)
-def _element_ghosts(ring, coeffs):
-    """Ghost vector of the element of `ring` with these coefficients;
-    memoized, since oracle checks run many pairs over few elements."""
-    lifts = [tuple(int(c) for c in d.coeffs) for d in _witt_coordinates(ring, ring.element(coeffs))]
-    return tuple(_ghost_vector(lifts, ring.p, ring.n, tuple(int(c) for c in ring.field.modulus)))
-
-
-def _ghost_binary(a, b, combine):
-    ring = a.ring
-    if b.ring != ring:
-        raise DomainError("operands lie in different Witt rings")
-    p, n = ring.p, ring.n
-    mod = tuple(int(c) for c in ring.field.modulus)
-    ga = _element_ghosts(ring, a.coeffs)
-    gb = _element_ghosts(ring, b.coeffs)
-    gc = [combine(x, y) for x, y in zip(ga, gb)]
-    comps = _ghost_solve(gc, p, n, mod)
-    coords = [ring.field.element(tuple(c % p for c in comp)) for comp in comps]
-    return _coordinates_to_digits(ring.field, coords)
-
-
-def ghost_sum_digits(a, b):
-    """Digits of a + b predicted by the ghost-component construction."""
-    return _ghost_binary(a, b, lambda x, y: tuple(u + v for u, v in zip(x, y)))
-
-
-def ghost_product_digits(a, b):
-    """Digits of a * b predicted by the ghost-component construction."""
-    mod = tuple(int(c) for c in a.ring.field.modulus)
-    return _ghost_binary(a, b, lambda x, y: _lam_mul(x, y, mod))
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,6 @@ def _cmd_witt(args):
     key = "coeffs" if "coeffs" in doc else "digits"
     if not isinstance(rows, list) or not rows:
         raise ValidationError("witt input needs a nonempty 'coeffs' or 'digits' list")
-    if not isinstance(rows[0], list):
-        rows = [rows]
     operands = [jsonio.elem_from_fields(ring, {key: row}) for row in rows]
     if args.op in ("add", "mul"):
         if len(operands) < 2:
@@ -160,7 +158,7 @@ def _cmd_dieudonne(args):
         return {
             "a_number": dieudonne.a_number(module),
             "p_rank": dieudonne.p_rank(module),
-            "kernel_type": dieudonne.kernel_type(module).tag,
+            "kernel_type": dieudonne.kernel_type(module),
         }
     if args.op == "dual":
         dual = dieudonne.dual_lattice(module)

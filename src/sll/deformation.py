@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import PreconditionError
 from .series import SeriesRing
-from .singularity import LocalRingClass, classify_local_ring, default_truncation
+from .singularity import classify_local_ring, default_truncation
 
 T_VARS = ("t11", "t12", "t21", "t22")
 
@@ -59,9 +59,8 @@ def standard_frame(module):
     return HodgeFrame(module, (2, 3), (0, 1))
 
 
-def relation_ring(witt_ring, degree=None):
-    degree = degree or default_truncation(witt_ring.p)
-    return SeriesRing(witt_ring, 4, degree, T_VARS)
+def relation_ring(witt_ring):
+    return SeriesRing(witt_ring, 4, default_truncation(witt_ring.p), T_VARS)
 
 
 def expand_pairing(frame, left, right, sring=None, left_vars=(0, 1), right_vars=(2, 3)):
@@ -87,19 +86,19 @@ def expand_pairing(frame, left, right, sring=None, left_vars=(0, 1), right_vars=
     return linalg.bilinear(J, deformed(left, left_vars), deformed(right, right_vars), sring.zero())
 
 
-def deformation_equation(frame, degree=None):
+def deformation_equation(frame):
     """The isotropy relation of the deformed filtration, a series of total
     degree <= 2 in t11, t12, t21, t22 over W_n(F_q)."""
-    sring = relation_ring(frame.module.ring, degree)
+    sring = relation_ring(frame.module.ring)
     y1, y2 = frame.Y_indices
     return expand_pairing(frame, y1, y2, sring)
 
 
-def classify_point(frame, degree=None):
+def classify_point(frame):
     """Classification of the deformation relation's local ring: Smooth for
     Lagrangian frames, an ordinary double point with v(a') = 1 for the
     superspecial non-Lagrangian fixture."""
-    return classify_local_ring(deformation_equation(frame, degree))
+    return classify_local_ring(deformation_equation(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -127,25 +126,19 @@ class DisplayRelations:
                     raise PreconditionError("display entries are linear forms")
 
 
-def standard_display(field, degree=None):
+def standard_display(field):
     """The universal display: T_ij is the Teichmuller lift of the
     coordinate t_ij; at the tangent level the matrix of variables."""
-    degree = degree or 3
-    sring = SeriesRing(field, 4, degree, T_VARS)
+    sring = SeriesRing(field, 4, 3, T_VARS)
     t = sring.variables()
     return DisplayRelations(sring, [[t[0], t[1]], [t[2], t[3]]])
 
 
-def display_tangent_frobenius(display):
-    """Frobenius on the tangent space M~/VM~ read off the display: the 2x2
-    matrix of linear forms [[t11, t12], [t21, t22]] for the standard one."""
-    return [row[:] for row in display.entries]
-
-
 def nonordinary_locus(display):
     """Defining polynomial of the non-ordinary locus: the determinant of
-    the tangent Frobenius, over F_q[t]."""
-    T = display_tangent_frobenius(display)
+    the tangent Frobenius, over F_q[t].  The display's entries are that
+    Frobenius on M~/VM~, [[t11, t12], [t21, t22]] for the standard one."""
+    T = display.entries
     return T[0][0] * T[1][1] - T[0][1] * T[1][0]
 
 

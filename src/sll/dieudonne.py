@@ -90,9 +90,6 @@ class DieudonneModule:
             "fv_pairing_compatible": linalg.mat_eq(ftj, jv),
         }
 
-    def is_valid(self):
-        return all(self.validate().values())
-
     def require_valid(self, what):
         """self, or a ValidationError naming the failed checks."""
         bad = [k for k, ok in self.validate().items() if not ok]
@@ -233,32 +230,22 @@ def dual_lattice(module):
     return DualLattice(module, B, precision)
 
 
-@dataclass
-class KernelType:
-    """Polarization-kernel dichotomy at a-number 2."""
-
-    tag: str  # AlphaSquare | NonAlphaSquare | NotSuperspecial
-
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.tag == other
-        return isinstance(other, KernelType) and other.tag == self.tag
-
-
 def kernel_type(module):
-    """AlphaSquare iff F(p M^t) and V(p M^t) land in p M, tested at
-    precision n-1; modules with a-number != 2 are NotSuperspecial."""
+    """The polarization-kernel dichotomy at a-number 2, as a tag:
+    "AlphaSquare" iff F(p M^t) and V(p M^t) land in p M, tested at
+    precision n-1, else "NonAlphaSquare"; modules with a-number != 2 are
+    "NotSuperspecial"."""
     if module.ring.n < 2:
         raise PreconditionError("kernel type needs n >= 2")
     if a_number(module) != 2:
-        return KernelType("NotSuperspecial")
+        return "NotSuperspecial"
     dual = dual_lattice(module)
     for col in dual.columns():
         for image in (module.apply_F(col), module.apply_V(col)):
             # precision n-1 >= 1, so residues of the entries are trusted
             if any(module.ring.residue(x) for x in image):
-                return KernelType("NonAlphaSquare")
-    return KernelType("AlphaSquare")
+                return "NonAlphaSquare"
+    return "AlphaSquare"
 
 
 # ---------------------------------------------------------------------------

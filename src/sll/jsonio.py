@@ -69,14 +69,13 @@ def _digits_list(ring, x):
     return [list(d.coeffs) for d in ds]
 
 
-def elem_to_json(ring, x, with_digits=True):
+def elem_to_json(ring, x):
     doc = {"p": ring.p, "m": ring.field.m, "n": ring.n, "coeffs": list(x.coeffs)}
     # coefficients and digits are read against the field modulus, so the
     # document names it whenever it is not the default one
     if ring.field.modulus != find_irreducible(ring.p, ring.field.m):
         doc["modulus"] = list(ring.field.modulus)
-    if with_digits:
-        doc["digits"] = _digits_list(ring, x)
+    doc["digits"] = _digits_list(ring, x)
     return doc
 
 

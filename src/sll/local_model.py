@@ -153,20 +153,16 @@ def singular_points(q):
     return [plane for plane in enumerate_special_fiber(q) if tangent_dimension(plane) == 4]
 
 
-def chart_equation(ring, center=None, degree=None):
+def chart_equation(ring):
     """Equation of the affine chart at the distinguished point z = <e1, e4>.
 
     Nearby planes are the row spaces of [[1, t11, t12, 0], [0, t21, t22, 1]];
     expanding psi(row1, row2) = 0 gives exactly p + t11*t22 - t12*t21 over
-    W_n.  `center`, when given, must be the radical plane.
+    W_n.
     """
     if not isinstance(ring, WittRing):
         raise PreconditionError("the chart lives over a Witt ring")
-    if center is not None:
-        if center != radical_plane(ring.field):
-            raise PreconditionError("the chart is centered at the radical plane <e1, e4>")
-    degree = degree or default_truncation(ring.p)
-    sring = SeriesRing(ring, 4, degree, T_VARS)
+    sring = SeriesRing(ring, 4, default_truncation(ring.p), T_VARS)
     t = sring.variables()
     zero, one = sring.zero(), sring.one()
     G = linalg.mat_map(pairing_matrix(ring), sring.constant)

@@ -195,7 +195,7 @@ class TruncatedSeries:
         ring = self.parent.with_degree(new_degree)
         return TruncatedSeries(ring, {e: c for e, c in self.coeffs.items() if sum(e) < new_degree})
 
-    # -- substitution and inversion --------------------------------
+    # -- substitution ------------------------------------------------
 
     def substitute(self, images):
         """f(phi_1, ..., phi_n), truncated.  Every phi_i must have constant
@@ -224,47 +224,6 @@ class TruncatedSeries:
                 term = term * pows[i][ei]
             out = out + term
         return out
-
-    def invert_unit(self):
-        """Multiplicative inverse of a series whose constant term is a unit."""
-        ring = self.parent
-        c0 = self.constant_term()
-        if not ring.coeff_ring.is_unit(c0):
-            raise PreconditionError("constant term is not a unit", part="constant")
-        g = ring.constant(ring.coeff_ring.invert(c0))
-        one = ring.one()
-        two = one + one
-        guard = 0
-        while self * g != one:
-            g = g * (two - self * g)
-            guard += 1
-            if guard > 64:
-                raise PreconditionError("unit inversion did not converge")
-        return g
-
-    def evaluate(self, point):
-        """Value of the representing polynomial at a coefficient-ring point."""
-        ring = self.parent
-        point = [ring.coeff_ring.element(c) for c in point]
-        if len(point) != ring.nvars:
-            raise PreconditionError("evaluation needs one value per variable")
-        acc = ring.coeff_ring.zero()
-        for e, c in self.coeffs.items():
-            term = c
-            for x, ei in zip(point, e):
-                for _ in range(ei):
-                    term = term * x
-            acc = acc + term
-        return acc
-
-    def permute_variables(self, perm):
-        """Relabel variables: new variable j carries old variable perm[j]."""
-        if sorted(perm) != list(range(self.parent.nvars)):
-            raise PreconditionError("not a permutation")
-        out = {}
-        for e, c in self.coeffs.items():
-            out[tuple(e[perm[j]] for j in range(len(perm)))] = c
-        return TruncatedSeries(self.parent, out)
 
     def map_coefficients(self, fn, new_coeff_ring):
         """Apply fn to every coefficient, landing in new_coeff_ring."""

@@ -42,12 +42,12 @@ class NormalFormResult:
     phi: list
     unit: TruncatedSeries
 
-    def rhs_series(self, ring=None):
-        ring = ring or self.unit.parent
+    def rhs_series(self):
+        ring = self.unit.parent
         return self.unit * (ring.constant(self.a_prime) + self.q_prime.to_series(ring))
 
     def certificate_holds(self, f):
-        return f.substitute(self.phi) == self.rhs_series(f.parent)
+        return f.substitute(self.phi) == self.rhs_series()
 
 
 @dataclass
@@ -142,7 +142,8 @@ def kill_linear_term(f):
 
 
 def strip_higher_terms(f):
-    """The absorbing step at each degree d = 3 .. D-1 in turn.
+    """The absorbing step at each degree d = 3 .. D-1 in turn, stopping
+    once f has no term of degree d or more: every later step is empty.
 
     Returns (phi, unit, Q_prime) with f(phi(x)) = unit * (a + Q'(x)) up to
     degree D; the canonical unit is 1 and Q' equals the input quadratic
@@ -156,6 +157,8 @@ def strip_higher_terms(f):
     ring = f.parent
     phi = ring.variables()
     for d in range(3, ring.degree):
+        if f.degree_bound() < d:
+            break
         step = _absorbing_step(f, d, Ginv)
         if step is None:
             continue

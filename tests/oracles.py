@@ -5,19 +5,20 @@ the code under test: naive dict-based polynomial arithmetic for series
 multiplication and composition, an integer-table Grassmannian filter for
 the local-model fiber, a standalone row reduction for ranks, and
 brute-force point counts of quadrics over integer-table fields.  Only
-base coefficient arithmetic is shared (it is itself checked against the
-ghost construction).  `filter_special_fiber` (every echelon plane,
-filtered by its pairing) and `rank_tangent_dimension` (the tangent
-equation on a complement found by rank tests) are the references for
-the fiber and tangent dimensions that `sll.local_model` reads off the
-Schubert-divisor description; they share `IsotropicPlane` and
-`pairing_value` with it, but not its generator.  The brute-force witness
-search reuses the membership test, the Smith data and the witness
-completion of `sll.dieudonne`, but not its linear solver.
+base coefficient arithmetic is shared, and it is itself checked against
+the ghost-component construction of Witt-vector arithmetic in this file.
+`filter_special_fiber` (every echelon plane, filtered by its pairing) and
+`rank_tangent_dimension` (the tangent equation on a complement found by
+rank tests) are the references for the fiber and tangent dimensions that
+`sll.local_model` reads off the Schubert-divisor description; they share
+`IsotropicPlane` and `pairing_value` with it, but not its generator.  The
+brute-force witness search reuses the membership test, the Smith data and
+the witness completion of `sll.dieudonne`, but not its linear solver.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from sll.dieudonne import (
@@ -210,6 +211,79 @@ def int_poly_pow_mod(a, e, mod, p):
         a = int_poly_mul_mod(a, a, mod, p)
         e >>= 1
     return out
+
+
+# -- the ghost-component construction of Witt-vector arithmetic
+#
+# The classical route: Witt coordinates x_i have ghost components
+# w_k = sum_{i <= k} p^i x_i^(p^(k-i)), which add and multiply
+# componentwise; solving back gives the coordinates of the sum or product.
+# It runs over (Z/p^n)[x]/(field modulus) with the integer polynomials
+# above.  That is exact enough: a = b mod p^s gives a^(p^j) = b^(p^j)
+# mod p^(s+j), so a solved x_i, known mod p^(n-i), still fixes
+# p^i x_i^(p^(k-i)) mod p^n, and the digit x_k mod p needs only w_k mod
+# p^(k+1).  Frobenius on F_q is a p-th power here too: of `sll` only
+# `ring.digits` (the digits under test) and element construction are used.
+
+
+def _ghost_components(coords, p, n, mod):
+    pn = p ** n
+    out = []
+    for k in range(n):
+        w = (0,) * (len(mod) - 1)
+        for i in range(k + 1):
+            t = int_poly_pow_mod(coords[i], p ** (k - i), mod, pn)
+            w = tuple((a + p ** i * b) % pn for a, b in zip(w, t))
+        out.append(w)
+    return out
+
+
+def _coordinates_from_ghosts(ghosts, p, n, mod):
+    pn = p ** n
+    coords = []
+    for k, w in enumerate(ghosts):
+        for i, x in enumerate(coords):
+            t = int_poly_pow_mod(x, p ** (k - i), mod, pn)
+            w = tuple((a - p ** i * b) % pn for a, b in zip(w, t))
+        assert not any(c % p ** k for c in w), "ghost solve-back lost integrality"
+        coords.append(tuple(c // p ** k for c in w))
+    return coords
+
+
+@functools.lru_cache(maxsize=4096)
+def _element_ghosts(ring, coeffs):
+    """Ghost vector of the element with these coefficients: its Teichmuller
+    digits d_i give the Witt coordinates x_i = d_i^(p^i).  Memoized, since
+    oracle checks run many pairs over few elements."""
+    p, mod = ring.p, ring.field.modulus
+    digits = ring.digits(ring.element(coeffs))
+    coords = [int_poly_pow_mod(d.coeffs, p ** i, mod, p) for i, d in enumerate(digits)]
+    return tuple(_ghost_components(coords, p, ring.n, mod))
+
+
+def _ghost_digits(a, b, combine):
+    ring = a.ring
+    p, m, mod = ring.p, ring.field.m, ring.field.modulus
+    ghosts = [combine(x, y) for x, y in
+              zip(_element_ghosts(ring, a.coeffs), _element_ghosts(ring, b.coeffs))]
+    coords = _coordinates_from_ghosts(ghosts, p, ring.n, mod)
+    # d_i = x_i^(p^(-i)), and p^(-i) = p^(-i mod m) on F_q
+    return tuple(
+        ring.field.element(int_poly_pow_mod(tuple(c % p for c in x), p ** (-i % m), mod, p))
+        for i, x in enumerate(coords)
+    )
+
+
+def ghost_sum_digits(a, b):
+    """Digits of a + b predicted by the ghost-component construction."""
+    pn = a.ring.p ** a.ring.n
+    return _ghost_digits(a, b, lambda x, y: tuple((u + v) % pn for u, v in zip(x, y)))
+
+
+def ghost_product_digits(a, b):
+    """Digits of a * b predicted by the ghost-component construction."""
+    ring = a.ring
+    return _ghost_digits(a, b, lambda x, y: int_poly_mul_mod(x, y, ring.field.modulus, ring.p ** ring.n))
 
 
 def _has_no_root(poly, p):

@@ -6,10 +6,7 @@ Every tolerance is exact equality over the stated rings.
 import random
 from contextlib import contextmanager
 
-import pytest
-
-from sll import linalg
-from sll.base_rings import FiniteField, WittRing, ghost_product_digits, ghost_sum_digits
+from sll.base_rings import FiniteField, WittRing
 from sll.deformation import (
     classify_point,
     deformation_equation,
@@ -32,7 +29,7 @@ from sll.quadforms import QuadraticForm, is_nondegenerate
 from sll.series import SeriesRing
 from sll.singularity import classify_local_ring, kill_linear_term, normal_form
 
-from .oracles import grassmannian_isotropic_count
+from .oracles import ghost_product_digits, ghost_sum_digits, grassmannian_isotropic_count
 
 
 @contextmanager

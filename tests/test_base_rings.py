@@ -10,14 +10,20 @@ from sll.base_rings import (
     FiniteField,
     WittRing,
     find_irreducible,
-    ghost_product_digits,
-    ghost_sum_digits,
     is_irreducible,
 )
 from sll.errors import DomainError, ValidationError
 from sll.jsonio import elem_from_fields, elem_to_json
 
-from .oracles import TableField, first_irreducible, int_poly_mul_mod, int_poly_pow_mod
+from . import oracles
+from .oracles import (
+    TableField,
+    first_irreducible,
+    ghost_product_digits,
+    ghost_sum_digits,
+    int_poly_mul_mod,
+    int_poly_pow_mod,
+)
 
 
 def W(p, m, n):
@@ -168,6 +174,24 @@ def test_ghost_oracle_random_p5_n3():
         a, b = ring.random_element(rng), ring.random_element(rng)
         assert ring.digits(a + b) == ghost_sum_digits(a, b)
         assert ring.digits(a * b) == ghost_product_digits(a, b)
+
+
+def test_ghost_oracle_reads_no_frobenius_from_sll(monkeypatch):
+    # the oracle's Frobenius is its own p-th power, so sll's may be broken
+    rings = [W(3, 2, 2), W(5, 1, 3)]
+
+    def broken(self, x):
+        raise AssertionError("the ghost oracle called sll's Frobenius")
+
+    monkeypatch.setattr(FiniteField, "frobenius", broken)
+    monkeypatch.setattr(WittRing, "frobenius", broken)
+    oracles._element_ghosts.cache_clear()
+    rng = random.Random(11)
+    for ring in rings:
+        for _ in range(300):
+            a, b = ring.random_element(rng), ring.random_element(rng)
+            assert ring.digits(a + b) == ghost_sum_digits(a, b)
+            assert ring.digits(a * b) == ghost_product_digits(a, b)
 
 
 def test_lifted_modulus_reduces_to_modulus_and_is_stationary():

@@ -286,6 +286,8 @@ BAD_INPUTS = {
     "coeff_bool": ["witt", "mul", '{"p":3,"m":1,"n":2,"coeffs":[[true],[1]]}'],
     "digit_bool": ["witt", "frob", '{"p":2,"m":1,"n":2,"digits":[[true,0]]}'],
     "digits_not_list": ["witt", "frob", '{"p":2,"m":1,"n":2,"digits":[[1],3]}'],
+    # the value is always a list of operand rows, never one bare row
+    "witt_bare_row": ["witt", "frob", '{"p":2,"m":1,"n":2,"coeffs":[1]}'],
     "series_exponent_float": [
         "series-reduce",
         '{"coeff_ring":{"p":2,"n":2},"nvars":1,"degree":3,"terms":[{"exps":[1.0],"coeff":[1]}]}',

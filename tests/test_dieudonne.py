@@ -41,7 +41,7 @@ def test_standard_fixtures_satisfy_all_invariants(p, m, n):
 def test_supersingular_a1_fixture_odd_p():
     for p in (3, 5):
         module = make_standard(ring_W(p, 1, 2), "supersingular_a1")
-        assert module.is_valid()
+        assert all(module.validate().values())
     with pytest.raises(PreconditionError):
         make_standard(ring_W(2, 1, 2), "supersingular_a1")
 
@@ -203,7 +203,7 @@ def test_invariants_stable_under_random_base_change():
                 if linalg.rank_field(ring.field, gbar) == 4:
                     break
             other = base_change(module, g)
-            assert other.is_valid()
+            assert all(other.validate().values())
             assert a_number(other) == a0
             assert p_rank(other) == f0
 

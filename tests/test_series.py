@@ -101,37 +101,6 @@ def test_substitute_rejects_unit_constant_term():
         S.variable(0).substitute([S.one(), S.variable(1)])
 
 
-def test_invert_unit_one():
-    S = SeriesRing(ring_W(3, 1, 2), 2, 4)
-    assert S.one().invert_unit() == S.one()
-
-
-def test_invert_unit_geometric_series():
-    S = SeriesRing(ring_W(3, 1, 2), 1, 5)
-    x = S.variable(0)
-    inv = (S.one() + x).invert_unit()
-    want = S.from_terms([((0,), 1), ((1,), -1), ((2,), 1), ((3,), -1), ((4,), 1)])
-    assert inv == want
-
-
-def test_invert_unit_random_units():
-    S = SeriesRing(ring_W(3, 2, 2), 2, 5)
-    rng = random.Random(5)
-    count = 0
-    while count < 100:
-        f = random_series(S, rng)
-        if not S.coeff_ring.is_unit(f.constant_term()):
-            continue
-        count += 1
-        assert f * f.invert_unit() == S.one()
-
-
-def test_invert_nonunit_rejected():
-    S = SeriesRing(ring_W(2, 1, 2), 1, 4)
-    with pytest.raises(PreconditionError):
-        S.variable(0).invert_unit()
-
-
 def test_graded_part_of_the_standard_quadric():
     ring = ring_W(2, 1, 3)
     S = SeriesRing(ring, 4, 4)

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from sll import singularity
 from sll.base_rings import FiniteField, WittRing
+from sll.deformation import deformation_equation, standard_frame
+from sll.dieudonne import make_standard
 from sll.errors import PreconditionError, SmoothShortCircuit
 from sll.quadforms import QuadraticForm, is_nondegenerate
 from sll.series import SeriesRing
@@ -157,6 +160,26 @@ def test_strip_random_50_certified():
         got = f.substitute(phi)
         want = unit * (S.constant(f.constant_term()) + q_prime.to_series(S))
         assert got == want
+
+
+def test_strip_stops_once_no_higher_terms_are_left(monkeypatch):
+    # the deformation relation p + t11*t22 - t12*t21 of `deform --fixture iib
+    # --q 65521 --n 2` is quadratic at D = 131,044: no degree needs a step
+    module = make_standard(ring_W(65521, 1, 2), "iib")
+    rel = deformation_equation(standard_frame(module))
+    assert rel.parent.degree == 131_044
+    calls = []
+    step = singularity._absorbing_step
+
+    def counted(f, d, Ginv):
+        calls.append(d)
+        return step(f, d, Ginv)
+
+    monkeypatch.setattr(singularity, "_absorbing_step", counted)
+    cls = classify_local_ring(rel)
+    assert cls.tag == "OrdinaryDoublePoint" and cls.valuation == 1
+    assert cls.normal_form.phi == rel.parent.variables()
+    assert len(calls) < 10
 
 
 def test_normal_form_exact_quadric():
