@@ -178,7 +178,8 @@ class Residue:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if not isinstance(other, Residue) or other.ring != self.ring:
+        if not isinstance(other, Residue) or (
+                other.ring is not self.ring and other.ring != self.ring):
             raise DomainError("operands lie in different rings")
 
     def __add__(self, other):

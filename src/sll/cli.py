@@ -19,8 +19,17 @@ from . import deformation, dieudonne, jsonio, linalg, local_model, singularity
 from .base_rings import WittRing
 from .errors import DomainError, PreconditionError, SmoothShortCircuit, ValidationError
 
-# each spot check is a random base change plus a-number and p-rank, a few ms
-MAX_SPOT_CHECKS = 1000
+# Spot checks are bounded by their estimated work.  One check (a random base
+# change plus a-number and p-rank) over W_n(F_q), q = p^m, is estimated at
+# 3 + m(3 + 3n/8) ms: measured through `run`, the worst of four fixtures
+# took 4 ms at q = 2, n = 2, 9 ms at q = 121, n = 4, 12 ms at q = 65521,
+# n = 16 and 75 ms at q = 256, n = 30, all at or below the estimate.
+MAX_SPOT_CHECK_US = 8_000_000
+
+
+def _spot_check_us(ring):
+    """Estimated microseconds of one spot check over W_n(F_q), m = log_p q."""
+    return 3000 + ring.field.m * (3000 + 375 * ring.n)
 
 
 def default_precision():
@@ -139,8 +148,12 @@ def _cmd_dieudonne(args):
     ring = module.ring
     if args.op == "validate":
         spot = args.spot_checks
-        if not 0 <= spot <= MAX_SPOT_CHECKS:
-            raise ValidationError(f"--spot-checks must be between 0 and {MAX_SPOT_CHECKS}")
+        cost = _spot_check_us(ring)
+        if spot < 0 or spot * cost > MAX_SPOT_CHECK_US:
+            raise ValidationError(
+                f"--spot-checks must be between 0 and {MAX_SPOT_CHECK_US // cost} over "
+                f"W_{ring.n}(F_{ring.field.q}): about {cost / 1000:g} ms each, "
+                f"{MAX_SPOT_CHECK_US // 1_000_000} s in all")
         checks = module.validate()
         doc = {"checks": checks, "valid": all(checks.values())}
         if spot:

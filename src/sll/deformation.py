@@ -63,35 +63,29 @@ def relation_ring(witt_ring):
     return SeriesRing(witt_ring, 4, default_truncation(witt_ring.p), T_VARS)
 
 
-def expand_pairing(frame, left, right, sring=None, left_vars=(0, 1), right_vars=(2, 3)):
-    """<left~, right~> where left~ = e_left + sum_i lv_i X_i and
-    right~ = e_right + sum_j rv_j X_j; left/right are basis indices and
-    lv/rv pick which of the four t-variables deform each side.
-
-    Exposed separately so alternating consistency (<Y1~, Y1~>, both sides
-    carrying the same variable row) is directly assertable.
-    """
+def expand_pairing(frame, left, right):
+    """<left~, right~> where left~ = e_left + t11 X1 + t12 X2 and
+    right~ = e_right + t21 X1 + t22 X2; left/right are basis indices."""
     module = frame.module
-    sring = sring or relation_ring(module.ring)
+    sring = relation_ring(module.ring)
     t = sring.variables()  # t11, t12, t21, t22
 
-    def deformed(index, variables):
+    def deformed(index, ts):
         vec = [sring.zero()] * 4
         vec[index] = sring.one()
-        for x, k in zip(frame.X_indices, variables):
-            vec[x] = vec[x] + t[k]
+        for x, tk in zip(frame.X_indices, ts):
+            vec[x] = vec[x] + tk
         return vec
 
     J = linalg.mat_map(module.J, sring.constant)  # J[i][j] = <e_i, e_j>
-    return linalg.bilinear(J, deformed(left, left_vars), deformed(right, right_vars), sring.zero())
+    return linalg.bilinear(J, deformed(left, t[:2]), deformed(right, t[2:]), sring.zero())
 
 
 def deformation_equation(frame):
     """The isotropy relation of the deformed filtration, a series of total
     degree <= 2 in t11, t12, t21, t22 over W_n(F_q)."""
-    sring = relation_ring(frame.module.ring)
     y1, y2 = frame.Y_indices
-    return expand_pairing(frame, y1, y2, sring)
+    return expand_pairing(frame, y1, y2)
 
 
 def classify_point(frame):

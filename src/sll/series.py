@@ -103,7 +103,8 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if not isinstance(other, TruncatedSeries) or other.parent != self.parent:
+        if not isinstance(other, TruncatedSeries) or (
+                other.parent is not self.parent and other.parent != self.parent):
             raise DomainError("series from different rings")
 
     # -- ring operations -----------------------------------------
@@ -129,12 +130,15 @@ class TruncatedSeries:
     def __mul__(self, other):
         self._check(other)
         D = self.parent.degree
+        # the right operand by degree (exponents are distinct, so no
+        # coefficient is compared): each row stops at its first truncated pair
+        right = sorted((sum(e), e, c) for e, c in other.coeffs.items())
         out = {}
         for e1, c1 in self.coeffs.items():
             d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) >= D:
-                    continue
+            for d2, e2, c2 in right:
+                if d1 + d2 >= D:
+                    break
                 e = tuple(a + b for a, b in zip(e1, e2))
                 prod = c1 * c2
                 acc = out.get(e)
@@ -212,18 +216,29 @@ class TruncatedSeries:
                     "substituted series must have constant term in the maximal ideal",
                     part="constant",
                 )
-        pows = [[ring.one()] for _ in range(ring.nvars)]
-        out = ring.zero()
-        for e, c in sorted(self.coeffs.items(), key=lambda t: _term_key(t[0])):
-            term = ring.constant(c)
+        pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
+        out = {}
+        for e, c in self.coeffs.items():
+            # the image of the monomial x^e, then c times it added into out
+            mono = None
             for i, ei in enumerate(e):
                 if ei == 0:
                     continue
                 while len(pows[i]) <= ei:
                     pows[i].append(pows[i][-1] * images[i])
-                term = term * pows[i][ei]
-            out = out + term
-        return out
+                mono = pows[i][ei] if mono is None else mono * pows[i][ei]
+            if mono is None:
+                image = ((e, c),)
+            else:
+                image = ((e2, c * c2) for e2, c2 in mono.coeffs.items())
+            for e2, v in image:
+                acc = out.get(e2)
+                s = acc + v if acc is not None else v
+                if s:
+                    out[e2] = s
+                elif e2 in out:
+                    del out[e2]
+        return TruncatedSeries(ring, out)
 
     def map_coefficients(self, fn, new_coeff_ring):
         """Apply fn to every coefficient, landing in new_coeff_ring."""

@@ -6,7 +6,11 @@ sum x_i h_i, is absorbed by the substitution x -> x - G^{-1} h, where G is
 the Gram matrix of the quadratic part.  Repeated at d = 1 until the linear
 part vanishes, the step is the Newton iteration for the shift that kills
 the linear term; applied once at each d = 3 .. D-1, it strips the higher
-terms.  The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), exact
+terms.  A step at degree d >= 3 is x -> x + u with u of order d - 1, so
+`_compose` substitutes it only into the monomials of degree below D - d + 2
+and passes the rest through; the series kernel visits only the products of
+total degree below D.  The output is a certificate
+f(phi(x)) = unit * (a' + Q'(x)), checked by one full substitution and exact
 up to the truncation degree, with a' congruent to the original constant
 modulo p^3 when the linear coefficients start in (p^2); more generally
 linear coefficients in (p^r) give agreement modulo p^(2r).
@@ -114,6 +118,20 @@ def _absorbing_step(f, d, Ginv):
     return step
 
 
+def _compose(g, step, d):
+    """g(step) for a degree-d absorbing step x -> x + u, u of order d - 1.
+
+    A monomial of degree k only gains terms of degree >= k + d - 2, so one
+    of degree k >= D - d + 2 passes through unchanged: only the part of g
+    below that degree is substituted, and the rest is added back as is."""
+    ring = g.parent
+    cut = ring.degree - d + 2
+    low, high = {}, {}
+    for e, c in g.coeffs.items():
+        (high if sum(e) >= cut else low)[e] = c
+    return TruncatedSeries(ring, low).substitute(step) + TruncatedSeries(ring, high)
+
+
 def kill_linear_term(f):
     """Shift b with the linear part of f(x + b) identically zero.
 
@@ -162,10 +180,10 @@ def strip_higher_terms(f):
         step = _absorbing_step(f, d, Ginv)
         if step is None:
             continue
-        f = f.substitute(step)
+        f = _compose(f, step, d)
         if f.graded_part(d):
             raise InternalInvariantError(f"degree-{d} part survived its correction step")
-        phi = [comp.substitute(step) for comp in phi]
+        phi = [_compose(comp, step, d) for comp in phi]
     q_prime = QuadraticForm.from_series(f)
     if q_prime.upper != Q.upper:
         raise InternalInvariantError("quadratic part drifted during stripping")

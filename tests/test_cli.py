@@ -253,9 +253,12 @@ def test_usage_error_exits_2(capsys):
         ["local-model", "points", "--q", "two"],
         [],
         ["dieudonne", "validate", "--fixture", "iib", "--q", "2", "--n", "2", "--spot-checks", "-3"],
-        # above MAX_SPOT_CHECKS: refused before any base change
+        # above the spot-check work limit: refused before any base change
         ["dieudonne", "validate", "--fixture", "iib", "--q", "2", "--n", "2",
          "--spot-checks", "100000000"],
+        # 1000 checks at about 12 ms each (9 s when run)
+        ["--seed", "3", "dieudonne", "validate", "--fixture", "lagrangian_generic",
+         "--q", "121", "--n", "4", "--spot-checks", "1000"],
         # a truncation degree of 0 is given, not absent
         ["series-reduce", '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,'
          '"terms":[{"exps":[1,1],"coeff":1}]}', "--degree", "0"],

@@ -8,7 +8,6 @@ from sll.deformation import (
     HodgeFrame,
     classify_point,
     deformation_equation,
-    expand_pairing,
     nonordinary_locus,
     reduce_relation_mod_p,
     relation_ring,
@@ -76,7 +75,17 @@ def test_alternating_consistency():
     for case in ("iia", "iib", "ordinary", "lagrangian_generic"):
         module = make_standard(ring, case)
         frame = standard_frame(module)
-        rel = expand_pairing(frame, 2, 2, left_vars=(0, 1), right_vars=(0, 1))
+        sring = relation_ring(ring)
+        t = sring.variables()
+        # Y1~ = e_Y1 + t11 X1 + t12 X2, paired with itself term by term
+        y1 = [sring.zero()] * 4
+        y1[frame.Y_indices[0]] = sring.one()
+        for x, tk in zip(frame.X_indices, t[:2]):
+            y1[x] = y1[x] + tk
+        rel = sring.zero()
+        for i, row in enumerate(module.J):
+            for j, c in enumerate(row):
+                rel = rel + sring.constant(c) * y1[i] * y1[j]
         assert not rel
 
 

@@ -49,6 +49,42 @@ def test_distributivity_and_convolution_oracle():
         assert series_equals_dict(f * g, naive_mul(f, g))
 
 
+def random_monomial(rng, nvars, degree):
+    e = [0] * nvars
+    for _ in range(degree):
+        e[rng.randrange(nvars)] += 1
+    return tuple(e)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 2), (2, 2, 2)])
+def test_mul_cut_at_the_truncation_matches_naive(p, m, n):
+    # terms mostly at or above D/2, so most pairs reach the truncation and
+    # are cut, and many land exactly on degree D
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, 3, 8)
+    rng = random.Random(11)
+
+    def operand():
+        terms = []
+        for _ in range(rng.randrange(1, 12)):
+            degree = rng.randrange(0, 4) if rng.random() < 0.2 else rng.randrange(4, 8)
+            terms.append((random_monomial(rng, 3, degree), ring.random_element(rng)))
+        return S.from_terms(terms)
+
+    cut = kept = 0
+    for _ in range(150):
+        f, g = operand(), operand()
+        for e1 in f.coeffs:
+            for e2 in g.coeffs:
+                if sum(e1) + sum(e2) >= S.degree:
+                    cut += 1
+                else:
+                    kept += 1
+        assert series_equals_dict(f * g, naive_mul(f, g))
+        assert series_equals_dict(g * f, naive_mul(g, f))
+    assert cut > 2 * kept
+
+
 def test_substitute_identity_variables():
     S = SeriesRing(ring_W(3, 1, 3), 3, 5)
     rng = random.Random(2)

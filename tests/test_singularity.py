@@ -182,6 +182,36 @@ def test_strip_stops_once_no_higher_terms_are_left(monkeypatch):
     assert len(calls) < 10
 
 
+@pytest.mark.parametrize("p,m,n,D", [(5, 1, 3, 12), (3, 2, 2, 8)])
+def test_compose_matches_naive_composition_at_every_degree(p, m, n, D):
+    # g(step) for seeded absorbing steps at each d = 3 .. D-1, with g
+    # carrying monomials of every degree, so both sides of the cut
+    # D - d + 2 (and the boundary degree D - d + 1) are present
+    from .oracles import naive_compose, series_equals_dict
+
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, 4, D)
+    rng = random.Random(f"compose:{p}:{m}:{D}")
+
+    def monomial(k):
+        e = [0] * 4
+        for _ in range(k):
+            e[rng.randrange(4)] += 1
+        return tuple(e)
+
+    quadratic = random_nondegenerate_quadratic(S, rng)
+    _, Ginv = singularity._quadratic_inverse(quadratic)
+    for d in range(3, D):
+        tail = S.from_terms((monomial(d), ring.random_element(rng)) for _ in range(2))
+        step = singularity._absorbing_step(quadratic + tail, d, Ginv)
+        assert step is not None
+        g = S.from_terms(
+            (monomial(k), ring.random_element(rng)) for k in range(D) for _ in range(2)
+        )
+        g = g + S.from_terms((monomial(D - d + 1), ring.one()) for _ in range(3))
+        assert series_equals_dict(singularity._compose(g, step, d), naive_compose(g, step))
+
+
 def test_normal_form_exact_quadric():
     ring = ring_W(2, 1, 3)
     S = SeriesRing(ring, 4, default_truncation(2))
