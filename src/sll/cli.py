@@ -2,15 +2,16 @@
 
 Exit codes: 0 success, 2 validation error (with a machine-readable error
 object on stdout), 3 I/O failure, 4 internal invariant violation.  Output
-key order is deterministic.  The environment variable SLL_PRECISION sets
-the default truncation length n.
+key order is deterministic.  Each operation is its own subparser, which
+names its handler and declares only the options that handler reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
+import operator
 import random
 import sys
 import traceback
@@ -18,6 +19,9 @@ import traceback
 from . import deformation, dieudonne, jsonio, linalg, local_model, singularity
 from .base_rings import WittRing
 from .errors import DomainError, PreconditionError, SmoothShortCircuit, ValidationError
+
+# truncation length n when --n is not given
+DEFAULT_PRECISION = 3
 
 # Spot checks are bounded by their estimated work.  One check (a random base
 # change plus a-number and p-rank) over W_n(F_q), q = p^m, is estimated at
@@ -30,17 +34,6 @@ MAX_SPOT_CHECK_US = 8_000_000
 def _spot_check_us(ring):
     """Estimated microseconds of one spot check over W_n(F_q), m = log_p q."""
     return 3000 + ring.field.m * (3000 + 375 * ring.n)
-
-
-def default_precision():
-    raw = os.environ.get("SLL_PRECISION", "3")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"SLL_PRECISION must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValidationError("SLL_PRECISION must be >= 1")
-    return n
 
 
 def _load_document(spec):
@@ -59,29 +52,20 @@ def _load_document(spec):
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
 
 
-def _ring_for(args):
-    q = getattr(args, "q", None)
-    field = local_model.field_for_q(2 if q is None else q)
-    n = getattr(args, "n", None)
-    n = int(n) if n is not None else default_precision()
-    if n < 1:
-        raise ValidationError("precision must be >= 1")
-    return WittRing(field, n)
+def _ring_for(q, n):
+    return WittRing(local_model.field_for_q(q), DEFAULT_PRECISION if n is None else n)
 
 
-def _module_for(args):
-    """The fixture or the module file; a file module must pass validate(),
-    except for the validate op, which reports the checks instead."""
-    fixture = getattr(args, "fixture", None)
-    file_doc = getattr(args, "file", None)
-    if (fixture is None) == (file_doc is None):
-        raise ValidationError("give exactly one of --fixture or --file")
-    if fixture is not None:
-        return dieudonne.make_standard(_ring_for(args), fixture)
-    module = dieudonne.DieudonneModule.from_json(_load_document(file_doc))
-    if getattr(args, "op", None) == "validate":
-        return module
-    return module.require_valid("module file")
+def _module_for(args, require_valid=True):
+    """The fixture over W_n(F_q), or the module file, which names its own
+    ring and must pass validate() unless require_valid is false."""
+    if args.fixture is not None:
+        return dieudonne.make_standard(_ring_for(2 if args.q is None else args.q, args.n),
+                                       args.fixture)
+    if args.q is not None or args.n is not None:
+        raise ValidationError("--q and --n set a fixture's ring; a module file names its own")
+    module = jsonio.module_from_json(_load_document(args.file))
+    return module.require_valid("module file") if require_valid else module
 
 
 def _class_doc(ring, cls):
@@ -93,39 +77,49 @@ def _class_doc(ring, cls):
     return doc
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- handlers: one per operation -----------------------------------------------
 
 
-def _cmd_witt(args):
+def _witt_operands(args):
     doc = _load_document(args.input)
     if not isinstance(doc, dict):
         raise ValidationError("witt input must be a JSON object")
     ring = jsonio.ring_from_json(doc)
-    rows = doc.get("coeffs", doc.get("digits"))
     key = "coeffs" if "coeffs" in doc else "digits"
+    rows = doc.get(key)
     if not isinstance(rows, list) or not rows:
         raise ValidationError("witt input needs a nonempty 'coeffs' or 'digits' list")
-    operands = [jsonio.elem_from_fields(ring, {key: row}) for row in rows]
-    if args.op in ("add", "mul"):
-        if len(operands) < 2:
-            raise ValidationError(f"witt {args.op} needs at least two operand rows")
-        acc = operands[0]
-        for x in operands[1:]:
-            acc = acc + x if args.op == "add" else acc * x
-        return jsonio.elem_to_json(ring, acc)
+    return ring, [jsonio.elem_from_fields(ring, {key: row}) for row in rows]
+
+
+def _witt_fold(args):
+    """witt add and witt mul: combine two or more operands in order."""
+    ring, operands = _witt_operands(args)
+    if len(operands) < 2:
+        raise ValidationError(f"witt {args.op} needs at least two operand rows")
+    return jsonio.elem_to_json(ring, functools.reduce(args.combine, operands))
+
+
+def _witt_operand(args):
+    ring, operands = _witt_operands(args)
     if len(operands) != 1:
         raise ValidationError(f"witt {args.op} takes exactly one operand row")
-    x = operands[0]
-    if args.op == "frob":
-        return jsonio.elem_to_json(ring, ring.frobenius(x))
-    if args.op == "digits":
-        doc = jsonio.elem_to_json(ring, x)
-        del doc["coeffs"]
-        return dict(doc, valuation=ring.valuation(x))
-    raise ValidationError(f"unknown witt operation {args.op!r}")
+    return ring, operands[0]
 
 
-def _cmd_series_reduce(args):
+def _witt_frob(args):
+    ring, x = _witt_operand(args)
+    return jsonio.elem_to_json(ring, ring.frobenius(x))
+
+
+def _witt_digits(args):
+    ring, x = _witt_operand(args)
+    doc = jsonio.elem_to_json(ring, x)
+    del doc["coeffs"]
+    return dict(doc, valuation=ring.valuation(x))
+
+
+def _series_reduce(args):
     f = jsonio.series_from_json(_load_document(args.input))
     if args.degree is not None:
         if args.degree > f.parent.degree:
@@ -143,60 +137,29 @@ def _cmd_series_reduce(args):
             "normal_form": jsonio.normal_form_to_json(ring, result)}
 
 
-def _cmd_dieudonne(args):
-    module = _module_for(args)
+def _validate(args):
+    module = _module_for(args, require_valid=False)
     ring = module.ring
-    if args.op == "validate":
-        spot = args.spot_checks
-        cost = _spot_check_us(ring)
-        if spot < 0 or spot * cost > MAX_SPOT_CHECK_US:
-            raise ValidationError(
-                f"--spot-checks must be between 0 and {MAX_SPOT_CHECK_US // cost} over "
-                f"W_{ring.n}(F_{ring.field.q}): about {cost / 1000:g} ms each, "
-                f"{MAX_SPOT_CHECK_US // 1_000_000} s in all")
-        checks = module.validate()
-        doc = {"checks": checks, "valid": all(checks.values())}
-        if spot:
-            rng = random.Random(args.seed)
-            stable = 0
-            a0, p0 = dieudonne.a_number(module), dieudonne.p_rank(module)
-            for _ in range(spot):
-                g = _random_unimodular(ring, rng)
-                other = dieudonne.base_change(module, g)
-                if dieudonne.a_number(other) == a0 and dieudonne.p_rank(other) == p0:
-                    stable += 1
-            doc["spot_checks"] = {"runs": spot, "invariant_stable": stable == spot}
-        return doc
-    if args.op == "invariants":
-        return {
-            "a_number": dieudonne.a_number(module),
-            "p_rank": dieudonne.p_rank(module),
-            "kernel_type": dieudonne.kernel_type(module),
-        }
-    if args.op == "dual":
-        dual = dieudonne.dual_lattice(module)
-        return {
-            "precision": dual.precision,
-            "p_dual_basis_columns": [
-                [list(x.coeffs) for x in col] for col in dual.columns()
-            ],
-        }
-    if args.op == "lagrangian-search":
-        res = dieudonne.lagrangian_witness_search(module)
-        doc = {
-            "found": res.found,
-            "precision": res.precision,
-            "nodes": res.nodes,
-            "message": res.message,
-        }
-        if res.found:
-            w = res.witness
-            doc["witness"] = {
-                name: [list(x.coeffs) for x in vec]
-                for name, vec in (("Y1", w.Y1), ("Y2", w.Y2), ("X1", w.X1), ("X2", w.X2))
-            }
-        return doc
-    raise ValidationError(f"unknown dieudonne operation {args.op!r}")
+    spot = args.spot_checks
+    cost = _spot_check_us(ring)
+    if spot < 0 or spot * cost > MAX_SPOT_CHECK_US:
+        raise ValidationError(
+            f"--spot-checks must be between 0 and {MAX_SPOT_CHECK_US // cost} over "
+            f"W_{ring.n}(F_{ring.field.q}): about {cost / 1000:g} ms each, "
+            f"{MAX_SPOT_CHECK_US // 1_000_000} s in all")
+    checks = module.validate()
+    doc = {"checks": checks, "valid": all(checks.values())}
+    if spot:
+        rng = random.Random(args.seed)
+        stable = 0
+        a0, p0 = dieudonne.a_number(module), dieudonne.p_rank(module)
+        for _ in range(spot):
+            g = _random_unimodular(ring, rng)
+            other = dieudonne.base_change(module, g)
+            if dieudonne.a_number(other) == a0 and dieudonne.p_rank(other) == p0:
+                stable += 1
+        doc["spot_checks"] = {"runs": spot, "invariant_stable": stable == spot}
+    return doc
 
 
 def _random_unimodular(ring, rng):
@@ -206,7 +169,24 @@ def _random_unimodular(ring, rng):
             return g
 
 
-def _cmd_deform(args):
+def _invariants(args):
+    module = _module_for(args)
+    return {
+        "a_number": dieudonne.a_number(module),
+        "p_rank": dieudonne.p_rank(module),
+        "kernel_type": dieudonne.kernel_type(module),
+    }
+
+
+def _dual(args):
+    return jsonio.dual_lattice_to_json(dieudonne.dual_lattice(_module_for(args)))
+
+
+def _lagrangian_search(args):
+    return jsonio.search_to_json(dieudonne.lagrangian_witness_search(_module_for(args)))
+
+
+def _deform(args):
     module = _module_for(args)
     if args.frame:
         try:
@@ -226,28 +206,29 @@ def _cmd_deform(args):
     return doc
 
 
-def _cmd_local_model(args):
-    q = int(args.q)
-    if args.op == "points":
-        fiber = local_model.enumerate_special_fiber(q)
-        return {"q": q, "count": len(fiber), "points": [pl.to_json() for pl in fiber]}
-    if args.op == "tangents":
-        fiber = local_model.enumerate_special_fiber(q)
-        pts = [dict(pl.to_json(), tangent_dimension=local_model.tangent_dimension(pl))
-               for pl in fiber]
-        singular = [{"basis": doc["basis"]} for doc in pts if doc["tangent_dimension"] == 4]
-        return {"q": q, "count": len(fiber), "points": pts, "singular": singular}
-    if args.op == "chart":
-        ring = _ring_for(args)
-        eq = local_model.chart_equation(ring)
-        doc = _class_doc(ring, singularity.classify_local_ring(eq))
-        doc.update(q=q, n=ring.n, equation=eq.to_text(),
-                   equation_series=jsonio.series_to_json(eq))
-        return doc
-    raise ValidationError(f"unknown local-model operation {args.op!r}")
+def _points(args):
+    fiber = local_model.enumerate_special_fiber(args.q)
+    return {"q": args.q, "count": len(fiber), "points": [jsonio.plane_to_json(pl) for pl in fiber]}
 
 
-# -- parser --------------------------------------------------------------------
+def _tangents(args):
+    fiber = local_model.enumerate_special_fiber(args.q)
+    pts = [dict(jsonio.plane_to_json(pl), tangent_dimension=local_model.tangent_dimension(pl))
+           for pl in fiber]
+    singular = [{"basis": doc["basis"]} for doc in pts if doc["tangent_dimension"] == 4]
+    return {"q": args.q, "count": len(fiber), "points": pts, "singular": singular}
+
+
+def _chart(args):
+    ring = _ring_for(args.q, args.n)
+    eq = local_model.chart_equation(ring)
+    doc = _class_doc(ring, singularity.classify_local_ring(eq))
+    doc.update(q=args.q, n=ring.n, equation=eq.to_text(),
+               equation_series=jsonio.series_to_json(eq))
+    return doc
+
+
+# -- parser: the one dispatch table ---------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,6 +237,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
+
+
+def _module_options():
+    """The options of every module command: a fixture over W_n(F_q), or a
+    module file, which names its own ring."""
+    module = argparse.ArgumentParser(add_help=False)
+    source = module.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture", choices=list(dieudonne.STANDARD_CASES))
+    source.add_argument("--file", help="module JSON document (inline JSON, path, or -)")
+    module.add_argument("--q", type=int, help="residue field size of the fixture (default 2)")
+    module.add_argument("--n", type=int,
+                        help=f"truncation length of the fixture (default {DEFAULT_PRECISION})")
+    return module
 
 
 def _parser():
@@ -267,50 +261,55 @@ def _parser():
     top.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     sub = top.add_subparsers(dest="command", required=True)
 
-    witt = sub.add_parser("witt", help="truncated Witt ring arithmetic")
-    witt.add_argument("op", choices=["add", "mul", "frob", "digits"])
-    witt.add_argument("input", help="inline JSON, a path, or - for stdin")
+    operands = argparse.ArgumentParser(add_help=False)
+    operands.add_argument("input", help="operand rows: inline JSON, a path, or - for stdin")
+    witt = sub.add_parser("witt", help="truncated Witt ring arithmetic").add_subparsers(
+        dest="op", required=True)
+    witt.add_parser("add", parents=[operands]).set_defaults(handler=_witt_fold,
+                                                            combine=operator.add)
+    witt.add_parser("mul", parents=[operands]).set_defaults(handler=_witt_fold,
+                                                            combine=operator.mul)
+    witt.add_parser("frob", parents=[operands]).set_defaults(handler=_witt_frob)
+    witt.add_parser("digits", parents=[operands]).set_defaults(handler=_witt_digits)
 
     sr = sub.add_parser("series-reduce", help="normal-form reduction of a series file")
     sr.add_argument("input", help="series document (inline JSON, path, or -)")
-    sr.add_argument("--degree", type=int, default=None, help="truncate to this degree first")
+    sr.add_argument("--degree", type=int, help="truncate to this degree first")
+    sr.set_defaults(handler=_series_reduce)
 
-    dd = sub.add_parser("dieudonne", help="module invariants and searches")
-    dd.add_argument("op", choices=["validate", "invariants", "dual", "lagrangian-search"])
-    dd.add_argument("--fixture", choices=list(dieudonne.STANDARD_CASES), default=None)
-    dd.add_argument("--file", default=None, help="module JSON document")
-    dd.add_argument("--q", type=int, default=None, help="residue field size for fixtures")
-    dd.add_argument("--n", type=int, default=None, help="truncation length (default SLL_PRECISION)")
-    dd.add_argument("--spot-checks", dest="spot_checks", type=int, default=0,
-                    help="validate: also re-check invariants under this many random base changes")
+    module = _module_options()
+    dd = sub.add_parser("dieudonne", help="module invariants and searches").add_subparsers(
+        dest="op", required=True)
+    validate = dd.add_parser("validate", parents=[module])
+    validate.add_argument("--spot-checks", dest="spot_checks", type=int, default=0,
+                          help="also re-check invariants under this many random base changes")
+    validate.set_defaults(handler=_validate)
+    dd.add_parser("invariants", parents=[module]).set_defaults(handler=_invariants)
+    dd.add_parser("dual", parents=[module]).set_defaults(handler=_dual)
+    dd.add_parser("lagrangian-search", parents=[module]).set_defaults(
+        handler=_lagrangian_search)
 
-    de = sub.add_parser("deform", help="deformation relation and classification")
-    de.add_argument("--fixture", choices=list(dieudonne.STANDARD_CASES), default=None)
-    de.add_argument("--file", default=None)
-    de.add_argument("--frame", default=None, help="1-based Hodge indices, e.g. 3,4")
-    de.add_argument("--q", type=int, default=None)
-    de.add_argument("--n", type=int, default=None)
+    de = sub.add_parser("deform", parents=[module],
+                        help="deformation relation and classification")
+    de.add_argument("--frame", help="1-based Hodge indices, e.g. 3,4")
+    de.set_defaults(handler=_deform)
 
-    lm = sub.add_parser("local-model", help="special fiber of the local model")
-    lm.add_argument("op", choices=["points", "tangents", "chart"])
-    lm.add_argument("--q", type=int, required=True)
-    lm.add_argument("--n", type=int, default=None)
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--q", type=int, required=True, help="residue field size")
+    lm = sub.add_parser("local-model", help="special fiber of the local model").add_subparsers(
+        dest="op", required=True)
+    lm.add_parser("points", parents=[field]).set_defaults(handler=_points)
+    lm.add_parser("tangents", parents=[field]).set_defaults(handler=_tangents)
+    chart = lm.add_parser("chart", parents=[field])
+    chart.add_argument("--n", type=int, help=f"truncation length (default {DEFAULT_PRECISION})")
+    chart.set_defaults(handler=_chart)
 
     return top
 
 
-HANDLERS = {
-    "witt": _cmd_witt,
-    "series-reduce": _cmd_series_reduce,
-    "dieudonne": _cmd_dieudonne,
-    "deform": _cmd_deform,
-    "local-model": _cmd_local_model,
-}
-
-
 def run(argv=None):
     args = _parser().parse_args(argv)
-    return HANDLERS[args.command](args)
+    return args.handler(args)
 
 
 def main(argv=None):

@@ -15,7 +15,7 @@ Conventions (fixed throughout the package):
 
 The dual lattice is represented integrally as p*M^t to avoid fractional
 entries; every containment test runs at precision n-1, one digit below
-full precision, which is why constructors demand n >= 2.
+full precision, which is why the module constructor demands n >= 2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import jsonio, linalg
+from . import linalg
 from .base_rings import WittRing
 from .errors import DomainError, PreconditionError, ValidationError
 
@@ -38,6 +38,8 @@ class DieudonneModule:
     def __init__(self, ring, F_matrix, V_matrix, J):
         if not isinstance(ring, WittRing):
             raise DomainError("Dieudonne modules live over Witt rings")
+        if ring.n < 2:
+            raise PreconditionError("dual-lattice tests need one spare digit: n >= 2")
         self.ring = ring
         self.rank = 4
         self.F_matrix = [[ring.element(x) for x in row] for row in F_matrix]
@@ -97,34 +99,6 @@ class DieudonneModule:
             raise ValidationError(f"{what} violates invariants: {bad}")
         return self
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self):
-        def enc(A):
-            return [[list(x.coeffs) for x in row] for row in A]
-
-        return {
-            "ring": jsonio.ring_to_json(self.ring),
-            "F": enc(self.F_matrix),
-            "V": enc(self.V_matrix),
-            "J": enc(self.J),
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        try:
-            ring = jsonio.ring_from_json(doc["ring"])
-            mats = []
-            for key in ("F", "V", "J"):
-                rows = doc[key]
-                if len(rows) != 4 or any(len(r) != 4 for r in rows):
-                    raise ValidationError(f"{key} must be a 4x4 matrix")
-                mats.append([[ring.element(jsonio.coeff_from_json(x)) for x in row]
-                             for row in rows])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad module document: {exc}") from exc
-        return cls(ring, *mats)
-
 
 def make_standard(ring, case):
     """The standard fixtures, in the basis order (X1, X2, Y1, Y2).
@@ -137,8 +111,6 @@ def make_standard(ring, case):
           and a supersingular one, carrying the same pairing as iia.
     supersingular_a1: supersingular with a-number 1 (odd p only).
     """
-    if ring.n < 2:
-        raise PreconditionError("dual-lattice tests need one spare digit: n >= 2")
     p = ring.p
     if case == "iia":
         F = [[0, 0, -p, 0], [0, 0, 0, -p], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -217,8 +189,6 @@ def dual_lattice(module):
     true dual is pinned only to precision n-1; a principal pairing keeps
     full precision and gives p * M^t = p * M."""
     ring = module.ring
-    if ring.n < 2:
-        raise PreconditionError("dual lattice needs n >= 2")
     vals, U, V = linalg.smith_form_local(ring, [row[:] for row in module.J])
     if vals not in ([0, 0, 1, 1], [0, 0, 0, 0]):
         raise PreconditionError("pairing is not of polarization degree 1 or p^2")
@@ -235,8 +205,6 @@ def kernel_type(module):
     "AlphaSquare" iff F(p M^t) and V(p M^t) land in p M, tested at
     precision n-1, else "NonAlphaSquare"; modules with a-number != 2 are
     "NotSuperspecial"."""
-    if module.ring.n < 2:
-        raise PreconditionError("kernel type needs n >= 2")
     if a_number(module) != 2:
         return "NotSuperspecial"
     dual = dual_lattice(module)

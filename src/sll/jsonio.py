@@ -1,14 +1,16 @@
-"""JSON encodings of the algebraic objects.
+"""JSON encodings of the algebraic objects: the one codec of the package.
 
-Every document the CLI emits parses back to an equal object.  Exact
-integers only, no floats.  Witt elements are encoded by their polynomial
-coefficients mod p^n ({"coeffs": [...]}) with the Teichmuller digit
-encoding ({"digits": [...]}) accepted as an alternative; digits flatten
-to plain integers over prime fields.
+Exact integers only, no floats.  Witt elements are encoded by their
+polynomial coefficients mod p^n ({"coeffs": [...]}) with the Teichmuller
+digit encoding ({"digits": [...]}) accepted as an alternative; digits
+flatten to plain integers over prime fields.  Element, ring, series,
+quadratic-form, normal-form and module documents parse back to equal
+objects; planes, dual lattices and witness searches are encoded only.
 
-This module is the one decoder of field, ring and coefficient documents.
-Every integer it reads (p, m, n, exponents, coefficients, digits) must be
-a JSON integer: floats and booleans are rejected, never truncated.
+This module is the one decoder of field, ring, coefficient and module
+documents.  Every integer it reads (p, m, n, exponents, coefficients,
+digits) must be a JSON integer: floats and booleans are rejected, never
+truncated.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 
 from .base_rings import FiniteField, WittRing, find_irreducible
+from .dieudonne import DieudonneModule
 from .errors import ValidationError
 from .series import SeriesRing
 from .singularity import NormalFormResult
@@ -60,6 +63,12 @@ def ring_from_json(doc):
 
 def ring_to_json(ring):
     return {"p": ring.p, "m": ring.field.m, "n": ring.n, "modulus": list(ring.field.modulus)}
+
+
+def vectors_to_json(rows):
+    """Rows of ring elements (a matrix or a list of vectors), each element
+    as its coefficient list."""
+    return [[list(x.coeffs) for x in row] for row in rows]
 
 
 def _digits_list(ring, x):
@@ -179,3 +188,41 @@ def normal_form_to_json(ring, result: NormalFormResult):
         "phi": [series_to_json(component) for component in result.phi],
         "unit": series_to_json(result.unit),
     }
+
+
+def module_to_json(module):
+    return {"ring": ring_to_json(module.ring), "F": vectors_to_json(module.F_matrix),
+            "V": vectors_to_json(module.V_matrix), "J": vectors_to_json(module.J)}
+
+
+def module_from_json(doc):
+    try:
+        ring = ring_from_json(doc["ring"])
+        mats = []
+        for key in ("F", "V", "J"):
+            rows = doc[key]
+            if len(rows) != 4 or any(len(r) != 4 for r in rows):
+                raise ValidationError(f"{key} must be a 4x4 matrix")
+            mats.append([[coeff_from_json(x) for x in row] for row in rows])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"bad module document: {exc}") from exc
+    return DieudonneModule(ring, *mats)
+
+
+def dual_lattice_to_json(dual):
+    return {"precision": dual.precision, "p_dual_basis_columns": vectors_to_json(dual.columns())}
+
+
+def search_to_json(result):
+    """A Lagrangian witness search: its verdict, and the witness if found."""
+    doc = {"found": result.found, "precision": result.precision, "nodes": result.nodes,
+           "message": result.message}
+    if result.found:
+        w = result.witness
+        doc["witness"] = dict(zip(("Y1", "Y2", "X1", "X2"),
+                                  vectors_to_json((w.Y1, w.Y2, w.X1, w.X2))))
+    return doc
+
+
+def plane_to_json(plane):
+    return {"basis": vectors_to_json(plane.basis)}

@@ -84,9 +84,6 @@ class IsotropicPlane:
     def vectors(self):
         return [list(self.basis[0]), list(self.basis[1])]
 
-    def to_json(self):
-        return {"basis": [[list(x.coeffs) for x in row] for row in self.basis]}
-
     def __repr__(self):
         def fmt(row):
             return "(" + ",".join(str(x.coeffs[0]) if x.ring.m == 1 else str(list(x.coeffs)) for x in row) + ")"

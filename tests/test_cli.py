@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from sll.base_rings import FiniteField, WittRing
 from sll.series import SeriesRing
 from sll.singularity import NormalFormResult
 from sll import jsonio
+
+MODULE_FILE = Path(__file__).parent / "golden_cli" / "module_iia_q4.json"
 
 
 def run_cli(capsys, *argv):
@@ -132,7 +135,7 @@ def test_dieudonne_file_roundtrip(tmp_path, capsys):
 
     module = make_standard(WittRing(FiniteField(2), 2), "iia")
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(module.to_json()))
+    path.write_text(json.dumps(jsonio.module_to_json(module)))
     code, doc = run_cli(capsys, "dieudonne", "invariants", "--file", str(path))
     assert code == 0
     assert doc["kernel_type"] == "NonAlphaSquare"
@@ -236,15 +239,6 @@ def test_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_env_precision_default(capsys, monkeypatch):
-    monkeypatch.setenv("SLL_PRECISION", "2")
-    code, doc = run_cli(capsys, "local-model", "chart", "--q", "2")
-    assert code == 0 and doc["n"] == 2
-    monkeypatch.setenv("SLL_PRECISION", "bogus")
-    code, doc = run_cli(capsys, "local-model", "chart", "--q", "2")
-    assert code == 2
-
-
 def test_usage_error_exits_2(capsys):
     for argv in (
         ["local-model", "bogus-op", "--q", "2"],
@@ -262,6 +256,11 @@ def test_usage_error_exits_2(capsys):
         # a truncation degree of 0 is given, not absent
         ["series-reduce", '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,'
          '"terms":[{"exps":[1,1],"coeff":1}]}', "--degree", "0"],
+        # options an operation does not read are refused, not ignored
+        ["local-model", "points", "--q", "2", "--n", "0"],
+        ["dieudonne", "invariants", "--fixture", "iia", "--spot-checks", "5"],
+        # a module file names its own ring
+        ["dieudonne", "invariants", "--file", str(MODULE_FILE), "--q", "97"],
     ):
         start = time.perf_counter()
         code = main(argv)
@@ -337,7 +336,7 @@ def test_unforeseen_exception_is_internal_error(capsys, monkeypatch):
     def broken(args):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setitem(cli.HANDLERS, "local-model", broken)
+    monkeypatch.setattr(cli, "_points", broken)
     code, doc = run_cli(capsys, "local-model", "points", "--q", "2")
     assert code == 4
     assert doc == {"error": {"kind": "internal", "message": "boom"}}
@@ -405,3 +404,20 @@ def test_validate_reports_an_invalid_module_file(tmp_path, capsys):
     code, doc = run_cli(capsys, "dieudonne", "validate", "--file", str(path))
     assert code == 0
     assert doc["valid"] is False and doc["checks"]["fv_is_p"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["dieudonne", "validate"],
+    ["dieudonne", "invariants"],
+    ["dieudonne", "dual"],
+    ["dieudonne", "lagrangian-search"],
+    ["deform"],
+])
+def test_module_file_needs_n_at_least_2(argv, capsys):
+    from sll.dieudonne import make_standard
+
+    doc = jsonio.module_to_json(make_standard(WittRing(FiniteField(2), 2), "iib"))
+    doc["ring"]["n"] = 1
+    code, out = run_cli(capsys, *argv, "--file", json.dumps(doc))
+    assert code == 2
+    assert out["error"]["kind"] == "PreconditionError" and "n >= 2" in out["error"]["message"]

@@ -140,7 +140,6 @@ def _check_roundtrip(node):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mutated_documents_keep_the_exit_code_contract(seed, capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("SLL_PRECISION", raising=False)
     monkeypatch.chdir(tmp_path)  # a mutated document that is a bare scalar reads as a path
     for argv in _cases(seed, 40):
         start = time.perf_counter()

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from sll import linalg
+from sll import jsonio, linalg
 from sll.base_rings import FiniteField, WittRing
 from sll.dieudonne import (
     STANDARD_CASES,
@@ -365,8 +365,8 @@ def test_witness_search_budget_is_a_hard_cap():
 def test_module_json_roundtrip():
     ring = ring_W(2, 2, 2)
     module = make_standard(ring, "iia")
-    doc = module.to_json()
-    back = DieudonneModule.from_json(doc)
+    doc = jsonio.module_to_json(module)
+    back = jsonio.module_from_json(doc)
     assert back.ring == module.ring
     assert linalg.mat_eq(back.F_matrix, module.F_matrix)
     assert linalg.mat_eq(back.V_matrix, module.V_matrix)
