@@ -214,7 +214,8 @@ class Residue:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Residue) and other.ring == self.ring and other.coeffs == self.coeffs
+        return (isinstance(other, Residue) and other.coeffs == self.coeffs
+                and (other.ring is self.ring or other.ring == self.ring))
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -4,9 +4,18 @@ Coefficients live in a WittRing or a FiniteField.  Series are stored as
 sparse maps from exponent vectors to nonzero coefficients (canonical
 form), with a deterministic graded-lex term order for printing and
 serialization.  All values are immutable and all operations pure.
+
+Multiplication and substitution run in a packed-integer form (`_Packing`):
+each monomial is one int key, so adding keys multiplies monomials and one
+comparison is the truncation test, and each coefficient is one int whose
+bit slots hold its residues, so one int product is the whole coefficient
+product.  Products are summed unreduced, and every output coefficient is
+reduced once, by the lifted modulus and mod p^n.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import DomainError, PreconditionError, ValidationError
 
@@ -30,6 +39,7 @@ class SeriesRing:
         self.var_names = tuple(var_names) if var_names else _default_names(nvars)
         if len(self.var_names) != nvars:
             raise ValidationError("variable name count mismatch")
+        self._packing = _Packing(self)
 
     def __eq__(self, other):
         return (
@@ -89,6 +99,131 @@ class SeriesRing:
         return SeriesRing(self.coeff_ring, self.nvars, degree, self.var_names)
 
 
+class _Packing:
+    """The packed-integer form of the series of one SeriesRing, in which
+    `TruncatedSeries.__mul__` and `substitute` do all their arithmetic.
+
+    A monomial x^e is the int key deg(e) << (s * nvars) | sum_i e_i << (s * i)
+    with s = D.bit_length() bits per exponent field, so adding two keys
+    multiplies the monomials and keys sort by total degree first.  Below
+    total degree D every exponent is < D < 2^s and no field carries; a field
+    can carry only when the total degree exceeds D, and then the key exceeds
+    `limit` = D << (s * nvars) anyway.  So `key >= limit` is exactly the
+    truncation test, and a row of products over keys in ascending order
+    stops at its first truncated pair.
+
+    A coefficient is m residues mod N = p^n (N = p over a field), m the
+    degree of the lifted modulus g.  Reduced, it is an int (m = 1) or an
+    m-tuple.  To multiply, the residues sit in slots of `width` bits of one
+    int (Kronecker substitution), so one int product is the whole
+    convolution of two residue vectors.  Products are summed unreduced and
+    each output key is reduced once: its 2m - 1 slots by g and mod N, and
+    dropped if zero.
+    """
+
+    def __init__(self, ring):
+        coeff_ring = ring.coeff_ring
+        self.nvars = ring.nvars
+        self.shift = ring.degree.bit_length()
+        self.limit = ring.degree << (self.shift * ring.nvars)
+        self.weights = tuple((1 << self.shift * i) + (1 << self.shift * ring.nvars)
+                             for i in range(ring.nvars))
+        self.pn = coeff_ring.pn
+        self.m = len(coeff_ring.lifted_modulus) - 1
+        # g without its leading 1
+        self.g = coeff_ring.lifted_modulus[:-1]
+        self.coeff_ring = coeff_ring
+        # a product of two reduced m-slot coefficients has slots below
+        # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
+        self.slot_bound = self.m * (self.pn - 1) ** 2
+
+    def width(self, count):
+        """Slot width that holds a sum of `count` coefficient products
+        without carrying: each slot stays below count * m * (N-1)^2.  The
+        bound is exact int arithmetic, so it holds at every size the rings
+        admit, m = MAX_DEGREE = 8 and q^n = MAX_RING_ORDER = 2^256 included."""
+        return (count * self.slot_bound).bit_length()
+
+    def key(self, e):
+        # deg(e) = sum_i e_i, so the key is sum_i e_i (2^(s*i) + 2^(s*nvars))
+        return sum(map(operator.mul, e, self.weights))
+
+    def reduced(self, c):
+        return c.coeffs[0] if self.m == 1 else c.coeffs
+
+    def pack(self, f):
+        """{key: reduced coefficient} of the series f."""
+        key, reduced = self.key, self.reduced
+        return {key(e): reduced(c) for e, c in f.coeffs.items()}
+
+    def unpack(self, packed):
+        """The {exponents: coefficient} map of a {key: reduced coefficient} map."""
+        shift, mask = self.shift, (1 << self.shift) - 1
+        shifts = range(0, shift * self.nvars, shift)
+        coeff_ring = self.coeff_ring
+        element = coeff_ring._element
+        one = self.m == 1
+        return {tuple([k >> s & mask for s in shifts]): element(coeff_ring, (r,) if one else r)
+                for k, r in packed.items()}
+
+    def spread(self, r, width):
+        """A reduced coefficient as one int with slots of `width` bits."""
+        if self.m == 1:
+            return r
+        return sum(map(operator.lshift, r, range(0, width * self.m, width)))
+
+    def spread_all(self, packed, width):
+        if self.m == 1:
+            return packed
+        shifts = range(0, width * self.m, width)
+        return {k: sum(map(operator.lshift, r, shifts)) for k, r in packed.items()}
+
+    def reduce(self, acc, width):
+        """Reduce every {key: unreduced int with `width`-bit slots} and drop zeros."""
+        pn = self.pn
+        if self.m == 1:
+            return {k: r for k, v in acc.items() if (r := v % pn)}
+        if not acc:
+            # width 0 (nothing was summed) would make a zero range step
+            return {}
+        m, g = self.m, self.g
+        mask = (1 << width) - 1
+        shifts = range(0, width * (2 * m - 1), width)
+        out = {}
+        for k, v in acc.items():
+            s = [v >> sh & mask for sh in shifts]
+            # g is monic, so x^m = -(g_0 + g_1 x + ... + g_(m-1) x^(m-1)):
+            # the top slot c x^(base + m) folds into slots base .. base + m - 1
+            for base in range(m - 2, -1, -1):
+                c = s.pop() % pn
+                if c:
+                    for j, gj in enumerate(g, base):
+                        s[j] -= c * gj
+            r = tuple([x % pn for x in s])
+            if any(r):
+                out[k] = r
+        return out
+
+    def mul(self, a, b):
+        """The truncated product of two packed series, reduced.  An output
+        key k sums at most min(len(a), len(b)) products: each term k1 of a
+        meets at most the one term k - k1 of b, and vice versa."""
+        if not a or not b:
+            return {}
+        width = self.width(min(len(a), len(b)))
+        right = sorted(self.spread_all(b, width).items())
+        limit = self.limit
+        acc = {}
+        get = acc.get
+        for k1, c1 in self.spread_all(a, width).items():
+            for k2, c2 in right:
+                k = k1 + k2
+                if k >= limit:
+                    break
+                acc[k] = get(k, 0) + c1 * c2
+        return self.reduce(acc, width)
+
+
 def _term_key(exps):
     return (sum(exps), tuple(-e for e in exps))
 
@@ -129,25 +264,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         self._check(other)
-        D = self.parent.degree
-        # the right operand by degree (exponents are distinct, so no
-        # coefficient is compared): each row stops at its first truncated pair
-        right = sorted((sum(e), e, c) for e, c in other.coeffs.items())
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for d2, e2, c2 in right:
-                if d1 + d2 >= D:
-                    break
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = out.get(e)
-                s = acc + prod if acc is not None else prod
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return TruncatedSeries(self.parent, out)
+        packing = self.parent._packing
+        return TruncatedSeries(
+            self.parent, packing.unpack(packing.mul(packing.pack(self), packing.pack(other))))
 
     def scalar_mul(self, c):
         c = self.parent.coeff_ring.element(c)
@@ -216,8 +335,15 @@ class TruncatedSeries:
                     "substituted series must have constant term in the maximal ideal",
                     part="constant",
                 )
-        pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
+        packing = ring._packing
+        phis = [packing.pack(phi) for phi in images]
+        pows = [[None, phi] for phi in phis]  # pows[i][k] = phi_i^k, k >= 1
+        # one slot width for the sum of c times each monomial image: every
+        # term of self adds at most one product c * v (the constant term c
+        # alone) to each output coefficient
+        width = packing.width(len(self.coeffs))
         out = {}
+        get = out.get
         for e, c in self.coeffs.items():
             # the image of the monomial x^e, then c times it added into out
             mono = None
@@ -225,20 +351,16 @@ class TruncatedSeries:
                 if ei == 0:
                     continue
                 while len(pows[i]) <= ei:
-                    pows[i].append(pows[i][-1] * images[i])
-                mono = pows[i][ei] if mono is None else mono * pows[i][ei]
+                    pows[i].append(packing.mul(pows[i][-1], phis[i]))
+                mono = pows[i][ei] if mono is None else packing.mul(mono, pows[i][ei])
+            c = packing.spread(packing.reduced(c), width)
             if mono is None:
-                image = ((e, c),)
-            else:
-                image = ((e2, c * c2) for e2, c2 in mono.coeffs.items())
-            for e2, v in image:
-                acc = out.get(e2)
-                s = acc + v if acc is not None else v
-                if s:
-                    out[e2] = s
-                elif e2 in out:
-                    del out[e2]
-        return TruncatedSeries(ring, out)
+                key = packing.key(e)
+                out[key] = get(key, 0) + c
+                continue
+            for key, v in packing.spread_all(mono, width).items():
+                out[key] = get(key, 0) + c * v
+        return TruncatedSeries(ring, packing.unpack(packing.reduce(out, width)))
 
     def map_coefficients(self, fn, new_coeff_ring):
         """Apply fn to every coefficient, landing in new_coeff_ring."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -83,6 +84,68 @@ def test_mul_cut_at_the_truncation_matches_naive(p, m, n):
         assert series_equals_dict(f * g, naive_mul(f, g))
         assert series_equals_dict(g * f, naive_mul(g, f))
     assert cut > 2 * kept
+
+
+def grid_series(S, rng, max_terms, min_degree=0):
+    terms = [(random_monomial(rng, S.nvars, rng.randrange(min_degree, S.degree)),
+              S.coeff_ring.random_element(rng)) for _ in range(rng.randrange(1, max_terms))]
+    return S.from_terms(terms)
+
+
+def grid_images(S, rng, max_terms):
+    # constant terms in the maximal ideal: 0 over a field, a multiple of p
+    # over a Witt ring
+    ring = S.coeff_ring
+    images = []
+    for _ in range(S.nvars):
+        phi = grid_series(S, rng, max_terms, min_degree=1)
+        if isinstance(ring, WittRing):
+            phi = phi + S.constant(ring.p_element() * ring.random_element(rng))
+        images.append(phi)
+    return images
+
+
+# fields and Witt rings with m = 1, 3 and 8, two of them at the order limit
+# q^n = 2^256 (m = 8 with residues mod 2^32, m = 1 with residues mod
+# 2^256), 1 to 8 variables, and D up to 51
+KERNEL_GRID = [
+    ("F_5", lambda: FiniteField(5), 3, 6),
+    ("F_8", lambda: FiniteField(2, 3), 2, 7),
+    ("W_2(F_8)", lambda: ring_W(2, 3, 2), 3, 5),
+    ("W_32(F_256)", lambda: ring_W(2, 8, 32), 2, 5),
+    ("W_256(F_2)", lambda: ring_W(2, 1, 256), 2, 5),
+    ("W_3(F_5), one variable", lambda: ring_W(5, 1, 3), 1, 12),
+    ("W_2(F_9), eight variables", lambda: ring_W(3, 2, 2), 8, 4),
+    ("W_3(F_3), D = 51", lambda: ring_W(3, 1, 3), 2, 51),
+]
+
+
+@pytest.mark.parametrize("name,make_ring,nvars,D", KERNEL_GRID, ids=[c[0] for c in KERNEL_GRID])
+def test_packed_kernel_matches_naive_on_a_grid(name, make_ring, nvars, D):
+    S = SeriesRing(make_ring(), nvars, D)
+    rng = random.Random(D * 100 + nvars)
+    for _ in range(6):
+        f, g = grid_series(S, rng, 14), grid_series(S, rng, 14)
+        assert series_equals_dict(f * g, naive_mul(f, g))
+    for _ in range(3):
+        f = grid_series(S, rng, 6)
+        images = grid_images(S, rng, 4)
+        assert series_equals_dict(f.substitute(images), naive_compose(f, images))
+
+
+@pytest.mark.parametrize("p,m,n,nvars,D", [(3, 2, 2, 1, 9), (5, 3, 2, 3, 6), (2, 8, 32, 1, 6)])
+def test_dense_top_coefficients_fill_the_slots_exactly(p, m, n, nvars, D):
+    # every residue of every coefficient is p^n - 1 and every monomial below
+    # D is present; in one variable the top output coefficient sums
+    # D = min(len(f), len(f)) products, so a slot reaches the width bound
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, nvars, D)
+    top = ring.element([ring.pn - 1] * m)
+    monomials = [e for e in itertools.product(range(D), repeat=nvars) if sum(e) < D]
+    f = S.from_terms((e, top) for e in monomials)
+    assert series_equals_dict(f * f, naive_mul(f, f))
+    phi = [S.from_terms((e, top) for e in monomials if sum(e) >= 1)] * nvars
+    assert series_equals_dict(f.substitute(phi), naive_compose(f, phi))
 
 
 def test_substitute_identity_variables():
