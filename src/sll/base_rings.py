@@ -447,8 +447,8 @@ class WittRing(_CoeffRing):
     def invert(self, x):
         if not self.is_unit(x):
             raise DomainError("inverting a non-unit")
-        r = self.residue(x)
-        y = self.teichmuller(self.field.invert(r))
+        # any lift of the residue inverse starts the iteration: x y = 1 mod p
+        y = self.element(self.field.invert(self.residue(x)).coeffs)
         two = self.from_int(2)
         for _ in range(max(1, self.n).bit_length() + 1):
             y = y * (two - x * y)

@@ -101,7 +101,8 @@ class SeriesRing:
 
 class _Packing:
     """The packed-integer form of the series of one SeriesRing, in which
-    `TruncatedSeries.__mul__` and `substitute` do all their arithmetic.
+    `TruncatedSeries.__mul__` and `substitute` and the normal-form phases of
+    `sll.singularity` do all their arithmetic.
 
     A monomial x^e is the int key deg(e) << (s * nvars) | sum_i e_i << (s * i)
     with s = D.bit_length() bits per exponent field, so adding two keys
@@ -109,8 +110,8 @@ class _Packing:
     total degree D every exponent is < D < 2^s and no field carries; a field
     can carry only when the total degree exceeds D, and then the key exceeds
     `limit` = D << (s * nvars) anyway.  So `key >= limit` is exactly the
-    truncation test, and a row of products over keys in ascending order
-    stops at its first truncated pair.
+    truncation test, a row of products over keys in ascending order stops
+    at its first truncated pair, and key >> (s * nvars) is the total degree.
 
     A coefficient is m residues mod N = p^n (N = p over a field), m the
     degree of the lifted modulus g.  Reduced, it is an int (m = 1) or an
@@ -125,7 +126,9 @@ class _Packing:
         coeff_ring = ring.coeff_ring
         self.nvars = ring.nvars
         self.shift = ring.degree.bit_length()
-        self.limit = ring.degree << (self.shift * ring.nvars)
+        # a key's total degree is key >> degree_shift
+        self.degree_shift = self.shift * ring.nvars
+        self.limit = ring.degree << self.degree_shift
         self.weights = tuple((1 << self.shift * i) + (1 << self.shift * ring.nvars)
                              for i in range(ring.nvars))
         self.pn = coeff_ring.pn
@@ -133,6 +136,8 @@ class _Packing:
         # g without its leading 1
         self.g = coeff_ring.lifted_modulus[:-1]
         self.coeff_ring = coeff_ring
+        self.zero = 0 if self.m == 1 else (0,) * self.m
+        self.one = 1 if self.m == 1 else (1,) + self.zero[1:]
         # a product of two reduced m-slot coefficients has slots below
         # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
         self.slot_bound = self.m * (self.pn - 1) ** 2
@@ -222,6 +227,59 @@ class _Packing:
                     break
                 acc[k] = get(k, 0) + c1 * c2
         return self.reduce(acc, width)
+
+    def substitute(self, f, images):
+        """f(images_1, ..., images_n) for a packed f and packed images,
+        truncated and reduced.  Each x_i^k is a product of images[i] with
+        x_i^(k-1), made once, and each monomial's image a product of those."""
+        shift, mask = self.shift, (1 << self.shift) - 1
+        fields = tuple(enumerate(range(0, self.degree_shift, shift)))
+        pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
+        # one slot width for the sum of c times each monomial image: every
+        # term of f adds at most one product c * v (the constant term c
+        # alone) to each output coefficient
+        width = self.width(len(f))
+        mul, spread = self.mul, self.spread
+        out = {}
+        get = out.get
+        for k, c in f.items():
+            mono = None
+            for i, s in fields:
+                ei = k >> s & mask
+                if not ei:
+                    continue
+                pi = pows[i]
+                while len(pi) <= ei:
+                    pi.append(mul(pi[-1], images[i]))
+                mono = pi[ei] if mono is None else mul(mono, pi[ei])
+            c = spread(c, width)
+            if mono is None:
+                out[k] = get(k, 0) + c
+                continue
+            for key, v in self.spread_all(mono, width).items():
+                out[key] = get(key, 0) + c * v
+        return self.reduce(out, width)
+
+    def neg(self, r):
+        """-r for a reduced coefficient r."""
+        pn = self.pn
+        return -r % pn if self.m == 1 else tuple([-x % pn for x in r])
+
+    def add(self, a, b):
+        """The reduced sum of two packed series, zeros dropped."""
+        pn = self.pn
+        out = dict(a)
+        for k, c in b.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+                continue
+            s = (s + c) % pn if self.m == 1 else tuple([(x + y) % pn for x, y in zip(s, c)])
+            if s == self.zero:
+                del out[k]
+            else:
+                out[k] = s
+        return out
 
 
 def _term_key(exps):
@@ -321,9 +379,9 @@ class TruncatedSeries:
     # -- substitution ------------------------------------------------
 
     def substitute(self, images):
-        """f(phi_1, ..., phi_n), truncated.  Every phi_i must have constant
-        term in the maximal ideal of the coefficient ring, which keeps
-        truncation semantics coherent."""
+        """f(phi_1, ..., phi_n), truncated, by `_Packing.substitute`.  Every
+        phi_i must have constant term in the maximal ideal of the
+        coefficient ring, which keeps truncation semantics coherent."""
         ring = self.parent
         images = list(images)
         if len(images) != ring.nvars:
@@ -336,31 +394,8 @@ class TruncatedSeries:
                     part="constant",
                 )
         packing = ring._packing
-        phis = [packing.pack(phi) for phi in images]
-        pows = [[None, phi] for phi in phis]  # pows[i][k] = phi_i^k, k >= 1
-        # one slot width for the sum of c times each monomial image: every
-        # term of self adds at most one product c * v (the constant term c
-        # alone) to each output coefficient
-        width = packing.width(len(self.coeffs))
-        out = {}
-        get = out.get
-        for e, c in self.coeffs.items():
-            # the image of the monomial x^e, then c times it added into out
-            mono = None
-            for i, ei in enumerate(e):
-                if ei == 0:
-                    continue
-                while len(pows[i]) <= ei:
-                    pows[i].append(packing.mul(pows[i][-1], phis[i]))
-                mono = pows[i][ei] if mono is None else packing.mul(mono, pows[i][ei])
-            c = packing.spread(packing.reduced(c), width)
-            if mono is None:
-                key = packing.key(e)
-                out[key] = get(key, 0) + c
-                continue
-            for key, v in packing.spread_all(mono, width).items():
-                out[key] = get(key, 0) + c * v
-        return TruncatedSeries(ring, packing.unpack(packing.reduce(out, width)))
+        out = packing.substitute(packing.pack(self), [packing.pack(phi) for phi in images])
+        return TruncatedSeries(ring, packing.unpack(out))
 
     def map_coefficients(self, fn, new_coeff_ring):
         """Apply fn to every coefficient, landing in new_coeff_ring."""

@@ -6,14 +6,22 @@ sum x_i h_i, is absorbed by the substitution x -> x - G^{-1} h, where G is
 the Gram matrix of the quadratic part.  Repeated at d = 1 until the linear
 part vanishes, the step is the Newton iteration for the shift that kills
 the linear term; applied once at each d = 3 .. D-1, it strips the higher
-terms.  A step at degree d >= 3 is x -> x + u with u of order d - 1, so
-`_compose` substitutes it only into the monomials of degree below D - d + 2
-and passes the rest through; the series kernel visits only the products of
-total degree below D.  The output is a certificate
-f(phi(x)) = unit * (a' + Q'(x)), checked by one full substitution and exact
-up to the truncation degree, with a' congruent to the original constant
-modulo p^3 when the linear coefficients start in (p^2); more generally
-linear coefficients in (p^r) give agreement modulo p^(2r).
+terms.  Each phase packs f and the identity coordinate change once into
+the integer form of `series._Packing`, builds every step from packed keys
+and composes it there, and unpacks its results once.  A step at degree
+d >= 3 is x -> x + u with u of order d - 1, so only the monomials of
+degree below D - d + 2 are substituted and the rest pass through; the
+series kernel visits only the products of total degree below D.
+
+G^{-1} comes from one row reduction of [G mod p | I] over F_q, which is
+also the test that the quadratic part is non-degenerate, lifted to
+W_n(F_q) by the Newton iteration X <- X (2I - G X) in packed ints.
+
+The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), checked by
+one full substitution and exact up to the truncation degree, with a'
+congruent to the original constant modulo p^3 when the linear
+coefficients start in (p^2); more generally linear coefficients in (p^r)
+give agreement modulo p^(2r).
 
 The canonical pipeline produces unit = 1: degree-d parts are absorbed by
 substitutions alone, which is possible exactly because the Gram matrix is
@@ -22,6 +30,7 @@ invertible.  The unit is kept in the result type as part of the contract.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -82,54 +91,105 @@ def _coeff_ring_of(f):
 
 
 def _quadratic_inverse(f):
-    """The quadratic part Q of f and the inverse of its Gram matrix."""
-    Q = QuadraticForm.from_series(f)
-    if not is_nondegenerate(Q):
+    """The inverse of the Gram matrix G of the quadratic part of f, as rows
+    of reduced coefficients (the `series._Packing` form).
+
+    One row reduction of [G mod p | I] over F_q is both the rank test and
+    (G mod p)^(-1).  Newton's X <- X (2I - G X) lifts that to G^(-1), each
+    round doubling the power of p that divides I - G X, until G X = I."""
+    A = f.parent.coeff_ring
+    packing = f.parent._packing
+    field, n = A.field, f.parent.nvars
+    gram = bilinear_gram(QuadraticForm.from_series(f))
+    work, pivots = linalg.rref_field(
+        field, [[A.residue(g) for g in row] + idr
+                for row, idr in zip(gram, linalg.identity(field, n))])
+    if pivots != list(range(n)):
         raise PreconditionError("quadratic part is degenerate", part="quadratic")
-    return Q, linalg.invert(f.parent.coeff_ring, bilinear_gram(Q))
+    G = {(i, j): packing.reduced(g) for i, row in enumerate(gram) for j, g in enumerate(row) if g}
+    X = {(i, j): packing.reduced(x) for i, row in enumerate(work)
+         for j, x in enumerate(row[n:]) if x}
+    identity = {(i, i): packing.one for i in range(n)}
+    width = packing.width(n)
+    for _ in range(A.n.bit_length() + 1):
+        GX = _mat_mul(packing, G, X, n, width)
+        if GX == identity:
+            return [[X.get((i, j), packing.zero) for j in range(n)] for i in range(n)]
+        minus_gx = {k: packing.neg(r) for k, r in GX.items()}
+        X = _mat_mul(packing, X, packing.add(identity, packing.add(identity, minus_gx)), n, width)
+    raise InternalInvariantError("Gram inverse lift did not converge")
 
 
-def _absorbing_step(f, d, Ginv):
-    """The substitution x_j -> x_j - sum_k Ginv[j][k] h_k, where the degree-d
-    part of f is sum_i x_i h_i, each monomial given to its smallest-index
-    variable (None if there is no such part).  It cancels that part up to
-    terms of higher degree (d >= 3) or higher valuation (d = 1)."""
-    ring = f.parent
-    h = [{} for _ in range(ring.nvars)]
-    for e, c in f.coeffs.items():
-        if sum(e) == d:
-            i = next(k for k, ek in enumerate(e) if ek)
-            h[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+def _mat_mul(packing, A, B, n, width):
+    """A B for n x n matrices given as {(i, j): reduced coefficient}, zeros
+    left out: each entry one sum of spread products, reduced once."""
+    spread, zero = packing.spread, packing.zero
+    rows = [[spread(A.get((i, k), zero), width) for k in range(n)] for i in range(n)]
+    cols = [[spread(B.get((k, j), zero), width) for k in range(n)] for j in range(n)]
+    return packing.reduce({(i, j): sum(map(operator.mul, r, c))
+                           for i, r in enumerate(rows) for j, c in enumerate(cols)}, width)
+
+
+def _packed_step(packing, F, d, Ginv):
+    """The substitution x_j -> x_j - sum_k Ginv[j][k] h_k on packed series,
+    where the degree-d part of F is sum_i x_i h_i, each key given to its
+    smallest-index variable (None if there is no such part).  It cancels
+    that part up to terms of higher degree (d >= 3) or higher valuation
+    (d = 1)."""
+    dshift, shift, weights = packing.degree_shift, packing.shift, packing.weights
+    h = [{} for _ in weights]
+    for k, c in F.items():
+        if k >> dshift == d:
+            # the lowest set bit of k lies in its smallest-index nonzero exponent
+            i = ((k & -k).bit_length() - 1) // shift
+            h[i][k - weights[i]] = c
     if not any(h):
         return None
+    # each key of the step sums at most one product per h_k
+    width = packing.width(len(h))
+    spread, neg = packing.spread, packing.neg
+    h = [packing.spread_all(hk, width) for hk in h]
     step = []
     for j, row in enumerate(Ginv):
-        terms = dict(ring.variable(j).coeffs)
+        acc = {}
+        get = acc.get
         for g, hk in zip(row, h):
-            if not g:
-                continue
-            for e, c in hk.items():
-                s = terms[e] - g * c if e in terms else -(g * c)
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        step.append(TruncatedSeries(ring, terms))
+            g = spread(neg(g), width)
+            if g:
+                for k, c in hk.items():
+                    acc[k] = get(k, 0) + g * c
+        u = packing.reduce(acc, width)
+        # u has degree d - 1, never 1, so x_j's key is free
+        u[weights[j]] = packing.one
+        step.append(u)
     return step
 
 
-def _compose(g, step, d):
-    """g(step) for a degree-d absorbing step x -> x + u, u of order d - 1.
-
-    A monomial of degree k only gains terms of degree >= k + d - 2, so one
-    of degree k >= D - d + 2 passes through unchanged: only the part of g
-    below that degree is substituted, and the rest is added back as is."""
-    ring = g.parent
-    cut = ring.degree - d + 2
+def _apply_step(packing, g, step, cut):
+    """g(step) on packed series, for a step x -> x + u with u of order
+    d - 1 and cut = D - d + 2.  A monomial of degree k only gains terms of
+    degree >= k + d - 2, so one of degree >= cut passes through unchanged:
+    only the part of g below the cut is substituted, and the rest is added
+    back as is."""
+    cut_key = cut << packing.degree_shift
     low, high = {}, {}
-    for e, c in g.coeffs.items():
-        (high if sum(e) >= cut else low)[e] = c
-    return TruncatedSeries(ring, low).substitute(step) + TruncatedSeries(ring, high)
+    for k, c in g.items():
+        (high if k >= cut_key else low)[k] = c
+    return packing.add(packing.substitute(low, step), high)
+
+
+def _absorb(packing, F, phi, d, Ginv, degree):
+    """The degree-d absorbing step applied to F and to each component of phi;
+    None if F has no degree-d part."""
+    step = _packed_step(packing, F, d, Ginv)
+    if step is None:
+        return None
+    cut = degree - d + 2
+    return _apply_step(packing, F, step, cut), [_apply_step(packing, c, step, cut) for c in phi]
+
+
+def _identity(packing):
+    return [{w: packing.one} for w in packing.weights]
 
 
 def kill_linear_term(f):
@@ -145,17 +205,20 @@ def kill_linear_term(f):
     for i, c in enumerate(f.linear_coefficients()):
         if A.is_unit(c):
             raise SmoothShortCircuit("unit linear coefficient", index=i)
-    _, Ginv = _quadratic_inverse(f)
+    Ginv = _quadratic_inverse(f)
     if not A.in_maximal_ideal(f.constant_term()):
         raise PreconditionError("constant term must lie in the maximal ideal", part="constant")
 
-    b = [A.zero()] * f.parent.nvars
+    ring = f.parent
+    packing = ring._packing
+    F, phi = packing.pack(f), _identity(packing)
     for _ in range(2 * A.n + 4):
-        step = _absorbing_step(f, 1, Ginv)
-        if step is None:
-            return b, f
-        f = f.substitute(step)
-        b = [bi + si.constant_term() for bi, si in zip(b, step)]
+        absorbed = _absorb(packing, F, phi, 1, Ginv, ring.degree)
+        if absorbed is None:
+            # phi_j = x_j + b_j
+            b = [A.element(c.get(0, packing.zero)) for c in phi]
+            return b, TruncatedSeries(ring, packing.unpack(F))
+        F, phi = absorbed
     raise InternalInvariantError("linear-term iteration did not converge")
 
 
@@ -170,24 +233,27 @@ def strip_higher_terms(f):
     _coeff_ring_of(f)
     if any(f.linear_coefficients()):
         raise PreconditionError("strip_higher_terms needs a vanishing linear part", part="linear")
-    Q, Ginv = _quadratic_inverse(f)
+    Ginv = _quadratic_inverse(f)
 
     ring = f.parent
-    phi = ring.variables()
+    packing = ring._packing
+    dshift = packing.degree_shift
+    F, phi = packing.pack(f), _identity(packing)
+    quadratic = {k: c for k, c in F.items() if k >> dshift == 2}
     for d in range(3, ring.degree):
-        if f.degree_bound() < d:
+        # keys sort by total degree first, so the largest has the largest degree
+        if max(F, default=0) >> dshift < d:
             break
-        step = _absorbing_step(f, d, Ginv)
-        if step is None:
+        absorbed = _absorb(packing, F, phi, d, Ginv, ring.degree)
+        if absorbed is None:
             continue
-        f = _compose(f, step, d)
-        if f.graded_part(d):
+        F, phi = absorbed
+        if any(k >> dshift == d for k in F):
             raise InternalInvariantError(f"degree-{d} part survived its correction step")
-        phi = [_compose(comp, step, d) for comp in phi]
-    q_prime = QuadraticForm.from_series(f)
-    if q_prime.upper != Q.upper:
+    if {k: c for k, c in F.items() if k >> dshift == 2} != quadratic:
         raise InternalInvariantError("quadratic part drifted during stripping")
-    return phi, ring.one(), q_prime
+    q_prime = QuadraticForm.from_series(TruncatedSeries(ring, packing.unpack(quadratic)))
+    return [TruncatedSeries(ring, packing.unpack(c)) for c in phi], ring.one(), q_prime
 
 
 def reduce_to_quadric(f):

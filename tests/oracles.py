@@ -7,6 +7,10 @@ the local-model fiber, a standalone row reduction for ranks, and
 brute-force point counts of quadrics over integer-table fields.  Only
 base coefficient arithmetic is shared, and it is itself checked against
 the ghost-component construction of Witt-vector arithmetic in this file.
+`naive_normal_form` is the slow path of `sll.singularity`: the same
+absorbing steps on coefficient dicts, composed by `dict_compose`, with the
+Gram inverse from `linalg.invert` over the Witt ring instead of the packed
+F_q row reduction and Newton lift.
 `filter_special_fiber` (every echelon plane, filtered by its pairing) and
 `rank_tangent_dimension` (the tangent equation on a complement found by
 rank tests) are the references for the fiber and tangent dimensions that
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+from sll import linalg
 from sll.dieudonne import (
     LagrangianSearchResult,
     _complete_witness,
@@ -76,25 +81,105 @@ def naive_mul(f, g):
     return dict_mul(dict_of(f), dict_of(g), f.parent.degree)
 
 
-def naive_compose(f, images):
-    """f(phi_1, ..., phi_n) recomputed by naive polynomial composition."""
-    ring = f.parent
-    D = ring.degree
-    n = ring.nvars
-    one = {(0,) * n: ring.coeff_ring.one()}
-    phis = [dict_of(phi) for phi in images]
+def dict_compose(f, phis, degree):
+    """f(phi_1, ..., phi_n) for coefficient dicts, by naive composition."""
+    zero = (0,) * len(phis)
     out = {}
-    for e, c in f.coeffs.items():
-        term = {(0,) * n: c}
+    for e, c in f.items():
+        term = {zero: c}
         for i, ei in enumerate(e):
             for _ in range(ei):
-                term = dict_mul(term, phis[i], D)
+                term = dict_mul(term, phis[i], degree)
         out = dict_add(out, term)
     return out
 
 
+def naive_compose(f, images):
+    """f(phi_1, ..., phi_n) recomputed by naive polynomial composition."""
+    return dict_compose(f.coeffs, [dict_of(phi) for phi in images], f.parent.degree)
+
+
 def series_equals_dict(series, d):
     return dict(series.coeffs) == {e: c for e, c in d.items() if c}
+
+
+# -- the normal-form reduction on Residue dicts (the slow path of sll.singularity)
+
+
+def _gram_inverse(ring, g):
+    """The inverse of the Gram matrix of the degree-2 part of g, by
+    `linalg.invert` over the Witt ring."""
+    n = len(next(iter(g)))
+    gram = [[ring.zero()] * n for _ in range(n)]
+    for e, c in g.items():
+        if sum(e) == 2:
+            i, j = [k for k, ek in enumerate(e) for _ in range(ek)]
+            gram[i][j] = gram[i][j] + c
+            gram[j][i] = gram[j][i] + c
+    return linalg.invert(ring, gram)
+
+
+def absorbing_step(g, d, ginv, variables):
+    """The substitution x_j -> x_j - sum_k ginv[j][k] h_k, where the
+    degree-d part of g is sum_i x_i h_i, each monomial given to its
+    smallest-index variable (None if there is no such part)."""
+    h = [{} for _ in variables]
+    for e, c in g.items():
+        if sum(e) == d:
+            i = next(k for k, ek in enumerate(e) if ek)
+            h[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+    if not any(h):
+        return None
+    step = []
+    for row, x in zip(ginv, variables):
+        terms = dict(x)
+        for gk, hk in zip(row, h):
+            terms = dict_add(terms, {e: -(gk * c) for e, c in hk.items() if gk * c})
+        step.append(terms)
+    return step
+
+
+def compose(g, step, d, degree):
+    """g(step) for a degree-d absorbing step, substituting only below the
+    cut degree - d + 2 and adding the rest back unchanged."""
+    cut = degree - d + 2
+    low = {e: c for e, c in g.items() if sum(e) < cut}
+    high = {e: c for e, c in g.items() if sum(e) >= cut}
+    return dict_add(dict_compose(low, step, degree), high)
+
+
+def naive_normal_form(f):
+    """(phi, a', Q') of `sll.singularity.reduce_to_quadric(f)`, recomputed by
+    absorbing steps on {exponents: coefficient} dicts and naive composition:
+    phi as one dict per component, a' the constant term of the shifted f and
+    Q' the degree-2 part of the stripped f, as a dict."""
+    ring, D, n = f.parent.coeff_ring, f.parent.degree, f.parent.nvars
+    zero = (0,) * n
+    variables = [{tuple(int(i == j) for j in range(n)): ring.one()} for i in range(n)]
+    g = dict_of(f)
+    ginv = _gram_inverse(ring, g)
+    b = [ring.zero()] * n
+    for _ in range(2 * ring.n + 4):
+        step = absorbing_step(g, 1, ginv, variables)
+        if step is None:
+            break
+        g = dict_compose(g, step, D)
+        b = [bi + si.get(zero, ring.zero()) for bi, si in zip(b, step)]
+    else:
+        raise AssertionError("linear-term iteration did not converge")
+    a_prime = g.get(zero, ring.zero())
+    ginv = _gram_inverse(ring, g)
+    phi = variables
+    for d in range(3, D):
+        if max(map(sum, g), default=0) < d:
+            break
+        step = absorbing_step(g, d, ginv, variables)
+        if step is None:
+            continue
+        g = compose(g, step, d, D)
+        phi = [compose(c, step, d, D) for c in phi]
+    phi = [dict_add(c, {zero: bi}) if bi else c for c, bi in zip(phi, b)]
+    return phi, a_prime, {e: c for e, c in g.items() if sum(e) == 2}
 
 
 # -- independent rank computation over a finite field

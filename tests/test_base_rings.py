@@ -266,6 +266,19 @@ def test_unit_inversion_and_nonunit_rejection():
         assert u * ring.invert(u) == ring.one()
 
 
+@pytest.mark.parametrize("p,m,n", [(2, 1, 1), (2, 2, 4), (2, 1, 5), (3, 1, 9), (2, 3, 17),
+                                   (5, 1, 32)])
+def test_unit_inversion_at_every_round_count(p, m, n):
+    # Newton starts from a lift of the residue inverse; n = 2^k and
+    # 2^k + 1 are where the number of rounds it needs steps up
+    ring = W(p, m, n)
+    rng = random.Random(f"invert:{p}:{m}:{n}")
+    for _ in range(50):
+        u = ring.random_element(rng)
+        if ring.is_unit(u):
+            assert u * ring.invert(u) == ring.one()
+
+
 def test_element_json_roundtrip():
     ring = W(2, 2, 3)
     rng = random.Random(7)

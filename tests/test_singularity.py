@@ -7,8 +7,8 @@ from sll.base_rings import FiniteField, WittRing
 from sll.deformation import deformation_equation, standard_frame
 from sll.dieudonne import make_standard
 from sll.errors import PreconditionError, SmoothShortCircuit
-from sll.quadforms import QuadraticForm, is_nondegenerate
-from sll.series import SeriesRing
+from sll.quadforms import QuadraticForm, bilinear_gram, is_nondegenerate
+from sll.series import SeriesRing, TruncatedSeries
 from sll.singularity import (
     classify_local_ring,
     default_truncation,
@@ -169,13 +169,13 @@ def test_strip_stops_once_no_higher_terms_are_left(monkeypatch):
     rel = deformation_equation(standard_frame(module))
     assert rel.parent.degree == 131_044
     calls = []
-    step = singularity._absorbing_step
+    step = singularity._packed_step
 
-    def counted(f, d, Ginv):
+    def counted(packing, F, d, Ginv):
         calls.append(d)
-        return step(f, d, Ginv)
+        return step(packing, F, d, Ginv)
 
-    monkeypatch.setattr(singularity, "_absorbing_step", counted)
+    monkeypatch.setattr(singularity, "_packed_step", counted)
     cls = classify_local_ring(rel)
     assert cls.tag == "OrdinaryDoublePoint" and cls.valuation == 1
     assert cls.normal_form.phi == rel.parent.variables()
@@ -191,6 +191,7 @@ def test_compose_matches_naive_composition_at_every_degree(p, m, n, D):
 
     ring = ring_W(p, m, n)
     S = SeriesRing(ring, 4, D)
+    packing = S._packing
     rng = random.Random(f"compose:{p}:{m}:{D}")
 
     def monomial(k):
@@ -200,16 +201,129 @@ def test_compose_matches_naive_composition_at_every_degree(p, m, n, D):
         return tuple(e)
 
     quadratic = random_nondegenerate_quadratic(S, rng)
-    _, Ginv = singularity._quadratic_inverse(quadratic)
+    Ginv = singularity._quadratic_inverse(quadratic)
     for d in range(3, D):
         tail = S.from_terms((monomial(d), ring.random_element(rng)) for _ in range(2))
-        step = singularity._absorbing_step(quadratic + tail, d, Ginv)
+        step = singularity._packed_step(packing, packing.pack(quadratic + tail), d, Ginv)
         assert step is not None
         g = S.from_terms(
             (monomial(k), ring.random_element(rng)) for k in range(D) for _ in range(2)
         )
         g = g + S.from_terms((monomial(D - d + 1), ring.one()) for _ in range(3))
-        assert series_equals_dict(singularity._compose(g, step, d), naive_compose(g, step))
+        got = singularity._apply_step(packing, packing.pack(g), step, D - d + 2)
+        images = [TruncatedSeries(S, packing.unpack(u)) for u in step]
+        assert series_equals_dict(TruncatedSeries(S, packing.unpack(got)), naive_compose(g, images))
+
+
+def random_normal_form_input(S, rng, linear_valuation):
+    """A constant in (p), linear coefficients in (p^linear_valuation), a
+    non-degenerate quadratic part and two random monomials of each degree
+    3 .. D-1 (the low degrees fill phi in)."""
+    ring = S.coeff_ring
+    pe = ring.p_element()
+    f = S.constant(pe * ring.random_element(rng)) + random_nondegenerate_quadratic(S, rng)
+    for i in range(S.nvars):
+        f = f + S.variable(i).scalar_mul(pe ** linear_valuation * ring.random_element(rng))
+    tail = []
+    for k in [*range(3, S.degree)] * 2:
+        e = [0] * S.nvars
+        for _ in range(k):
+            e[rng.randrange(S.nvars)] += 1
+        tail.append((tuple(e), ring.random_element(rng)))
+    return f + S.from_terms(tail)
+
+
+@pytest.mark.parametrize("p,m,n,D", [(3, 1, 3, 8), (3, 2, 2, 8), (2, 2, 3, 6), (2, 1, 3, 6)])
+def test_normal_form_matches_naive_reduction_on_a_grid(p, m, n, D):
+    # the packed pipeline against the Residue-level steps composed naively:
+    # equal phi, a' and Q', at linear valuation 2 (normal_form) and 1
+    from .oracles import naive_normal_form
+
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, 4, D)
+    rng = random.Random(f"naive-nf:{p}:{m}:{n}:{D}")
+    for seed in range(4):
+        if seed % 2:
+            f = random_normal_form_input(S, rng, 1)
+            nf = reduce_to_quadric(f)
+        else:
+            f = random_normal_form_input(S, rng, 2)
+            nf = normal_form(f)
+        phi, a_prime, q_prime = naive_normal_form(f)
+        assert [dict(c.coeffs) for c in nf.phi] == phi
+        assert nf.a_prime == a_prime
+        assert dict(nf.q_prime.to_series(S).coeffs) == q_prime
+
+
+def unit_gram_quadratic(S, rng):
+    """A quadratic form whose Gram matrix is a unit mod p plus p * noise:
+    hyperbolic pairs (at p = 2 always, else at random) or a diagonal of
+    units, over S's coefficient ring."""
+    ring, n = S.coeff_ring, S.nvars
+    pe = ring.p_element()
+    upper = {(i, j): pe * ring.random_element(rng) for i in range(n) for j in range(i, n)}
+    units = [c for c in ring.field.elements() if c]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if ring.p != 2 and rng.random() < 0.5:
+        keys = [(i, i) for i in range(n)]
+    else:
+        keys = [tuple(sorted(perm[k:k + 2])) for k in range(0, n - 1, 2)]
+        if n % 2:
+            # an odd form needs one square term, a unit at odd p
+            keys.append((perm[-1], perm[-1]))
+    for key in keys:
+        upper[key] = upper[key] + ring.teichmuller(rng.choice(units))
+    return QuadraticForm(ring, n, upper)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_inverse_matches_residue_inverse(p, m, n):
+    # the F_q row reduction lifted by Newton in packed ints against
+    # linalg.invert over the Witt ring, and G X = I exactly
+    from sll import linalg
+
+    ring = ring_W(p, m, n)
+    rng = random.Random(f"gram:{p}:{m}:{n}")
+    for nvars in (2, 4) if p == 2 else (2, 3, 4):
+        S = SeriesRing(ring, nvars, 4)
+        for _ in range(4):
+            Q = unit_gram_quadratic(S, rng)
+            G = bilinear_gram(Q)
+            got = singularity._quadratic_inverse(Q.to_series(S))
+            want = linalg.invert(ring, G)
+            assert got == [[S._packing.reduced(c) for c in row] for row in want]
+            X = [[ring.element(c) for c in row] for row in got]
+            assert linalg.mat_eq(linalg.mat_mul(G, X), linalg.identity(ring, nvars))
+
+
+def degenerate_quadratics(S):
+    """x1 x2 + x3^2 (rank 3 mod p at odd p) and p (x1 x4 - x2 x3), which is
+    0 mod p but not mod p^2."""
+    x = S.variables()
+    pe = S.coeff_ring.p_element()
+    return [x[0] * x[1] + x[2] * x[2], (x[0] * x[3] - x[1] * x[2]).scalar_mul(pe)]
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2)])
+def test_degenerate_quadratic_part_at_every_entry_point(p, m, n):
+    from sll import linalg
+
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, 4, 6)
+    x = S.variables()
+    for quadratic in degenerate_quadratics(S):
+        Q = QuadraticForm.from_series(quadratic)
+        assert any(any(row) for row in bilinear_gram(Q))
+        rank = linalg.rank_field(ring.field, linalg.mat_map(bilinear_gram(Q), ring.residue))
+        assert rank in (0, 3)
+        f = S.constant(ring.p_element()) + quadratic + x[0] * x[1] * x[3]
+        for entry in (kill_linear_term, strip_higher_terms, normal_form):
+            with pytest.raises(PreconditionError) as err:
+                entry(f)
+            assert err.value.part == "quadratic"
+        assert classify_local_ring(f).tag == "Undetermined"
 
 
 def test_normal_form_exact_quadric():
