@@ -18,7 +18,9 @@ contexts; every operation is pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .errors import DomainError, InternalInvariantError, ValidationError
 
@@ -247,6 +249,83 @@ class WittElement(Residue):
 
 
 # ---------------------------------------------------------------------------
+# packed coefficients
+
+
+class CoeffPacking:
+    """The packed-integer form of the coefficients of one ring, in which
+    `linalg.mat_mul`, `linalg.mat_vec` and the series kernel `series._Packing`
+    take their products.
+
+    A coefficient is m residues mod N = p^n (N = p over a field), m the
+    degree of the lifted modulus g.  Reduced, it is an int (m = 1) or an
+    m-tuple.  To multiply, the residues sit in slots of `width` bits of one
+    int (Kronecker substitution), so one int product is the whole
+    convolution of two residue vectors.  Products are summed unreduced and
+    each sum is reduced once: its 2m - 1 slots folded by g and taken mod N.
+    """
+
+    def __init__(self, ring):
+        self.coeff_ring = ring
+        self.pn = ring.pn
+        self.m = len(ring.lifted_modulus) - 1
+        # g without its leading 1
+        self.g = ring.lifted_modulus[:-1]
+        self.zero = 0 if self.m == 1 else (0,) * self.m
+        self.one = 1 if self.m == 1 else (1,) + self.zero[1:]
+        # a product of two reduced m-slot coefficients has slots below
+        # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
+        self.slot_bound = self.m * (self.pn - 1) ** 2
+
+    def width(self, count):
+        """Slot width that holds a sum of `count` coefficient products
+        without carrying: each slot stays below count * m * (N-1)^2.  The
+        bound is exact int arithmetic, so it holds at every size the rings
+        admit, m = MAX_DEGREE = 8 and q^n = MAX_RING_ORDER = 2^256 included."""
+        return (count * self.slot_bound).bit_length()
+
+    def reduced(self, c):
+        """The reduced coefficient of a ring element."""
+        return c.coeffs[0] if self.m == 1 else c.coeffs
+
+    def element(self, r):
+        """The ring element of a reduced coefficient."""
+        ring = self.coeff_ring
+        return ring._element(ring, (r,) if self.m == 1 else r)
+
+    def spread(self, r, width):
+        """A reduced coefficient as one int with slots of `width` bits."""
+        if self.m == 1:
+            return r
+        return sum(map(operator.lshift, r, range(0, width * self.m, width)))
+
+    def fold(self, values, width):
+        """The reduced coefficients of unreduced ints with `width`-bit slots,
+        each a sum of products of spread coefficients, for m > 1 (at m = 1
+        a sum is reduced by `% pn` alone)."""
+        pn, m, g = self.pn, self.m, self.g
+        mask = (1 << width) - 1
+        shifts = range(0, width * (2 * m - 1), width)
+        out = []
+        for v in values:
+            s = [v >> sh & mask for sh in shifts]
+            # g is monic, so x^m = -(g_0 + g_1 x + ... + g_(m-1) x^(m-1)):
+            # the top slot c x^(base + m) folds into slots base .. base + m - 1
+            for base in range(m - 2, -1, -1):
+                c = s.pop() % pn
+                if c:
+                    for j, gj in enumerate(g, base):
+                        s[j] -= c * gj
+            out.append(tuple([x % pn for x in s]))
+        return out
+
+    def neg(self, r):
+        """-r for a reduced coefficient r."""
+        pn = self.pn
+        return -r % pn if self.m == 1 else tuple([-x % pn for x in r])
+
+
+# ---------------------------------------------------------------------------
 # coefficient rings
 
 
@@ -270,7 +349,7 @@ class _CoeffRing:
         if isinstance(x, int):
             return self._element(self, (x % self.pn,) + (0,) * (m - 1))
         if isinstance(x, Residue):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise DomainError("element from a different ring")
             return x
         coeffs = tuple(int(c) % self.pn for c in x)
@@ -279,6 +358,11 @@ class _CoeffRing:
         return self._element(self, coeffs)
 
     from_int = element
+
+    @functools.cached_property
+    def packing(self):
+        """The ring's `CoeffPacking`, made on first use."""
+        return CoeffPacking(self)
 
     def zero(self):
         return self.element(0)

@@ -2,15 +2,30 @@
 
 Matrices are lists of row lists of ring elements.  The ring object must
 provide zero(), one(), is_unit(e), invert(e); elements support +, -, *.
-One Gauss-Jordan loop, `rref_field`, serves fields and Witt rings alike: it
-pivots on units, which over a field are the nonzero entries and over the
-local ring W_n(F_q) suffice for every matrix invertible mod the maximal
-ideal, the only kind `invert` accepts.  `bilinear` evaluates v^T G w for
-the package's pairings, over a coefficient ring or over a series ring.
+
+`mat_mul` and `mat_vec` are packed.  They take elements of one coefficient
+ring (F_q or W_n(F_q)) only, read their coefficients into the ring's
+`base_rings.CoeffPacking` form, and compute each output entry as one int
+dot product of spread coefficients, reduced once, in `packed_mat_mul`,
+which the Gram-inverse lift of `sll.singularity` calls directly.
+
+The rest stays on `Residue` arithmetic, where packing did not pay when
+measured.  `bilinear` evaluates v^T G w for the package's pairings, over a
+coefficient ring or over a series ring, and skips zero entries, which the
+pairings are full of.  `invert`, `rref_field` and `smith_form_local` pick
+a pivot and scale rows one step at a time; an `invert` by Newton lifting
+on packed products was slower than the row reduction.  One Gauss-Jordan
+loop, `rref_field`, serves fields and Witt rings alike: it pivots on
+units, which over a field are the nonzero entries and over the local ring
+W_n(F_q) suffice for every matrix invertible mod the maximal ideal, the
+only kind `invert` accepts.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
+from .base_rings import Residue
 from .errors import DomainError, InternalInvariantError
 
 
@@ -28,28 +43,53 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
+def _packing(*matrices):
+    """The `CoeffPacking` of the one coefficient ring that every entry of
+    the matrices lies in; DomainError as for Residue operands otherwise."""
+    ring = None
+    for M in matrices:
+        for row in M:
+            for e in row:
+                if not isinstance(e, Residue):
+                    raise DomainError("operands lie in different rings")
+                if e.ring is not ring:
+                    if ring is not None and e.ring != ring:
+                        raise DomainError("operands lie in different rings")
+                    ring = e.ring
+    return ring.packing
+
+
+def packed_mat_mul(packing, A, B):
+    """A B for matrices of reduced coefficients (the `CoeffPacking` form):
+    each entry one int dot product of spread coefficients, reduced once."""
+    cols = list(zip(*B))
+    if packing.m == 1:
+        pn = packing.pn
+        return [[sum(map(mul, row, col)) % pn for col in cols] for row in A]
+    width = packing.width(len(B))
+    spread, fold = packing.spread, packing.fold
+    cols = [[spread(b, width) for b in col] for col in cols]
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in A:
+        row = [spread(a, width) for a in row]
+        out.append(fold([sum(map(mul, row, col)) for col in cols], width))
     return out
+
+
+def mat_mul(A, B):
+    packing = _packing(A, B)
+    reduced, element = packing.reduced, packing.element
+    C = packed_mat_mul(packing, [[reduced(a) for a in row] for row in A],
+                       [[reduced(b) for b in row] for row in B])
+    return [[element(c) for c in row] for row in C]
 
 
 def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for a, x in zip(row[1:], v[1:]):
-            acc = acc + a * x
-        out.append(acc)
-    return out
+    packing = _packing(A, [v])
+    reduced, element = packing.reduced, packing.element
+    C = packed_mat_mul(packing, [[reduced(a) for a in row] for row in A],
+                       [[reduced(x)] for x in v])
+    return [element(row[0]) for row in C]
 
 
 def mat_eq(A, B):

@@ -10,13 +10,15 @@ each monomial is one int key, so adding keys multiplies monomials and one
 comparison is the truncation test, and each coefficient is one int whose
 bit slots hold its residues, so one int product is the whole coefficient
 product.  Products are summed unreduced, and every output coefficient is
-reduced once, by the lifted modulus and mod p^n.
+reduced once, by the lifted modulus and mod p^n.  That coefficient half is
+`base_rings.CoeffPacking`, which `sll.linalg`'s matrix products share.
 """
 
 from __future__ import annotations
 
 import operator
 
+from .base_rings import CoeffPacking
 from .errors import DomainError, PreconditionError, ValidationError
 
 
@@ -99,10 +101,11 @@ class SeriesRing:
         return SeriesRing(self.coeff_ring, self.nvars, degree, self.var_names)
 
 
-class _Packing:
+class _Packing(CoeffPacking):
     """The packed-integer form of the series of one SeriesRing, in which
     `TruncatedSeries.__mul__` and `substitute` and the normal-form phases of
-    `sll.singularity` do all their arithmetic.
+    `sll.singularity` do all their arithmetic.  Its coefficients are those
+    of `base_rings.CoeffPacking`, whose slot arithmetic it inherits.
 
     A monomial x^e is the int key deg(e) << (s * nvars) | sum_i e_i << (s * i)
     with s = D.bit_length() bits per exponent field, so adding two keys
@@ -112,18 +115,12 @@ class _Packing:
     `limit` = D << (s * nvars) anyway.  So `key >= limit` is exactly the
     truncation test, a row of products over keys in ascending order stops
     at its first truncated pair, and key >> (s * nvars) is the total degree.
-
-    A coefficient is m residues mod N = p^n (N = p over a field), m the
-    degree of the lifted modulus g.  Reduced, it is an int (m = 1) or an
-    m-tuple.  To multiply, the residues sit in slots of `width` bits of one
-    int (Kronecker substitution), so one int product is the whole
-    convolution of two residue vectors.  Products are summed unreduced and
-    each output key is reduced once: its 2m - 1 slots by g and mod N, and
-    dropped if zero.
+    Products are summed unreduced per output key, each key is reduced once,
+    and zeros are dropped.
     """
 
     def __init__(self, ring):
-        coeff_ring = ring.coeff_ring
+        super().__init__(ring.coeff_ring)
         self.nvars = ring.nvars
         self.shift = ring.degree.bit_length()
         # a key's total degree is key >> degree_shift
@@ -131,30 +128,10 @@ class _Packing:
         self.limit = ring.degree << self.degree_shift
         self.weights = tuple((1 << self.shift * i) + (1 << self.shift * ring.nvars)
                              for i in range(ring.nvars))
-        self.pn = coeff_ring.pn
-        self.m = len(coeff_ring.lifted_modulus) - 1
-        # g without its leading 1
-        self.g = coeff_ring.lifted_modulus[:-1]
-        self.coeff_ring = coeff_ring
-        self.zero = 0 if self.m == 1 else (0,) * self.m
-        self.one = 1 if self.m == 1 else (1,) + self.zero[1:]
-        # a product of two reduced m-slot coefficients has slots below
-        # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
-        self.slot_bound = self.m * (self.pn - 1) ** 2
-
-    def width(self, count):
-        """Slot width that holds a sum of `count` coefficient products
-        without carrying: each slot stays below count * m * (N-1)^2.  The
-        bound is exact int arithmetic, so it holds at every size the rings
-        admit, m = MAX_DEGREE = 8 and q^n = MAX_RING_ORDER = 2^256 included."""
-        return (count * self.slot_bound).bit_length()
 
     def key(self, e):
         # deg(e) = sum_i e_i, so the key is sum_i e_i (2^(s*i) + 2^(s*nvars))
         return sum(map(operator.mul, e, self.weights))
-
-    def reduced(self, c):
-        return c.coeffs[0] if self.m == 1 else c.coeffs
 
     def pack(self, f):
         """{key: reduced coefficient} of the series f."""
@@ -171,12 +148,6 @@ class _Packing:
         return {tuple([k >> s & mask for s in shifts]): element(coeff_ring, (r,) if one else r)
                 for k, r in packed.items()}
 
-    def spread(self, r, width):
-        """A reduced coefficient as one int with slots of `width` bits."""
-        if self.m == 1:
-            return r
-        return sum(map(operator.lshift, r, range(0, width * self.m, width)))
-
     def spread_all(self, packed, width):
         if self.m == 1:
             return packed
@@ -185,29 +156,13 @@ class _Packing:
 
     def reduce(self, acc, width):
         """Reduce every {key: unreduced int with `width`-bit slots} and drop zeros."""
-        pn = self.pn
         if self.m == 1:
+            pn = self.pn
             return {k: r for k, v in acc.items() if (r := v % pn)}
         if not acc:
             # width 0 (nothing was summed) would make a zero range step
             return {}
-        m, g = self.m, self.g
-        mask = (1 << width) - 1
-        shifts = range(0, width * (2 * m - 1), width)
-        out = {}
-        for k, v in acc.items():
-            s = [v >> sh & mask for sh in shifts]
-            # g is monic, so x^m = -(g_0 + g_1 x + ... + g_(m-1) x^(m-1)):
-            # the top slot c x^(base + m) folds into slots base .. base + m - 1
-            for base in range(m - 2, -1, -1):
-                c = s.pop() % pn
-                if c:
-                    for j, gj in enumerate(g, base):
-                        s[j] -= c * gj
-            r = tuple([x % pn for x in s])
-            if any(r):
-                out[k] = r
-        return out
+        return {k: r for k, r in zip(acc, self.fold(acc.values(), width)) if any(r)}
 
     def mul(self, a, b):
         """The truncated product of two packed series, reduced.  An output
@@ -259,11 +214,6 @@ class _Packing:
             for key, v in self.spread_all(mono, width).items():
                 out[key] = get(key, 0) + c * v
         return self.reduce(out, width)
-
-    def neg(self, r):
-        """-r for a reduced coefficient r."""
-        pn = self.pn
-        return -r % pn if self.m == 1 else tuple([-x % pn for x in r])
 
     def add(self, a, b):
         """The reduced sum of two packed series, zeros dropped."""

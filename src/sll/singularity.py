@@ -15,7 +15,8 @@ series kernel visits only the products of total degree below D.
 
 G^{-1} comes from one row reduction of [G mod p | I] over F_q, which is
 also the test that the quadratic part is non-degenerate, lifted to
-W_n(F_q) by the Newton iteration X <- X (2I - G X) in packed ints.
+W_n(F_q) by the Newton iteration X <- X (2I - G X), each product one
+`linalg.packed_mat_mul` on reduced coefficients.
 
 The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), checked by
 one full substitution and exact up to the truncation degree, with a'
@@ -30,13 +31,12 @@ invertible.  The unit is kept in the result type as part of the contract.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from . import linalg
 from .base_rings import WittRing
 from .errors import InternalInvariantError, PreconditionError, SmoothShortCircuit
-from .quadforms import QuadraticForm, bilinear_gram, is_nondegenerate
+from .quadforms import QuadraticForm, bilinear_gram
 from .series import TruncatedSeries
 
 
@@ -106,28 +106,20 @@ def _quadratic_inverse(f):
                 for row, idr in zip(gram, linalg.identity(field, n))])
     if pivots != list(range(n)):
         raise PreconditionError("quadratic part is degenerate", part="quadratic")
-    G = {(i, j): packing.reduced(g) for i, row in enumerate(gram) for j, g in enumerate(row) if g}
-    X = {(i, j): packing.reduced(x) for i, row in enumerate(work)
-         for j, x in enumerate(row[n:]) if x}
-    identity = {(i, i): packing.one for i in range(n)}
-    width = packing.width(n)
+    G = [[packing.reduced(g) for g in row] for row in gram]
+    X = [[packing.reduced(x) for x in row[n:]] for row in work]
+    zero, neg = packing.zero, packing.neg
+    identity = [[packing.one if i == j else zero for j in range(n)] for i in range(n)]
+    two = packing.reduced(A.from_int(2))
+    # X (2I - GX) is one product: [X | -X] times [2I ; GX]
+    two_identity = [[two if i == j else zero for j in range(n)] for i in range(n)]
     for _ in range(A.n.bit_length() + 1):
-        GX = _mat_mul(packing, G, X, n, width)
+        GX = linalg.packed_mat_mul(packing, G, X)
         if GX == identity:
-            return [[X.get((i, j), packing.zero) for j in range(n)] for i in range(n)]
-        minus_gx = {k: packing.neg(r) for k, r in GX.items()}
-        X = _mat_mul(packing, X, packing.add(identity, packing.add(identity, minus_gx)), n, width)
+            return X
+        X = linalg.packed_mat_mul(packing, [row + [neg(x) for x in row] for row in X],
+                                  two_identity + GX)
     raise InternalInvariantError("Gram inverse lift did not converge")
-
-
-def _mat_mul(packing, A, B, n, width):
-    """A B for n x n matrices given as {(i, j): reduced coefficient}, zeros
-    left out: each entry one sum of spread products, reduced once."""
-    spread, zero = packing.spread, packing.zero
-    rows = [[spread(A.get((i, k), zero), width) for k in range(n)] for i in range(n)]
-    cols = [[spread(B.get((k, j), zero), width) for k in range(n)] for j in range(n)]
-    return packing.reduce({(i, j): sum(map(operator.mul, r, c))
-                           for i, r in enumerate(rows) for j, c in enumerate(cols)}, width)
 
 
 def _packed_step(packing, F, d, Ginv):
@@ -309,9 +301,14 @@ def classify_local_ring(f):
     for i, c in enumerate(f.linear_coefficients()):
         if A.is_unit(c):
             return LocalRingClass("Smooth", detail=f"unit_linear_coefficient_{i + 1}")
-    if not is_nondegenerate(QuadraticForm.from_series(f)):
+    try:
+        nf = reduce_to_quadric(f)
+    except PreconditionError as err:
+        # the checks above rule out every other part
+        if err.part != "quadratic":
+            raise
         return LocalRingClass("Undetermined", detail="degenerate_quadratic_part")
-    return double_point_class(reduce_to_quadric(f))
+    return double_point_class(nf)
 
 
 def double_point_class(nf):

@@ -7,6 +7,9 @@ the local-model fiber, a standalone row reduction for ranks, and
 brute-force point counts of quadrics over integer-table fields.  Only
 base coefficient arithmetic is shared, and it is itself checked against
 the ghost-component construction of Witt-vector arithmetic in this file.
+`naive_mat_mul` and `naive_mat_vec` are the slow path of the packed
+`linalg.mat_mul` and `linalg.mat_vec`: each entry summed with `Residue`
+`*` and `+`.
 `naive_normal_form` is the slow path of `sll.singularity`: the same
 absorbing steps on coefficient dicts, composed by `dict_compose`, with the
 Gram inverse from `linalg.invert` over the Witt ring instead of the packed
@@ -101,6 +104,28 @@ def naive_compose(f, images):
 
 def series_equals_dict(series, d):
     return dict(series.coeffs) == {e: c for e, c in d.items() if c}
+
+
+# -- matrix products on Residue arithmetic (the slow path of sll.linalg)
+
+
+def naive_mat_mul(A, B):
+    """A B summed entry by entry with Residue * and +."""
+    out = []
+    for row in A:
+        out_row = []
+        for col in zip(*B):
+            acc = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
+                acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def naive_mat_vec(A, v):
+    """A v summed entry by entry with Residue * and +."""
+    return [row[0] for row in naive_mat_mul(A, [[x] for x in v])]
 
 
 # -- the normal-form reduction on Residue dicts (the slow path of sll.singularity)
