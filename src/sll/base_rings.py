@@ -365,10 +365,10 @@ class _CoeffRing:
         return CoeffPacking(self)
 
     def zero(self):
-        return self.element(0)
+        return self._element(self, (0,) * (len(self.lifted_modulus) - 1))
 
     def one(self):
-        return self.element(1)
+        return self._element(self, (1,) + (0,) * (len(self.lifted_modulus) - 2))
 
     def elements(self):
         for coeffs in itertools.product(range(self.pn), repeat=len(self.lifted_modulus) - 1):
@@ -544,7 +544,8 @@ class WittRing(_CoeffRing):
         return self.valuation(x) >= 1
 
     def residue(self, x):
-        return self.field.element(tuple(c % self.p for c in x.coeffs))
+        p = self.p
+        return FFElement(self.field, tuple([c % p for c in x.coeffs]))
 
     def frobenius(self, x):
         return WittElement(self, _int_matvec(self._sigma_mat, x.coeffs, self.pn))

@@ -158,13 +158,16 @@ def rref_field(ring, A):
     cols = len(work[0]) if rows else 0
     pivots = []
     rank = 0
+    one = ring.one()
     for col in range(cols):
         piv = next((r for r in range(rank, rows) if ring.is_unit(work[r][col])), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv = ring.invert(work[rank][col])
-        work[rank] = [inv * x for x in work[rank]]
+        pivot = work[rank][col]
+        if pivot != one:
+            inv = ring.invert(pivot)
+            work[rank] = [inv * x for x in work[rank]]
         for r in range(rows):
             if r != rank and work[r][col]:
                 f = work[r][col]

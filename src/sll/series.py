@@ -1,17 +1,18 @@
 """Multivariate formal power series truncated at a fixed total degree.
 
-Coefficients live in a WittRing or a FiniteField.  Series are stored as
-sparse maps from exponent vectors to nonzero coefficients (canonical
-form), with a deterministic graded-lex term order for printing and
-serialization.  All values are immutable and all operations pure.
-
-Multiplication and substitution run in a packed-integer form (`_Packing`):
-each monomial is one int key, so adding keys multiplies monomials and one
-comparison is the truncation test, and each coefficient is one int whose
-bit slots hold its residues, so one int product is the whole coefficient
-product.  Products are summed unreduced, and every output coefficient is
-reduced once, by the lifted modulus and mod p^n.  That coefficient half is
-`base_rings.CoeffPacking`, which `sll.linalg`'s matrix products share.
+Coefficients live in a WittRing or a FiniteField.  A series is stored in
+one form only, the packed-integer form of `_Packing`: a map from int
+monomial keys to reduced coefficients, nonzero ones only.  Each monomial
+is one int key, so adding keys multiplies monomials and one comparison is
+the truncation test, and each coefficient is one int (or m-tuple of ints)
+whose residues sit in bit slots when multiplied, so one int product is the
+whole coefficient product.  Products are summed unreduced, and every
+output coefficient is reduced once, by the lifted modulus and mod p^n.
+That coefficient half is `base_rings.CoeffPacking`, which `sll.linalg`'s
+matrix products share.  Exponent tuples and ring elements are built only
+where a caller reads them (`coeffs`, `terms`, `constant_term`,
+`linear_coefficients`); terms print and serialize in graded-lex order.
+All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
@@ -66,21 +67,20 @@ class SeriesRing:
 
     def constant(self, c):
         c = self.coeff_ring.element(c)
-        if not c:
-            return TruncatedSeries(self, {})
-        return TruncatedSeries(self, {(0,) * self.nvars: c})
+        return TruncatedSeries(self, {0: self._packing.reduced(c)} if c else {})
 
     def variable(self, i):
         if not 0 <= i < self.nvars:
             raise DomainError("variable index out of range")
-        e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return TruncatedSeries(self, {e: self.coeff_ring.one()})
+        packing = self._packing
+        return TruncatedSeries(self, {packing.weights[i]: packing.one})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
 
     def from_terms(self, terms):
         """Build from an iterable of (exponent tuple, coefficient)."""
+        packing = self._packing
         coeffs = {}
         for exps, c in terms:
             exps = tuple(int(e) for e in exps)
@@ -89,23 +89,21 @@ class SeriesRing:
             if sum(exps) >= self.degree:
                 continue
             c = self.coeff_ring.element(c)
-            acc = coeffs.get(exps)
-            c = acc + c if acc is not None else c
-            if c:
-                coeffs[exps] = c
-            elif exps in coeffs:
-                del coeffs[exps]
-        return TruncatedSeries(self, coeffs)
+            k = packing.key(exps)
+            acc = coeffs.get(k)
+            coeffs[k] = acc + c if acc is not None else c
+        return TruncatedSeries(self, {k: packing.reduced(c) for k, c in coeffs.items() if c})
 
     def with_degree(self, degree):
         return SeriesRing(self.coeff_ring, self.nvars, degree, self.var_names)
 
 
 class _Packing(CoeffPacking):
-    """The packed-integer form of the series of one SeriesRing, in which
-    `TruncatedSeries.__mul__` and `substitute` and the normal-form phases of
-    `sll.singularity` do all their arithmetic.  Its coefficients are those
-    of `base_rings.CoeffPacking`, whose slot arithmetic it inherits.
+    """The packed-integer form of the series of one SeriesRing: the one form
+    a `TruncatedSeries` stores, in which its operations and the normal-form
+    phases of `sll.singularity` do all their arithmetic.  Its coefficients
+    are those of `base_rings.CoeffPacking`, whose slot arithmetic it
+    inherits.
 
     A monomial x^e is the int key deg(e) << (s * nvars) | sum_i e_i << (s * i)
     with s = D.bit_length() bits per exponent field, so adding two keys
@@ -132,11 +130,6 @@ class _Packing(CoeffPacking):
     def key(self, e):
         # deg(e) = sum_i e_i, so the key is sum_i e_i (2^(s*i) + 2^(s*nvars))
         return sum(map(operator.mul, e, self.weights))
-
-    def pack(self, f):
-        """{key: reduced coefficient} of the series f."""
-        key, reduced = self.key, self.reduced
-        return {key(e): reduced(c) for e, c in f.coeffs.items()}
 
     def unpack(self, packed):
         """The {exponents: coefficient} map of a {key: reduced coefficient} map."""
@@ -237,13 +230,19 @@ def _term_key(exps):
 
 
 class TruncatedSeries:
-    """A truncated multivariate power series in canonical sparse form."""
+    """A truncated multivariate power series, held as the packed map
+    {monomial key: nonzero reduced coefficient} of its ring's `_Packing`."""
 
-    __slots__ = ("parent", "coeffs")
+    __slots__ = ("parent", "packed")
 
-    def __init__(self, parent, coeffs):
+    def __init__(self, parent, packed):
         self.parent = parent
-        self.coeffs = coeffs
+        self.packed = packed
+
+    @property
+    def coeffs(self):
+        """The {exponent tuple: coefficient} map of the series."""
+        return self.parent._packing.unpack(self.packed)
 
     def _check(self, other):
         if not isinstance(other, TruncatedSeries) or (
@@ -254,77 +253,62 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc = out.get(e)
-            s = acc + c if acc is not None else c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return TruncatedSeries(self.parent, out)
+        return TruncatedSeries(self.parent, self.parent._packing.add(self.packed, other.packed))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TruncatedSeries(self.parent, {e: -c for e, c in self.coeffs.items()})
+        neg = self.parent._packing.neg
+        return TruncatedSeries(self.parent, {k: neg(c) for k, c in self.packed.items()})
 
     def __mul__(self, other):
         self._check(other)
-        packing = self.parent._packing
-        return TruncatedSeries(
-            self.parent, packing.unpack(packing.mul(packing.pack(self), packing.pack(other))))
+        return TruncatedSeries(self.parent, self.parent._packing.mul(self.packed, other.packed))
 
     def scalar_mul(self, c):
-        c = self.parent.coeff_ring.element(c)
-        out = {}
-        for e, v in self.coeffs.items():
-            s = c * v
-            if s:
-                out[e] = s
-        return TruncatedSeries(self.parent, out)
+        return self * self.parent.constant(c)
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
             and other.parent == self.parent
-            and other.coeffs == self.coeffs
+            and other.packed == self.packed
         )
 
     def __hash__(self):
-        return hash((self.parent, tuple(sorted(self.coeffs.items(), key=lambda t: _term_key(t[0])))))
+        return hash((self.parent, frozenset(self.packed.items())))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.packed)
 
     # -- graded structure -----------------------------------------
 
     def constant_term(self):
-        z = (0,) * self.parent.nvars
-        return self.coeffs.get(z, self.parent.coeff_ring.zero())
+        packing = self.parent._packing
+        return packing.element(self.packed.get(0, packing.zero))
 
     def linear_coefficients(self):
-        out = []
-        for i in range(self.parent.nvars):
-            e = tuple(1 if j == i else 0 for j in range(self.parent.nvars))
-            out.append(self.coeffs.get(e, self.parent.coeff_ring.zero()))
-        return out
+        packing = self.parent._packing
+        return [packing.element(self.packed.get(w, packing.zero)) for w in packing.weights]
 
     def graded_part(self, d):
         if d >= self.parent.degree:
             raise PreconditionError(f"degree {d} is at or beyond truncation {self.parent.degree}")
-        return TruncatedSeries(self.parent, {e: c for e, c in self.coeffs.items() if sum(e) == d})
+        dshift = self.parent._packing.degree_shift
+        return TruncatedSeries(self.parent,
+                               {k: c for k, c in self.packed.items() if k >> dshift == d})
 
     def degree_bound(self):
-        return max((sum(e) for e in self.coeffs), default=0)
+        # keys sort by total degree first, so the largest has the largest degree
+        return max(self.packed, default=0) >> self.parent._packing.degree_shift
 
     def truncate(self, new_degree):
         """Image in the ring truncated at new_degree <= current degree."""
         if new_degree > self.parent.degree:
             raise DomainError("cannot raise the truncation degree of a series")
-        ring = self.parent.with_degree(new_degree)
-        return TruncatedSeries(ring, {e: c for e, c in self.coeffs.items() if sum(e) < new_degree})
+        # the key layout depends on D.bit_length(), so the terms are re-keyed
+        return self.parent.with_degree(new_degree).from_terms(self.coeffs.items())
 
     # -- substitution ------------------------------------------------
 
@@ -343,19 +327,13 @@ class TruncatedSeries:
                     "substituted series must have constant term in the maximal ideal",
                     part="constant",
                 )
-        packing = ring._packing
-        out = packing.substitute(packing.pack(self), [packing.pack(phi) for phi in images])
-        return TruncatedSeries(ring, packing.unpack(out))
+        return TruncatedSeries(
+            ring, ring._packing.substitute(self.packed, [phi.packed for phi in images]))
 
     def map_coefficients(self, fn, new_coeff_ring):
         """Apply fn to every coefficient, landing in new_coeff_ring."""
         ring = SeriesRing(new_coeff_ring, self.parent.nvars, self.parent.degree, self.parent.var_names)
-        out = {}
-        for e, c in self.coeffs.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return TruncatedSeries(ring, out)
+        return ring.from_terms((e, fn(c)) for e, c in self.coeffs.items())
 
     # -- presentation -----------------------------------------------
 
@@ -367,7 +345,7 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.to_text()})"
 
     def to_text(self):
-        if not self.coeffs:
+        if not self.packed:
             return "0"
         ring = self.parent
         parts = []

@@ -6,12 +6,13 @@ sum x_i h_i, is absorbed by the substitution x -> x - G^{-1} h, where G is
 the Gram matrix of the quadratic part.  Repeated at d = 1 until the linear
 part vanishes, the step is the Newton iteration for the shift that kills
 the linear term; applied once at each d = 3 .. D-1, it strips the higher
-terms.  Each phase packs f and the identity coordinate change once into
-the integer form of `series._Packing`, builds every step from packed keys
-and composes it there, and unpacks its results once.  A step at degree
-d >= 3 is x -> x + u with u of order d - 1, so only the monomials of
-degree below D - d + 2 are substituted and the rest pass through; the
-series kernel visits only the products of total degree below D.
+terms.  Each phase takes the packed map that f stores (the integer form of
+`series._Packing`) and the packed identity coordinate change, builds every
+step from packed keys, composes it there, and wraps its packed results as
+series.  A step at degree d >= 3 is x -> x + u with u of order d - 1, so
+only the monomials of degree below D - d + 2 are substituted and the rest
+pass through; the series kernel visits only the products of total degree
+below D.
 
 G^{-1} comes from one row reduction of [G mod p | I] over F_q, which is
 also the test that the quadratic part is non-degenerate, lifted to
@@ -203,13 +204,13 @@ def kill_linear_term(f):
 
     ring = f.parent
     packing = ring._packing
-    F, phi = packing.pack(f), _identity(packing)
+    F, phi = f.packed, _identity(packing)
     for _ in range(2 * A.n + 4):
         absorbed = _absorb(packing, F, phi, 1, Ginv, ring.degree)
         if absorbed is None:
             # phi_j = x_j + b_j
             b = [A.element(c.get(0, packing.zero)) for c in phi]
-            return b, TruncatedSeries(ring, packing.unpack(F))
+            return b, TruncatedSeries(ring, F)
         F, phi = absorbed
     raise InternalInvariantError("linear-term iteration did not converge")
 
@@ -230,7 +231,7 @@ def strip_higher_terms(f):
     ring = f.parent
     packing = ring._packing
     dshift = packing.degree_shift
-    F, phi = packing.pack(f), _identity(packing)
+    F, phi = f.packed, _identity(packing)
     quadratic = {k: c for k, c in F.items() if k >> dshift == 2}
     for d in range(3, ring.degree):
         # keys sort by total degree first, so the largest has the largest degree
@@ -244,8 +245,8 @@ def strip_higher_terms(f):
             raise InternalInvariantError(f"degree-{d} part survived its correction step")
     if {k: c for k, c in F.items() if k >> dshift == 2} != quadratic:
         raise InternalInvariantError("quadratic part drifted during stripping")
-    q_prime = QuadraticForm.from_series(TruncatedSeries(ring, packing.unpack(quadratic)))
-    return [TruncatedSeries(ring, packing.unpack(c)) for c in phi], ring.one(), q_prime
+    q_prime = QuadraticForm.from_series(TruncatedSeries(ring, quadratic))
+    return [TruncatedSeries(ring, c) for c in phi], ring.one(), q_prime
 
 
 def reduce_to_quadric(f):

@@ -60,6 +60,11 @@ def dict_add(a, b):
     return out
 
 
+def dict_scale(a, c):
+    """c times every coefficient, zeros dropped."""
+    return {e: v for e, v in ((e, c * v) for e, v in a.items()) if v}
+
+
 def dict_mul(a, b, degree):
     out = {}
     for e1, c1 in a.items():

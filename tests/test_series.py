@@ -8,7 +8,7 @@ from sll.errors import DomainError, PreconditionError, ValidationError
 from sll.jsonio import series_from_json, series_to_json
 from sll.series import SeriesRing
 
-from .oracles import naive_compose, naive_mul, series_equals_dict
+from .oracles import dict_add, dict_of, dict_scale, naive_compose, naive_mul, series_equals_dict
 
 
 def ring_W(p, m, n):
@@ -245,6 +245,67 @@ def test_truncation_coherence():
         assert f.substitute(phi).truncate(4) == f.truncate(4).substitute(
             [c.truncate(4) for c in phi]
         )
+
+
+def random_terms(sring, rng, count):
+    """`count` random (exponent, coefficient) terms below the truncation
+    degree, each total degree equally likely, repeats and zeros allowed."""
+    terms = []
+    for _ in range(count):
+        e = [0] * sring.nvars
+        for _ in range(rng.randrange(sring.degree)):
+            e[rng.randrange(sring.nvars)] += 1
+        terms.append((tuple(e), sring.coeff_ring.random_element(rng)))
+    return terms + [terms[0], (terms[1][0], sring.coeff_ring.zero())]
+
+
+@pytest.mark.parametrize("make_ring", [
+    lambda: FiniteField(5), lambda: ring_W(2, 2, 3), lambda: ring_W(2, 8, 32),
+], ids=["F5", "W3F4", "W32F256"])
+@pytest.mark.parametrize("D,low", [(8, 7), (16, 5), (4, 3)])
+def test_packed_operations_match_dict_oracles(make_ring, D, low):
+    # each operation on the packed map against coefficient dicts; each
+    # truncation crosses a bit-length boundary of D, where the key layout
+    # changes
+    ring = make_ring()
+    S = SeriesRing(ring, 3, D)
+    rng = random.Random(f"packed-ops:{ring!r}:{D}")
+    witt = isinstance(ring, WittRing)
+    field = ring.field if witt else ring
+    to_field = ring.residue if witt else (lambda c: c)
+    zero, one = ring.zero(), ring.one()
+    unit = next(c for c in iter(lambda: ring.random_element(rng), None) if ring.is_unit(c))
+    for _ in range(4):
+        f_terms, g_terms = random_terms(S, rng, 12), random_terms(S, rng, 12)
+        f, g = S.from_terms(f_terms), S.from_terms(g_terms)
+        F = G = {}
+        for e, c in f_terms:
+            F = dict_add(F, {e: c}) if c else F
+        for e, c in g_terms:
+            G = dict_add(G, {e: c}) if c else G
+        assert dict_of(f) == F and dict_of(g) == G
+        assert dict_of(f + g) == dict_add(F, G)
+        assert dict_of(f - g) == dict_add(F, dict_scale(G, -one))
+        assert dict_of(-f) == dict_scale(F, -one)
+        for c in (zero, ring.from_int(ring.p), unit):
+            assert dict_of(f.scalar_mul(c)) == dict_scale(F, c)
+        for d in range(D):
+            assert dict_of(f.graded_part(d)) == {e: c for e, c in F.items() if sum(e) == d}
+        assert f.degree_bound() == max((sum(e) for e in F), default=0)
+        assert f.constant_term() == F.get((0, 0, 0), zero)
+        linear = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert f.linear_coefficients() == [F.get(e, zero) for e in linear]
+        image = f.map_coefficients(to_field, field)
+        assert image.parent.coeff_ring == field
+        assert dict_of(image) == {e: to_field(c) for e, c in F.items() if to_field(c)}
+        t = f.truncate(low)
+        assert t.parent == S.with_degree(low)
+        assert dict_of(t) == {e: c for e, c in F.items() if sum(e) < low}
+        assert t == S.with_degree(low).from_terms(reversed(f_terms))
+        assert t.degree_bound() == max((sum(e) for e in F if sum(e) < low), default=0)
+        for h in (S.from_terms(reversed(f_terms)), (f + g) - g, f * S.one()):
+            assert h == f and hash(h) == hash(f)
+        assert f - f == S.zero() and hash(f - f) == hash(S.zero())
 
 
 def test_linear_part_of_composition_chain_rule():
