@@ -253,9 +253,11 @@ class WittElement(Residue):
 
 
 class CoeffPacking:
-    """The packed-integer form of the coefficients of one ring, in which
-    `linalg.mat_mul`, `linalg.mat_vec` and the series kernel `series._Packing`
-    take their products.
+    """The packed-integer form of the coefficients of one ring, the ring's
+    `packing`: the only code that knows the reduced form and its slots.
+    `linalg.mat_mul`, `linalg.mat_vec`, the series kernel `series._Packing`
+    and the Gram-inverse lift of `sll.singularity` take their coefficient
+    arithmetic here.
 
     A coefficient is m residues mod N = p^n (N = p over a field), m the
     degree of the lifted modulus g.  Reduced, it is an int (m = 1) or an
@@ -263,6 +265,8 @@ class CoeffPacking:
     int (Kronecker substitution), so one int product is the whole
     convolution of two residue vectors.  Products are summed unreduced and
     each sum is reduced once: its 2m - 1 slots folded by g and taken mod N.
+    The map methods (`spread_all`, `reduce`, `add`) take {key: coefficient}
+    maps and never read the keys.
     """
 
     def __init__(self, ring):
@@ -323,6 +327,55 @@ class CoeffPacking:
         """-r for a reduced coefficient r."""
         pn = self.pn
         return -r % pn if self.m == 1 else tuple([-x % pn for x in r])
+
+    def spread_all(self, packed, width):
+        """{key: spread coefficient} of a {key: reduced coefficient} map."""
+        if self.m == 1:
+            return packed
+        shifts = range(0, width * self.m, width)
+        return {k: sum(map(operator.lshift, r, shifts)) for k, r in packed.items()}
+
+    def reduce(self, acc, width):
+        """Reduce every {key: unreduced int with `width`-bit slots} and drop zeros."""
+        if self.m == 1:
+            pn = self.pn
+            return {k: r for k, v in acc.items() if (r := v % pn)}
+        if not acc:
+            # width 0 (nothing was summed) would make a zero range step
+            return {}
+        return {k: r for k, r in zip(acc, self.fold(acc.values(), width)) if any(r)}
+
+    def add(self, a, b):
+        """The reduced sum of two {key: reduced coefficient} maps, zeros dropped."""
+        pn, one = self.pn, self.m == 1
+        out = dict(a)
+        for k, c in b.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+                continue
+            s = (s + c) % pn if one else tuple([(x + y) % pn for x, y in zip(s, c)])
+            if s == self.zero:
+                del out[k]
+            else:
+                out[k] = s
+        return out
+
+    def mat_mul(self, A, B):
+        """A B for matrices of reduced coefficients: each entry one int dot
+        product of spread coefficients, reduced once."""
+        cols, mul = list(zip(*B)), operator.mul
+        if self.m == 1:
+            pn = self.pn
+            return [[sum(map(mul, row, col)) % pn for col in cols] for row in A]
+        width = self.width(len(B))
+        spread, fold = self.spread, self.fold
+        cols = [[spread(b, width) for b in col] for col in cols]
+        out = []
+        for row in A:
+            row = [spread(a, width) for a in row]
+            out.append(fold([sum(map(mul, row, col)) for col in cols], width))
+        return out
 
 
 # ---------------------------------------------------------------------------

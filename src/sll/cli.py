@@ -194,15 +194,15 @@ def _deform(args):
         except ValueError as exc:
             raise ValidationError("--frame takes two comma-separated indices") from exc
         y_idx = (i - 1, j - 1)
+        frame = deformation.HodgeFrame(module, y_idx,
+                                       tuple(k for k in range(4) if k not in y_idx))
     else:
-        y_idx = (2, 3)
-    x_idx = tuple(k for k in range(4) if k not in y_idx)
-    frame = deformation.HodgeFrame(module, y_idx, x_idx)
+        frame = deformation.standard_frame(module)
     rel = deformation.deformation_equation(frame)
     cls = singularity.classify_local_ring(rel)
     doc = _class_doc(module.ring, cls)
-    doc.update(relation=rel.to_text(), relation_series=jsonio.series_to_json(rel),
-               detail=cls.detail)
+    series = jsonio.series_to_json(rel)
+    doc.update(relation=series["text"], relation_series=series, detail=cls.detail)
     return doc
 
 
@@ -223,8 +223,8 @@ def _chart(args):
     ring = _ring_for(args.q, args.n)
     eq = local_model.chart_equation(ring)
     doc = _class_doc(ring, singularity.classify_local_ring(eq))
-    doc.update(q=args.q, n=ring.n, equation=eq.to_text(),
-               equation_series=jsonio.series_to_json(eq))
+    series = jsonio.series_to_json(eq)
+    doc.update(q=args.q, n=ring.n, equation=series["text"], equation_series=series)
     return doc
 
 

@@ -63,21 +63,21 @@ def relation_ring(witt_ring):
     return SeriesRing(witt_ring, 4, default_truncation(witt_ring.p), T_VARS)
 
 
-def expand_pairing(frame, left, right):
-    """<left~, right~> where left~ = e_left + t11 X1 + t12 X2 and
-    right~ = e_right + t21 X1 + t22 X2; left/right are basis indices."""
-    module = frame.module
-    sring = relation_ring(module.ring)
+def pairing_relation(J, left, right, x_indices):
+    """<left~, right~> for the pairing matrix J over W_n(F_q), where
+    left~ = e_left + t11 e_x1 + t12 e_x2 and right~ = e_right + t21 e_x1 +
+    t22 e_x2, with (x1, x2) = x_indices; left/right are basis indices."""
+    sring = relation_ring(J[0][0].ring)
     t = sring.variables()  # t11, t12, t21, t22
 
     def deformed(index, ts):
         vec = [sring.zero()] * 4
         vec[index] = sring.one()
-        for x, tk in zip(frame.X_indices, ts):
+        for x, tk in zip(x_indices, ts):
             vec[x] = vec[x] + tk
         return vec
 
-    J = linalg.mat_map(module.J, sring.constant)  # J[i][j] = <e_i, e_j>
+    J = linalg.mat_map(J, sring.constant)  # J[i][j] = <e_i, e_j>
     return linalg.bilinear(J, deformed(left, t[:2]), deformed(right, t[2:]), sring.zero())
 
 
@@ -85,7 +85,7 @@ def deformation_equation(frame):
     """The isotropy relation of the deformed filtration, a series of total
     degree <= 2 in t11, t12, t21, t22 over W_n(F_q)."""
     y1, y2 = frame.Y_indices
-    return expand_pairing(frame, y1, y2)
+    return pairing_relation(frame.module.J, y1, y2, frame.X_indices)
 
 
 def classify_point(frame):

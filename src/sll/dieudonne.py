@@ -168,15 +168,14 @@ def p_rank(module):
 
 @dataclass
 class DualLattice:
-    """Integral description of p * M^t: column i pairs as <b_i / p, e_j> =
-    delta_ij.  Entries are trusted to precision n-1 only."""
+    """Integral description of p * M^t by its basis columns b_i, with
+    <b_i / p, e_j> = delta_ij.  Entries are trusted to precision n-1 only."""
 
-    module: DieudonneModule
-    basis_matrix: list
+    basis_columns: list
     precision: int
 
     def columns(self):
-        return [[self.basis_matrix[i][j] for i in range(4)] for j in range(4)]
+        return self.basis_columns
 
 
 def dual_lattice(module):
@@ -194,10 +193,9 @@ def dual_lattice(module):
         raise PreconditionError("pairing is not of polarization degree 1 or p^2")
     scale = [[ring.from_int(ring.p ** (1 - v)) if i == j else ring.zero()
               for j in range(4)] for i, v in enumerate(vals)]
+    # the columns of p J^{-T} are the rows of p J^{-1}
     p_jinv = linalg.mat_mul(V, linalg.mat_mul(scale, U))
-    B = linalg.transpose(p_jinv)
-    precision = ring.n - 1 if vals == [0, 0, 1, 1] else ring.n
-    return DualLattice(module, B, precision)
+    return DualLattice(p_jinv, ring.n - 1 if vals == [0, 0, 1, 1] else ring.n)
 
 
 def kernel_type(module):
@@ -235,12 +233,6 @@ class LagrangianSearchResult:
     precision: int = 0
     nodes: int = 0
     message: str = ""
-
-
-def _vm_membership_data(module):
-    """Smith data of V_matrix: x in VM iff (U x)_i = 0 mod p^{v_i}."""
-    vals, U, _ = linalg.smith_form_local(module.ring, [row[:] for row in module.V_matrix])
-    return vals, U
 
 
 def _in_vm_mod(module, vals, U, vec, k):
@@ -335,7 +327,8 @@ def lagrangian_witness_search(module, max_nodes=None):
     ring = module.ring
     n = ring.n
     field = ring.field
-    vals, U = _vm_membership_data(module)
+    # Smith data of V_matrix: x in VM iff (U x)_i = 0 mod p^{v_i}
+    vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
     Ubar = linalg.mat_map(U, ring.residue)
     Jbar = linalg.mat_map(module.J, ring.residue)
     JbarT = linalg.transpose(Jbar)

@@ -4,10 +4,9 @@ Matrices are lists of row lists of ring elements.  The ring object must
 provide zero(), one(), is_unit(e), invert(e); elements support +, -, *.
 
 `mat_mul` and `mat_vec` are packed.  They take elements of one coefficient
-ring (F_q or W_n(F_q)) only, read their coefficients into the ring's
-`base_rings.CoeffPacking` form, and compute each output entry as one int
-dot product of spread coefficients, reduced once, in `packed_mat_mul`,
-which the Gram-inverse lift of `sll.singularity` calls directly.
+ring (F_q or W_n(F_q)) only, read their reduced coefficients, and leave the
+product to the ring's `base_rings.CoeffPacking.mat_mul`: each output entry
+one int dot product of spread coefficients, reduced once.
 
 The rest stays on `Residue` arithmetic, where packing did not pay when
 measured.  `bilinear` evaluates v^T G w for the package's pairings, over a
@@ -22,8 +21,6 @@ only kind `invert` accepts.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .base_rings import Residue
 from .errors import DomainError, InternalInvariantError
@@ -59,36 +56,18 @@ def _packing(*matrices):
     return ring.packing
 
 
-def packed_mat_mul(packing, A, B):
-    """A B for matrices of reduced coefficients (the `CoeffPacking` form):
-    each entry one int dot product of spread coefficients, reduced once."""
-    cols = list(zip(*B))
-    if packing.m == 1:
-        pn = packing.pn
-        return [[sum(map(mul, row, col)) % pn for col in cols] for row in A]
-    width = packing.width(len(B))
-    spread, fold = packing.spread, packing.fold
-    cols = [[spread(b, width) for b in col] for col in cols]
-    out = []
-    for row in A:
-        row = [spread(a, width) for a in row]
-        out.append(fold([sum(map(mul, row, col)) for col in cols], width))
-    return out
-
-
 def mat_mul(A, B):
     packing = _packing(A, B)
     reduced, element = packing.reduced, packing.element
-    C = packed_mat_mul(packing, [[reduced(a) for a in row] for row in A],
-                       [[reduced(b) for b in row] for row in B])
+    C = packing.mat_mul([[reduced(a) for a in row] for row in A],
+                        [[reduced(b) for b in row] for row in B])
     return [[element(c) for c in row] for row in C]
 
 
 def mat_vec(A, v):
     packing = _packing(A, [v])
     reduced, element = packing.reduced, packing.element
-    C = packed_mat_mul(packing, [[reduced(a) for a in row] for row in A],
-                       [[reduced(x)] for x in v])
+    C = packing.mat_mul([[reduced(a) for a in row] for row in A], [[reduced(x)] for x in v])
     return [element(row[0]) for row in C]
 
 

@@ -26,10 +26,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .base_rings import MAX_CHARACTERISTIC, FiniteField, WittRing
-from .deformation import T_VARS
+from .deformation import pairing_relation
 from .errors import PreconditionError, ValidationError
-from .series import SeriesRing
-from .singularity import default_truncation
 
 
 def field_for_q(q):
@@ -153,14 +151,11 @@ def singular_points(q):
 def chart_equation(ring):
     """Equation of the affine chart at the distinguished point z = <e1, e4>.
 
-    Nearby planes are the row spaces of [[1, t11, t12, 0], [0, t21, t22, 1]];
+    Nearby planes are the row spaces of [[1, t11, t12, 0], [0, t21, t22, 1]],
+    the deformation relation with Y = (e1, e4) and X = (e2, e3);
     expanding psi(row1, row2) = 0 gives exactly p + t11*t22 - t12*t21 over
     W_n.
     """
     if not isinstance(ring, WittRing):
         raise PreconditionError("the chart lives over a Witt ring")
-    sring = SeriesRing(ring, 4, default_truncation(ring.p), T_VARS)
-    t = sring.variables()
-    zero, one = sring.zero(), sring.one()
-    G = linalg.mat_map(pairing_matrix(ring), sring.constant)
-    return linalg.bilinear(G, [one, t[0], t[1], zero], [zero, t[2], t[3], one], zero)
+    return pairing_relation(pairing_matrix(ring), 0, 3, (1, 2))

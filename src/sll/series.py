@@ -8,10 +8,11 @@ the truncation test, and each coefficient is one int (or m-tuple of ints)
 whose residues sit in bit slots when multiplied, so one int product is the
 whole coefficient product.  Products are summed unreduced, and every
 output coefficient is reduced once, by the lifted modulus and mod p^n.
-That coefficient half is `base_rings.CoeffPacking`, which `sll.linalg`'s
-matrix products share.  Exponent tuples and ring elements are built only
-where a caller reads them (`coeffs`, `terms`, `constant_term`,
-`linear_coefficients`); terms print and serialize in graded-lex order.
+`_Packing` owns the keys; the coefficient half is the coefficient ring's
+`base_rings.CoeffPacking`, which `sll.linalg`'s matrix products share.
+Exponent tuples and ring elements are built only where a caller reads them
+(`coeffs`, `terms`, `constant_term`, `linear_coefficients`); terms print
+and serialize in graded-lex order.
 All values are immutable and all operations pure.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import operator
 
-from .base_rings import CoeffPacking
 from .errors import DomainError, PreconditionError, ValidationError
 
 
@@ -67,20 +67,19 @@ class SeriesRing:
 
     def constant(self, c):
         c = self.coeff_ring.element(c)
-        return TruncatedSeries(self, {0: self._packing.reduced(c)} if c else {})
+        return TruncatedSeries(self, {0: self.coeff_ring.packing.reduced(c)} if c else {})
 
     def variable(self, i):
         if not 0 <= i < self.nvars:
             raise DomainError("variable index out of range")
-        packing = self._packing
-        return TruncatedSeries(self, {packing.weights[i]: packing.one})
+        return TruncatedSeries(self, {self._packing.weights[i]: self.coeff_ring.packing.one})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
 
     def from_terms(self, terms):
         """Build from an iterable of (exponent tuple, coefficient)."""
-        packing = self._packing
+        key, reduced = self._packing.key, self.coeff_ring.packing.reduced
         coeffs = {}
         for exps, c in terms:
             exps = tuple(int(e) for e in exps)
@@ -89,21 +88,22 @@ class SeriesRing:
             if sum(exps) >= self.degree:
                 continue
             c = self.coeff_ring.element(c)
-            k = packing.key(exps)
+            k = key(exps)
             acc = coeffs.get(k)
             coeffs[k] = acc + c if acc is not None else c
-        return TruncatedSeries(self, {k: packing.reduced(c) for k, c in coeffs.items() if c})
+        return TruncatedSeries(self, {k: reduced(c) for k, c in coeffs.items() if c})
 
     def with_degree(self, degree):
         return SeriesRing(self.coeff_ring, self.nvars, degree, self.var_names)
 
 
-class _Packing(CoeffPacking):
+class _Packing:
     """The packed-integer form of the series of one SeriesRing: the one form
     a `TruncatedSeries` stores, in which its operations and the normal-form
-    phases of `sll.singularity` do all their arithmetic.  Its coefficients
-    are those of `base_rings.CoeffPacking`, whose slot arithmetic it
-    inherits.
+    phases of `sll.singularity` do all their arithmetic, and the only code
+    that does arithmetic on monomial keys.  Its coefficients are reduced
+    coefficients of `coeff`, the coefficient ring's `base_rings.CoeffPacking`,
+    which does all their slot arithmetic.
 
     A monomial x^e is the int key deg(e) << (s * nvars) | sum_i e_i << (s * i)
     with s = D.bit_length() bits per exponent field, so adding two keys
@@ -118,7 +118,7 @@ class _Packing(CoeffPacking):
     """
 
     def __init__(self, ring):
-        super().__init__(ring.coeff_ring)
+        self.coeff = ring.coeff_ring.packing
         self.nvars = ring.nvars
         self.shift = ring.degree.bit_length()
         # a key's total degree is key >> degree_shift
@@ -135,27 +135,33 @@ class _Packing(CoeffPacking):
         """The {exponents: coefficient} map of a {key: reduced coefficient} map."""
         shift, mask = self.shift, (1 << self.shift) - 1
         shifts = range(0, shift * self.nvars, shift)
-        coeff_ring = self.coeff_ring
-        element = coeff_ring._element
-        one = self.m == 1
-        return {tuple([k >> s & mask for s in shifts]): element(coeff_ring, (r,) if one else r)
-                for k, r in packed.items()}
+        return {tuple([k >> s & mask for s in shifts]): c
+                for k, c in zip(packed, map(self.coeff.element, packed.values()))}
 
-    def spread_all(self, packed, width):
-        if self.m == 1:
-            return packed
-        shifts = range(0, width * self.m, width)
-        return {k: sum(map(operator.lshift, r, shifts)) for k, r in packed.items()}
+    def linear(self, coeffs):
+        """The packed linear form sum_i coeffs[i] x_i of reduced coefficients."""
+        zero = self.coeff.zero
+        return {w: c for w, c in zip(self.weights, coeffs) if c != zero}
 
-    def reduce(self, acc, width):
-        """Reduce every {key: unreduced int with `width`-bit slots} and drop zeros."""
-        if self.m == 1:
-            pn = self.pn
-            return {k: r for k, v in acc.items() if (r := v % pn)}
-        if not acc:
-            # width 0 (nothing was summed) would make a zero range step
-            return {}
-        return {k: r for k, r in zip(acc, self.fold(acc.values(), width)) if any(r)}
+    def split(self, packed, d):
+        """(low, high): the terms of degree below d and those of degree >= d."""
+        cut = d << self.degree_shift
+        low, high = {}, {}
+        for k, c in packed.items():
+            (high if k >= cut else low)[k] = c
+        return low, high
+
+    def factor(self, packed, d):
+        """[h_1, ..., h_n] with sum_i x_i h_i the degree-d part of `packed`,
+        each monomial given to its smallest-index variable."""
+        dshift, shift, weights = self.degree_shift, self.shift, self.weights
+        h = [{} for _ in weights]
+        for k, c in packed.items():
+            if k >> dshift == d:
+                # the lowest set bit of k lies in its smallest-index nonzero exponent
+                i = ((k & -k).bit_length() - 1) // shift
+                h[i][k - weights[i]] = c
+        return h
 
     def mul(self, a, b):
         """The truncated product of two packed series, reduced.  An output
@@ -163,18 +169,19 @@ class _Packing(CoeffPacking):
         meets at most the one term k - k1 of b, and vice versa."""
         if not a or not b:
             return {}
-        width = self.width(min(len(a), len(b)))
-        right = sorted(self.spread_all(b, width).items())
+        coeff = self.coeff
+        width = coeff.width(min(len(a), len(b)))
+        right = sorted(coeff.spread_all(b, width).items())
         limit = self.limit
         acc = {}
         get = acc.get
-        for k1, c1 in self.spread_all(a, width).items():
+        for k1, c1 in coeff.spread_all(a, width).items():
             for k2, c2 in right:
                 k = k1 + k2
                 if k >= limit:
                     break
                 acc[k] = get(k, 0) + c1 * c2
-        return self.reduce(acc, width)
+        return coeff.reduce(acc, width)
 
     def substitute(self, f, images):
         """f(images_1, ..., images_n) for a packed f and packed images,
@@ -183,11 +190,12 @@ class _Packing(CoeffPacking):
         shift, mask = self.shift, (1 << self.shift) - 1
         fields = tuple(enumerate(range(0, self.degree_shift, shift)))
         pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
+        coeff = self.coeff
         # one slot width for the sum of c times each monomial image: every
         # term of f adds at most one product c * v (the constant term c
         # alone) to each output coefficient
-        width = self.width(len(f))
-        mul, spread = self.mul, self.spread
+        width = coeff.width(len(f))
+        mul, spread, spread_all = self.mul, coeff.spread, coeff.spread_all
         out = {}
         get = out.get
         for k, c in f.items():
@@ -204,25 +212,9 @@ class _Packing(CoeffPacking):
             if mono is None:
                 out[k] = get(k, 0) + c
                 continue
-            for key, v in self.spread_all(mono, width).items():
+            for key, v in spread_all(mono, width).items():
                 out[key] = get(key, 0) + c * v
-        return self.reduce(out, width)
-
-    def add(self, a, b):
-        """The reduced sum of two packed series, zeros dropped."""
-        pn = self.pn
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-                continue
-            s = (s + c) % pn if self.m == 1 else tuple([(x + y) % pn for x, y in zip(s, c)])
-            if s == self.zero:
-                del out[k]
-            else:
-                out[k] = s
-        return out
+        return coeff.reduce(out, width)
 
 
 def _term_key(exps):
@@ -253,13 +245,14 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        return TruncatedSeries(self.parent, self.parent._packing.add(self.packed, other.packed))
+        return TruncatedSeries(self.parent,
+                               self.parent.coeff_ring.packing.add(self.packed, other.packed))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        neg = self.parent._packing.neg
+        neg = self.parent.coeff_ring.packing.neg
         return TruncatedSeries(self.parent, {k: neg(c) for k, c in self.packed.items()})
 
     def __mul__(self, other):
@@ -285,12 +278,13 @@ class TruncatedSeries:
     # -- graded structure -----------------------------------------
 
     def constant_term(self):
-        packing = self.parent._packing
+        packing = self.parent.coeff_ring.packing
         return packing.element(self.packed.get(0, packing.zero))
 
     def linear_coefficients(self):
-        packing = self.parent._packing
-        return [packing.element(self.packed.get(w, packing.zero)) for w in packing.weights]
+        packing = self.parent.coeff_ring.packing
+        return [packing.element(self.packed.get(w, packing.zero))
+                for w in self.parent._packing.weights]
 
     def graded_part(self, d):
         if d >= self.parent.degree:

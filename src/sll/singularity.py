@@ -6,18 +6,19 @@ sum x_i h_i, is absorbed by the substitution x -> x - G^{-1} h, where G is
 the Gram matrix of the quadratic part.  Repeated at d = 1 until the linear
 part vanishes, the step is the Newton iteration for the shift that kills
 the linear term; applied once at each d = 3 .. D-1, it strips the higher
-terms.  Each phase takes the packed map that f stores (the integer form of
-`series._Packing`) and the packed identity coordinate change, builds every
-step from packed keys, composes it there, and wraps its packed results as
-series.  A step at degree d >= 3 is x -> x + u with u of order d - 1, so
-only the monomials of degree below D - d + 2 are substituted and the rest
-pass through; the series kernel visits only the products of total degree
-below D.
+terms.  f and phi stay `TruncatedSeries` throughout; the keys of their
+packed maps are read only by `series._Packing`, which splits a series at a
+degree, writes its degree-d part as sum x_i h_i, and substitutes.  The
+correction -G^{-1} h is one substitution y = h into the linear forms
+-sum_k G^{-1}[j][k] y_k.  A step at degree d >= 3 is x -> x + u with u of
+order d - 1, so only the monomials of degree below D - d + 2 are
+substituted and the rest pass through; the series kernel visits only the
+products of total degree below D.
 
 G^{-1} comes from one row reduction of [G mod p | I] over F_q, which is
 also the test that the quadratic part is non-degenerate, lifted to
 W_n(F_q) by the Newton iteration X <- X (2I - G X), each product one
-`linalg.packed_mat_mul` on reduced coefficients.
+`base_rings.CoeffPacking.mat_mul` on reduced coefficients.
 
 The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), checked by
 one full substitution and exact up to the truncation degree, with a'
@@ -93,13 +94,13 @@ def _coeff_ring_of(f):
 
 def _quadratic_inverse(f):
     """The inverse of the Gram matrix G of the quadratic part of f, as rows
-    of reduced coefficients (the `series._Packing` form).
+    of reduced coefficients (the `base_rings.CoeffPacking` form).
 
     One row reduction of [G mod p | I] over F_q is both the rank test and
     (G mod p)^(-1).  Newton's X <- X (2I - G X) lifts that to G^(-1), each
     round doubling the power of p that divides I - G X, until G X = I."""
     A = f.parent.coeff_ring
-    packing = f.parent._packing
+    packing = A.packing
     field, n = A.field, f.parent.nvars
     gram = bilinear_gram(QuadraticForm.from_series(f))
     work, pivots = linalg.rref_field(
@@ -115,74 +116,56 @@ def _quadratic_inverse(f):
     # X (2I - GX) is one product: [X | -X] times [2I ; GX]
     two_identity = [[two if i == j else zero for j in range(n)] for i in range(n)]
     for _ in range(A.n.bit_length() + 1):
-        GX = linalg.packed_mat_mul(packing, G, X)
+        GX = packing.mat_mul(G, X)
         if GX == identity:
             return X
-        X = linalg.packed_mat_mul(packing, [row + [neg(x) for x in row] for row in X],
-                                  two_identity + GX)
+        X = packing.mat_mul([row + [neg(x) for x in row] for row in X], two_identity + GX)
     raise InternalInvariantError("Gram inverse lift did not converge")
 
 
-def _packed_step(packing, F, d, Ginv):
-    """The substitution x_j -> x_j - sum_k Ginv[j][k] h_k on packed series,
-    where the degree-d part of F is sum_i x_i h_i, each key given to its
-    smallest-index variable (None if there is no such part).  It cancels
-    that part up to terms of higher degree (d >= 3) or higher valuation
-    (d = 1)."""
-    dshift, shift, weights = packing.degree_shift, packing.shift, packing.weights
-    h = [{} for _ in weights]
-    for k, c in F.items():
-        if k >> dshift == d:
-            # the lowest set bit of k lies in its smallest-index nonzero exponent
-            i = ((k & -k).bit_length() - 1) // shift
-            h[i][k - weights[i]] = c
+def _step_forms(f):
+    """The linear forms -sum_k Ginv[j][k] y_k, one per j, as packed maps,
+    with Ginv the inverse Gram matrix of the quadratic part of f."""
+    neg, linear = f.parent.coeff_ring.packing.neg, f.parent._packing.linear
+    return [linear([neg(g) for g in row]) for row in _quadratic_inverse(f)]
+
+
+def _step(F, d, forms):
+    """The substitution x_j -> x_j - sum_k Ginv[j][k] h_k as packed maps,
+    where the degree-d part of F is sum_i x_i h_i (`series._Packing.factor`),
+    or None if there is no such part.  Each correction is the substitution
+    y = h into forms[j] (`_step_forms`).  The step cancels that part up to
+    terms of higher degree (d >= 3) or higher valuation (d = 1)."""
+    ring = F.parent
+    packing = ring._packing
+    h = packing.factor(F.packed, d)
     if not any(h):
         return None
-    # each key of the step sums at most one product per h_k
-    width = packing.width(len(h))
-    spread, neg = packing.spread, packing.neg
-    h = [packing.spread_all(hk, width) for hk in h]
-    step = []
-    for j, row in enumerate(Ginv):
-        acc = {}
-        get = acc.get
-        for g, hk in zip(row, h):
-            g = spread(neg(g), width)
-            if g:
-                for k, c in hk.items():
-                    acc[k] = get(k, 0) + g * c
-        u = packing.reduce(acc, width)
-        # u has degree d - 1, never 1, so x_j's key is free
-        u[weights[j]] = packing.one
-        step.append(u)
-    return step
+    # a correction has degree d - 1, never 1, so it does not meet x_j
+    add = ring.coeff_ring.packing.add
+    return [add(packing.substitute(form, h), x.packed) for form, x in zip(forms, ring.variables())]
 
 
-def _apply_step(packing, g, step, cut):
-    """g(step) on packed series, for a step x -> x + u with u of order
-    d - 1 and cut = D - d + 2.  A monomial of degree k only gains terms of
-    degree >= k + d - 2, so one of degree >= cut passes through unchanged:
-    only the part of g below the cut is substituted, and the rest is added
-    back as is."""
-    cut_key = cut << packing.degree_shift
-    low, high = {}, {}
-    for k, c in g.items():
-        (high if k >= cut_key else low)[k] = c
-    return packing.add(packing.substitute(low, step), high)
+def _apply_step(g, step, cut):
+    """g(step) for a step x -> x + u with u of order d - 1 and
+    cut = D - d + 2.  A monomial of degree k only gains terms of degree
+    >= k + d - 2, so one of degree >= cut passes through unchanged: only
+    the part of g below the cut is substituted, and the rest is added back
+    as is."""
+    ring = g.parent
+    low, high = ring._packing.split(g.packed, cut)
+    return TruncatedSeries(
+        ring, ring.coeff_ring.packing.add(ring._packing.substitute(low, step), high))
 
 
-def _absorb(packing, F, phi, d, Ginv, degree):
+def _absorb(F, phi, d, forms):
     """The degree-d absorbing step applied to F and to each component of phi;
     None if F has no degree-d part."""
-    step = _packed_step(packing, F, d, Ginv)
+    step = _step(F, d, forms)
     if step is None:
         return None
-    cut = degree - d + 2
-    return _apply_step(packing, F, step, cut), [_apply_step(packing, c, step, cut) for c in phi]
-
-
-def _identity(packing):
-    return [{w: packing.one} for w in packing.weights]
+    cut = F.parent.degree - d + 2
+    return _apply_step(F, step, cut), [_apply_step(c, step, cut) for c in phi]
 
 
 def kill_linear_term(f):
@@ -198,19 +181,16 @@ def kill_linear_term(f):
     for i, c in enumerate(f.linear_coefficients()):
         if A.is_unit(c):
             raise SmoothShortCircuit("unit linear coefficient", index=i)
-    Ginv = _quadratic_inverse(f)
+    forms = _step_forms(f)
     if not A.in_maximal_ideal(f.constant_term()):
         raise PreconditionError("constant term must lie in the maximal ideal", part="constant")
 
-    ring = f.parent
-    packing = ring._packing
-    F, phi = f.packed, _identity(packing)
+    F, phi = f, f.parent.variables()
     for _ in range(2 * A.n + 4):
-        absorbed = _absorb(packing, F, phi, 1, Ginv, ring.degree)
+        absorbed = _absorb(F, phi, 1, forms)
         if absorbed is None:
             # phi_j = x_j + b_j
-            b = [A.element(c.get(0, packing.zero)) for c in phi]
-            return b, TruncatedSeries(ring, F)
+            return [c.constant_term() for c in phi], F
         F, phi = absorbed
     raise InternalInvariantError("linear-term iteration did not converge")
 
@@ -226,27 +206,23 @@ def strip_higher_terms(f):
     _coeff_ring_of(f)
     if any(f.linear_coefficients()):
         raise PreconditionError("strip_higher_terms needs a vanishing linear part", part="linear")
-    Ginv = _quadratic_inverse(f)
+    forms = _step_forms(f)
 
     ring = f.parent
-    packing = ring._packing
-    dshift = packing.degree_shift
-    F, phi = f.packed, _identity(packing)
-    quadratic = {k: c for k, c in F.items() if k >> dshift == 2}
+    F, phi = f, ring.variables()
+    quadratic = f.graded_part(2)
     for d in range(3, ring.degree):
-        # keys sort by total degree first, so the largest has the largest degree
-        if max(F, default=0) >> dshift < d:
+        if F.degree_bound() < d:
             break
-        absorbed = _absorb(packing, F, phi, d, Ginv, ring.degree)
+        absorbed = _absorb(F, phi, d, forms)
         if absorbed is None:
             continue
         F, phi = absorbed
-        if any(k >> dshift == d for k in F):
+        if F.graded_part(d):
             raise InternalInvariantError(f"degree-{d} part survived its correction step")
-    if {k: c for k, c in F.items() if k >> dshift == 2} != quadratic:
+    if F.graded_part(2) != quadratic:
         raise InternalInvariantError("quadratic part drifted during stripping")
-    q_prime = QuadraticForm.from_series(TruncatedSeries(ring, quadratic))
-    return [TruncatedSeries(ring, c) for c in phi], ring.one(), q_prime
+    return phi, ring.one(), QuadraticForm.from_series(quadratic)
 
 
 def reduce_to_quadric(f):

@@ -19,8 +19,9 @@ F_q row reduction and Newton lift.
 rank tests) are the references for the fiber and tangent dimensions that
 `sll.local_model` reads off the Schubert-divisor description; they share
 `IsotropicPlane` and `pairing_value` with it, but not its generator.  The
-brute-force witness search reuses the membership test, the Smith data and
-the witness completion of `sll.dieudonne`, but not its linear solver.
+brute-force witness search reuses the membership test and the witness
+completion of `sll.dieudonne` and the Smith data of `linalg.smith_form_local`,
+but not its linear solver.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ import functools
 import itertools
 
 from sll import linalg
-from sll.dieudonne import (
-    LagrangianSearchResult,
-    _complete_witness,
-    _in_vm_mod,
-    _vm_membership_data,
-)
+from sll.dieudonne import LagrangianSearchResult, _complete_witness, _in_vm_mod
 from sll.errors import PreconditionError
 from sll.local_model import IsotropicPlane, field_for_q, pairing_value
 
@@ -517,7 +513,7 @@ def brute_force_witness_search(module):
     ring = module.ring
     n = ring.n
     field = ring.field
-    vals, U = _vm_membership_data(module)
+    vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
     field_elts = sorted(field.elements(), key=lambda e: e.coeffs)
     nodes = 0
 

@@ -16,6 +16,7 @@ from sll.deformation import (
 )
 from sll.dieudonne import base_change, make_standard
 from sll.errors import PreconditionError
+from sll.local_model import chart_equation
 from sll.series import SeriesRing
 
 
@@ -33,10 +34,13 @@ def expected_iib_relation(ring):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("m", [1, 2])
 def test_iib_relation_is_exact(p, n, m):
+    # q = p^m runs over 2, 3, 4, 5, 9 and 25; the local-model chart at
+    # <e1, e4> is the same relation
     ring = ring_W(p, m, n)
     module = make_standard(ring, "iib")
     rel = deformation_equation(standard_frame(module))
     assert rel == expected_iib_relation(ring)
+    assert chart_equation(ring) == rel
 
 
 def test_lagrangian_relation():

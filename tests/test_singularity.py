@@ -169,13 +169,13 @@ def test_strip_stops_once_no_higher_terms_are_left(monkeypatch):
     rel = deformation_equation(standard_frame(module))
     assert rel.parent.degree == 131_044
     calls = []
-    step = singularity._packed_step
+    step = singularity._step
 
-    def counted(packing, F, d, Ginv):
+    def counted(F, d, forms):
         calls.append(d)
-        return step(packing, F, d, Ginv)
+        return step(F, d, forms)
 
-    monkeypatch.setattr(singularity, "_packed_step", counted)
+    monkeypatch.setattr(singularity, "_step", counted)
     cls = classify_local_ring(rel)
     assert cls.tag == "OrdinaryDoublePoint" and cls.valuation == 1
     assert cls.normal_form.phi == rel.parent.variables()
@@ -186,12 +186,18 @@ def test_strip_stops_once_no_higher_terms_are_left(monkeypatch):
 def test_compose_matches_naive_composition_at_every_degree(p, m, n, D):
     # g(step) for seeded absorbing steps at each d = 3 .. D-1, with g
     # carrying monomials of every degree, so both sides of the cut
-    # D - d + 2 (and the boundary degree D - d + 1) are present
-    from .oracles import naive_compose, series_equals_dict
+    # D - d + 2 (and the boundary degree D - d + 1) are present; each step,
+    # and the degree-1 step, equals the oracle's step on coefficient dicts
+    from .oracles import (
+        _gram_inverse,
+        absorbing_step,
+        dict_of,
+        naive_compose,
+        series_equals_dict,
+    )
 
     ring = ring_W(p, m, n)
     S = SeriesRing(ring, 4, D)
-    packing = S._packing
     rng = random.Random(f"compose:{p}:{m}:{D}")
 
     def monomial(k):
@@ -201,18 +207,29 @@ def test_compose_matches_naive_composition_at_every_degree(p, m, n, D):
         return tuple(e)
 
     quadratic = random_nondegenerate_quadratic(S, rng)
-    Ginv = singularity._quadratic_inverse(quadratic)
+    forms = singularity._step_forms(quadratic)
+    ginv = _gram_inverse(ring, dict_of(quadratic))
+    variables = [dict_of(x) for x in S.variables()]
+
+    def checked_step(f, d):
+        step = singularity._step(f, d, forms)
+        assert step is not None
+        want = absorbing_step(dict_of(f), d, ginv, variables)
+        assert all(series_equals_dict(TruncatedSeries(S, u), w) for u, w in zip(step, want))
+        return step
+
     for d in range(3, D):
         tail = S.from_terms((monomial(d), ring.random_element(rng)) for _ in range(2))
-        step = singularity._packed_step(packing, (quadratic + tail).packed, d, Ginv)
-        assert step is not None
+        step = checked_step(quadratic + tail, d)
         g = S.from_terms(
             (monomial(k), ring.random_element(rng)) for k in range(D) for _ in range(2)
         )
         g = g + S.from_terms((monomial(D - d + 1), ring.one()) for _ in range(3))
-        got = singularity._apply_step(packing, g.packed, step, D - d + 2)
+        got = singularity._apply_step(g, step, D - d + 2)
         images = [TruncatedSeries(S, u) for u in step]
-        assert series_equals_dict(TruncatedSeries(S, got), naive_compose(g, images))
+        assert series_equals_dict(got, naive_compose(g, images))
+    linear = S.from_terms((monomial(1), ring.random_element(rng)) for _ in range(4))
+    checked_step(quadratic + linear, 1)
 
 
 def random_normal_form_input(S, rng, linear_valuation):
@@ -295,7 +312,7 @@ def test_gram_inverse_matches_residue_inverse(p, m, n):
             G = bilinear_gram(Q)
             got = singularity._quadratic_inverse(Q.to_series(S))
             want = linalg.invert(ring, G)
-            assert got == [[S._packing.reduced(c) for c in row] for row in want]
+            assert got == [[ring.packing.reduced(c) for c in row] for row in want]
             X = [[ring.element(c) for c in row] for row in got]
             assert naive_mat_mul(G, X) == linalg.identity(ring, nvars)
 
