@@ -12,6 +12,13 @@ F_q = F_p[x]/(modulus) is the n = 1 case, W_1(F_q): both rings expose
 a field), one element class, `Residue`, does the arithmetic of both, and
 one base class, `_CoeffRing`, builds and compares them.
 
+The polynomial arithmetic over Z/N is written once: `_reduce` is the one
+reduction by a monic modulus (of a `Residue` product, of a packed sum in
+`CoeffPacking.fold`, and in the gcd and the modulus lift), `_powmod` the
+one square-and-multiply loop (`**`, Frobenius, Teichmuller lifts), and
+`is_irreducible` is Ben-Or's test on both (M. Ben-Or, *Probabilistic
+algorithms in finite fields*, FOCS 1981).
+
 Elements are immutable value objects; rings are shareable read-only
 contexts; every operation is pure.
 """
@@ -24,12 +31,11 @@ import operator
 
 from .errors import DomainError, InternalInvariantError, ValidationError
 
-# deterministic moduli for the extension fields the test fixtures use,
-# little-endian coefficient tuples, monic
+# moduli that override `find_irreducible`'s scan, little-endian coefficient
+# tuples, monic: the scan would give x^3 + x^2 + 1 and x^2 + x + 1, and these
+# fix the element coordinates of every F_8 and F_25 output
 BUILTIN_MODULI = {
-    (2, 2): (1, 1, 1),       # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),    # x^3 + x + 1
-    (3, 2): (1, 0, 1),       # x^2 + 1
     (5, 2): (2, 0, 1),       # x^2 + 2
 }
 
@@ -62,16 +68,22 @@ def _ptrim(a):
     return tuple(a[:i])
 
 
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    for k in range(len(a) - 1, df - 1, -1):
-        c = a[k] % p
+def _reduce(s, g, mod):
+    """The len(g) - 1 residues mod `mod` of s reduced by the monic g.
+
+    s is a list of coefficients, low degree first, of any length; it is
+    consumed.  The one reduction of the package: `_mulmod`, the packed
+    `CoeffPacking.fold`, `_pgcd` and the modulus lift all end here."""
+    m = len(g) - 1
+    while len(s) > m:
+        # g is monic, so c x^k = -c x^(k-m) (g_0 + ... + g_(m-1) x^(m-1)):
+        # the top coefficient c folds into the m slots below it
+        c = s.pop() % mod
         if c:
-            for j in range(df + 1):
-                a[k - df + j] = (a[k - df + j] - c * f[j]) % p
-    return _ptrim(a[:df])
+            k = len(s)
+            for j, gj in zip(range(k - m, k), g):
+                s[j] -= c * gj
+    return tuple([x % mod for x in s]) + (0,) * (m - len(s))
 
 
 def _pgcd(a, b, p):
@@ -79,7 +91,7 @@ def _pgcd(a, b, p):
     while b:
         lc_inv = pow(b[-1], p - 2, p)
         bm = tuple(c * lc_inv % p for c in b)
-        a, b = b, _pmod(a, bm, p)
+        a, b = b, _ptrim(_reduce(list(a), bm, p))
     return a
 
 
@@ -94,57 +106,36 @@ def _mulmod(a, b, g, mod):
     out = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % mod
-    for k in range(2 * m - 2, m - 1, -1):
-        c = out[k]
-        if c:
-            for j in range(m + 1):
-                out[k - m + j] = (out[k - m + j] - c * g[j]) % mod
-    return tuple(out[:m])
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _reduce(out, g, mod)
 
 
-def _frob_power(base, k, f, p, mod):
-    # base^(p^k) mod f by k successive p-th powers, coefficients mod `mod`
-    g = base
-    for _ in range(k):
-        h = (1,) + (0,) * (len(g) - 1)
-        e = p
-        sq = g
-        while e:
-            if e & 1:
-                h = _mulmod(h, sq, f, mod)
-            sq = _mulmod(sq, sq, f, mod)
-            e >>= 1
-        g = h
-    return g
+def _powmod(base, e, g, mod):
+    """base^e reduced by the monic g, coefficients mod `mod`, e >= 0: the
+    one square-and-multiply loop, read from the top bit down."""
+    if not e:
+        return _reduce([1], g, mod)
+    out = base
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, g, mod)
+        if bit == "1":
+            out = _mulmod(out, base, g, mod)
+    return out
 
 
 def is_irreducible(poly, p):
-    """Irreducibility of a monic polynomial over F_p (degree <= 4 scale)."""
+    """Irreducibility of a monic polynomial over F_p by Ben-Or's test: f of
+    degree m is irreducible iff gcd(f, x^(p^k) - x) = 1 for k = 1 .. m // 2,
+    since a reducible f has an irreducible factor of degree <= m // 2."""
     poly = tuple(c % p for c in poly)
     m = len(poly) - 1
     if m < 1 or poly[-1] != 1:
         return False
-    if m == 1:
-        return True
-    x = (0, 1) + (0,) * (m - 2)
-    # x^(p^m) must equal x mod poly
-    if _frob_power(x, m, poly, p, p) != x:
-        return False
-    # no factor of degree m/r for prime r | m
-    r = 2
-    mm = m
-    primes = set()
-    while mm > 1:
-        while mm % r == 0:
-            primes.add(r)
-            mm //= r
-        r += 1
-    for r in primes:
-        diff = list(_frob_power(x, m // r, poly, p, p))
-        diff[1] = (diff[1] - 1) % p
-        if len(_pgcd(poly, _ptrim(diff), p)) > 1:
+    h = _reduce([0, 1], poly, p)
+    for _ in range(m // 2):
+        h = _powmod(h, p, poly, p)  # x^(p^k)
+        if len(_pgcd(poly, (h[0], (h[1] - 1) % p) + h[2:], p)) > 1:
             return False
     return True
 
@@ -206,14 +197,8 @@ class Residue:
     def __pow__(self, e):
         if e < 0:
             return self.ring.invert(self) ** (-e)
-        out = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        r = self.ring
+        return type(self)(r, _powmod(self.coeffs, e, r.lifted_modulus, r.pn))
 
     def __eq__(self, other):
         return (isinstance(other, Residue) and other.coeffs == self.coeffs
@@ -264,7 +249,8 @@ class CoeffPacking:
     m-tuple.  To multiply, the residues sit in slots of `width` bits of one
     int (Kronecker substitution), so one int product is the whole
     convolution of two residue vectors.  Products are summed unreduced and
-    each sum is reduced once: its 2m - 1 slots folded by g and taken mod N.
+    each sum is reduced once, by `_reduce`: its 2m - 1 slots folded by g and
+    taken mod N.
     The map methods (`spread_all`, `reduce`, `add`) take {key: coefficient}
     maps and never read the keys.
     """
@@ -273,8 +259,7 @@ class CoeffPacking:
         self.coeff_ring = ring
         self.pn = ring.pn
         self.m = len(ring.lifted_modulus) - 1
-        # g without its leading 1
-        self.g = ring.lifted_modulus[:-1]
+        self.g = ring.lifted_modulus
         self.zero = 0 if self.m == 1 else (0,) * self.m
         self.one = 1 if self.m == 1 else (1,) + self.zero[1:]
         # a product of two reduced m-slot coefficients has slots below
@@ -306,22 +291,12 @@ class CoeffPacking:
     def fold(self, values, width):
         """The reduced coefficients of unreduced ints with `width`-bit slots,
         each a sum of products of spread coefficients, for m > 1 (at m = 1
-        a sum is reduced by `% pn` alone)."""
-        pn, m, g = self.pn, self.m, self.g
+        a sum is reduced by `% pn` alone): each value's 2m - 1 slots are
+        read out and reduced by the lifted modulus with `_reduce`."""
+        pn, g = self.pn, self.g
         mask = (1 << width) - 1
-        shifts = range(0, width * (2 * m - 1), width)
-        out = []
-        for v in values:
-            s = [v >> sh & mask for sh in shifts]
-            # g is monic, so x^m = -(g_0 + g_1 x + ... + g_(m-1) x^(m-1)):
-            # the top slot c x^(base + m) folds into slots base .. base + m - 1
-            for base in range(m - 2, -1, -1):
-                c = s.pop() % pn
-                if c:
-                    for j, gj in enumerate(g, base):
-                        s[j] -= c * gj
-            out.append(tuple([x % pn for x in s]))
-        return out
+        shifts = range(0, width * (2 * self.m - 1), width)
+        return [_reduce([v >> sh & mask for sh in shifts], g, pn) for v in values]
 
     def neg(self, r):
         """-r for a reduced coefficient r."""
@@ -524,8 +499,8 @@ class WittRing(_CoeffRing):
         # sigma is the substitution x |-> x^p and sigma^(-1) = sigma^(m-1) the
         # substitution x |-> x^(p^(m-1)), both as m x m matrices over Z/p^n
         x, g = gen.coeffs, self.lifted_modulus
-        self._sigma_mat = self._powers_matrix(_frob_power(x, 1, g, self.p, self.pn))
-        self._sigma_inv_mat = self._powers_matrix(_frob_power(x, field.m - 1, g, self.p, self.pn))
+        self._sigma_mat = self._powers_matrix(_powmod(x, self.p, g, self.pn))
+        self._sigma_inv_mat = self._powers_matrix(_powmod(x, self.p ** (field.m - 1), g, self.pn))
         if self.frobenius(gen) ** (field.q // field.p) != gen and field.m > 1:
             # x^q must equal x: the defining Newton iteration is stationary
             raise InternalInvariantError("lifted modulus is not the Hensel lift")
@@ -540,18 +515,15 @@ class WittRing(_CoeffRing):
         m, p, pn = self.field.m, self.p, self.pn
         naive = self.field.modulus
         zero = (0,) * m
-        # the class of x in the naive ring; for m = 1 the root of the modulus
-        theta = _pmod((0, 1), naive, pn)
-        theta += zero[len(theta):]
-        for _ in range(self.n + 1):
-            # theta <- theta^q, one digit of convergence per q-power
-            theta = _frob_power(theta, m, naive, p, pn)
+        # the class of x in the naive ring (for m = 1 the root of the modulus)
+        # to the power q^(n+1): one digit of convergence per q-power
+        theta = _powmod(_reduce([0, 1], naive, pn), self.field.q ** (self.n + 1), naive, pn)
         g = [(1,) + zero[1:]]  # coefficients in X, low degree first
         for _ in range(m):
             # g <- g * (X - theta), then theta <- theta^p
             g = [tuple((a - b) % pn for a, b in zip(lo, _mulmod(theta, hi, naive, pn)))
                  for lo, hi in zip([zero] + g, g + [zero])]
-            theta = _frob_power(theta, 1, naive, p, pn)
+            theta = _powmod(theta, p, naive, pn)
         if any(any(c[1:]) for c in g):
             raise InternalInvariantError("lifted modulus has non-constant coefficients")
         return tuple(c[0] for c in g)
@@ -610,27 +582,16 @@ class WittRing(_CoeffRing):
         """The unique multiplicative lift [a] of a in F_q."""
         if a.ring != self.field:
             raise DomainError("element not in the residue field")
-        y = self.element(tuple(a.coeffs))
-        q = self.field.q
-        for _ in range(self.n):
-            y = y ** q
-        return y
+        return self.element(a.coeffs) ** self.field.q ** self.n
 
     def digits(self, x):
         """Teichmuller digit expansion: x = sum [d_i] p^i, d_i in F_q."""
-        coeffs = list(x.coeffs)
         out = []
         for k in range(self.n):
-            d = self.field.element(tuple(c % self.p for c in coeffs))
+            d = self.residue(x)
             out.append(d)
-            if k == self.n - 1:
-                break
-            t = self.teichmuller(d).coeffs
-            for i in range(len(coeffs)):
-                c = (coeffs[i] - t[i]) % self.pn
-                if c % self.p:
-                    raise InternalInvariantError("digit subtraction not divisible by p")
-                coeffs[i] = c // self.p
+            if k < self.n - 1:
+                x = self.divide_exact_p(x - self.teichmuller(d), 1)
         return tuple(out)
 
     def from_digits(self, ds):

@@ -32,6 +32,12 @@ X1, X2, Y1, Y2 = 0, 1, 2, 3
 STANDARD_CASES = ("iia", "iib", "ordinary", "lagrangian_generic", "mixed", "supersingular_a1")
 
 
+def _standard_pairing(p):
+    """The standard pairing shape in the basis (X1, X2, Y1, Y2):
+    <X1,Y1> = 1, <X2,Y2> = p, all other pairings zero."""
+    return [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
+
+
 class DieudonneModule:
     """Free rank-4 module with semilinear F, V and an alternating pairing."""
 
@@ -115,7 +121,7 @@ def make_standard(ring, case):
     if case == "iia":
         F = [[0, 0, -p, 0], [0, 0, 0, -p], [1, 0, 0, 0], [0, 1, 0, 0]]
         V = [[0, 0, p, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -1, 0, 0]]
-        J = [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
+        J = _standard_pairing(p)
     elif case == "iib":
         F = [[0, 0, p, 0], [0, 0, 0, p], [1, 0, 0, 0], [0, 1, 0, 0]]
         V = F
@@ -123,11 +129,11 @@ def make_standard(ring, case):
     elif case == "ordinary":
         F = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, p, 0], [0, 0, 0, p]]
         V = [[p, 0, 0, 0], [0, p, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        J = [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
+        J = _standard_pairing(p)
     elif case in ("lagrangian_generic", "mixed"):
         F = [[1, 0, 0, 0], [0, 0, 0, p], [0, 0, p, 0], [0, -1, 0, 0]]
         V = [[p, 0, 0, 0], [0, 0, 0, -p], [0, 0, 1, 0], [0, 1, 0, 0]]
-        J = [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
+        J = _standard_pairing(p)
     elif case == "supersingular_a1":
         if p == 2:
             raise PreconditionError("the a-number-1 fixture needs odd p")
@@ -246,8 +252,8 @@ def _in_vm_mod(module, vals, U, vec, k):
 
 
 def _complete_witness(module, g1, g2):
-    """Try to complete an isotropic direct-summand pair to the full
-    pairing shape <X1,Y1> = 1, <X2,Y2> = p, all other pairings zero."""
+    """Try to complete an isotropic direct-summand pair to a basis with
+    the standard pairing shape `_standard_pairing`."""
     ring = module.ring
     # A[j] = (<e_j, g1>, <e_j, g2>)
     A = [[a, b] for a, b in zip(linalg.mat_vec(module.J, g1), linalg.mat_vec(module.J, g2))]
@@ -263,13 +269,7 @@ def _complete_witness(module, g1, g2):
         x2 = [a - c * b for a, b in zip(x2, y1)]
     basis = [x1, x2, y1, y2]
     gram = [[module.pair(u, v) for v in basis] for u in basis]
-    expect = [
-        [0, 0, 1, 0],
-        [0, 0, 0, ring.p],
-        [-1, 0, 0, 0],
-        [0, -ring.p, 0, 0],
-    ]
-    expect = [[ring.from_int(x) for x in row] for row in expect]
+    expect = [[ring.from_int(x) for x in row] for row in _standard_pairing(ring.p)]
     if not linalg.mat_eq(gram, expect):
         return None
     if not ring.is_unit(linalg.det(ring, basis)):

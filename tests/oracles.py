@@ -7,6 +7,9 @@ the local-model fiber, a standalone row reduction for ranks, and
 brute-force point counts of quadrics over integer-table fields.  Only
 base coefficient arithmetic is shared, and it is itself checked against
 the ghost-component construction of Witt-vector arithmetic in this file.
+`int_poly_mul_mod` and `int_poly_pow_mod` also check the one polynomial
+kernel of `sll.base_rings` directly, and `reducible_monics` (a sieve of
+products) checks its irreducibility test.
 `naive_mat_mul` and `naive_mat_vec` are the slow path of the packed
 `linalg.mat_mul` and `linalg.mat_vec`: each entry summed with `Residue`
 `*` and `+`.
@@ -406,6 +409,24 @@ def _has_no_root(poly, p):
         if acc == 0:
             return False
     return True
+
+
+def reducible_monics(p, m):
+    """Every monic polynomial of degree m over F_p that is reducible, by a
+    sieve: all products of two monic polynomials of lower degree."""
+    def monics(d):
+        return [tuple(t) + (1,) for t in itertools.product(range(p), repeat=d)]
+
+    out = set()
+    for d in range(1, m // 2 + 1):
+        for a in monics(d):
+            for b in monics(m - d):
+                prod = [0] * (m + 1)
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        prod[i + j] = (prod[i + j] + ai * bj) % p
+                out.add(tuple(prod))
+    return out
 
 
 def first_irreducible(p, m, irreducible=_has_no_root):

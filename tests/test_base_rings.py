@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sll import linalg
 from sll.base_rings import (
     BUILTIN_MODULI,
     MAX_CHARACTERISTIC,
@@ -23,6 +24,7 @@ from .oracles import (
     ghost_sum_digits,
     int_poly_mul_mod,
     int_poly_pow_mod,
+    reducible_monics,
 )
 
 
@@ -317,3 +319,63 @@ def test_find_irreducible_matches_full_scan():
         for m in range(2, 7):
             if p ** m <= 2 * 10 ** 4 and (p, m) not in BUILTIN_MODULI:
                 assert find_irreducible(p, m) == first_irreducible(p, m, is_irreducible)
+
+
+# products, powers, Teichmuller lifts and the packed matrix product all reduce
+# through one kernel of sll.base_rings; the oracle's integer polynomials share
+# no code with it.  m = 1 and m = 8, q^n up to MAX_RING_ORDER = 2^256
+KERNEL_RINGS = [
+    ("F_5", lambda: FiniteField(5)),
+    ("F_256", lambda: FiniteField(2, 8)),
+    ("W_3(F_4)", lambda: W(2, 2, 3)),
+    ("W_2(F_9)", lambda: W(3, 2, 2)),
+    ("W_32(F_256)", lambda: W(2, 8, 32)),
+    ("W_256(F_2)", lambda: W(2, 1, 256)),
+]
+
+
+@pytest.mark.parametrize("make_ring", [c[1] for c in KERNEL_RINGS], ids=[c[0] for c in KERNEL_RINGS])
+def test_shared_kernel_matches_integer_oracle(make_ring):
+    ring = make_ring()
+    field = getattr(ring, "field", ring)
+    q, n = field.q, getattr(ring, "n", 1)
+    g, pn, m = ring.lifted_modulus, ring.pn, field.m
+    rng = random.Random(pn * 10 + m)
+    top = ring.element([pn - 1] * m)
+    elems = [ring.zero(), ring.one(), top] + [ring.random_element(rng) for _ in range(5)]
+    for a in elems:
+        for b in elems:
+            assert (a * b).coeffs == int_poly_mul_mod(a.coeffs, b.coeffs, g, pn)
+        for e in (0, 1, q - 2, q ** n, 2 ** 256 + rng.randrange(2 ** 64)):
+            assert (a ** e).coeffs == int_poly_pow_mod(a.coeffs, e, g, pn)
+    if isinstance(ring, WittRing):
+        # [a] is the one lift of a with [a]^q = [a]
+        for a in [field.zero(), field.one()] + [field.random_element(rng) for _ in range(5)]:
+            t = ring.teichmuller(a).coeffs
+            assert tuple(c % field.p for c in t) == a.coeffs
+            assert int_poly_pow_mod(t, q, g, pn) == t
+    # the packed product folds each entry's slots; all-(p^n - 1) matrices
+    # fill the slots to the width bound
+    for rows, inner, cols in ((3, 4, 2), (1, 7, 3)):
+        random_pair = ([[rng.choice(elems) for _ in range(inner)] for _ in range(rows)],
+                       [[rng.choice(elems) for _ in range(cols)] for _ in range(inner)])
+        for A, B in (random_pair, ([[top] * inner] * rows, [[top] * cols] * inner)):
+            for i, row in enumerate(linalg.mat_mul(A, B)):
+                for j, c in enumerate(row):
+                    want = (0,) * m
+                    for k in range(inner):
+                        t = int_poly_mul_mod(A[i][k].coeffs, B[k][j].coeffs, g, pn)
+                        want = tuple((x + y) % pn for x, y in zip(want, t))
+                    assert c.coeffs == want
+
+
+IRREDUCIBILITY_GRID = ([(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 6)]
+                       + [(p, m) for p in (5, 7) for m in range(1, 4)])
+
+
+def test_is_irreducible_matches_sieve():
+    for p, m in IRREDUCIBILITY_GRID:
+        reducible = reducible_monics(p, m)
+        for tail in itertools.product(range(p), repeat=m):
+            poly = tail + (1,)
+            assert is_irreducible(poly, p) == (poly not in reducible), (p, poly)
