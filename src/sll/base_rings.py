@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
 from .errors import DomainError, InternalInvariantError, ValidationError
@@ -45,6 +46,10 @@ BUILTIN_MODULI = {
 MAX_CHARACTERISTIC = 2 ** 16
 MAX_DEGREE = 8
 MAX_RING_ORDER = 2 ** 256
+
+# the standard Dieudonne fixtures of `dieudonne.make_standard`, named here so
+# the command line can offer them without importing `dieudonne`
+STANDARD_CASES = ("iia", "iib", "ordinary", "lagrangian_generic", "mixed", "supersingular_a1")
 
 
 def is_prime(p):
@@ -466,6 +471,23 @@ class FiniteField(_CoeffRing):
 
     def frobenius(self, e):
         return e ** self.p
+
+
+def field_for_q(q):
+    """The deterministic field of order q = p^m."""
+    if q < 2:
+        raise ValidationError(f"{q} is not a prime power")
+    # the least divisor > 1 is the prime p; a q with no divisor up to the
+    # characteristic limit is left for FiniteField to reject
+    limit = min(math.isqrt(q), MAX_CHARACTERISTIC)
+    p = next((d for d in range(2, limit + 1) if q % d == 0), q)
+    m, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        m += 1
+    if rest != 1:
+        raise ValidationError(f"{q} is not a prime power")
+    return FiniteField(p, m)
 
 
 # ---------------------------------------------------------------------------

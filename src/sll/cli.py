@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 validation error (with a machine-readable error
 object on stdout), 3 I/O failure, 4 internal invariant violation.  Output
 key order is deterministic.  Each operation is its own subparser, which
-names its handler and declares only the options that handler reads.
+names its handler and declares only the options that handler reads.  A
+handler imports the modules it runs, so a cold command loads only those.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ import argparse
 import functools
 import json
 import operator
-import random
 import sys
-import traceback
 
-from . import deformation, dieudonne, jsonio, linalg, local_model, singularity
-from .base_rings import WittRing
+from . import jsonio
+from .base_rings import STANDARD_CASES, WittRing, field_for_q
 from .errors import DomainError, PreconditionError, SmoothShortCircuit, ValidationError
 
 # truncation length n when --n is not given
@@ -53,13 +52,15 @@ def _load_document(spec):
 
 
 def _ring_for(q, n):
-    return WittRing(local_model.field_for_q(q), DEFAULT_PRECISION if n is None else n)
+    return WittRing(field_for_q(q), DEFAULT_PRECISION if n is None else n)
 
 
 def _module_for(args, require_valid=True):
     """The fixture over W_n(F_q), or the module file, which names its own
     ring and must pass validate() unless require_valid is false."""
     if args.fixture is not None:
+        from . import dieudonne
+
         return dieudonne.make_standard(_ring_for(2 if args.q is None else args.q, args.n),
                                        args.fixture)
     if args.q is not None or args.n is not None:
@@ -120,6 +121,8 @@ def _witt_digits(args):
 
 
 def _series_reduce(args):
+    from . import singularity
+
     f = jsonio.series_from_json(_load_document(args.input))
     if args.degree is not None:
         if args.degree > f.parent.degree:
@@ -138,6 +141,10 @@ def _series_reduce(args):
 
 
 def _validate(args):
+    import random
+
+    from . import dieudonne
+
     module = _module_for(args, require_valid=False)
     ring = module.ring
     spot = args.spot_checks
@@ -163,6 +170,8 @@ def _validate(args):
 
 
 def _random_unimodular(ring, rng):
+    from . import linalg
+
     while True:
         g = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
         if linalg.rank_field(ring.field, linalg.mat_map(g, ring.residue)) == 4:
@@ -170,6 +179,8 @@ def _random_unimodular(ring, rng):
 
 
 def _invariants(args):
+    from . import dieudonne
+
     module = _module_for(args)
     return {
         "a_number": dieudonne.a_number(module),
@@ -179,14 +190,20 @@ def _invariants(args):
 
 
 def _dual(args):
+    from . import dieudonne
+
     return jsonio.dual_lattice_to_json(dieudonne.dual_lattice(_module_for(args)))
 
 
 def _lagrangian_search(args):
+    from . import dieudonne
+
     return jsonio.search_to_json(dieudonne.lagrangian_witness_search(_module_for(args)))
 
 
 def _deform(args):
+    from . import deformation, singularity
+
     module = _module_for(args)
     if args.frame:
         try:
@@ -207,11 +224,15 @@ def _deform(args):
 
 
 def _points(args):
+    from . import local_model
+
     fiber = local_model.enumerate_special_fiber(args.q)
     return {"q": args.q, "count": len(fiber), "points": [jsonio.plane_to_json(pl) for pl in fiber]}
 
 
 def _tangents(args):
+    from . import local_model
+
     fiber = local_model.enumerate_special_fiber(args.q)
     pts = [dict(jsonio.plane_to_json(pl), tangent_dimension=local_model.tangent_dimension(pl))
            for pl in fiber]
@@ -220,6 +241,8 @@ def _tangents(args):
 
 
 def _chart(args):
+    from . import local_model, singularity
+
     ring = _ring_for(args.q, args.n)
     eq = local_model.chart_equation(ring)
     doc = _class_doc(ring, singularity.classify_local_ring(eq))
@@ -244,7 +267,7 @@ def _module_options():
     module file, which names its own ring."""
     module = argparse.ArgumentParser(add_help=False)
     source = module.add_mutually_exclusive_group(required=True)
-    source.add_argument("--fixture", choices=list(dieudonne.STANDARD_CASES))
+    source.add_argument("--fixture", choices=list(STANDARD_CASES))
     source.add_argument("--file", help="module JSON document (inline JSON, path, or -)")
     module.add_argument("--q", type=int, help="residue field size of the fixture (default 2)")
     module.add_argument("--n", type=int,
@@ -323,6 +346,8 @@ def main(argv=None):
         print(json.dumps({"error": {"kind": "io", "message": str(exc)}}, sort_keys=True))
         return 3
     except Exception as exc:  # internal invariant violations and anything unforeseen
+        import traceback
+
         traceback.print_exc()  # to stderr; stdout keeps its one JSON document
         print(json.dumps({"error": {"kind": "internal", "message": str(exc)}},
                          sort_keys=True))

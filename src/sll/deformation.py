@@ -19,8 +19,6 @@ contract; no crystal objects are modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import PreconditionError
 from .series import SeriesRing
@@ -29,28 +27,25 @@ from .singularity import classify_local_ring, default_truncation
 T_VARS = ("t11", "t12", "t21", "t22")
 
 
-@dataclass
 class HodgeFrame:
     """A choice of two basis indices spanning the Hodge filtration VM/pM,
     plus the complementary two indices."""
 
-    module: object
-    Y_indices: tuple
-    X_indices: tuple
-
-    def __post_init__(self):
-        idx = sorted(self.Y_indices) + sorted(self.X_indices)
-        if sorted(idx) != [0, 1, 2, 3]:
+    def __init__(self, module, Y_indices, X_indices):
+        if sorted([*Y_indices, *X_indices]) != [0, 1, 2, 3]:
             raise PreconditionError("frame indices must partition the basis")
-        ring = self.module.ring
+        ring = module.ring
         fld = ring.field
-        vbar = linalg.mat_map(self.module.V_matrix, ring.residue)
+        vbar = linalg.mat_map(module.V_matrix, ring.residue)
         if linalg.rank_field(fld, vbar) != 2:
             raise PreconditionError("V has the wrong mod-p rank for a Hodge frame")
-        picked = [[fld.one() if r == i else fld.zero() for i in self.Y_indices] for r in range(4)]
+        picked = [[fld.one() if r == i else fld.zero() for i in Y_indices] for r in range(4)]
         stacked = [vrow + prow for vrow, prow in zip(vbar, picked)]
         if linalg.rank_field(fld, stacked) != 2:
             raise PreconditionError("chosen Y vectors do not span the image of V mod p")
+        self.module = module
+        self.Y_indices = Y_indices
+        self.X_indices = X_indices
 
 
 def standard_frame(module):
@@ -99,25 +94,23 @@ def classify_point(frame):
 # displays: the equicharacteristic tangent data
 
 
-@dataclass
 class DisplayRelations:
     """The shape F e_i = e_{i+2} + sum_j T_ij e_j, e_{i+2} = V e_i, recorded
     by its 2x2 matrix of variable coefficients over the residue field."""
 
-    ring: SeriesRing  # over F_q, variables t11, t12, t21, t22
-    entries: list     # 2x2 matrix of degree-<=1 series with zero constant term
-
-    def __post_init__(self):
-        if len(self.entries) != 2 or any(len(r) != 2 for r in self.entries):
+    def __init__(self, ring, entries):
+        if len(entries) != 2 or any(len(r) != 2 for r in entries):
             raise PreconditionError("display needs a 2x2 matrix of entries")
-        for row in self.entries:
+        for row in entries:
             for s in row:
-                if s.parent != self.ring:
+                if s.parent != ring:
                     raise PreconditionError("display entry from a foreign ring")
                 if s.constant_term():
                     raise PreconditionError("display entries vanish at the origin")
                 if s.degree_bound() > 1:
                     raise PreconditionError("display entries are linear forms")
+        self.ring = ring        # a SeriesRing over F_q in t11, t12, t21, t22
+        self.entries = entries  # 2x2 degree-<=1 series with zero constant term
 
 
 def standard_display(field):

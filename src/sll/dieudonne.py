@@ -21,15 +21,12 @@ full precision, which is why the module constructor demands n >= 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
-from .base_rings import WittRing
+from .base_rings import STANDARD_CASES, WittRing
 from .errors import DomainError, PreconditionError, ValidationError
 
 X1, X2, Y1, Y2 = 0, 1, 2, 3
-
-STANDARD_CASES = ("iia", "iib", "ordinary", "lagrangian_generic", "mixed", "supersingular_a1")
 
 
 def _standard_pairing(p):
@@ -172,13 +169,13 @@ def p_rank(module):
     return len(span)
 
 
-@dataclass
 class DualLattice:
     """Integral description of p * M^t by its basis columns b_i, with
     <b_i / p, e_j> = delta_ij.  Entries are trusted to precision n-1 only."""
 
-    basis_columns: list
-    precision: int
+    def __init__(self, basis_columns, precision):
+        self.basis_columns = basis_columns
+        self.precision = precision
 
     def columns(self):
         return self.basis_columns
@@ -224,21 +221,28 @@ def kernel_type(module):
 # Lagrangian witness search
 
 
-@dataclass
 class LagrangianWitness:
-    Y1: list
-    Y2: list
-    X1: list
-    X2: list
+    """Basis vectors Y1, Y2, X1, X2 in which the pairing has the standard shape."""
+
+    def __init__(self, Y1, Y2, X1, X2):
+        self.Y1, self.Y2, self.X1, self.X2 = Y1, Y2, X1, X2
+
+    def __eq__(self, other):
+        return isinstance(other, LagrangianWitness) and vars(self) == vars(other)
 
 
-@dataclass
 class LagrangianSearchResult:
-    found: bool
-    witness: LagrangianWitness = None
-    precision: int = 0
-    nodes: int = 0
-    message: str = ""
+    """A search's verdict, its witness if found, and the nodes it visited."""
+
+    def __init__(self, found, witness=None, precision=0, nodes=0, message=""):
+        self.found = found
+        self.witness = witness
+        self.precision = precision
+        self.nodes = nodes
+        self.message = message
+
+    def __eq__(self, other):
+        return isinstance(other, LagrangianSearchResult) and vars(self) == vars(other)
 
 
 def _in_vm_mod(module, vals, U, vec, k):

@@ -18,11 +18,7 @@ from __future__ import annotations
 import math
 
 from .base_rings import FiniteField, WittRing, find_irreducible
-from .dieudonne import DieudonneModule
 from .errors import ValidationError
-from .series import SeriesRing
-from .singularity import NormalFormResult
-from .quadforms import QuadraticForm
 
 # series documents: every series the package builds has at most 4 variables,
 # and the quadratic-part checks row-reduce an nvars x nvars Gram matrix
@@ -139,6 +135,8 @@ def series_to_json(f):
 
 
 def series_from_json(doc):
+    from .series import SeriesRing
+
     try:
         coeff_ring = coeff_ring_from_json(doc["coeff_ring"])
         nvars = _int(doc["nvars"], "nvars")
@@ -174,13 +172,15 @@ def quadform_to_json(q):
 
 
 def quadform_from_json(coeff_ring, doc):
+    from .quadforms import QuadraticForm
+
     upper = {}
     for t in doc["upper"]:
         upper[(_int(t["i"], "index"), _int(t["j"], "index"))] = coeff_from_json(t["coeff"])
     return QuadraticForm(coeff_ring, _int(doc["nvars"], "nvars"), upper)
 
 
-def normal_form_to_json(ring, result: NormalFormResult):
+def normal_form_to_json(ring, result):
     return {
         "a_prime": elem_to_json(ring, result.a_prime),
         "a_prime_valuation": ring.valuation(result.a_prime),
@@ -196,6 +196,8 @@ def module_to_json(module):
 
 
 def module_from_json(doc):
+    from .dieudonne import DieudonneModule
+
     try:
         ring = ring_from_json(doc["ring"])
         mats = []

@@ -21,30 +21,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from dataclasses import dataclass
 
 from . import linalg
-from .base_rings import MAX_CHARACTERISTIC, FiniteField, WittRing
-from .deformation import pairing_relation
+from .base_rings import WittRing, field_for_q
 from .errors import PreconditionError, ValidationError
-
-
-def field_for_q(q):
-    """The deterministic field of order q = p^m."""
-    if q < 2:
-        raise ValidationError(f"{q} is not a prime power")
-    # the least divisor > 1 is the prime p; a q with no divisor up to the
-    # characteristic limit is left for FiniteField to reject
-    limit = min(math.isqrt(q), MAX_CHARACTERISTIC)
-    p = next((d for d in range(2, limit + 1) if q % d == 0), q)
-    m, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1:
-        raise ValidationError(f"{q} is not a prime power")
-    return FiniteField(p, m)
 
 
 @functools.lru_cache(maxsize=64)
@@ -62,22 +42,26 @@ def pairing_matrix(ring):
     return tuple(tuple(ring.from_int(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
 class IsotropicPlane:
     """A 2-plane in F_q^4, stored by its reduced-row-echelon basis: any
     spanning pair is accepted and reduced, so equal planes compare equal."""
 
-    field: FiniteField
-    basis: tuple  # two 4-tuples of field elements, RREF after __post_init__
-
-    def __post_init__(self):
-        rows = [list(r) for r in self.basis]
+    def __init__(self, field, basis):
+        rows = [list(r) for r in basis]
         if len(rows) != 2 or any(len(r) != 4 for r in rows):
             raise ValidationError("plane basis must be 2x4")
-        red, pivots = linalg.rref_field(self.field, rows)
+        red, pivots = linalg.rref_field(field, rows)
         if len(pivots) != 2:
             raise ValidationError("plane basis must have rank 2")
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in red))
+        self.field = field
+        self.basis = tuple(tuple(r) for r in red)  # two 4-tuples of field elements
+
+    def __eq__(self, other):
+        return (isinstance(other, IsotropicPlane)
+                and (self.field, self.basis) == (other.field, other.basis))
+
+    def __hash__(self):
+        return hash((self.field, self.basis))
 
     def vectors(self):
         return [list(self.basis[0]), list(self.basis[1])]
@@ -156,6 +140,8 @@ def chart_equation(ring):
     expanding psi(row1, row2) = 0 gives exactly p + t11*t22 - t12*t21 over
     W_n.
     """
+    from .deformation import pairing_relation
+
     if not isinstance(ring, WittRing):
         raise PreconditionError("the chart lives over a Witt ring")
     return pairing_relation(pairing_matrix(ring), 0, 3, (1, 2))

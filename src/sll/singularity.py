@@ -33,8 +33,6 @@ invertible.  The unit is kept in the result type as part of the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .base_rings import WittRing
 from .errors import InternalInvariantError, PreconditionError, SmoothShortCircuit
@@ -48,14 +46,14 @@ def default_truncation(p):
     return 2 * p + 2
 
 
-@dataclass
 class NormalFormResult:
     """Certified reduction f(phi(x)) = unit * (a_prime + Q_prime(x))."""
 
-    a_prime: object
-    q_prime: QuadraticForm
-    phi: list
-    unit: TruncatedSeries
+    def __init__(self, a_prime, q_prime, phi, unit):
+        self.a_prime = a_prime
+        self.q_prime = q_prime  # a QuadraticForm
+        self.phi = phi          # a list of TruncatedSeries
+        self.unit = unit        # a TruncatedSeries
 
     def rhs_series(self):
         ring = self.unit.parent
@@ -65,16 +63,16 @@ class NormalFormResult:
         return f.substitute(self.phi) == self.rhs_series()
 
 
-@dataclass
 class LocalRingClass:
     """Classification of the local ring R/(f): Smooth, OrdinaryDoublePoint
     (carrying a_prime and its valuation), or Undetermined."""
 
-    tag: str
-    a_prime: object = None
-    valuation: int = None
-    detail: str = ""
-    normal_form: NormalFormResult = None
+    def __init__(self, tag, a_prime=None, valuation=None, detail="", normal_form=None):
+        self.tag = tag
+        self.a_prime = a_prime
+        self.valuation = valuation
+        self.detail = detail
+        self.normal_form = normal_form  # the NormalFormResult behind an OrdinaryDoublePoint
 
     def __eq__(self, other):
         return isinstance(other, LocalRingClass) and other.tag == self.tag

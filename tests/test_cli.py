@@ -337,9 +337,13 @@ def test_unforeseen_exception_is_internal_error(capsys, monkeypatch):
         raise ZeroDivisionError("boom")
 
     monkeypatch.setattr(cli, "_points", broken)
-    code, doc = run_cli(capsys, "local-model", "points", "--q", "2")
+    code = main(["local-model", "points", "--q", "2"])
+    captured = capsys.readouterr()
     assert code == 4
-    assert doc == {"error": {"kind": "internal", "message": "boom"}}
+    assert json.loads(captured.out) == {"error": {"kind": "internal", "message": "boom"}}
+    # the traceback goes to stderr, imported only on this path
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.rstrip().endswith("ZeroDivisionError: boom")
 
 
 @pytest.mark.parametrize("q", [11, 25])

@@ -5,7 +5,10 @@ Valid documents for `witt`, `series-reduce`, `dieudonne --file` and
 through `cli.main`.  Every case must end in exit code 0, 2, 3 or 4 within
 1 s and print exactly one JSON document; on exit 0, every element, series
 and normal form in that document must decode through `jsonio` and encode
-back to the same JSON.
+back to the same JSON.  Outside the timed window, every exit-0 result is
+also checked for its meaning by oracle arithmetic: a printed normal form
+must satisfy f(phi) = unit * (a' + Q'), and a printed Lagrangian witness
+must give the standard pairing shape on a basis.
 """
 
 import copy
@@ -19,6 +22,8 @@ import pytest
 from sll import jsonio
 from sll.cli import main
 from sll.singularity import NormalFormResult
+
+from . import oracles
 
 GOLDEN = Path(__file__).parent / "golden_cli"
 
@@ -138,6 +143,45 @@ def _check_roundtrip(node):
             _check_roundtrip(value)
 
 
+def _check_normal_form(argv, nf):
+    """f(phi) = unit * (a' + Q'), by naive composition and multiplication."""
+    f = jsonio.series_from_json(json.loads(argv[-1]))
+    if "--degree" in argv:
+        f = f.truncate(int(argv[argv.index("--degree") + 1]))
+    nvars = f.parent.nvars
+    terms = [((0,) * nvars, nf["a_prime"]["coeffs"])]
+    for t in nf["q_prime"]["upper"]:
+        exps = [0] * nvars
+        exps[t["i"]] += 1
+        exps[t["j"]] += 1
+        terms.append((exps, t["coeff"]))
+    unit = jsonio.series_from_json(nf["unit"])
+    rhs = oracles.naive_mul(unit, unit.parent.from_terms(terms))
+    lhs = oracles.naive_compose(f, [jsonio.series_from_json(d) for d in nf["phi"]])
+    assert {e: c for e, c in lhs.items() if c} == {e: c for e, c in rhs.items() if c}, argv
+
+
+def _check_witness(argv, witness):
+    """The basis (X1, X2, Y1, Y2) has the standard Gram matrix and is a basis."""
+    module = jsonio.module_from_json(json.loads(argv[-1]))
+    ring = module.ring
+    basis = [[ring.element(c) for c in witness[key]] for key in ("X1", "X2", "Y1", "Y2")]
+    columns = [list(col) for col in zip(*basis)]
+    gram = oracles.naive_mat_mul(basis, oracles.naive_mat_mul(module.J, columns))
+    p = ring.p
+    shape = [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
+    assert gram == [[ring.from_int(x) for x in row] for row in shape], argv
+    # the determinant is a unit exactly when the residues have full rank
+    assert oracles.independent_rank(ring.field, [[ring.residue(x) for x in v] for v in basis]) == 4
+
+
+def _check_meaning(argv, doc):
+    if argv[0] == "series-reduce" and doc["normal_form"] is not None:
+        _check_normal_form(argv, doc["normal_form"])
+    elif argv[1:2] == ["lagrangian-search"] and doc["found"]:
+        _check_witness(argv, doc["witness"])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_mutated_documents_keep_the_exit_code_contract(seed, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # a mutated document that is a bare scalar reads as a path
@@ -151,5 +195,25 @@ def test_mutated_documents_keep_the_exit_code_contract(seed, capsys, monkeypatch
         doc = json.loads(out)  # exactly one JSON document, or this raises
         if code == 0:
             _check_roundtrip(doc)
+            _check_meaning(argv, doc)
         else:
             assert list(doc) == ["error"], argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["series-reduce", "--degree", "6", "series_odp.json"],
+    ["series-reduce", "series_odp_q4.json"],
+    ["dieudonne", "lagrangian-search", "--file", "module_iia_q4.json"],
+])
+def test_meaning_checks_accept_results_and_refuse_tampered_ones(argv, capsys):
+    argv = argv[:-1] + [(GOLDEN / argv[-1]).read_text(encoding="utf-8")]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    _check_meaning(argv, doc)
+    if argv[0] == "series-reduce":
+        doc["normal_form"]["a_prime"]["coeffs"][0] += 1
+    else:
+        witness = doc["witness"]
+        witness["X1"], witness["X2"] = witness["X2"], witness["X1"]
+    with pytest.raises(AssertionError):
+        _check_meaning(argv, doc)
