@@ -25,7 +25,7 @@ _HOME = {
     "deformation": ("HodgeFrame", "standard_frame", "deformation_equation", "classify_point",
                     "standard_display", "nonordinary_locus"),
     "local_model": ("IsotropicPlane", "enumerate_special_fiber", "tangent_dimension",
-                    "singular_points", "chart_equation"),
+                    "chart_equation"),
 }
 _SUBMODULES = frozenset(_HOME) | {"cli", "errors", "jsonio", "linalg"}
 

@@ -451,12 +451,6 @@ class FiniteField(_CoeffRing):
     def __repr__(self):
         return f"FiniteField({self.p}, {self.m})"
 
-    def gen(self):
-        """Residue class of x (a root of the modulus)."""
-        if self.m == 1:
-            return self.zero()
-        return FFElement(self, (0, 1) + (0,) * (self.m - 2))
-
     def is_unit(self, e):
         return bool(e)
 

@@ -127,9 +127,3 @@ def nonordinary_locus(display):
     Frobenius on M~/VM~, [[t11, t12], [t21, t22]] for the standard one."""
     T = display.entries
     return T[0][0] * T[1][1] - T[0][1] * T[1][0]
-
-
-def reduce_relation_mod_p(relation):
-    """Base-change a relation over W_n(F_q) to the residue field F_q."""
-    ring = relation.parent.coeff_ring
-    return relation.map_coefficients(ring.residue, ring.field)

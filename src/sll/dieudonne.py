@@ -44,7 +44,6 @@ class DieudonneModule:
         if ring.n < 2:
             raise PreconditionError("dual-lattice tests need one spare digit: n >= 2")
         self.ring = ring
-        self.rank = 4
         self.F_matrix = [[ring.element(x) for x in row] for row in F_matrix]
         self.V_matrix = [[ring.element(x) for x in row] for row in V_matrix]
         self.J = [[ring.element(x) for x in row] for row in J]
@@ -80,18 +79,16 @@ class DieudonneModule:
         alternating = all(
             self.J[i][j] == -self.J[j][i] for i in range(4) for j in range(4)
         ) and all(not self.J[i][i] for i in range(4))
-        # elementary-divisor valuations (0, 0, 1, 1): det J = unit p^2 and
-        # rank 2 mod p, stated in a form that survives n = 2
+        # elementary-divisor valuations (0, 0, 1, 1): det J = unit p^2, and J mod p
+        # has rank 2, the number of unit divisors; 1 < n holds from n = 2 on
         divisors, _, _ = linalg.smith_form_local(ring, [row[:] for row in self.J])
-        jbar = linalg.mat_map(self.J, ring.residue)
         ftj = linalg.mat_mul(linalg.transpose(self.F_matrix), self.J)
         jv = self.sigma_matrix(linalg.mat_mul(self.J, self.V_matrix))
         return {
             "fv_is_p": linalg.mat_eq(fv, p_id),
             "vf_is_p": linalg.mat_eq(vf, p_id),
             "alternating": alternating,
-            "polarization_degree_p2": divisors == [0, 0, 1, 1]
-            and linalg.rank_field(ring.field, jbar) == 2,
+            "polarization_degree_p2": divisors == [0, 0, 1, 1],
             "fv_pairing_compatible": linalg.mat_eq(ftj, jv),
         }
 
@@ -155,18 +152,14 @@ def a_number(module):
 
 
 def p_rank(module):
-    """Dimension of the stable image of the semilinear reduction F-bar."""
+    """Dimension of the stable image of F-bar, that of F-bar^4: with A = F mod p,
+    F-bar^4 = A sigma(A) sigma^2(A) sigma^3(A) sigma^4, and sigma is bijective."""
     fld = module.ring.field
-    fbar = linalg.mat_map(module.F_matrix, module.ring.residue)
-    basis = linalg.identity(fld, 4)
-    span = [list(row) for row in zip(*basis)]
-    for _ in range(4):
-        images = [linalg.mat_vec(fbar, [fld.frobenius(c) for c in v]) for v in span]
-        reduced, _ = linalg.rref_field(fld, images)
-        span = [row for row in reduced if any(row)]
-        if not span:
-            return 0
-    return len(span)
+    power = step = linalg.mat_map(module.F_matrix, module.ring.residue)
+    for _ in range(3):
+        step = linalg.mat_map(step, fld.frobenius)
+        power = linalg.mat_mul(power, step)
+    return linalg.rank_field(fld, power)
 
 
 class DualLattice:
@@ -194,10 +187,9 @@ def dual_lattice(module):
     vals, U, V = linalg.smith_form_local(ring, [row[:] for row in module.J])
     if vals not in ([0, 0, 1, 1], [0, 0, 0, 0]):
         raise PreconditionError("pairing is not of polarization degree 1 or p^2")
-    scale = [[ring.from_int(ring.p ** (1 - v)) if i == j else ring.zero()
-              for j in range(4)] for i, v in enumerate(vals)]
-    # the columns of p J^{-T} are the rows of p J^{-1}
-    p_jinv = linalg.mat_mul(V, linalg.mat_mul(scale, U))
+    # diag(p^{1-v}) U is U with row i times p^{1-v_i}; p J^{-T} has p J^{-1}'s rows as columns
+    scaled = [[ring.from_int(ring.p ** (1 - v)) * x for x in row] for v, row in zip(vals, U)]
+    p_jinv = linalg.mat_mul(V, scaled)
     return DualLattice(p_jinv, ring.n - 1 if vals == [0, 0, 1, 1] else ring.n)
 
 
@@ -367,13 +359,21 @@ def lagrangian_witness_search(module, max_nodes=None):
                 yield from _solutions(field, system, 4)
                 return
             # mod p, g1 = e_pivot0 + delta1 and g2 = e_pivot1 + delta2
+            checked = False
             for d1 in _solutions(field, rows1, 2):
                 h1 = [ring.residue(x) for x in g1]
                 h1[free[0]], h1[free[1]] = d1
                 left = linalg.mat_vec(JbarT, h1)
                 isotropy = [left[free[0]], left[free[1]], left[pivots[1]]]
+                stuck = True
                 for d2 in _solutions(field, rows2 + [isotropy], 2):
+                    stuck = False
                     yield d1 + d2
+                # no delta1 has a delta2 if g2's membership rows alone have none
+                if stuck and not checked:
+                    if next(_solutions(field, rows2, 2), None) is None:
+                        return
+                    checked = True
 
         def dfs(level, g1, g2):
             nonlocal nodes, cut

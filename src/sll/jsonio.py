@@ -144,8 +144,7 @@ def series_from_json(doc):
             raise ValidationError(f"nvars {nvars} is above the limit {MAX_NVARS}")
         degree = _int(doc["degree"], "degree")
         names = doc.get("vars")
-        if names is not None and (not isinstance(names, list) or len(names) != nvars
-                                  or not all(isinstance(v, str) for v in names)):
+        if names is not None and (not isinstance(names, list) or len(names) != nvars):
             raise ValidationError(f"vars must be null or a list of {nvars} strings, got {names!r}")
         ring = SeriesRing(coeff_ring, nvars, degree, names)
         terms = [(_ints(t["exps"], "exponent"), coeff_from_json(t["coeff"]))

@@ -127,11 +127,6 @@ def tangent_dimension(plane):
     return 3 if any(x[1] or x[2] for x in (v, w)) else 4
 
 
-def singular_points(q):
-    """Fiber points with tangent dimension 4; equals the radical plane."""
-    return [plane for plane in enumerate_special_fiber(q) if tangent_dimension(plane) == 4]
-
-
 def chart_equation(ring):
     """Equation of the affine chart at the distinguished point z = <e1, e4>.
 

@@ -50,11 +50,6 @@ class QuadraticForm:
             terms.append((tuple(e), c))
         return series_ring.from_terms(terms)
 
-    def coefficient(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.upper.get((i, j), self.coeff_ring.zero())
-
     def __eq__(self, other):
         return (
             isinstance(other, QuadraticForm)
@@ -62,14 +57,6 @@ class QuadraticForm:
             and other.nvars == self.nvars
             and other.upper == self.upper
         )
-
-    def __add__(self, other):
-        if other.coeff_ring != self.coeff_ring or other.nvars != self.nvars:
-            raise DomainError("forms over different contexts")
-        out = {}
-        for key in set(self.upper) | set(other.upper):
-            out[key] = self.coefficient(*key) + other.coefficient(*key)
-        return QuadraticForm(self.coeff_ring, self.nvars, out)
 
     def __repr__(self):
         return f"QuadraticForm({self.nvars} vars, {len(self.upper)} terms)"

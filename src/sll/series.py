@@ -42,6 +42,9 @@ class SeriesRing:
         self.var_names = tuple(var_names) if var_names else _default_names(nvars)
         if len(self.var_names) != nvars:
             raise ValidationError("variable name count mismatch")
+        if len(set(self.var_names)) != nvars or not all(
+                isinstance(v, str) and v.isidentifier() for v in self.var_names):
+            raise ValidationError(f"variable names must be distinct identifiers: {self.var_names}")
         self._packing = _Packing(self)
 
     def __eq__(self, other):
@@ -323,11 +326,6 @@ class TruncatedSeries:
                 )
         return TruncatedSeries(
             ring, ring._packing.substitute(self.packed, [phi.packed for phi in images]))
-
-    def map_coefficients(self, fn, new_coeff_ring):
-        """Apply fn to every coefficient, landing in new_coeff_ring."""
-        ring = SeriesRing(new_coeff_ring, self.parent.nvars, self.parent.degree, self.parent.var_names)
-        return ring.from_terms((e, fn(c)) for e, c in self.coeffs.items())
 
     # -- presentation -----------------------------------------------
 

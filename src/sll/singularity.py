@@ -55,12 +55,10 @@ class NormalFormResult:
         self.phi = phi          # a list of TruncatedSeries
         self.unit = unit        # a TruncatedSeries
 
-    def rhs_series(self):
-        ring = self.unit.parent
-        return self.unit * (ring.constant(self.a_prime) + self.q_prime.to_series(ring))
-
     def certificate_holds(self, f):
-        return f.substitute(self.phi) == self.rhs_series()
+        ring = self.unit.parent
+        return f.substitute(self.phi) == self.unit * (
+            ring.constant(self.a_prime) + self.q_prime.to_series(ring))
 
 
 class LocalRingClass:

@@ -25,6 +25,11 @@ rank tests) are the references for the fiber and tangent dimensions that
 brute-force witness search reuses the membership test and the witness
 completion of `sll.dieudonne` and the Smith data of `linalg.smith_form_local`,
 but not its linear solver.
+`iterative_p_rank` (images of F-bar spanned and row-reduced round by round),
+`rank_checked_validate` (the polarization check with its mod-p rank test)
+and `diagonal_dual_columns` (the diagonal matrix of p^{1-v} multiplied in)
+are the longer routes that `sll.dieudonne` replaced by closed forms.
+`reduce_mod_p` maps a series over W_n(F_q) onto its residue field.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from sll import linalg
 from sll.dieudonne import LagrangianSearchResult, _complete_witness, _in_vm_mod
 from sll.errors import PreconditionError
 from sll.local_model import IsotropicPlane, field_for_q, pairing_value
+from sll.series import SeriesRing
 
 
 # -- naive sparse polynomial arithmetic (independent of sll.series internals)
@@ -108,6 +114,14 @@ def naive_compose(f, images):
 
 def series_equals_dict(series, d):
     return dict(series.coeffs) == {e: c for e, c in d.items() if c}
+
+
+def reduce_mod_p(series):
+    """The image of a series over W_n(F_q) in the same series ring over F_q."""
+    ring = series.parent
+    witt = ring.coeff_ring
+    image = SeriesRing(witt.field, ring.nvars, ring.degree, ring.var_names)
+    return image.from_terms((e, witt.residue(c)) for e, c in series.coeffs.items())
 
 
 # -- matrix products on Residue arithmetic (the slow path of sll.linalg)
@@ -518,6 +532,46 @@ def grassmannian_isotropic_count(q):
     bases_per_plane = (q * q - 1) * (q * q - q)
     assert count % bases_per_plane == 0
     return count // bases_per_plane
+
+
+# -- Dieudonne invariants by their longer routes (the slow paths of sll.dieudonne)
+
+
+def iterative_p_rank(module):
+    """The stable image of F-bar, spanned and row-reduced four times over."""
+    fld = module.ring.field
+    fbar = linalg.mat_map(module.F_matrix, module.ring.residue)
+    span = linalg.identity(fld, 4)  # rows: the basis vectors
+    for _ in range(4):
+        images = [linalg.mat_vec(fbar, [fld.frobenius(c) for c in v]) for v in span]
+        reduced, _ = linalg.rref_field(fld, images)
+        span = [row for row in reduced if any(row)]
+        if not span:
+            return 0
+    return len(span)
+
+
+def rank_checked_validate(module):
+    """`validate()` with the polarization check also asking that J mod p
+    have rank 2, which its Smith divisors (0, 0, 1, 1) already imply."""
+    checks = module.validate()
+    jbar = linalg.mat_map(module.J, module.ring.residue)
+    checks["polarization_degree_p2"] = (checks["polarization_degree_p2"]
+                                        and independent_rank(module.ring.field, jbar) == 2)
+    return checks
+
+
+def diagonal_dual_columns(module):
+    """The columns of p J^{-T} as V diag(p^{1-v}) U from the Smith form
+    J = U^{-1} diag(p^v) V^{-1}, with the diagonal matrix multiplied in;
+    None for a pairing of another polarization degree."""
+    ring = module.ring
+    vals, U, V = linalg.smith_form_local(ring, [row[:] for row in module.J])
+    if vals not in ([0, 0, 1, 1], [0, 0, 0, 0]):
+        return None
+    scale = [[ring.from_int(ring.p ** (1 - v)) if i == j else ring.zero()
+              for j in range(4)] for i, v in enumerate(vals)]
+    return naive_mat_mul(V, naive_mat_mul(scale, U))
 
 
 # -- brute-force Lagrangian witness search

@@ -304,6 +304,11 @@ BAD_INPUTS = {
         '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,"vars":"ab",'
         '"terms":[{"exps":[1,1],"coeff":1}]}',
     ],
+    "series_vars_duplicate": [
+        "series-reduce",
+        '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,"vars":["a","a"],'
+        '"terms":[{"exps":[2,0],"coeff":1},{"exps":[1,1],"coeff":1},{"exps":[0,2],"coeff":1}]}',
+    ],
     "series_vars_empty": [
         "series-reduce",
         '{"coeff_ring":{"p":3,"n":2},"nvars":2,"degree":4,"vars":[],'

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from sll import jsonio, linalg
+from sll import dieudonne, jsonio, linalg
 from sll.base_rings import FiniteField, WittRing
 from sll.dieudonne import (
     STANDARD_CASES,
@@ -19,7 +19,13 @@ from sll.dieudonne import (
 from sll.errors import PreconditionError, ValidationError
 from sll.local_model import field_for_q
 
-from .oracles import brute_force_witness_search, independent_rank
+from .oracles import (
+    brute_force_witness_search,
+    diagonal_dual_columns,
+    independent_rank,
+    iterative_p_rank,
+    rank_checked_validate,
+)
 
 
 def ring_W(p, m, n):
@@ -323,6 +329,70 @@ def test_witness_search_matches_brute_force(q, n):
             assert got.nodes <= want.nodes, (case, q, n)
             if got.found:
                 _assert_certified(module, got.witness)
+
+
+def _perturbed(module, rng):
+    """Three neighbours that break the invariants: one entry of F moved by
+    1, an alternating pair of entries of J moved, and one entry of J moved."""
+    ring = module.ring
+    i, j = rng.sample(range(4), 2)
+    c = ring.random_element(rng)
+    F = [row[:] for row in module.F_matrix]
+    F[i][j] = F[i][j] + ring.one()
+    alternating = [row[:] for row in module.J]
+    alternating[i][j], alternating[j][i] = alternating[i][j] + c, alternating[j][i] - c
+    lopsided = [row[:] for row in module.J]
+    lopsided[i][j] = lopsided[i][j] + c
+    return [DieudonneModule(ring, F, module.V_matrix, module.J)] + [
+        DieudonneModule(ring, module.F_matrix, module.V_matrix, J) for J in (alternating, lopsided)]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (2, 3)])
+def test_closed_forms_match_the_longer_routes(q, n):
+    # p_rank as the rank of A sigma(A) sigma^2(A) sigma^3(A), validate()
+    # without the mod-p rank of J, and the dual with U's rows scaled, on
+    # valid modules and on invalid neighbours of them
+    invalid = 0
+    for case, fixture in _fixtures_at(q, n):
+        rng = random.Random(f"closed-forms-{case}-{q}-{n}")
+        for module in [fixture] + [base_change(fixture, g)
+                                   for g in _seeded_base_changes(fixture.ring, rng)]:
+            for m in [module] + _perturbed(module, rng):
+                assert p_rank(m) == iterative_p_rank(m), (case, q, n)
+                checks = m.validate()
+                assert checks == rank_checked_validate(m), (case, q, n)
+                invalid += not all(checks.values())
+                want = diagonal_dual_columns(m)
+                if want is None:
+                    with pytest.raises(PreconditionError):
+                        dual_lattice(m)
+                else:
+                    assert dual_lattice(m).columns() == want, (case, q, n)
+    assert invalid
+
+
+def test_witness_search_skips_digits_when_g2_has_no_lift(monkeypatch):
+    # iib in the basis swapped by 0 <-> 2, 1 <-> 3: at some pivot pair no
+    # digit delta2 keeps g2 in VM mod p, whatever delta1 is, so the search
+    # must not try all q digits delta1 to learn it; counting the linear
+    # solves shows the work does not grow with q
+    real = dieudonne._solutions
+    counts = []
+    for p in (5, 65521):
+        ring = ring_W(p, 1, 2)
+        swap = [[ring.from_int(int((i - j) % 4 == 2)) for j in range(4)] for i in range(4)]
+        module = base_change(make_standard(ring, "iib"), swap)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dieudonne, "_solutions", counted)
+        res = lagrangian_witness_search(module)
+        assert (res.found, res.nodes) == (False, 1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import sll
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # the public surface, pinned: a name leaves or joins it only on purpose
 PUBLIC = [
@@ -24,9 +26,31 @@ PUBLIC = [
     "HodgeFrame", "standard_frame", "deformation_equation", "classify_point",
     "standard_display", "nonordinary_locus",
     # local_model
-    "IsotropicPlane", "enumerate_special_fiber", "tangent_dimension", "singular_points",
-    "chart_equation",
+    "IsotropicPlane", "enumerate_special_fiber", "tangent_dimension", "chart_equation",
 ]
+
+
+# public names that only tests call yet, each kept for the open ROADMAP item
+# that is to give it a caller; every other public name has one
+AWAITING_A_CALLER = {
+    "quadric_class": "item 1",
+    "classify_point": "item 1",
+    "standard_display": "item 5",
+    "nonordinary_locus": "item 5",
+}
+
+
+def test_every_exported_name_has_a_caller():
+    # a caller is a name or an attribute read in src/sll or bench/; a
+    # definition alone is neither
+    used = set()
+    for path in [*(SRC / "sll").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert {name for name in sll.__all__ if name not in used} == set(AWAITING_A_CALLER)
 
 
 def test_every_exported_name_resolves():

@@ -4,7 +4,7 @@ import pytest
 
 from sll import linalg
 from sll.base_rings import FiniteField, WittRing
-from sll.deformation import nonordinary_locus, reduce_relation_mod_p, standard_display
+from sll.deformation import nonordinary_locus, standard_display
 from sll.errors import PreconditionError, ValidationError
 from sll.local_model import (
     IsotropicPlane,
@@ -14,7 +14,6 @@ from sll.local_model import (
     pairing_matrix,
     pairing_value,
     radical_plane,
-    singular_points,
     tangent_dimension,
 )
 from sll.singularity import classify_local_ring
@@ -24,6 +23,7 @@ from .oracles import (
     grassmannian_isotropic_count,
     independent_rank,
     rank_tangent_dimension,
+    reduce_mod_p,
 )
 
 
@@ -116,7 +116,8 @@ def test_tangent_dimensions_are_3_or_4(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_singular_points_are_exactly_the_radical(q):
-    assert singular_points(q) == [radical_plane(field_for_q(q))]
+    singular = [P for P in enumerate_special_fiber(q) if tangent_dimension(P) == 4]
+    assert singular == [radical_plane(field_for_q(q))]
 
 
 def test_tangent_rejects_non_isotropic_plane():
@@ -141,7 +142,7 @@ def test_chart_mod_p_equals_the_nonordinary_determinant():
     for p in (2, 3):
         ring = WittRing(FiniteField(p), 2)
         eq = chart_equation(ring)
-        reduced = reduce_relation_mod_p(eq).truncate(3)
+        reduced = reduce_mod_p(eq).truncate(3)
         assert reduced == nonordinary_locus(standard_display(ring.field))
 
 
