@@ -509,6 +509,8 @@ class WittRing(_CoeffRing):
         self.n = n
         self.p = field.p
         self.pn = field.p ** n
+        # gcd(p^n, coefficients) = p^v for the valuation v, zero included
+        self._valuations = {field.p ** v: v for v in range(n + 1)}
         self._key = (field, n)
         self.lifted_modulus = self._lift_modulus()
         gen = self.gen()
@@ -624,27 +626,17 @@ class WittRing(_CoeffRing):
 
     def valuation(self, x):
         """Index of the first nonzero Teichmuller digit; n means zero at
-        this precision.  Equals the minimal p-valuation of the coefficients."""
-        v = self.n
-        for c in x.coeffs:
-            if c:
-                w = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    w += 1
-                v = min(v, w)
-        return v
+        this precision.  Equals the minimal p-valuation of the coefficients,
+        read off their gcd with p^n."""
+        return self._valuations[math.gcd(self.pn, *x.coeffs)]
 
     def divide_exact_p(self, x, k):
         """Divide by p^k.  Requires p^k | x; the result carries only
         n - k trusted digits (caller does the precision bookkeeping)."""
         pk = self.p ** k
-        out = []
-        for c in x.coeffs:
-            if c % pk:
-                raise DomainError(f"element not divisible by p^{k}")
-            out.append(c // pk)
-        return WittElement(self, tuple(out))
+        if math.gcd(pk, *x.coeffs) != pk:
+            raise DomainError(f"element not divisible by p^{k}")
+        return WittElement(self, tuple(c // pk for c in x.coeffs))
 
 
 # ---------------------------------------------------------------------------

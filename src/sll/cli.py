@@ -134,7 +134,7 @@ def _series_reduce(args):
     try:
         result = singularity.normal_form(f)
     except SmoothShortCircuit as sig:
-        return {"class": "Smooth", "detail": sig.reason, "normal_form": None}
+        return {"class": "Smooth", "detail": str(sig), "normal_form": None}
     cls = singularity.double_point_class(result)
     return {"class": cls.tag, "detail": cls.detail,
             "normal_form": jsonio.normal_form_to_json(ring, result)}

@@ -39,9 +39,8 @@ class HodgeFrame:
         vbar = linalg.mat_map(module.V_matrix, ring.residue)
         if linalg.rank_field(fld, vbar) != 2:
             raise PreconditionError("V has the wrong mod-p rank for a Hodge frame")
-        picked = [[fld.one() if r == i else fld.zero() for i in Y_indices] for r in range(4)]
-        stacked = [vrow + prow for vrow, prow in zip(vbar, picked)]
-        if linalg.rank_field(fld, stacked) != 2:
+        # the image has rank 2, so e_Y span it exactly when it lies in their span
+        if any(any(vbar[r]) for r in X_indices):
             raise PreconditionError("chosen Y vectors do not span the image of V mod p")
         self.module = module
         self.Y_indices = Y_indices
@@ -61,19 +60,13 @@ def relation_ring(witt_ring):
 def pairing_relation(J, left, right, x_indices):
     """<left~, right~> for the pairing matrix J over W_n(F_q), where
     left~ = e_left + t11 e_x1 + t12 e_x2 and right~ = e_right + t21 e_x1 +
-    t22 e_x2, with (x1, x2) = x_indices; left/right are basis indices."""
-    sring = relation_ring(J[0][0].ring)
-    t = sring.variables()  # t11, t12, t21, t22
-
-    def deformed(index, ts):
-        vec = [sring.zero()] * 4
-        vec[index] = sring.one()
-        for x, tk in zip(x_indices, ts):
-            vec[x] = vec[x] + tk
-        return vec
-
-    J = linalg.mat_map(J, sring.constant)  # J[i][j] = <e_i, e_j>
-    return linalg.bilinear(J, deformed(left, t[:2]), deformed(right, t[2:]), sring.zero())
+    t22 e_x2, with (x1, x2) = x_indices; left/right are basis indices.
+    The nine terms s_i u_j J[a_i][b_j] of the expansion, with s = (1, t11,
+    t12) at a = (left, x1, x2) and u = (1, t21, t22) at b = (right, x1, x2)."""
+    exps = ((0, 0), (1, 0), (0, 1))  # of 1, t_k1, t_k2
+    a, b = (left, *x_indices), (right, *x_indices)
+    return relation_ring(J[0][0].ring).from_terms(
+        ((*ei, *ej), J[ai][bj]) for ei, ai in zip(exps, a) for ej, bj in zip(exps, b))
 
 
 def deformation_equation(frame):

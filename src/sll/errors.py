@@ -32,11 +32,7 @@ class SmoothShortCircuit(Exception):
     """Control-flow signal: the hypersurface is smooth, so normal-form
     reduction is unnecessary.  Not an error.
 
-    Raised when a linear coefficient (or the constant term) of the
-    defining series is a unit.
+    Raised when a linear coefficient of the defining series is a unit.  A
+    unit constant term is not this signal: `normal_form` raises
+    PreconditionError for it, and `classify_local_ring` returns Smooth.
     """
-
-    def __init__(self, reason, index=None):
-        super().__init__(reason)
-        self.reason = reason
-        self.index = index

@@ -4,8 +4,8 @@ Exact integers only, no floats.  Witt elements are encoded by their
 polynomial coefficients mod p^n ({"coeffs": [...]}) with the Teichmuller
 digit encoding ({"digits": [...]}) accepted as an alternative; digits
 flatten to plain integers over prime fields.  Element, ring, series,
-quadratic-form, normal-form and module documents parse back to equal
-objects; planes, dual lattices and witness searches are encoded only.
+quadratic-form and module documents parse back to equal objects; normal
+forms, planes, dual lattices and witness searches are encoded only.
 
 This module is the one decoder of field, ring, coefficient and module
 documents.  Every integer it reads (p, m, n, exponents, coefficients,

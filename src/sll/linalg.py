@@ -9,15 +9,14 @@ product to the ring's `base_rings.CoeffPacking.mat_mul`: each output entry
 one int dot product of spread coefficients, reduced once.
 
 The rest stays on `Residue` arithmetic, where packing did not pay when
-measured.  `bilinear` evaluates v^T G w for the package's pairings, over a
-coefficient ring or over a series ring, and skips zero entries, which the
-pairings are full of.  `invert`, `rref_field` and `smith_form_local` pick
-a pivot and scale rows one step at a time; an `invert` by Newton lifting
-on packed products was slower than the row reduction.  One Gauss-Jordan
-loop, `rref_field`, serves fields and Witt rings alike: it pivots on
-units, which over a field are the nonzero entries and over the local ring
-W_n(F_q) suffice for every matrix invertible mod the maximal ideal, the
-only kind `invert` accepts.
+measured.  `bilinear` evaluates v^T G w for the package's pairings over a
+coefficient ring, and skips zero entries, which the pairings are full of.
+`invert`, `rref_field` and `smith_form_local` pick a pivot and scale rows
+one step at a time; an `invert` by Newton lifting on packed products was
+slower than the row reduction.  One Gauss-Jordan loop, `rref_field`,
+serves fields and Witt rings alike: it pivots on units, which over a field
+are the nonzero entries and over the local ring W_n(F_q) suffice for every
+matrix invertible mod the maximal ideal, the only kind `invert` accepts.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ isotropy condition into p + t11*t22 - t12*t21.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import linalg
@@ -27,11 +26,9 @@ from .base_rings import WittRing, field_for_q
 from .errors import PreconditionError, ValidationError
 
 
-@functools.lru_cache(maxsize=64)
 def pairing_matrix(ring):
     """The 4x4 alternating matrix of the pairing over `ring` (a FiniteField
-    gets the mod-p matrix, a WittRing the integral one), as row tuples
-    built once per ring."""
+    gets the mod-p matrix, a WittRing the integral one), as row tuples."""
     p = ring.p
     rows = [
         [0, 0, 0, p],
@@ -74,7 +71,8 @@ class IsotropicPlane:
 
 
 def pairing_value(field, v, w):
-    return linalg.bilinear(pairing_matrix(field), v, w, field.zero())
+    """The mod-p pairing x2*y3 - x3*y2 of two vectors of F_q^4."""
+    return v[1] * w[2] - v[2] * w[1]
 
 
 def radical_plane(field):

@@ -174,9 +174,8 @@ def kill_linear_term(f):
     hence a constant term preserved modulo p^(2r).
     """
     A = _coeff_ring_of(f)
-    for i, c in enumerate(f.linear_coefficients()):
-        if A.is_unit(c):
-            raise SmoothShortCircuit("unit linear coefficient", index=i)
+    if any(map(A.is_unit, f.linear_coefficients())):
+        raise SmoothShortCircuit("unit linear coefficient")
     forms = _step_forms(f)
     if not A.in_maximal_ideal(f.constant_term()):
         raise PreconditionError("constant term must lie in the maximal ideal", part="constant")
@@ -246,7 +245,7 @@ def normal_form(f):
         raise PreconditionError("constant term is a unit (unit ideal)", part="constant")
     for i, c in enumerate(f.linear_coefficients()):
         if A.is_unit(c):
-            raise SmoothShortCircuit("unit linear coefficient", index=i)
+            raise SmoothShortCircuit("unit linear coefficient")
         if c and A.valuation(c) < 2:
             raise PreconditionError(
                 f"linear coefficient {i + 1} has valuation < 2", part="linear"

@@ -21,10 +21,17 @@ F_q row reduction and Newton lift.
 `rank_tangent_dimension` (the tangent equation on a complement found by
 rank tests) are the references for the fiber and tangent dimensions that
 `sll.local_model` reads off the Schubert-divisor description; they share
-`IsotropicPlane` and `pairing_value` with it, but not its generator.  The
-brute-force witness search reuses the membership test and the witness
-completion of `sll.dieudonne` and the Smith data of `linalg.smith_form_local`,
-but not its linear solver.
+`IsotropicPlane` with it, but not its generator, and pair vectors with
+`matrix_pairing`, v^T J w over this file's own copy of the pairing matrix,
+not with `local_model.pairing_value`.  The brute-force witness search
+reuses the membership test and the witness completion of `sll.dieudonne`
+and the Smith data of `linalg.smith_form_local`, but not its linear
+solver, and reads valuations with `loop_valuation`.
+`loop_valuation` and `loop_divide_exact_p` (per-coefficient division
+loops), `series_pairing_relation` (`linalg.bilinear` over the series ring)
+and `stacked_rank_frame_error` (the rank of [V mod p | e_Y]) are the longer
+routes that `WittRing.valuation`, `WittRing.divide_exact_p`,
+`deformation.pairing_relation` and the `HodgeFrame` test replaced.
 `iterative_p_rank` (images of F-bar spanned and row-reduced round by round),
 `rank_checked_validate` (the polarization check with its mod-p rank test)
 and `diagonal_dual_columns` (the diagonal matrix of p^{1-v} multiplied in)
@@ -38,9 +45,11 @@ import functools
 import itertools
 
 from sll import linalg
+from sll.base_rings import WittElement
+from sll.deformation import relation_ring
 from sll.dieudonne import LagrangianSearchResult, _complete_witness, _in_vm_mod
-from sll.errors import PreconditionError
-from sll.local_model import IsotropicPlane, field_for_q, pairing_value
+from sll.errors import DomainError, PreconditionError
+from sll.local_model import IsotropicPlane, field_for_q
 from sll.series import SeriesRing
 
 
@@ -255,6 +264,23 @@ def independent_rank(field, rows):
 # -- the local-model fiber by filtering, tangent dimensions by rank tests
 
 
+@functools.lru_cache(maxsize=16)
+def _mod_p_pairing_matrix(field):
+    """psi(e1, e4) = p, psi(e2, e3) = 1, alternating, mapped into F_q."""
+    p = field.p
+    rows = [[0, 0, 0, p], [0, 0, 1, 0], [0, -1, 0, 0], [-p, 0, 0, 0]]
+    return [[field.from_int(x) for x in row] for row in rows]
+
+
+def matrix_pairing(field, v, w):
+    """v^T J w over F_q, summed over all sixteen entries of J."""
+    acc = field.zero()
+    for vi, row in zip(v, _mod_p_pairing_matrix(field)):
+        for jij, wj in zip(row, w):
+            acc = acc + vi * jij * wj
+    return acc
+
+
 def filter_special_fiber(q):
     """Every echelon 2-plane of F_q^4 whose basis pairs to zero, ordered by
     echelon cell and then by free entries.  For an alternating form a plane
@@ -278,7 +304,7 @@ def filter_special_fiber(q):
                 row2[j] = one
                 for c, v in zip(free2, vals2):
                     row2[c] = v
-                if pairing_value(field, row1, row2):
+                if matrix_pairing(field, row1, row2):
                     continue
                 out.append(IsotropicPlane(field, (tuple(row1), tuple(row2))))
     return out
@@ -290,7 +316,7 @@ def rank_tangent_dimension(plane):
     vectors chosen by rank tests."""
     field = plane.field
     v, w = plane.vectors()
-    if pairing_value(field, v, w):
+    if matrix_pairing(field, v, w):
         raise PreconditionError("plane is not isotropic")
     comp = []
     for k in range(4):
@@ -301,12 +327,79 @@ def rank_tangent_dimension(plane):
             break
     u1, u2 = comp
     row = [
-        pairing_value(field, u1, w),
-        pairing_value(field, u2, w),
-        pairing_value(field, v, u1),
-        pairing_value(field, v, u2),
+        matrix_pairing(field, u1, w),
+        matrix_pairing(field, u2, w),
+        matrix_pairing(field, v, u1),
+        matrix_pairing(field, v, u2),
     ]
     return 4 - (1 if any(row) else 0)
+
+
+# -- valuations by division loops
+
+
+def loop_valuation(ring, x):
+    """Index of the first nonzero Teichmuller digit of x in W_n(F_q): the
+    least number of times p divides a coefficient, n for zero."""
+    v = ring.n
+    for c in x.coeffs:
+        if c:
+            w = 0
+            while c % ring.p == 0:
+                c //= ring.p
+                w += 1
+            v = min(v, w)
+    return v
+
+
+def loop_divide_exact_p(ring, x, k):
+    """x / p^k, coefficient by coefficient; DomainError unless p^k divides
+    every coefficient."""
+    pk = ring.p ** k
+    out = []
+    for c in x.coeffs:
+        if c % pk:
+            raise DomainError(f"element not divisible by p^{k}")
+        out.append(c // pk)
+    return WittElement(ring, tuple(out))
+
+
+# -- deformation relations and Hodge frames by matrix routes
+
+
+def series_pairing_relation(J, left, right, x_indices):
+    """<left~, right~> as v^T J w over the relation's series ring, with
+    left~ = e_left + t11 e_x1 + t12 e_x2 and right~ = e_right + t21 e_x1 +
+    t22 e_x2."""
+    sring = relation_ring(J[0][0].ring)
+    t = sring.variables()  # t11, t12, t21, t22
+
+    def deformed(index, ts):
+        vec = [sring.zero()] * 4
+        vec[index] = sring.one()
+        for x, tk in zip(x_indices, ts):
+            vec[x] = vec[x] + tk
+        return vec
+
+    J = linalg.mat_map(J, sring.constant)
+    return linalg.bilinear(J, deformed(left, t[:2]), deformed(right, t[2:]), sring.zero())
+
+
+def stacked_rank_frame_error(module, Y_indices, X_indices):
+    """The message `HodgeFrame` raises for this frame, None if it accepts
+    it: the Y slots span the image of V mod p when stacking e_Y next to
+    V mod p leaves the rank at 2."""
+    if sorted([*Y_indices, *X_indices]) != [0, 1, 2, 3]:
+        return "frame indices must partition the basis"
+    ring = module.ring
+    fld = ring.field
+    vbar = [[ring.residue(x) for x in row] for row in module.V_matrix]
+    if independent_rank(fld, vbar) != 2:
+        return "V has the wrong mod-p rank for a Hodge frame"
+    picked = [[fld.one() if r == i else fld.zero() for i in Y_indices] for r in range(4)]
+    if independent_rank(fld, [vrow + prow for vrow, prow in zip(vbar, picked)]) != 2:
+        return "chosen Y vectors do not span the image of V mod p"
+    return None
 
 
 # -- integer polynomials mod a monic modulus, and integer-table finite fields
@@ -617,10 +710,10 @@ def brute_force_witness_search(module):
                     return None
                 if not _in_vm_mod(module, vals, U, g2, prec):
                     return None
-                if ring.valuation(module.pair(g1, g2)) < prec:
+                if loop_valuation(ring, module.pair(g1, g2)) < prec:
                     return None
             if level == n:
-                if ring.valuation(module.pair(g1, g2)) < n:
+                if loop_valuation(ring, module.pair(g1, g2)) < n:
                     return None
                 witness = _complete_witness(module, g1, g2)
                 return witness

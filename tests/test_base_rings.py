@@ -134,6 +134,35 @@ def test_valuation_examples():
         assert ring9.valuation(p2 * u) == 2
 
 
+VALUATION_RINGS = [(p, m, n) for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))
+                   for n in (1, 2, 3)] + [(2, 8, 32)]
+
+
+@pytest.mark.parametrize("p,m,n", VALUATION_RINGS)
+def test_gcd_valuation_and_division_match_the_division_loops(p, m, n):
+    # zero, p^k times a unit for every k, and random elements
+    ring = W(p, m, n)
+    rng = random.Random(f"valuation-{p}-{m}-{n}")
+    units = [ring.one()]
+    while len(units) < 4:
+        u = ring.random_element(rng)
+        if any(c % p for c in u.coeffs):
+            units.append(u)
+    pk = [ring.p_element() ** k for k in range(n + 1)]
+    elems = ([ring.zero()] + [a * u for a in pk for u in units]
+             + [a * ring.random_element(rng) for a in pk for _ in range(3)])
+    for x in elems:
+        assert ring.valuation(x) == oracles.loop_valuation(ring, x), x
+        for k in range(n + 2):
+            try:
+                want = oracles.loop_divide_exact_p(ring, x, k)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    ring.divide_exact_p(x, k)
+            else:
+                assert ring.divide_exact_p(x, k) == want, (x, k)
+
+
 def test_valuation_is_multiplicative_up_to_truncation():
     ring = W(3, 1, 3)
     rng = random.Random(3)

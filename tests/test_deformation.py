@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,16 +10,18 @@ from sll.deformation import (
     classify_point,
     deformation_equation,
     nonordinary_locus,
+    pairing_relation,
     relation_ring,
     standard_display,
     standard_frame,
 )
-from sll.dieudonne import base_change, make_standard
+from sll.dieudonne import DieudonneModule, base_change, make_standard
 from sll.errors import PreconditionError
 from sll.local_model import chart_equation
 from sll.series import SeriesRing
 
-from .oracles import reduce_mod_p
+from .oracles import reduce_mod_p, series_pairing_relation, stacked_rank_frame_error
+from .test_dieudonne import _fixtures_at, _seeded_base_changes
 
 
 def ring_W(p, m, n):
@@ -138,6 +141,77 @@ def test_frame_invariant_rejects_wrong_hodge_indices():
         HodgeFrame(module, (0, 1), (2, 3))  # X's do not span VM/pM
     with pytest.raises(PreconditionError):
         HodgeFrame(module, (0, 0), (2, 3))
+
+
+# the 12 ordered Y pairs, each with both orders of its X complement
+FRAMES = [((y1, y2), x) for y1, y2 in itertools.permutations(range(4), 2)
+          for x in itertools.permutations(sorted({0, 1, 2, 3} - {y1, y2}))]
+
+
+def _frame_modules(q, n):
+    """Every fixture over W_n(F_q), its two seeded base changes, and a
+    seeded permutation of its basis, which moves the valid Y slots."""
+    out = []
+    for case, fixture in _fixtures_at(q, n):
+        ring = fixture.ring
+        rng = random.Random(f"frames-{case}-{q}-{n}")
+        order = list(range(4))
+        rng.shuffle(order)
+        perm = [[ring.from_int(int(i == order[j])) for j in range(4)] for i in range(4)]
+        out += [fixture, base_change(fixture, perm)]
+        out += [base_change(fixture, g) for g in _seeded_base_changes(ring, rng)]
+    return out
+
+
+GRID = [(q, n) for q in (2, 3, 4) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("q,n", GRID)
+def test_pairing_relation_matches_the_series_pairing(q, n):
+    valid = 0
+    for module in _frame_modules(q, n):
+        for (y1, y2), x in FRAMES:
+            want = series_pairing_relation(module.J, y1, y2, x)
+            assert pairing_relation(module.J, y1, y2, x) == want, (y1, y2, x)
+            if stacked_rank_frame_error(module, (y1, y2), x) is None:
+                assert deformation_equation(HodgeFrame(module, (y1, y2), x)) == want
+                valid += 1
+    assert valid
+
+
+def _low_rank_modules(ring, rng):
+    """Modules with F = J = 1 and V of rank <= 2 mod p, their image spanned by
+    coordinate vectors, random vectors, or a mix; V = 1 and V = p."""
+    p = ring.p_element()
+    one = [[ring.from_int(int(i == j)) for j in range(4)] for i in range(4)]
+    out = [DieudonneModule(ring, one, one, one),
+           DieudonneModule(ring, one, [[p * x for x in row] for row in one], one)]
+    for _ in range(12):
+        cols = [one[rng.randrange(4)] if rng.random() < 0.6
+                else [ring.random_element(rng) for _ in range(4)] for _ in range(2)]
+        mix = [[ring.random_element(rng) for _ in range(4)] for _ in range(2)]
+        V = [[cols[0][i] * mix[0][j] + cols[1][i] * mix[1][j] for j in range(4)]
+             for i in range(4)]
+        out.append(DieudonneModule(ring, one, V, one))
+    return out
+
+
+@pytest.mark.parametrize("q,n", GRID)
+def test_hodge_frame_verdict_matches_the_stacked_rank(q, n):
+    modules = _frame_modules(q, n)
+    modules += _low_rank_modules(modules[0].ring, random.Random(f"low-rank-{q}-{n}"))
+    verdicts = set()
+    for module in modules:
+        for Y, X in FRAMES:
+            want = stacked_rank_frame_error(module, Y, X)
+            verdicts.add(want)
+            if want is None:
+                HodgeFrame(module, Y, X)
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    HodgeFrame(module, Y, X)
+                assert str(err.value) == want
+    assert len(verdicts) == 3  # accepted, wrong rank, wrong Y slots
 
 
 def test_display_tangent_frobenius_and_determinant():

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -22,8 +23,10 @@ from .oracles import (
     filter_special_fiber,
     grassmannian_isotropic_count,
     independent_rank,
+    matrix_pairing,
     rank_tangent_dimension,
     reduce_mod_p,
+    series_pairing_relation,
 )
 
 
@@ -42,6 +45,21 @@ def test_pairing_matrix_invariants():
     for k in (0, 3):
         e = [fld.one() if i == k else fld.zero() for i in range(4)]
         assert not any(linalg.mat_vec(Jbar, e))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_pairing_value_matches_the_matrix_pairing_on_every_pair(q):
+    field = field_for_q(q)
+    vectors = list(itertools.product(field.elements(), repeat=4))
+    basis = [[field.one() if i == k else field.zero() for i in range(4)] for k in range(4)]
+    for w in vectors:
+        # the oracle's J w, entry by entry, then v^T (J w)
+        jw = [matrix_pairing(field, e, w) for e in basis]
+        for v in vectors:
+            want = field.zero()
+            for vi, c in zip(v, jw):
+                want = want + vi * c
+            assert pairing_value(field, v, w) == want, (v, w)
 
 
 def test_fiber_q2_contains_the_radical_plane():
@@ -136,6 +154,14 @@ def test_chart_equation_is_the_standard_quadric(p):
     t = S.variables()
     want = S.constant(ring.p_element()) + t[0] * t[3] - t[1] * t[2]
     assert eq == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_chart_equation_matches_the_series_pairing(q):
+    for n in (1, 2, 3):
+        ring = WittRing(field_for_q(q), n)
+        want = series_pairing_relation(pairing_matrix(ring), 0, 3, (1, 2))
+        assert chart_equation(ring) == want
 
 
 def test_chart_mod_p_equals_the_nonordinary_determinant():
