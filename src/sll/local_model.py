@@ -70,7 +70,7 @@ class IsotropicPlane:
         return f"IsotropicPlane[{fmt(self.basis[0])}, {fmt(self.basis[1])}]"
 
 
-def pairing_value(field, v, w):
+def pairing_value(v, w):
     """The mod-p pairing x2*y3 - x3*y2 of two vectors of F_q^4."""
     return v[1] * w[2] - v[2] * w[1]
 
@@ -117,9 +117,8 @@ def tangent_dimension(plane):
     """Dimension of {phi : P -> F_q^4 / P with psi(phi v, w) + psi(v, phi w)
     = 0}.  The fiber is a cone over P^1 x P^1 with vertex R = <e1, e4>, so
     this is 4 at R and 3 everywhere else on the fiber."""
-    field = plane.field
     v, w = plane.vectors()
-    if pairing_value(field, v, w):
+    if pairing_value(v, w):
         raise PreconditionError("plane is not isotropic")
     # a rank-2 plane is R exactly when both basis vectors lie in R
     return 3 if any(x[1] or x[2] for x in (v, w)) else 4

@@ -41,23 +41,21 @@ AWAITING_A_CALLER = {
     "deformation.standard_display": "item 5",
     "deformation.nonordinary_locus": "item 5",
     "jsonio.module_to_json": "tests write module files with it",
+    "jsonio.quadform_from_json": "a bench/tracer.py target; only tests call it",
 }
 
 
 def _read_names():
-    """Every name or attribute read in src/sll or bench/, and the last part
-    of every string in bench/, since the tracer wraps its targets by name; a
-    definition alone is none of these."""
+    """Every name or attribute read in src/sll or bench/; a definition alone
+    is neither, and neither is a tracer target, which wraps a function by
+    name but does not call it."""
     used = set()
     for path in [*(SRC / "sll").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
-        in_bench = path.parent.name == "bench"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif in_bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value.rpartition(".")[2])
     return used
 
 

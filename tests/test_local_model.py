@@ -59,7 +59,7 @@ def test_pairing_value_matches_the_matrix_pairing_on_every_pair(q):
             want = field.zero()
             for vi, c in zip(v, jw):
                 want = want + vi * c
-            assert pairing_value(field, v, w) == want, (v, w)
+            assert pairing_value(v, w) == want, (v, w)
 
 
 def test_fiber_q2_contains_the_radical_plane():
@@ -69,14 +69,13 @@ def test_fiber_q2_contains_the_radical_plane():
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_fiber_planes_are_isotropic_by_reevaluation(q):
-    field = field_for_q(q)
     for plane in enumerate_special_fiber(q):
         v, w = plane.vectors()
-        assert not pairing_value(field, v, w)
+        assert not pairing_value(v, w)
         # and every vector pair from the plane pairs to zero
         for a in (v, w):
             for b in (v, w):
-                assert not pairing_value(field, a, b)
+                assert not pairing_value(a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -227,8 +226,7 @@ def test_fiber_stable_under_pairing_similitudes(q):
         if q > 2 else
         mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]),   # e3 -> e3 + e4
     ]
-    Jbar = [[pairing_value(field,
-                           [one if a == i else zero for a in range(4)],
+    Jbar = [[pairing_value([one if a == i else zero for a in range(4)],
                            [one if b == j else zero for b in range(4)])
              for j in range(4)] for i in range(4)]
     fiber = set(enumerate_special_fiber(q))
