@@ -50,12 +50,6 @@ class DieudonneModule:
 
     # -- operator and pairing actions -------------------------------------
 
-    def apply_F(self, vec):
-        return linalg.mat_vec(self.F_matrix, [self.ring.frobenius(x) for x in vec])
-
-    def apply_V(self, vec):
-        return linalg.mat_vec(self.V_matrix, [self.ring.frobenius_inv(x) for x in vec])
-
     def pair(self, x, y):
         return linalg.bilinear(self.J, x, y, self.ring.zero())
 
@@ -73,7 +67,7 @@ class DieudonneModule:
     def validate(self):
         """Named checks for every structural invariant."""
         ring = self.ring
-        p_id = linalg.scalar_mul(ring.p_element(), linalg.identity(ring, 4))
+        p_id = [[ring.p_element() if i == j else ring.zero() for j in range(4)] for i in range(4)]
         fv = linalg.mat_mul(self.F_matrix, self.sigma_matrix(self.V_matrix))
         vf = linalg.mat_mul(self.V_matrix, self.sigma_inv_matrix(self.F_matrix))
         alternating = all(
@@ -200,12 +194,13 @@ def kernel_type(module):
     "NotSuperspecial"."""
     if a_number(module) != 2:
         return "NotSuperspecial"
-    dual = dual_lattice(module)
-    for col in dual.columns():
-        for image in (module.apply_F(col), module.apply_V(col)):
-            # precision n-1 >= 1, so residues of the entries are trusted
-            if any(module.ring.residue(x) for x in image):
-                return "NonAlphaSquare"
+    # B has the basis vectors of p M^t as columns; F(B) = F sigma(B), V(B) = V sigma^-1(B)
+    B = linalg.transpose(dual_lattice(module).columns())
+    images = (linalg.mat_mul(module.F_matrix, module.sigma_matrix(B)),
+              linalg.mat_mul(module.V_matrix, module.sigma_inv_matrix(B)))
+    # precision n-1 >= 1, so residues of the entries are trusted
+    if any(module.ring.residue(x) for image in images for row in image for x in row):
+        return "NonAlphaSquare"
     return "AlphaSquare"
 
 
@@ -237,34 +232,23 @@ class LagrangianSearchResult:
         return isinstance(other, LagrangianSearchResult) and vars(self) == vars(other)
 
 
-def _in_vm_mod(module, vals, U, vec, k):
-    """Membership in VM modulo p^k."""
-    ring = module.ring
-    coords = linalg.mat_vec(U, vec)
-    for v, c in zip(vals, coords):
-        if ring.valuation(c) < min(v, k):
-            return False
-    return True
-
-
 def _complete_witness(module, g1, g2):
     """Try to complete an isotropic direct-summand pair to a basis with
     the standard pairing shape `_standard_pairing`."""
     ring = module.ring
-    # A[j] = (<e_j, g1>, <e_j, g2>)
-    A = [[a, b] for a, b in zip(linalg.mat_vec(module.J, g1), linalg.mat_vec(module.J, g2))]
-    vals, U, V = linalg.smith_form_local(ring, A)
+    G = linalg.transpose([g1, g2])
+    # row j of J G is (<e_j, g1>, <e_j, g2>)
+    vals, U, V = linalg.smith_form_local(ring, linalg.mat_mul(module.J, G))
     if vals != [0, 1]:
         return None
-    y1 = [g1[i] * V[0][0] + g2[i] * V[1][0] for i in range(4)]
-    y2 = [g1[i] * V[0][1] + g2[i] * V[1][1] for i in range(4)]
+    y1, y2 = linalg.transpose(linalg.mat_mul(G, V))
     x1 = list(U[0])
     x2 = list(U[1])
     c = module.pair(x1, x2)
     if c:
         x2 = [a - c * b for a, b in zip(x2, y1)]
     basis = [x1, x2, y1, y2]
-    gram = [[module.pair(u, v) for v in basis] for u in basis]
+    gram = linalg.mat_mul(basis, linalg.mat_mul(module.J, linalg.transpose(basis)))
     expect = [[ring.from_int(x) for x in row] for row in _standard_pairing(ring.p)]
     if not linalg.mat_eq(gram, expect):
         return None
@@ -339,15 +323,10 @@ def lagrangian_witness_search(module, max_nodes=None):
     for pivots in itertools.combinations(range(4), 2):
         free = [j for j in range(4) if j not in pivots]
 
-        def membership_rows(g, k):
+        def children(k, g1, g2, UG):
             # digit k of (U g)_i + sum_j u_ij delta_j = 0, for each v_i > k
-            coords = linalg.mat_vec(U, g)
-            return [[urow[free[0]], urow[free[1]], digit(c, k)]
-                    for v, c, urow in zip(vals, coords, Ubar) if v > k]
-
-        def children(k, g1, g2):
-            rows1 = membership_rows(g1, k)
-            rows2 = membership_rows(g2, k)
+            rows1, rows2 = ([[urow[free[0]], urow[free[1]], digit(row[s], k)]
+                             for v, row, urow in zip(vals, UG, Ubar) if v > k] for s in (0, 1))
             if k:
                 # digit k of <g1, g2>, plus <delta1, g2> + <g1, delta2>
                 right = linalg.mat_vec(Jbar, [ring.residue(x) for x in g2])
@@ -377,14 +356,16 @@ def lagrangian_witness_search(module, max_nodes=None):
 
         def dfs(level, g1, g2):
             nonlocal nodes, cut
+            # column s of UG is U g_s, so g_s lies in VM iff UG[i][s] = 0 mod p^{v_i}
+            UG = linalg.mat_mul(U, linalg.transpose([g1, g2]))
             if level == n:
-                if not (_in_vm_mod(module, vals, U, g1, n) and _in_vm_mod(module, vals, U, g2, n)):
+                if any(ring.valuation(x) < v for v, row in zip(vals, UG) for x in row):
                     return None
                 if ring.valuation(module.pair(g1, g2)) < n:
                     return None
                 return _complete_witness(module, g1, g2)
             pk = ring.from_int(ring.p ** level)
-            for delta in children(level, g1, g2):
+            for delta in children(level, g1, g2, UG):
                 if max_nodes is not None and nodes >= max_nodes:
                     cut = True
                     return None

@@ -78,10 +78,6 @@ def mat_map(A, f):
     return [[f(a) for a in row] for row in A]
 
 
-def scalar_mul(c, A):
-    return [[c * a for a in row] for row in A]
-
-
 def det(ring, A):
     """Determinant by cofactor expansion; exact over any commutative ring."""
     n = len(A)

@@ -262,9 +262,6 @@ class TruncatedSeries:
         self._check(other)
         return TruncatedSeries(self.parent, self.parent._packing.mul(self.packed, other.packed))
 
-    def scalar_mul(self, c):
-        return self * self.parent.constant(c)
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)

@@ -237,8 +237,8 @@ def reduce_to_quadric(f):
 def normal_form(f):
     """Full certified reduction under the strict entry hypothesis:
     constant term in (p), every linear coefficient in (p^2), quadratic
-    part non-degenerate.  Guarantees a' = a mod p^3 (digit check for
-    n >= 3; full precision for n < 3)."""
+    part non-degenerate.  Guarantees a' = a mod p^3, checked as
+    v(a' - a) >= min(3, n) (full precision for n < 3)."""
     A = _coeff_ring_of(f)
     a = f.constant_term()
     if A.is_unit(a):
@@ -252,7 +252,7 @@ def normal_form(f):
             )
     result = reduce_to_quadric(f)  # raises on a degenerate quadratic part
     k = min(3, A.n)
-    if A.digits(result.a_prime)[:k] != A.digits(a)[:k]:
+    if A.valuation(result.a_prime - a) < k:
         raise InternalInvariantError("constant-term refinement a' = a mod p^3 failed")
     return result
 

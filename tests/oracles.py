@@ -24,9 +24,16 @@ rank tests) are the references for the fiber and tangent dimensions that
 `IsotropicPlane` with it, but not its generator, and pair vectors with
 `matrix_pairing`, v^T J w over this file's own copy of the pairing matrix,
 not with `local_model.pairing_value`.  The brute-force witness search
-reuses the membership test and the witness completion of `sll.dieudonne`
-and the Smith data of `linalg.smith_form_local`, but not its linear
-solver, and reads valuations with `loop_valuation`.
+shares the Smith data of `linalg.smith_form_local` with `sll.dieudonne`,
+but not its linear solver, its membership test or its witness completion:
+it tests VM membership with `loop_in_vm_mod` (one `linalg.mat_vec` per
+generator, valuations by `loop_valuation`) and completes a witness with
+`pairwise_complete_witness` (the basis and its Gram matrix built pair by
+pair), the per-vector routes that the whole-matrix products of
+`sll.dieudonne` replaced.  `per_column_kernel_type` applies F and V to the
+dual-lattice columns one at a time, the route `kernel_type` replaced.
+`digit_congruent` compares leading Teichmuller digits, the route that the
+valuation test for a' = a mod p^k in `singularity.normal_form` replaced.
 `loop_valuation` and `loop_divide_exact_p` (per-coefficient division
 loops), `series_pairing_relation` (`linalg.bilinear` over the series ring)
 and `stacked_rank_frame_error` (the rank of [V mod p | e_Y]) are the longer
@@ -47,7 +54,7 @@ import itertools
 from sll import linalg
 from sll.base_rings import WittElement
 from sll.deformation import relation_ring
-from sll.dieudonne import LagrangianSearchResult, _complete_witness, _in_vm_mod
+from sll.dieudonne import LagrangianSearchResult, LagrangianWitness, a_number, dual_lattice
 from sll.errors import DomainError, PreconditionError
 from sll.local_model import IsotropicPlane, field_for_q
 from sll.series import SeriesRing
@@ -667,7 +674,62 @@ def diagonal_dual_columns(module):
     return naive_mat_mul(V, naive_mat_mul(scale, U))
 
 
+def per_column_kernel_type(module):
+    """`kernel_type` with F and V applied to one dual-lattice column at a
+    time, each image by `linalg.mat_vec` on the twisted column."""
+    if a_number(module) != 2:
+        return "NotSuperspecial"
+    ring = module.ring
+    for col in dual_lattice(module).columns():
+        for matrix, twist in ((module.F_matrix, ring.frobenius),
+                              (module.V_matrix, ring.frobenius_inv)):
+            image = linalg.mat_vec(matrix, [twist(x) for x in col])
+            if any(ring.residue(x) for x in image):
+                return "NonAlphaSquare"
+    return "AlphaSquare"
+
+
+def digit_congruent(ring, x, y, k):
+    """x = y mod p^k, read off as equal first k Teichmuller digits."""
+    return ring.digits(x)[:k] == ring.digits(y)[:k]
+
+
 # -- brute-force Lagrangian witness search
+
+
+def loop_in_vm_mod(ring, vals, U, vec, k):
+    """vec in VM modulo p^k, for the Smith data (vals, U, _) of V_matrix:
+    (U vec)_i = 0 mod p^{min(v_i, k)} for every i."""
+    coords = linalg.mat_vec(U, vec)
+    return all(loop_valuation(ring, c) >= min(v, k) for v, c in zip(vals, coords))
+
+
+def pairwise_complete_witness(module, g1, g2):
+    """Complete an isotropic direct-summand pair to a basis X1, X2, Y1, Y2
+    with <X1,Y1> = 1, <X2,Y2> = p and all other pairings zero, or None;
+    every pairing taken one pair at a time."""
+    ring = module.ring
+    # A[j] = (<e_j, g1>, <e_j, g2>)
+    A = [[a, b] for a, b in zip(linalg.mat_vec(module.J, g1), linalg.mat_vec(module.J, g2))]
+    vals, U, V = linalg.smith_form_local(ring, A)
+    if vals != [0, 1]:
+        return None
+    y1 = [g1[i] * V[0][0] + g2[i] * V[1][0] for i in range(4)]
+    y2 = [g1[i] * V[0][1] + g2[i] * V[1][1] for i in range(4)]
+    x1 = list(U[0])
+    x2 = list(U[1])
+    c = module.pair(x1, x2)
+    if c:
+        x2 = [a - c * b for a, b in zip(x2, y1)]
+    basis = [x1, x2, y1, y2]
+    gram = [[module.pair(u, v) for v in basis] for u in basis]
+    p = ring.p
+    shape = [[0, 0, 1, 0], [0, 0, 0, p], [-1, 0, 0, 0], [0, -p, 0, 0]]
+    if gram != [[ring.from_int(x) for x in row] for row in shape]:
+        return None
+    if not ring.is_unit(linalg.det(ring, basis)):
+        return None
+    return LagrangianWitness(y1, y2, x1, x2)
 
 
 def brute_force_witness_search(module):
@@ -706,17 +768,16 @@ def brute_force_witness_search(module):
             g1, g2 = assemble(pivots, frees, digit_lists)
             prec = min(level, n)
             if prec:
-                if not _in_vm_mod(module, vals, U, g1, prec):
+                if not loop_in_vm_mod(ring, vals, U, g1, prec):
                     return None
-                if not _in_vm_mod(module, vals, U, g2, prec):
+                if not loop_in_vm_mod(ring, vals, U, g2, prec):
                     return None
                 if loop_valuation(ring, module.pair(g1, g2)) < prec:
                     return None
             if level == n:
                 if loop_valuation(ring, module.pair(g1, g2)) < n:
                     return None
-                witness = _complete_witness(module, g1, g2)
-                return witness
+                return pairwise_complete_witness(module, g1, g2)
             for combo in itertools.product(field_elts, repeat=4):
                 nodes += 1
                 new_lists = [digit_lists[s] + [combo[s]] for s in range(4)]

@@ -70,7 +70,7 @@ def test_criterion_02_lagrangian_relation_and_smoothness():
             rel = deformation_equation(standard_frame(module))
             S = rel.parent
             t = S.variables()
-            want = t[1].scalar_mul(ring.p_element()) - t[2]
+            want = t[1] * S.constant(ring.p_element()) - t[2]
             assert rel == want, ring
             assert classify_point(standard_frame(module)).tag == "Smooth"
 
@@ -130,7 +130,7 @@ def _random_eq21_input(S, rng):
             break
     f = S.constant(pe * ring.random_element(rng)) + quad
     for i in range(n):
-        f = f + S.variable(i).scalar_mul(p2 * ring.random_element(rng))
+        f = f + S.variable(i) * S.constant(p2 * ring.random_element(rng))
     for _ in range(8):
         e = tuple(rng.randrange(0, S.degree) for _ in range(n))
         if 3 <= sum(e) < S.degree:
@@ -166,7 +166,7 @@ def test_criterion_07_bootstrap_refinement():
                 f = S.constant(pe * ring.random_element(rng))
                 f = f + x[0] * x[3] - x[1] * x[2]
                 for i in range(4):
-                    f = f + x[i].scalar_mul(scale * ring.random_element(rng))
+                    f = f + x[i] * S.constant(scale * ring.random_element(rng))
                 b, shifted = kill_linear_term(f)
                 diff = shifted.constant_term() - f.constant_term()
                 assert ring.valuation(diff) >= min(2 * r, ring.n)

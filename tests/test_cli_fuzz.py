@@ -9,6 +9,13 @@ back to the same JSON.  Outside the timed window, every exit-0 result is
 also checked for its meaning by oracle arithmetic: a printed normal form
 must satisfy f(phi) = unit * (a' + Q'), and a printed Lagrangian witness
 must give the standard pairing shape on a basis.
+
+Valid argument vectors for the `dieudonne` operations on a fixture,
+`deform` and the `local-model` operations are mutated the same way:
+values of --q, --n, --frame, --fixture, --seed and --spot-checks are
+replaced, dropped, doubled or moved onto a command that does not take
+them.  Those commands read no file, so every case must end in exit code
+0 or 2 within 1 s with exactly one JSON document, under the same checks.
 """
 
 import copy
@@ -20,7 +27,9 @@ from pathlib import Path
 import pytest
 
 from sll import jsonio
-from sll.cli import main
+from sll.base_rings import STANDARD_CASES, WittRing, field_for_q
+from sll.cli import DEFAULT_PRECISION, _parser, main
+from sll.dieudonne import make_standard
 from sll.singularity import NormalFormResult
 
 from . import oracles
@@ -114,6 +123,75 @@ def _cases(seed, count):
         yield argv + [json.dumps(doc)]
 
 
+# option values an argv mutation may put in: valid ones, each option's
+# boundaries, and text that is no number; --spot-checks stays in 0..3 when
+# valid, as a spot check costs milliseconds each
+OPTION_VALUES = {
+    "--q": ("2", "3", "4", "5", "7", "8", "9", "16", "65521",
+            "0", "1", "-1", "6", "12", "65537", str(2 ** 64), "x", "", "2.5"),
+    "--n": ("2", "3", "4", "5", "16", "1", "0", "-1", "300", "x", ""),
+    "--frame": ("3,4", "1,2", "1,3", "2,4", "4,3", "1,1", "0,1", "5,6", "1", "1,2,3",
+                "a,b", "", "-1,2"),
+    "--fixture": STANDARD_CASES + ("nope", "", "IIA"),
+    "--seed": ("0", "1", "-1", str(2 ** 64), "x"),
+    "--spot-checks": ("0", "1", "2", "3", "-1", "1000000000", "x", ""),
+}
+
+
+def _valid_argv(rng):
+    """A valid command on a fixture, or a local-model command, as tokens."""
+    kind = rng.randrange(3)
+    fixture = rng.choice(STANDARD_CASES[:-1])  # supersingular_a1 needs odd q
+    if kind == 0:
+        op = rng.choice(DIEUDONNE_OPS)
+        argv = ["dieudonne", op, "--fixture", fixture, "--q", rng.choice(("2", "4")),
+                "--n", rng.choice(("2", "3"))]
+        if op == "validate":
+            argv += ["--spot-checks", str(rng.randrange(4))]
+    elif kind == 1:
+        argv = ["deform", "--fixture", fixture, "--n", rng.choice(("2", "3"))]
+        if rng.random() < 0.5:
+            argv += ["--frame", "3,4"]
+    else:
+        op = rng.choice(("points", "tangents", "chart"))
+        argv = ["local-model", op, "--q", rng.choice(("2", "3", "4"))]
+        if op == "chart":
+            argv += ["--n", rng.choice(("2", "3"))]
+    return (["--seed", str(rng.randrange(4))] if rng.random() < 0.3 else []) + argv
+
+
+def _mutate_argv(rng, argv):
+    """One edit of an option: a new value, the option dropped (with or
+    without its value), the option doubled, or an option added anywhere."""
+    present = [i for i, tok in enumerate(argv[:-1]) if tok in OPTION_VALUES]
+    op = rng.randrange(5)
+    if present and op == 0:
+        i = rng.choice(present)
+        argv[i + 1] = rng.choice(OPTION_VALUES[argv[i]])
+    elif present and op == 1:
+        i = rng.choice(present)
+        del argv[i:i + 2]
+    elif present and op == 2:
+        del argv[rng.choice(present) + 1]
+    elif present and op == 3:
+        i = rng.choice(present)
+        argv += [argv[i], rng.choice(OPTION_VALUES[argv[i]])]
+    else:
+        option = rng.choice(sorted(OPTION_VALUES))
+        i = rng.randrange(len(argv) + 1)
+        argv[i:i] = [option, rng.choice(OPTION_VALUES[option])]
+    return argv
+
+
+def _argv_cases(seed, count):
+    rng = random.Random(f"argv-{seed}")
+    for _ in range(count):
+        argv = _valid_argv(rng)
+        for _ in range(rng.randrange(1, 4)):
+            argv = _mutate_argv(rng, argv)
+        yield argv
+
+
 def _check_roundtrip(node):
     """Decode and re-encode every jsonio encoding inside an output document."""
     if isinstance(node, list):
@@ -161,9 +239,20 @@ def _check_normal_form(argv, nf):
     assert {e: c for e, c in lhs.items() if c} == {e: c for e, c in rhs.items() if c}, argv
 
 
+def _module_of(argv):
+    """The module a dieudonne command ran on: its module file, or its fixture
+    over W_n(F_q) with the CLI's defaults for q and n."""
+    args = _parser().parse_args(argv)
+    if args.file is not None:
+        return jsonio.module_from_json(json.loads(args.file))
+    q = 2 if args.q is None else args.q
+    n = DEFAULT_PRECISION if args.n is None else args.n
+    return make_standard(WittRing(field_for_q(q), n), args.fixture)
+
+
 def _check_witness(argv, witness):
     """The basis (X1, X2, Y1, Y2) has the standard Gram matrix and is a basis."""
-    module = jsonio.module_from_json(json.loads(argv[-1]))
+    module = _module_of(argv)
     ring = module.ring
     basis = [[ring.element(c) for c in witness[key]] for key in ("X1", "X2", "Y1", "Y2")]
     columns = [list(col) for col in zip(*basis)]
@@ -178,7 +267,7 @@ def _check_witness(argv, witness):
 def _check_meaning(argv, doc):
     if argv[0] == "series-reduce" and doc["normal_form"] is not None:
         _check_normal_form(argv, doc["normal_form"])
-    elif argv[1:2] == ["lagrangian-search"] and doc["found"]:
+    elif "lagrangian-search" in argv and doc["found"]:
         _check_witness(argv, doc["witness"])
 
 
@@ -198,6 +287,27 @@ def test_mutated_documents_keep_the_exit_code_contract(seed, capsys, monkeypatch
             _check_meaning(argv, doc)
         else:
             assert list(doc) == ["error"], argv
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_options_keep_the_exit_code_contract(seed, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    codes = set()
+    for argv in _argv_cases(seed, 60):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code in (0, 2), argv
+        assert elapsed < 1.0, (elapsed, argv)
+        doc = json.loads(out)  # exactly one JSON document, or this raises
+        codes.add(code)
+        if code == 0:
+            _check_roundtrip(doc)
+            _check_meaning(argv, doc)
+        else:
+            assert list(doc) == ["error"], argv
+    assert codes == {0, 2}
 
 
 @pytest.mark.parametrize("argv", [

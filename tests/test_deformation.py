@@ -53,7 +53,7 @@ def test_lagrangian_relation():
     rel = deformation_equation(standard_frame(module))
     S = rel.parent
     t = S.variables()
-    want = t[1].scalar_mul(ring.p_element()) - t[2]  # -t21 + p t12
+    want = t[1] * S.constant(ring.p_element()) - t[2]  # -t21 + p t12
     assert rel == want
     assert classify_point(standard_frame(module)).tag == "Smooth"
 

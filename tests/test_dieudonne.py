@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -24,6 +25,10 @@ from .oracles import (
     diagonal_dual_columns,
     independent_rank,
     iterative_p_rank,
+    loop_in_vm_mod,
+    loop_valuation,
+    pairwise_complete_witness,
+    per_column_kernel_type,
     rank_checked_validate,
 )
 
@@ -59,13 +64,23 @@ def test_make_standard_rejects_n1_and_unknown_case():
         make_standard(ring_W(2, 1, 2), "nope")
 
 
+def apply_F(module, vec):
+    """F(x) = F_matrix . sigma(x)."""
+    return linalg.mat_vec(module.F_matrix, [module.ring.frobenius(x) for x in vec])
+
+
+def apply_V(module, vec):
+    """V(x) = V_matrix . sigma^{-1}(x)."""
+    return linalg.mat_vec(module.V_matrix, [module.ring.frobenius_inv(x) for x in vec])
+
+
 def test_iib_verschiebung_relations():
     ring = ring_W(3, 1, 2)
     module = make_standard(ring, "iib")
     p = ring.p_element()
     # V X1 = Y1 and V Y1 = p X1 (indices X1,X2,Y1,Y2 = 0,1,2,3)
-    assert module.apply_V(module.basis_vector(0)) == module.basis_vector(2)
-    got = module.apply_V(module.basis_vector(2))
+    assert apply_V(module, module.basis_vector(0)) == module.basis_vector(2)
+    got = apply_V(module, module.basis_vector(2))
     assert got == [p if i == 0 else ring.zero() for i in range(4)]
 
 
@@ -89,9 +104,9 @@ def test_pairing_compatibility_on_all_basis_pairs(p, m, n):
         module = make_standard(ring, case)
         for i in range(4):
             for j in range(4):
-                lhs = module.pair(module.apply_F(module.basis_vector(i)), module.basis_vector(j))
+                lhs = module.pair(apply_F(module, module.basis_vector(i)), module.basis_vector(j))
                 rhs = ring.frobenius(
-                    module.pair(module.basis_vector(i), module.apply_V(module.basis_vector(j)))
+                    module.pair(module.basis_vector(i), apply_V(module, module.basis_vector(j)))
                 )
                 assert lhs == rhs
 
@@ -369,6 +384,81 @@ def test_closed_forms_match_the_longer_routes(q, n):
                 else:
                     assert dual_lattice(m).columns() == want, (case, q, n)
     assert invalid
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (2, 3)])
+def test_product_routes_match_the_per_vector_routes(q, n, monkeypatch):
+    # kernel_type against F and V applied column by column, on each module
+    # and its neighbour with one entry of F moved (q = 8 is the one field
+    # here where sigma^2 != 1, so sigma and sigma^{-1} differ); the witness
+    # completion against the pairwise one on every leaf pair the search
+    # completes, each also in VM and isotropic by the loop routes, and on
+    # seeded pairs
+    real = dieudonne._complete_witness
+    leaves = []
+
+    def recorded(module, g1, g2):
+        leaves.append((g1, g2))
+        return real(module, g1, g2)
+
+    monkeypatch.setattr(dieudonne, "_complete_witness", recorded)
+    kinds, outcomes = set(), set()
+    for case, fixture in _fixtures_at(q, n):
+        rng = random.Random(f"product-routes-{case}-{q}-{n}")
+        ring = fixture.ring
+        for module in [fixture] + [base_change(fixture, g)
+                                   for g in _seeded_base_changes(ring, rng)]:
+            for m in (module, _perturbed(module, rng)[0]):
+                kind = kernel_type(m)
+                assert kind == per_column_kernel_type(m), (case, q, n)
+                kinds.add(kind)
+            leaves.clear()
+            lagrangian_witness_search(module)
+            vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
+            pairs = list(leaves)
+            for g1, g2 in leaves:
+                assert loop_in_vm_mod(ring, vals, U, g1, n), (case, q, n)
+                assert loop_in_vm_mod(ring, vals, U, g2, n), (case, q, n)
+                assert loop_valuation(ring, module.pair(g1, g2)) == n, (case, q, n)
+                # the top digit of g2 moved: isotropy or the shape may break
+                top = ring.p_element() ** (n - 1)
+                pairs.append((g1, [x + top * ring.random_element(rng) for x in g2]))
+            pairs += [([ring.random_element(rng) for _ in range(4)],
+                       [ring.random_element(rng) for _ in range(4)]) for _ in range(4)]
+            for g1, g2 in pairs:
+                want = pairwise_complete_witness(module, g1, g2)
+                assert real(module, g1, g2) == want, (case, q, n)
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
+    assert kinds >= {"AlphaSquare", "NonAlphaSquare"}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_leaf_checks_alone_certify_a_witness(q, monkeypatch):
+    # at n = 2 the last digits come from the one system per node over four
+    # unknowns; with every choice proposed there, not only its solutions,
+    # the leaf's checks and the completion's Gram certificate alone must
+    # still give the brute-force witness, in VM
+    real = dieudonne._solutions
+
+    def every_last_digit(field, rows, nvars):
+        if nvars == 2:
+            return real(field, rows, nvars)
+        elements = sorted(field.elements(), key=lambda e: e.coeffs)
+        return (list(x) for x in itertools.product(elements, repeat=nvars))
+
+    monkeypatch.setattr(dieudonne, "_solutions", every_last_digit)
+    for case, fixture in _fixtures_at(q, 2):
+        rng = random.Random(f"{case}-{q}-2")
+        for g in _seeded_base_changes(fixture.ring, rng):
+            module = base_change(fixture, g)
+            got = lagrangian_witness_search(module)
+            assert got.witness == brute_force_witness_search(module).witness, (case, q)
+            if got.found:
+                ring = module.ring
+                vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
+                for y in (got.witness.Y1, got.witness.Y2):
+                    assert loop_in_vm_mod(ring, vals, U, y, 2), (case, q)
 
 
 def test_witness_search_skips_digits_when_g2_has_no_lift(monkeypatch):

@@ -92,6 +92,27 @@ def test_every_definition_has_a_caller():
     assert uncalled == set(AWAITING_A_CALLER)
 
 
+def test_oracles_import_no_private_name_from_sll():
+    # an oracle that imports the private helpers it checks shares their faults;
+    # also refused: a private attribute read off an imported sll module
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    private, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sll":
+            private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            private += [a.name for a in node.names
+                        if a.name.split(".")[0] == "sll" and "._" in a.name]
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names
+                      if a.name.split(".")[0] == "sll"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
+
+
 def test_every_exported_name_resolves():
     assert [name for name in sll.__all__ if not hasattr(sll, name)] == []
 

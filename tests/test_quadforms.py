@@ -79,7 +79,7 @@ def test_from_series_and_back():
     ring = ring_W(3, 1, 2)
     S = SeriesRing(ring, 3, 4)
     x = S.variables()
-    f = x[0] * x[1] + x[2] * x[2].scalar_mul(2) + x[0]
+    f = x[0] * x[1] + x[2] * x[2] * S.constant(2) + x[0]
     q = QuadraticForm.from_series(f)
     assert q.to_series(S) == f.graded_part(2)
 
@@ -165,7 +165,7 @@ def test_nondegeneracy_invariant_under_linear_changes():
         for i in range(3):
             acc = S.zero()
             for j in range(3):
-                acc = acc + S.variable(j).scalar_mul(C[i][j])
+                acc = acc + S.variable(j) * S.constant(C[i][j])
             images.append(acc)
         q2 = QuadraticForm.from_series(qs.substitute(images))
         assert is_nondegenerate(q2)

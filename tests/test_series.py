@@ -161,7 +161,7 @@ def test_substitute_completing_the_rectangle():
     ring = ring_W(2, 1, 2)
     S = SeriesRing(ring, 2, 4)
     x1, x2 = S.variables()
-    f = x1 * x2 + x1.scalar_mul(ring.p_element())
+    f = x1 * x2 + x1 * S.constant(ring.p_element())
     shifted = f.substitute([x1, x2 - S.constant(ring.p_element())])
     assert shifted == x1 * x2
 
@@ -285,7 +285,7 @@ def test_packed_operations_match_dict_oracles(make_ring, D, low):
         assert dict_of(f - g) == dict_add(F, dict_scale(G, -one))
         assert dict_of(-f) == dict_scale(F, -one)
         for c in (zero, ring.from_int(ring.p), unit):
-            assert dict_of(f.scalar_mul(c)) == dict_scale(F, c)
+            assert dict_of(f * S.constant(c)) == dict_scale(F, c)
         for d in range(D):
             assert dict_of(f.graded_part(d)) == {e: c for e, c in F.items() if sum(e) == d}
         assert f.degree_bound() == max((sum(e) for e in F), default=0)
@@ -318,7 +318,7 @@ def test_linear_part_of_composition_chain_rule():
 def test_linear_coefficients_order():
     S = SeriesRing(ring_W(2, 1, 2), 3, 4)
     x = S.variables()
-    f = x[1].scalar_mul(3) + x[2]
+    f = x[1] * S.constant(3) + x[2]
     lin = f.linear_coefficients()
     assert lin[0] == S.coeff_ring.zero()
     assert lin[1] == S.coeff_ring.from_int(3)

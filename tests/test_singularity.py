@@ -3,10 +3,10 @@ import random
 import pytest
 
 from sll import singularity
-from sll.base_rings import FiniteField, WittRing
+from sll.base_rings import FiniteField, WittRing, field_for_q
 from sll.deformation import deformation_equation, standard_frame
 from sll.dieudonne import make_standard
-from sll.errors import PreconditionError, SmoothShortCircuit
+from sll.errors import InternalInvariantError, PreconditionError, SmoothShortCircuit
 from sll.quadforms import QuadraticForm, bilinear_gram, is_nondegenerate
 from sll.series import SeriesRing, TruncatedSeries
 from sll.singularity import (
@@ -17,6 +17,8 @@ from sll.singularity import (
     reduce_to_quadric,
     strip_higher_terms,
 )
+
+from .oracles import digit_congruent
 
 
 def ring_W(p, m, n):
@@ -70,7 +72,7 @@ def test_kill_linear_term_worked_example():
     S = SeriesRing(ring, 2, 4)
     x = S.variables()
     p = ring.p_element()
-    f = x[0] * x[1] + x[0].scalar_mul(p)
+    f = x[0] * x[1] + x[0] * S.constant(p)
     b, shifted = kill_linear_term(f)
     assert b[0] == ring.zero()
     assert b[1] == -p
@@ -89,7 +91,7 @@ def test_kill_linear_term_random_50():
         a0 = p * ring.random_element(rng)
         f = f + S.constant(a0)
         for i in range(4):
-            f = f + S.variable(i).scalar_mul(p * ring.random_element(rng))
+            f = f + S.variable(i) * S.constant(p * ring.random_element(rng))
         f = f + random_tail(S, rng)
         b, shifted = kill_linear_term(f)
         assert not any(shifted.linear_coefficients())
@@ -112,7 +114,7 @@ def test_kill_linear_term_rejects_degenerate_quadratic():
     S = SeriesRing(ring, 2, 4)
     x = S.variables()
     with pytest.raises(PreconditionError) as err:
-        kill_linear_term(x[0] * x[0].scalar_mul(ring.p_element()))
+        kill_linear_term(x[0] * x[0] * S.constant(ring.p_element()))
     assert err.value.part == "quadratic"
 
 
@@ -240,7 +242,7 @@ def random_normal_form_input(S, rng, linear_valuation):
     pe = ring.p_element()
     f = S.constant(pe * ring.random_element(rng)) + random_nondegenerate_quadratic(S, rng)
     for i in range(S.nvars):
-        f = f + S.variable(i).scalar_mul(pe ** linear_valuation * ring.random_element(rng))
+        f = f + S.variable(i) * S.constant(pe ** linear_valuation * ring.random_element(rng))
     tail = []
     for k in [*range(3, S.degree)] * 2:
         e = [0] * S.nvars
@@ -322,7 +324,7 @@ def degenerate_quadratics(S):
     0 mod p but not mod p^2."""
     x = S.variables()
     pe = S.coeff_ring.p_element()
-    return [x[0] * x[1] + x[2] * x[2], (x[0] * x[3] - x[1] * x[2]).scalar_mul(pe)]
+    return [x[0] * x[1] + x[2] * x[2], (x[0] * x[3] - x[1] * x[2]) * S.constant(pe)]
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2)])
@@ -367,12 +369,49 @@ def test_normal_form_perturbed_keeps_constant_mod_p3(p):
     p2 = pe * pe
     for _ in range(15):
         g = random_tail(S, rng)
-        lin = x[rng.randrange(4)].scalar_mul(p2 * ring.random_element(rng))
+        lin = x[rng.randrange(4)] * S.constant(p2 * ring.random_element(rng))
         f = S.constant(pe) + standard_quadric(S) + g + lin
         nf = normal_form(f)
         assert nf.certificate_holds(f)
         assert ring.valuation(nf.a_prime) == 1
         assert ring.digits(nf.a_prime)[:3] == ring.digits(pe)[:3]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_congruence_by_valuation_matches_the_digit_comparison(q, n):
+    # a' = a mod p^k as normal_form tests it, v(a' - a) >= k, against equal
+    # leading Teichmuller digits, for differences of every valuation 0..n
+    ring = WittRing(field_for_q(q), n)
+    rng = random.Random(f"congruence-{q}-{n}")
+    pe = ring.p_element()
+    for v in range(n + 1):
+        for _ in range(10):
+            a = ring.random_element(rng)
+            unit = next(u for u in iter(lambda: ring.random_element(rng), None)
+                        if ring.is_unit(u))
+            a_prime = a + pe ** v * unit if v < n else a
+            assert ring.valuation(a_prime - a) == v
+            for k in range(n + 1):
+                assert (ring.valuation(a_prime - a) >= k) == digit_congruent(
+                    ring, a_prime, a, k), (q, n, v, k)
+
+
+def test_normal_form_refuses_a_prime_off_by_p_to_the_k_minus_one(monkeypatch):
+    ring = ring_W(3, 1, 3)
+    S = SeriesRing(ring, 4, 6)
+    f = S.constant(ring.p_element()) + standard_quadric(S)
+    good = reduce_to_quadric(f)
+    for k, accepted in ((2, False), (3, True)):
+        # a' moved by p^k: still a = a' mod p^3 only when k >= 3 (here p^3 = 0)
+        shifted = singularity.NormalFormResult(
+            good.a_prime + ring.p_element() ** k, good.q_prime, good.phi, good.unit)
+        monkeypatch.setattr(singularity, "reduce_to_quadric", lambda f, r=shifted: r)
+        if accepted:
+            assert normal_form(f) is shifted
+        else:
+            with pytest.raises(InternalInvariantError):
+                normal_form(f)
 
 
 def test_normal_form_smooth_short_circuit():
@@ -391,7 +430,7 @@ def test_normal_form_reports_offending_part():
     p = ring.p_element()
     base = S.constant(p) + standard_quadric(S)
     with pytest.raises(PreconditionError) as err:
-        normal_form(base + x[0].scalar_mul(p))  # valuation 1 < 2
+        normal_form(base + x[0] * S.constant(p))  # valuation 1 < 2
     assert err.value.part == "linear"
     with pytest.raises(PreconditionError) as err:
         normal_form(S.constant(ring.one()) + standard_quadric(S))
@@ -417,7 +456,7 @@ def test_remark_bootstrap_r1_and_r2():
             for _ in range(20):
                 f = S.constant(pe * ring.random_element(rng)) + standard_quadric(S)
                 for i in range(4):
-                    f = f + x[i].scalar_mul(scale * ring.random_element(rng))
+                    f = f + x[i] * S.constant(scale * ring.random_element(rng))
                 f = f + random_tail(S, rng)
                 b, shifted = kill_linear_term(f)
                 assert all(ring.valuation(bi) >= r for bi in b if bi)
@@ -453,7 +492,7 @@ def test_classify_smooth_via_unit_linear_term():
     ring = ring_W(3, 1, 3)
     S = SeriesRing(ring, 4, 6, ("t11", "t12", "t21", "t22"))
     t = S.variables()
-    f = -t[2] + t[1].scalar_mul(ring.p_element()) + t[0] * (t[0] * t[3] - t[1] * t[2])
+    f = -t[2] + t[1] * S.constant(ring.p_element()) + t[0] * (t[0] * t[3] - t[1] * t[2])
     cls = classify_local_ring(f)
     assert cls.tag == "Smooth"
 
@@ -490,7 +529,7 @@ def test_classify_handles_valuation_one_linear_terms():
     ring = ring_W(3, 1, 3)
     S = SeriesRing(ring, 4, 6)
     x = S.variables()
-    f = S.constant(ring.p_element()) + standard_quadric(S) + x[0].scalar_mul(ring.p_element())
+    f = S.constant(ring.p_element()) + standard_quadric(S) + x[0] * S.constant(ring.p_element())
     cls = classify_local_ring(f)
     assert cls.tag == "OrdinaryDoublePoint"
     assert cls.valuation == 1
@@ -504,7 +543,7 @@ def test_reduce_to_quadric_certificate():
     for _ in range(10):
         f = S.constant(pe * ring.random_element(rng)) + random_nondegenerate_quadratic(S, rng)
         for i in range(4):
-            f = f + S.variable(i).scalar_mul(pe * ring.random_element(rng))
+            f = f + S.variable(i) * S.constant(pe * ring.random_element(rng))
         f = f + random_tail(S, rng)
         nf = reduce_to_quadric(f)
         assert nf.certificate_holds(f)
