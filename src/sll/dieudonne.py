@@ -290,15 +290,21 @@ def lagrangian_witness_search(module, max_nodes=None):
     pairing shape.  A found witness is a proof; exhaustion is evidence
     only, since finite precision cannot certify non-liftability.
 
+    On a valid module V has elementary divisors (1, 1, p, p): pM = VFM
+    lies in VM, and FV = p with v(det F) = v(det V) (F^T J = sigma(J V))
+    gives v(det V) = 2.  The search refuses other Smith divisors of V, so
+    x lies in VM iff rows 2 and 3 of U x vanish mod p, U from that Smith
+    form, and adding p^k [delta] with k >= 1 never leaves VM.
+
     The generators g1, g2 carry 1 at two pivot positions and Teichmuller
-    digits at the other two, the free slots.  A node at level k + 1 adds
-    p^k [delta] at the four free slots and keeps g1, g2 in VM and isotropic
-    mod p^{k+1}.  For k >= 1 these conditions are F_q-linear in delta, as
-    p^{2k} <delta1, delta2> vanishes mod p^{k+1}, and each node solves one
-    system for its children; at k = 0, delta1 runs over the solutions of
-    g1's membership equations and delta2 is solved for with delta1 fixed.
-    Solutions are visited in lexicographic digit order, so the search meets
-    the witness that trying all q^4 digit choices per level meets first.
+    digits at the other two, the free slots.  At the first digit delta1 runs
+    over the solutions of g1's membership equations mod p, and delta2 is
+    solved for with delta1 fixed, with isotropy mod p.  A node at level
+    k + 1 >= 2 adds p^k [delta] at the four free slots and needs only
+    isotropy mod p^{k+1}, one F_q-linear equation in delta, as
+    p^{2k} <delta1, delta2> vanishes mod p^{k+1}.  Solutions are visited in
+    lexicographic digit order, so the search meets the witness that trying
+    all q^4 digit choices per level meets first.
 
     `nodes` counts the nodes visited.  With `max_nodes` the search visits
     at most that many, and a search cut short says so in its message."""
@@ -307,37 +313,30 @@ def lagrangian_witness_search(module, max_nodes=None):
     ring = module.ring
     n = ring.n
     field = ring.field
-    # Smith data of V_matrix: x in VM iff (U x)_i = 0 mod p^{v_i}
     vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
-    Ubar = linalg.mat_map(U, ring.residue)
+    if vals != [0, 0, 1, 1]:
+        raise PreconditionError(f"V has elementary divisor valuations {vals}, not [0, 0, 1, 1]")
+    member = linalg.mat_map(U[2:], ring.residue)
     Jbar = linalg.mat_map(module.J, ring.residue)
     JbarT = linalg.transpose(Jbar)
-    zero = field.zero()
     nodes = 0
     cut = False
-
-    def digit(x, k):
-        # Teichmuller digit k of an x of valuation >= k
-        return ring.residue(ring.divide_exact_p(x, k))
 
     for pivots in itertools.combinations(range(4), 2):
         free = [j for j in range(4) if j not in pivots]
 
-        def children(k, g1, g2, UG):
-            # digit k of (U g)_i + sum_j u_ij delta_j = 0, for each v_i > k
-            rows1, rows2 = ([[urow[free[0]], urow[free[1]], digit(row[s], k)]
-                             for v, row, urow in zip(vals, UG, Ubar) if v > k] for s in (0, 1))
+        def children(k, g1, g2):
             if k:
                 # digit k of <g1, g2>, plus <delta1, g2> + <g1, delta2>
                 right = linalg.mat_vec(Jbar, [ring.residue(x) for x in g2])
                 left = linalg.mat_vec(JbarT, [ring.residue(x) for x in g1])
                 isotropy = [right[free[0]], right[free[1]], left[free[0]], left[free[1]],
-                            digit(module.pair(g1, g2), k)]
-                system = ([row[:2] + [zero, zero, row[2]] for row in rows1]
-                          + [[zero, zero] + row for row in rows2] + [isotropy])
-                yield from _solutions(field, system, 4)
+                            ring.residue(ring.divide_exact_p(module.pair(g1, g2), k))]
+                yield from _solutions(field, [isotropy], 4)
                 return
-            # mod p, g1 = e_pivot0 + delta1 and g2 = e_pivot1 + delta2
+            # g_s = e_pivot_s + delta_s mod p lies in VM iff member g_s = 0
+            rows1, rows2 = ([[row[free[0]], row[free[1]], row[pivots[s]]] for row in member]
+                            for s in (0, 1))
             checked = False
             for d1 in _solutions(field, rows1, 2):
                 h1 = [ring.residue(x) for x in g1]
@@ -356,16 +355,12 @@ def lagrangian_witness_search(module, max_nodes=None):
 
         def dfs(level, g1, g2):
             nonlocal nodes, cut
-            # column s of UG is U g_s, so g_s lies in VM iff UG[i][s] = 0 mod p^{v_i}
-            UG = linalg.mat_mul(U, linalg.transpose([g1, g2]))
             if level == n:
-                if any(ring.valuation(x) < v for v, row in zip(vals, UG) for x in row):
-                    return None
                 if ring.valuation(module.pair(g1, g2)) < n:
                     return None
                 return _complete_witness(module, g1, g2)
             pk = ring.from_int(ring.p ** level)
-            for delta in children(level, g1, g2, UG):
+            for delta in children(level, g1, g2):
                 if max_nodes is not None and nodes >= max_nodes:
                     cut = True
                     return None

@@ -27,7 +27,9 @@ not with `local_model.pairing_value`.  The brute-force witness search
 shares the Smith data of `linalg.smith_form_local` with `sll.dieudonne`,
 but not its linear solver, its membership test or its witness completion:
 it tests VM membership with `loop_in_vm_mod` (one `linalg.mat_vec` per
-generator, valuations by `loop_valuation`) and completes a witness with
+generator, valuations by `loop_valuation`, at every level and to
+precision min(v_i, k), so it does not assume the divisors (1, 1, p, p)
+of V that the search certifies and uses) and completes a witness with
 `pairwise_complete_witness` (the basis and its Gram matrix built pair by
 pair), the per-vector routes that the whole-matrix products of
 `sll.dieudonne` replaced.  `per_column_kernel_type` applies F and V to the
@@ -745,48 +747,39 @@ def brute_force_witness_search(module):
     field = ring.field
     vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
     field_elts = sorted(field.elements(), key=lambda e: e.coeffs)
+    # lifts[k][i] = [field_elts[i]] p^k, the value a digit choice adds at level k
+    lifts = [[ring.teichmuller(e) * ring.from_int(ring.p ** k) for e in field_elts]
+             for k in range(n)]
     nodes = 0
-
-    def assemble(pivots, frees, digit_lists):
-        g1 = [ring.zero()] * 4
-        g2 = [ring.zero()] * 4
-        g1[pivots[0]] = ring.one()
-        g2[pivots[1]] = ring.one()
-        for s, (slot_idx, pos) in enumerate(frees):
-            digs = list(digit_lists[s]) + [field.zero()] * (n - len(digit_lists[s]))
-            vec = g1 if slot_idx == 0 else g2
-            vec[pos] = ring.from_digits(digs)
-        return g1, g2
 
     for pivots in itertools.combinations(range(4), 2):
         nonpivot = [j for j in range(4) if j not in pivots]
         # free slots: (generator, position); generator 0 carries pivot[0]
         frees = [(0, nonpivot[0]), (0, nonpivot[1]), (1, nonpivot[0]), (1, nonpivot[1])]
 
-        def dfs(level, digit_lists):
+        def dfs(level, g1, g2):
             nonlocal nodes
-            g1, g2 = assemble(pivots, frees, digit_lists)
-            prec = min(level, n)
-            if prec:
-                if not loop_in_vm_mod(ring, vals, U, g1, prec):
+            if level:
+                if not loop_in_vm_mod(ring, vals, U, g1, level):
                     return None
-                if not loop_in_vm_mod(ring, vals, U, g2, prec):
+                if not loop_in_vm_mod(ring, vals, U, g2, level):
                     return None
-                if loop_valuation(ring, module.pair(g1, g2)) < prec:
+                if loop_valuation(ring, module.pair(g1, g2)) < level:
                     return None
             if level == n:
-                if loop_valuation(ring, module.pair(g1, g2)) < n:
-                    return None
                 return pairwise_complete_witness(module, g1, g2)
-            for combo in itertools.product(field_elts, repeat=4):
+            for combo in itertools.product(lifts[level], repeat=4):
                 nodes += 1
-                new_lists = [digit_lists[s] + [combo[s]] for s in range(4)]
-                got = dfs(level + 1, new_lists)
+                h = [g1[:], g2[:]]
+                for (slot_idx, pos), lift in zip(frees, combo):
+                    h[slot_idx][pos] = h[slot_idx][pos] + lift
+                got = dfs(level + 1, *h)
                 if got is not None:
                     return got
             return None
 
-        witness = dfs(0, [[], [], [], []])
+        e = [[ring.one() if j == i else ring.zero() for j in range(4)] for i in pivots]
+        witness = dfs(0, *e)
         if witness is not None:
             return LagrangianSearchResult(
                 True, witness, n, nodes, "witness found (proof of the pairing shape)"

@@ -346,6 +346,43 @@ def test_witness_search_matches_brute_force(q, n):
                 _assert_certified(module, got.witness)
 
 
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 9) for n in (2, 3, 4)])
+def test_v_has_divisors_1_1_p_p_on_every_valid_module(q, n):
+    # pM = VFM lies in VM and v(det F) = v(det V) = 2, so the search may
+    # read VM membership mod p; also by rank mod p and v(det V), not Smith
+    for case, fixture in _fixtures_at(q, n):
+        rng = random.Random(f"divisors-{case}-{q}-{n}")
+        ring = fixture.ring
+        for module in [fixture] + [base_change(fixture, g)
+                                   for g in _seeded_base_changes(ring, rng)]:
+            assert all(module.validate().values()), (case, q, n)
+            V = module.V_matrix
+            vals, _, _ = linalg.smith_form_local(ring, [row[:] for row in V])
+            assert vals == [0, 0, 1, 1], (case, q, n)
+            assert independent_rank(ring.field, linalg.mat_map(V, ring.residue)) == 2, (case, q, n)
+            assert loop_valuation(ring, linalg.det(ring, V)) == 2, (case, q, n)
+
+
+@pytest.mark.parametrize("divisors", [(1, 1, 1, 1), (0, 0, 0, 2)])
+def test_witness_search_refuses_other_v_divisors(divisors, monkeypatch):
+    # V = p Id, or diag(1, 1, 1, p^2), over the iia F and J: refused before
+    # any node is visited or any system solved
+    def untouched(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(dieudonne, "_solutions", untouched)
+    monkeypatch.setattr(dieudonne, "_complete_witness", untouched)
+    for q, n in ((2, 3), (3, 2), (4, 3)):
+        iia = make_standard(WittRing(field_for_q(q), n), "iia")
+        ring = iia.ring
+        V = [[ring.p_element() ** d if i == j else ring.zero() for j, d in enumerate(divisors)]
+             for i in range(4)]
+        module = DieudonneModule(ring, iia.F_matrix, V, iia.J)
+        assert not all(module.validate().values())
+        with pytest.raises(PreconditionError, match="divisor"):
+            lagrangian_witness_search(module)
+
 def _perturbed(module, rng):
     """Three neighbours that break the invariants: one entry of F moved by
     1, an alternating pair of entries of J moved, and one entry of J moved."""
@@ -437,9 +474,13 @@ def test_product_routes_match_the_per_vector_routes(q, n, monkeypatch):
 def test_leaf_checks_alone_certify_a_witness(q, monkeypatch):
     # at n = 2 the last digits come from the one system per node over four
     # unknowns; with every choice proposed there, not only its solutions,
-    # the leaf's checks and the completion's Gram certificate alone must
-    # still give the brute-force witness, in VM
+    # the leaf's isotropy check and the completion's Gram certificate alone
+    # must still give the brute-force witness.  Membership in VM needs no
+    # leaf check, since pM lies in VM, and Y1, Y2 are still checked to lie
+    # in VM by the loop route; every pair the leaf passes on is isotropic
     real = dieudonne._solutions
+    real_complete = dieudonne._complete_witness
+    completed = []
 
     def every_last_digit(field, rows, nvars):
         if nvars == 2:
@@ -447,7 +488,12 @@ def test_leaf_checks_alone_certify_a_witness(q, monkeypatch):
         elements = sorted(field.elements(), key=lambda e: e.coeffs)
         return (list(x) for x in itertools.product(elements, repeat=nvars))
 
+    def recorded(module, g1, g2):
+        completed.append(loop_valuation(module.ring, module.pair(g1, g2)))
+        return real_complete(module, g1, g2)
+
     monkeypatch.setattr(dieudonne, "_solutions", every_last_digit)
+    monkeypatch.setattr(dieudonne, "_complete_witness", recorded)
     for case, fixture in _fixtures_at(q, 2):
         rng = random.Random(f"{case}-{q}-2")
         for g in _seeded_base_changes(fixture.ring, rng):
@@ -459,6 +505,7 @@ def test_leaf_checks_alone_certify_a_witness(q, monkeypatch):
                 vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
                 for y in (got.witness.Y1, got.witness.Y2):
                     assert loop_in_vm_mod(ring, vals, U, y, 2), (case, q)
+    assert set(completed) == {2}
 
 
 def test_witness_search_skips_digits_when_g2_has_no_lift(monkeypatch):
