@@ -4,6 +4,7 @@ import pytest
 
 from sll import linalg
 from sll.base_rings import FiniteField, WittRing
+from sll.dieudonne import base_change, make_standard
 from sll.errors import DomainError
 from .oracles import naive_mat_mul, naive_mat_vec
 
@@ -121,3 +122,21 @@ def test_products_accept_equal_rings_and_refuse_mixed_ones():
             linalg.mat_vec(A, bad)
         with pytest.raises(DomainError):
             linalg.mat_vec([A[0], bad], B[0])
+
+
+@pytest.mark.parametrize("foreign", [WittRing(FiniteField(3), 3), FiniteField(3)], ids=["W3(F3)", "F3"])
+def test_row_reductions_and_base_change_refuse_an_entry_from_another_ring(foreign):
+    ring = WittRing(FiniteField(3), 2)
+    one, two, bad = ring.one(), ring.element(2), foreign.element(2)
+    # column 0 of row 1 is cleared by row 0, so every route meets the foreign entry
+    A = [[two, one], [one, bad]]
+    with pytest.raises(DomainError):
+        linalg.rref_field(ring, A)
+    with pytest.raises(DomainError):
+        linalg.smith_form_local(ring, A)
+    with pytest.raises(DomainError):
+        linalg.invert(ring, A)
+    g = linalg.identity(ring, 4)
+    g[1][0], g[1][1] = one, bad
+    with pytest.raises(DomainError):
+        base_change(make_standard(ring, "iia"), g)
