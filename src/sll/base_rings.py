@@ -245,8 +245,8 @@ class WittElement(Residue):
 class CoeffPacking:
     """The packed-integer form of the coefficients of one ring, the ring's
     `packing`: the only code that knows the reduced form and its slots.
-    `linalg.mat_mul`, `linalg.mat_vec`, the series kernel `series._Packing`
-    and the Gram-inverse lift of `sll.singularity` take their coefficient
+    The products and row reductions of `linalg`, `dieudonne.base_change`
+    and the series kernel `series._Packing` take their coefficient
     arithmetic here.
 
     A coefficient is m residues mod N = p^n (N = p over a field), m the
@@ -262,7 +262,10 @@ class CoeffPacking:
 
     def __init__(self, ring):
         self.coeff_ring = ring
+        self.p = ring.p
         self.pn = ring.pn
+        # gcd(p^n, coefficients) = p^v for the valuation v (a field is W_1)
+        self.valuations = {ring.p ** v: v for v in range(getattr(ring, "n", 1) + 1)}
         self.m = len(ring.lifted_modulus) - 1
         self.g = ring.lifted_modulus
         self.zero = 0 if self.m == 1 else (0,) * self.m
@@ -286,6 +289,16 @@ class CoeffPacking:
         """The ring element of a reduced coefficient."""
         ring = self.coeff_ring
         return ring._element(ring, (r,) if self.m == 1 else r)
+
+    def reduced_matrix(self, A):
+        """The reduced coefficients of a matrix of ring elements."""
+        if self.m == 1:
+            return [[a.coeffs[0] for a in row] for row in A]
+        return [[a.coeffs for a in row] for row in A]
+
+    def element_matrix(self, A):
+        element = self.element
+        return [[element(a) for a in row] for row in A]
 
     def spread(self, r, width):
         """A reduced coefficient as one int with slots of `width` bits."""
@@ -340,6 +353,50 @@ class CoeffPacking:
             else:
                 out[k] = s
         return out
+
+    def is_unit(self, r):
+        """Whether r is a unit: some coefficient is prime to p."""
+        return r % self.p != 0 if self.m == 1 else math.gcd(self.p, *r) == 1
+
+    def valuation(self, r):
+        """The index of the first nonzero Teichmuller digit; n for zero."""
+        return self.valuations[math.gcd(self.pn, r) if self.m == 1 else math.gcd(self.pn, *r)]
+
+    def divide(self, r, k):
+        """r / p^k, for an r that p^k divides."""
+        pk = self.p ** k
+        return r // pk if self.m == 1 else tuple([c // pk for c in r])
+
+    def inverse(self, r):
+        """The inverse of a unit r: the residue inverse r^(q-2) mod p, lifted
+        by Newton's y <- y (2 - r y), each round doubling the exact digits."""
+        p, pn, g = self.p, self.pn, self.g
+        if self.m == 1:
+            return pow(r, -1, pn)
+        y = _powmod(tuple([c % p for c in r]), p ** self.m - 2, tuple([c % p for c in g]), p)
+        for _ in range(pn.bit_length()):
+            if (e := _mulmod(r, y, g, pn)) == self.one:
+                return y
+            y = _mulmod(y, (2 - e[0],) + tuple([-c for c in e[1:]]), g, pn)
+        raise InternalInvariantError("unit inversion failed to converge")
+
+    def scale(self, c, row):
+        """The row c x, x in `row`."""
+        pn, g = self.pn, self.g
+        return [c * x % pn for x in row] if self.m == 1 else [_mulmod(c, x, g, pn) for x in row]
+
+    def submul(self, row, f, other):
+        """The row x - f y, x in `row` and y in `other`."""
+        pn, g, zero = self.pn, self.g, self.zero
+        if self.m == 1:
+            return [(x - f * y) % pn for x, y in zip(row, other)]
+        return [x if y == zero else tuple([(a - b) % pn for a, b in zip(x, _mulmod(f, y, g, pn))])
+                for x, y in zip(row, other)]
+
+    def frobenius(self, M, inverse=False):
+        """sigma (sigma^-1 if `inverse`) of each entry of a matrix over a Witt ring."""
+        mat = self.coeff_ring._sigma_inv_mat if inverse else self.coeff_ring._sigma_mat
+        return M if self.m == 1 else [[_int_matvec(mat, r, self.pn) for r in row] for row in M]
 
     def mat_mul(self, A, B):
         """A B for matrices of reduced coefficients: each entry one int dot
@@ -509,8 +566,6 @@ class WittRing(_CoeffRing):
         self.n = n
         self.p = field.p
         self.pn = field.p ** n
-        # gcd(p^n, coefficients) = p^v for the valuation v, zero included
-        self._valuations = {field.p ** v: v for v in range(n + 1)}
         self._key = (field, n)
         self.lifted_modulus = self._lift_modulus()
         gen = self.gen()
@@ -574,14 +629,8 @@ class WittRing(_CoeffRing):
     def invert(self, x):
         if not self.is_unit(x):
             raise DomainError("inverting a non-unit")
-        # any lift of the residue inverse starts the iteration: x y = 1 mod p
-        y = self.element(self.field.invert(self.residue(x)).coeffs)
-        two = self.from_int(2)
-        for _ in range(max(1, self.n).bit_length() + 1):
-            y = y * (two - x * y)
-        if (x * y) != self.one():
-            raise InternalInvariantError("unit inversion failed to converge")
-        return y
+        packing = self.packing
+        return packing.element(packing.inverse(packing.reduced(x)))
 
     def in_maximal_ideal(self, x):
         return self.valuation(x) >= 1
@@ -628,7 +677,7 @@ class WittRing(_CoeffRing):
         """Index of the first nonzero Teichmuller digit; n means zero at
         this precision.  Equals the minimal p-valuation of the coefficients,
         read off their gcd with p^n."""
-        return self._valuations[math.gcd(self.pn, *x.coeffs)]
+        return self.packing.valuations[math.gcd(self.pn, *x.coeffs)]
 
     def divide_exact_p(self, x, k):
         """Divide by p^k.  Requires p^k | x; the result carries only

@@ -24,9 +24,10 @@ DEFAULT_PRECISION = 3
 
 # Spot checks are bounded by their estimated work.  One check (a random base
 # change plus a-number and p-rank) over W_n(F_q), q = p^m, is estimated at
-# 3 + m(3 + 3n/8) ms: measured through `run`, the worst of four fixtures
-# took 4 ms at q = 2, n = 2, 9 ms at q = 121, n = 4, 12 ms at q = 65521,
-# n = 16 and 75 ms at q = 256, n = 30, all at or below the estimate.
+# 3 + m(3 + 3n/8) ms.  Measured through `run` (k checks less none, over k) on
+# a shared 2-core x86-64 host, the worst of iia, iib, ordinary and mixed took
+# at most 1 ms at q = 2, n = 2, 4 ms at q = 121, n = 4, 1.5 ms at q = 65521,
+# n = 16 and 12 ms at q = 256, n = 30, all below the estimate.
 MAX_SPOT_CHECK_US = 8_000_000
 
 

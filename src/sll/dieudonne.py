@@ -393,15 +393,20 @@ def lagrangian_witness_search(module, max_nodes=None):
 
 
 # ---------------------------------------------------------------------------
-# base change (used by the isomorphism-invariance tests)
+# base change (isomorphism-invariance tests, validate spot checks, the benchmark)
 
 
 def base_change(module, g):
     """The module in the new basis given by an invertible matrix g:
-    F -> g^{-1} F sigma(g), V -> g^{-1} V sigma^{-1}(g), J -> g^T J g."""
+    F -> g^{-1} F sigma(g), V -> g^{-1} V sigma^{-1}(g), J -> g^T J g,
+    all on reduced coefficients (`base_rings.CoeffPacking`)."""
     ring = module.ring
-    ginv = linalg.invert(ring, g)
-    F = linalg.mat_mul(ginv, linalg.mat_mul(module.F_matrix, module.sigma_matrix(g)))
-    V = linalg.mat_mul(ginv, linalg.mat_mul(module.V_matrix, module.sigma_inv_matrix(g)))
-    J = linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(module.J, g))
-    return DieudonneModule(ring, F, V, J)
+    packing = ring.packing
+    mul, sigma = packing.mat_mul, packing.frobenius
+    # linalg.invert goes first: it refuses an entry of g from another ring
+    ginv, g, F, V, J = map(packing.reduced_matrix, (linalg.invert(ring, g), g, module.F_matrix,
+                                                    module.V_matrix, module.J))
+    F = mul(ginv, mul(F, sigma(g)))
+    V = mul(ginv, mul(V, sigma(g, inverse=True)))
+    J = mul(linalg.transpose(g), mul(J, g))
+    return DieudonneModule(ring, *map(packing.element_matrix, (F, V, J)))

@@ -1,28 +1,22 @@
 """Small dense exact linear algebra over the package's coefficient rings.
 
-Matrices are lists of row lists of ring elements.  The ring object must
-provide zero(), one(), is_unit(e), invert(e); elements support +, -, *.
-
-`mat_mul` and `mat_vec` are packed.  They take elements of one coefficient
-ring (F_q or W_n(F_q)) only, read their reduced coefficients, and leave the
-product to the ring's `base_rings.CoeffPacking.mat_mul`: each output entry
-one int dot product of spread coefficients, reduced once.
-
-The rest stays on `Residue` arithmetic, where packing did not pay when
-measured.  `bilinear` evaluates v^T G w for the package's pairings over a
-coefficient ring, and skips zero entries, which the pairings are full of.
-`invert`, `rref_field` and `smith_form_local` pick a pivot and scale rows
-one step at a time; an `invert` by Newton lifting on packed products was
-slower than the row reduction.  One Gauss-Jordan loop, `rref_field`,
-serves fields and Witt rings alike: it pivots on units, which over a field
-are the nonzero entries and over the local ring W_n(F_q) suffice for every
-matrix invertible mod the maximal ideal, the only kind `invert` accepts.
+Matrices are lists of row lists of ring elements.  `mat_mul`, `mat_vec`,
+`invert`, `rref_field`, `rank_field` and `smith_form_local` take elements
+of one coefficient ring (F_q or W_n(F_q)) only; any other operand is a
+`DomainError`.  Each reads the reduced coefficients once, computes with the
+ring's `base_rings.CoeffPacking` (a product is one int dot product per
+entry; a row reduction scales rows and subtracts multiples of rows) and
+builds ring elements once at the end.  The one Gauss-Jordan loop, `_rref`,
+pivots on units: over a field the nonzero entries, over W_n(F_q) enough for
+every matrix invertible mod p, the only kind `invert` accepts.  `bilinear`
+(v^T G w, skipping the zeros that the pairings are full of) and `det` stay
+on `Residue` arithmetic.
 """
 
 from __future__ import annotations
 
 from .base_rings import Residue
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError
 
 
 def identity(ring, n):
@@ -39,10 +33,9 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _packing(*matrices):
-    """The `CoeffPacking` of the one coefficient ring that every entry of
-    the matrices lies in; DomainError as for Residue operands otherwise."""
-    ring = None
+def _packing(ring, *matrices):
+    """The `CoeffPacking` of the one coefficient ring, `ring` unless that is
+    None, of every entry of the matrices; DomainError as for Residue operands."""
     for M in matrices:
         for row in M:
             for e in row:
@@ -56,18 +49,15 @@ def _packing(*matrices):
 
 
 def mat_mul(A, B):
-    packing = _packing(A, B)
-    reduced, element = packing.reduced, packing.element
-    C = packing.mat_mul([[reduced(a) for a in row] for row in A],
-                        [[reduced(b) for b in row] for row in B])
-    return [[element(c) for c in row] for row in C]
+    packing = _packing(None, A, B)
+    return packing.element_matrix(
+        packing.mat_mul(packing.reduced_matrix(A), packing.reduced_matrix(B)))
 
 
 def mat_vec(A, v):
-    packing = _packing(A, [v])
-    reduced, element = packing.reduced, packing.element
-    C = packing.mat_mul([[reduced(a) for a in row] for row in A], [[reduced(x)] for x in v])
-    return [element(row[0]) for row in C]
+    packing = _packing(None, A, [v])
+    C = packing.mat_mul(packing.reduced_matrix(A), [[packing.reduced(x)] for x in v])
+    return [packing.element(row[0]) for row in C]
 
 
 def mat_eq(A, B):
@@ -100,11 +90,13 @@ def det(ring, A):
 def invert(ring, A):
     """Inverse of a matrix that is invertible modulo the maximal ideal: the
     right half of the reduced form of [A | I]."""
-    n = len(A)
-    work, pivots = rref_field(ring, [row + idr for row, idr in zip(A, identity(ring, n))])
-    if pivots != list(range(n)):
+    packing = _packing(ring, A)
+    n, zero, one = len(A), packing.zero, packing.one
+    work = [row + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(packing.reduced_matrix(A))]
+    if _rref(packing, work) != list(range(n)):
         raise DomainError("matrix is not invertible over the local ring")
-    return [row[n:] for row in work]
+    return packing.element_matrix([row[n:] for row in work])
 
 
 def bilinear(G, v, w, zero):
@@ -120,37 +112,50 @@ def bilinear(G, v, w, zero):
 
 def rank_field(field, A):
     """Rank of a matrix over a finite field, by row reduction."""
-    return len(rref_field(field, A)[1])
+    packing = _packing(field, A)
+    return len(_rref(packing, packing.reduced_matrix(A)))
 
 
 def rref_field(ring, A):
     """Reduced row echelon form with unit pivots; returns (rref, pivots).
     Over a field this is the usual RREF; over W_n(F_q) a column with no
     unit entry below the pivot rows is passed over."""
-    work = [row[:] for row in A]
+    packing = _packing(ring, A)
+    rows = packing.reduced_matrix(A)
+    work = rows[:]
+    pivots = _rref(packing, work)
+    # a row equal to an input row, say one that no step touched, is a copy of it
+    element = packing.element
+    return [A[rows.index(r)][:] if r in rows else [element(x) for x in r]
+            for r in work], pivots
+
+
+def _rref(packing, work):
+    """Gauss-Jordan on rows of reduced coefficients, in place, pivoting on
+    the first unit in each column; returns the pivot columns.  A row that a
+    step changes is replaced by a new list."""
     rows = len(work)
     cols = len(work[0]) if rows else 0
+    is_unit, zero, one = packing.is_unit, packing.zero, packing.one
     pivots = []
-    rank = 0
-    one = ring.one()
     for col in range(cols):
-        piv = next((r for r in range(rank, rows) if ring.is_unit(work[r][col])), None)
-        if piv is None:
+        rank = len(pivots)
+        for piv in range(rank, rows):
+            if is_unit(work[piv][col]):
+                break
+        else:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        pivot = work[rank][col]
-        if pivot != one:
-            inv = ring.invert(pivot)
-            work[rank] = [inv * x for x in work[rank]]
+        top = work[rank]
+        if top[col] != one:
+            top = work[rank] = packing.scale(packing.inverse(top[col]), top)
         for r in range(rows):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+            if r != rank and work[r][col] != zero:
+                work[r] = packing.submul(work[r], work[r][col], top)
         pivots.append(col)
-        rank += 1
-        if rank == rows:
+        if rank + 1 == rows:
             break
-    return work, pivots
+    return pivots
 
 
 def smith_form_local(ring, A):
@@ -159,47 +164,39 @@ def smith_form_local(ring, A):
 
     U, V are invertible; entries of the diagonal beyond min(rows, cols)
     valuations are reported as ring.n (zero at this precision).
-    """
-    rows, cols = len(A), len(A[0])
-    S = [row[:] for row in A]
-    U = identity(ring, rows)
-    V = identity(ring, cols)
+
+    Clearing the pivot's column leaves zeros below it, so clearing its row
+    would change only row t of S, which no later step reads: the column
+    operations act on V alone, kept by its columns, the rows of VT."""
+    packing = _packing(ring, A)
+    rows, cols, n = len(A), len(A[0]), ring.n
+    S = packing.reduced_matrix(A)
+    zero, one = packing.zero, packing.one
+    U = [[one if i == j else zero for j in range(rows)] for i in range(rows)]
+    VT = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
+    valuation, divide, submul = packing.valuation, packing.divide, packing.submul
     vals = []
     for t in range(min(rows, cols)):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = ring.valuation(S[i][j])
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None or best[0] >= ring.n:
-            vals.extend([ring.n] * (min(rows, cols) - t))
+        v, bi, bj = min((valuation(S[i][j]), i, j) for i in range(t, rows) for j in range(t, cols))
+        if v >= n:
+            vals.extend([n] * (min(rows, cols) - t))
             break
-        v, bi, bj = best
         S[t], S[bi] = S[bi], S[t]
         U[t], U[bi] = U[bi], U[t]
+        VT[t], VT[bj] = VT[bj], VT[t]
         for row in S:
             row[t], row[bj] = row[bj], row[t]
-        for row in V:
-            row[t], row[bj] = row[bj], row[t]
         # normalize pivot to exactly p^v
-        unit = ring.divide_exact_p(S[t][t], v)
-        uinv = ring.invert(unit)
-        S[t] = [uinv * x for x in S[t]]
-        U[t] = [uinv * x for x in U[t]]
+        unit = divide(S[t][t], v)
+        if unit != one:
+            uinv = packing.inverse(unit)
+            S[t], U[t] = packing.scale(uinv, S[t]), packing.scale(uinv, U[t])
         for i in range(t + 1, rows):
-            if ring.valuation(S[i][t]) < ring.n:
-                f = ring.divide_exact_p(S[i][t], v)
-                S[i] = [x - f * y for x, y in zip(S[i], S[t])]
-                U[i] = [x - f * y for x, y in zip(U[i], U[t])]
+            if S[i][t] != zero:
+                f = divide(S[i][t], v)
+                S[i], U[i] = submul(S[i], f, S[t]), submul(U[i], f, U[t])
         for j in range(t + 1, cols):
-            if ring.valuation(S[t][j]) < ring.n:
-                f = ring.divide_exact_p(S[t][j], v)
-                for row in S:
-                    row[j] = row[j] - f * row[t]
-                for vrow in V:
-                    vrow[j] = vrow[j] - f * vrow[t]
+            if S[t][j] != zero:
+                VT[j] = submul(VT[j], divide(S[t][j], v), VT[t])
         vals.append(v)
-    if len(vals) != min(rows, cols):
-        raise InternalInvariantError("smith form bookkeeping error")
-    return vals, U, V
+    return vals, packing.element_matrix(U), packing.element_matrix(transpose(VT))

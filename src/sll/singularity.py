@@ -15,10 +15,9 @@ order d - 1, so only the monomials of degree below D - d + 2 are
 substituted and the rest pass through; the series kernel visits only the
 products of total degree below D.
 
-G^{-1} comes from one row reduction of [G mod p | I] over F_q, which is
-also the test that the quadratic part is non-degenerate, lifted to
-W_n(F_q) by the Newton iteration X <- X (2I - G X), each product one
-`base_rings.CoeffPacking.mat_mul` on reduced coefficients.
+G^{-1} comes from one row reduction of [G | I] over W_n(F_q) on reduced
+coefficients, `linalg.invert`, which is also the test that the quadratic
+part is non-degenerate.
 
 The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), checked by
 one full substitution and exact up to the truncation degree, with a'
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from . import linalg
 from .base_rings import WittRing
-from .errors import InternalInvariantError, PreconditionError, SmoothShortCircuit
+from .errors import DomainError, InternalInvariantError, PreconditionError, SmoothShortCircuit
 from .quadforms import QuadraticForm, bilinear_gram
 from .series import TruncatedSeries
 
@@ -90,33 +89,15 @@ def _coeff_ring_of(f):
 
 def _quadratic_inverse(f):
     """The inverse of the Gram matrix G of the quadratic part of f, as rows
-    of reduced coefficients (the `base_rings.CoeffPacking` form).
-
-    One row reduction of [G mod p | I] over F_q is both the rank test and
-    (G mod p)^(-1).  Newton's X <- X (2I - G X) lifts that to G^(-1), each
-    round doubling the power of p that divides I - G X, until G X = I."""
+    of reduced coefficients (the `base_rings.CoeffPacking` form).  The row
+    reduction of `linalg.invert` pivots on units, so it is also the test
+    that G mod p is non-degenerate."""
     A = f.parent.coeff_ring
-    packing = A.packing
-    field, n = A.field, f.parent.nvars
-    gram = bilinear_gram(QuadraticForm.from_series(f))
-    work, pivots = linalg.rref_field(
-        field, [[A.residue(g) for g in row] + idr
-                for row, idr in zip(gram, linalg.identity(field, n))])
-    if pivots != list(range(n)):
-        raise PreconditionError("quadratic part is degenerate", part="quadratic")
-    G = [[packing.reduced(g) for g in row] for row in gram]
-    X = [[packing.reduced(x) for x in row[n:]] for row in work]
-    zero, neg = packing.zero, packing.neg
-    identity = [[packing.one if i == j else zero for j in range(n)] for i in range(n)]
-    two = packing.reduced(A.from_int(2))
-    # X (2I - GX) is one product: [X | -X] times [2I ; GX]
-    two_identity = [[two if i == j else zero for j in range(n)] for i in range(n)]
-    for _ in range(A.n.bit_length() + 1):
-        GX = packing.mat_mul(G, X)
-        if GX == identity:
-            return X
-        X = packing.mat_mul([row + [neg(x) for x in row] for row in X], two_identity + GX)
-    raise InternalInvariantError("Gram inverse lift did not converge")
+    try:
+        inverse = linalg.invert(A, bilinear_gram(QuadraticForm.from_series(f)))
+    except DomainError:
+        raise PreconditionError("quadratic part is degenerate", part="quadratic") from None
+    return A.packing.reduced_matrix(inverse)
 
 
 def _step_forms(f):

@@ -13,10 +13,14 @@ products) checks its irreducibility test.
 `naive_mat_mul` and `naive_mat_vec` are the slow path of the packed
 `linalg.mat_mul` and `linalg.mat_vec`: each entry summed with `Residue`
 `*` and `+`.
+`loop_rref`, `loop_invert` and `loop_smith_form` are the `Residue` loops
+that `linalg.rref_field`, `linalg.invert` and `linalg.smith_form_local`
+replaced by row operations on reduced coefficients; they invert a unit x
+as x^(u - 1), u the order of the unit group, and read valuations and
+divide by p^k with `loop_valuation` and `loop_divide_exact_p`.
 `naive_normal_form` is the slow path of `sll.singularity`: the same
 absorbing steps on coefficient dicts, composed by `dict_compose`, with the
-Gram inverse from `linalg.invert` over the Witt ring instead of the packed
-F_q row reduction and Newton lift.
+Gram inverse from `loop_invert`.
 `filter_special_fiber` (every echelon plane, filtered by its pairing) and
 `rank_tangent_dimension` (the tangent equation on a complement found by
 rank tests) are the references for the fiber and tangent dimensions that
@@ -24,8 +28,8 @@ rank tests) are the references for the fiber and tangent dimensions that
 `IsotropicPlane` with it, but not its generator, and pair vectors with
 `matrix_pairing`, v^T J w over this file's own copy of the pairing matrix,
 not with `local_model.pairing_value`.  The brute-force witness search
-shares the Smith data of `linalg.smith_form_local` with `sll.dieudonne`,
-but not its linear solver, its membership test or its witness completion:
+takes its Smith data from `loop_smith_form` and shares neither the linear
+solver of `sll.dieudonne` nor its membership test or witness completion:
 it tests VM membership with `loop_in_vm_mod` (one `linalg.mat_vec` per
 generator, valuations by `loop_valuation`, at every level and to
 precision min(v_i, k), so it does not assume the divisors (1, 1, p, p)
@@ -54,7 +58,7 @@ import functools
 import itertools
 
 from sll import linalg
-from sll.base_rings import WittElement
+from sll.base_rings import FiniteField, WittElement
 from sll.deformation import relation_ring
 from sll.dieudonne import LagrangianSearchResult, LagrangianWitness, a_number, dual_lattice
 from sll.errors import DomainError, PreconditionError
@@ -169,7 +173,7 @@ def naive_mat_vec(A, v):
 
 def _gram_inverse(ring, g):
     """The inverse of the Gram matrix of the degree-2 part of g, by
-    `linalg.invert` over the Witt ring."""
+    `loop_invert` over the Witt ring."""
     n = len(next(iter(g)))
     gram = [[ring.zero()] * n for _ in range(n)]
     for e, c in g.items():
@@ -177,7 +181,7 @@ def _gram_inverse(ring, g):
             i, j = [k for k, ek in enumerate(e) for _ in range(ek)]
             gram[i][j] = gram[i][j] + c
             gram[j][i] = gram[j][i] + c
-    return linalg.invert(ring, gram)
+    return loop_invert(ring, gram)
 
 
 def absorbing_step(g, d, ginv, variables):
@@ -268,6 +272,103 @@ def independent_rank(field, rows):
                 work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+# -- row reductions on Residue entries (the slow path of sll.linalg)
+
+
+def _loop_unit_inverse(ring, x):
+    """x^(u - 1) for a unit x, u = (q - 1) q^(n-1) the order of the unit group."""
+    q, n = (ring.q, 1) if isinstance(ring, FiniteField) else (ring.field.q, ring.n)
+    return x ** ((q - 1) * q ** (n - 1) - 1)
+
+
+def loop_rref(ring, A):
+    """(rref, pivots) of `linalg.rref_field`: Gauss-Jordan on `Residue`
+    entries, pivoting on the first unit of each column (a coefficient prime
+    to p) and leaving a pivot equal to one unscaled."""
+    work = [row[:] for row in A]
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots = []
+    rank = 0
+    one = ring.one()
+    for col in range(cols):
+        piv = next((r for r in range(rank, rows)
+                    if any(c % ring.p for c in work[r][col].coeffs)), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        pivot = work[rank][col]
+        if pivot != one:
+            inv = _loop_unit_inverse(ring, pivot)
+            work[rank] = [inv * x for x in work[rank]]
+        for r in range(rows):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == rows:
+            break
+    return work, pivots
+
+
+def loop_invert(ring, A):
+    """The right half of `loop_rref` of [A | I]; DomainError unless the
+    left half reduces to I."""
+    n = len(A)
+    identity = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    work, pivots = loop_rref(ring, [row + idr for row, idr in zip(A, identity)])
+    if pivots != list(range(n)):
+        raise DomainError("matrix is not invertible over the local ring")
+    return [row[n:] for row in work]
+
+
+def loop_smith_form(ring, A):
+    """(valuations, U, V) of `linalg.smith_form_local` over W_n(F_q): the
+    pivot is the first entry of least valuation in row-major order, scaled
+    to p^v, and row and column operations on `Residue` entries clear its
+    column and its row, in S, U and V alike."""
+    rows, cols = len(A), len(A[0])
+    S = [row[:] for row in A]
+    U = [[ring.one() if i == j else ring.zero() for j in range(rows)] for i in range(rows)]
+    V = [[ring.one() if i == j else ring.zero() for j in range(cols)] for i in range(cols)]
+    vals = []
+    for t in range(min(rows, cols)):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = loop_valuation(ring, S[i][j])
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+        if best[0] >= ring.n:
+            vals.extend([ring.n] * (min(rows, cols) - t))
+            break
+        v, bi, bj = best
+        S[t], S[bi] = S[bi], S[t]
+        U[t], U[bi] = U[bi], U[t]
+        for row in S:
+            row[t], row[bj] = row[bj], row[t]
+        for row in V:
+            row[t], row[bj] = row[bj], row[t]
+        uinv = _loop_unit_inverse(ring, loop_divide_exact_p(ring, S[t][t], v))
+        S[t] = [uinv * x for x in S[t]]
+        U[t] = [uinv * x for x in U[t]]
+        for i in range(t + 1, rows):
+            if S[i][t]:
+                f = loop_divide_exact_p(ring, S[i][t], v)
+                S[i] = [x - f * y for x, y in zip(S[i], S[t])]
+                U[i] = [x - f * y for x, y in zip(U[i], U[t])]
+        for j in range(t + 1, cols):
+            if S[t][j]:
+                f = loop_divide_exact_p(ring, S[t][j], v)
+                for row in S:
+                    row[j] = row[j] - f * row[t]
+                for row in V:
+                    row[j] = row[j] - f * row[t]
+        vals.append(v)
+    return vals, U, V
 
 
 # -- the local-model fiber by filtering, tangent dimensions by rank tests
@@ -668,7 +769,7 @@ def diagonal_dual_columns(module):
     J = U^{-1} diag(p^v) V^{-1}, with the diagonal matrix multiplied in;
     None for a pairing of another polarization degree."""
     ring = module.ring
-    vals, U, V = linalg.smith_form_local(ring, [row[:] for row in module.J])
+    vals, U, V = loop_smith_form(ring, [row[:] for row in module.J])
     if vals not in ([0, 0, 1, 1], [0, 0, 0, 0]):
         return None
     scale = [[ring.from_int(ring.p ** (1 - v)) if i == j else ring.zero()
@@ -713,7 +814,7 @@ def pairwise_complete_witness(module, g1, g2):
     ring = module.ring
     # A[j] = (<e_j, g1>, <e_j, g2>)
     A = [[a, b] for a, b in zip(linalg.mat_vec(module.J, g1), linalg.mat_vec(module.J, g2))]
-    vals, U, V = linalg.smith_form_local(ring, A)
+    vals, U, V = loop_smith_form(ring, A)
     if vals != [0, 1]:
         return None
     y1 = [g1[i] * V[0][0] + g2[i] * V[1][0] for i in range(4)]
@@ -745,7 +846,7 @@ def brute_force_witness_search(module):
     ring = module.ring
     n = ring.n
     field = ring.field
-    vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
+    vals, U, _ = loop_smith_form(ring, [row[:] for row in module.V_matrix])
     field_elts = sorted(field.elements(), key=lambda e: e.coeffs)
     # lifts[k][i] = [field_elts[i]] p^k, the value a digit choice adds at level k
     lifts = [[ring.teichmuller(e) * ring.from_int(ring.p ** k) for e in field_elts]

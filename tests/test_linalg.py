@@ -3,10 +3,11 @@ import random
 import pytest
 
 from sll import linalg
-from sll.base_rings import FiniteField, WittRing
+from sll.base_rings import FiniteField, WittRing, field_for_q
 from sll.dieudonne import base_change, make_standard
 from sll.errors import DomainError
-from .oracles import naive_mat_mul, naive_mat_vec
+from .oracles import (independent_rank, loop_invert, loop_rref, loop_smith_form, naive_mat_mul,
+                      naive_mat_vec)
 
 
 def _invertible_matrices(ring, rng, count):
@@ -140,3 +141,79 @@ def test_row_reductions_and_base_change_refuse_an_entry_from_another_ring(foreig
     g[1][0], g[1][1] = one, bad
     with pytest.raises(DomainError):
         base_change(make_standard(ring, "iia"), g)
+    # every entry is checked, also one that no row operation meets
+    for reduce in (linalg.rref_field, linalg.rank_field, linalg.smith_form_local):
+        with pytest.raises(DomainError):
+            reduce(ring, [[one, bad]])
+
+
+# the row-reduction grid: F_q (n = 0 below) and W_n(F_q), n = 1..4
+GRID_RINGS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 25) for n in range(5)]
+GRID_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 4), (4, 2), (3, 3), (4, 4), (4, 8)]
+
+
+def _grid_ring(q, n):
+    return field_for_q(q) if n == 0 else WittRing(field_for_q(q), n)
+
+
+def _grid_matrices(ring, rng, rows, cols):
+    """Seeded matrices of one shape: random entries; entries divisible by
+    random powers of p, with a zero column and a column with no unit entry
+    (both zero over a field); a rank-one matrix, whose entries after the
+    first Smith step all have valuation n; and the zero matrix."""
+    top = ring.n if isinstance(ring, WittRing) else 1
+
+    def entry(k):  # an element divisible by p^k
+        return ring.random_element(rng) * ring.from_int(ring.p ** k)
+
+    full = [[ring.random_element(rng) for _ in range(cols)] for _ in range(rows)]
+    mixed = [[entry(rng.randrange(top + 1)) for _ in range(cols)] for _ in range(rows)]
+    no_unit, zero = rng.randrange(cols), rng.randrange(cols)
+    for row in mixed:
+        row[no_unit], row[zero] = entry(1), ring.zero()
+    u = [entry(rng.randrange(top)) for _ in range(rows)]
+    w = [ring.random_element(rng) for _ in range(cols)]
+    rank_one = [[a * b for b in w] for a in u]
+    return [full, mixed, rank_one, [[ring.zero()] * cols for _ in range(rows)]]
+
+
+@pytest.mark.parametrize("q,n", GRID_RINGS,
+                         ids=[f"F{q}" if n == 0 else f"W{n}(F{q})" for q, n in GRID_RINGS])
+def test_row_reductions_match_the_residue_loops(q, n):
+    ring = _grid_ring(q, n)
+    rng = random.Random(f"rref:{q}:{n}")
+    for rows, cols in GRID_SHAPES:
+        for A in _grid_matrices(ring, rng, rows, cols):
+            want = loop_rref(ring, A)
+            assert linalg.rref_field(ring, A) == want
+            assert linalg.rank_field(ring, A) == len(want[1])
+            if n:
+                assert linalg.smith_form_local(ring, A) == loop_smith_form(ring, A)
+            if rows != cols:
+                continue
+            try:
+                inverse = loop_invert(ring, A)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    linalg.invert(ring, A)
+            else:
+                assert linalg.invert(ring, A) == inverse
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (3, 2), (4, 3), (5, 2), (9, 3), (25, 2)])
+def test_smith_form_diagonalizes(q, n):
+    # U A V = diag(p^v), v non-decreasing, with U and V invertible mod p
+    ring = WittRing(field_for_q(q), n)
+    rng = random.Random(f"smith:{q}:{n}")
+    zero_blocks = 0
+    for rows, cols in GRID_SHAPES:
+        for A in _grid_matrices(ring, rng, rows, cols):
+            vals, U, V = linalg.smith_form_local(ring, A)
+            assert len(vals) == min(rows, cols) and vals == sorted(vals) and vals[-1] <= n
+            diag = [[ring.from_int(ring.p ** vals[i]) if i == j else ring.zero()
+                     for j in range(cols)] for i in range(rows)]
+            assert naive_mat_mul(naive_mat_mul(U, A), V) == diag
+            for T in (U, V):
+                assert independent_rank(ring.field, linalg.mat_map(T, ring.residue)) == len(T)
+            zero_blocks += n in vals
+    assert zero_blocks >= len(GRID_SHAPES)
