@@ -124,7 +124,7 @@ def rref_field(ring, A):
     rows = packing.reduced_matrix(A)
     work = rows[:]
     pivots = _rref(packing, work)
-    # a row equal to an input row, say one that no step touched, is a copy of it
+    # an untouched (or equal) input row is copied: cheaper than building new elements
     element = packing.element
     return [A[rows.index(r)][:] if r in rows else [element(x) for x in r]
             for r in work], pivots
