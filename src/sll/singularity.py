@@ -93,8 +93,9 @@ def _quadratic_inverse(f):
     reduction of `linalg.invert` pivots on units, so it is also the test
     that G mod p is non-degenerate."""
     A = f.parent.coeff_ring
+    gram = bilinear_gram(QuadraticForm.from_series(f))
     try:
-        inverse = linalg.invert(A, bilinear_gram(QuadraticForm.from_series(f)))
+        inverse = linalg.invert(A, gram)
     except DomainError:
         raise PreconditionError("quadratic part is degenerate", part="quadratic") from None
     return A.packing.reduced_matrix(inverse)
