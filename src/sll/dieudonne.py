@@ -56,20 +56,14 @@ class DieudonneModule:
     def basis_vector(self, i):
         return [self.ring.one() if j == i else self.ring.zero() for j in range(4)]
 
-    def sigma_matrix(self, A):
-        return linalg.mat_map(A, self.ring.frobenius)
-
-    def sigma_inv_matrix(self, A):
-        return linalg.mat_map(A, self.ring.frobenius_inv)
-
     # -- validation ---------------------------------------------------------
 
     def validate(self):
         """Named checks for every structural invariant."""
         ring = self.ring
         p_id = [[ring.p_element() if i == j else ring.zero() for j in range(4)] for i in range(4)]
-        fv = linalg.mat_mul(self.F_matrix, self.sigma_matrix(self.V_matrix))
-        vf = linalg.mat_mul(self.V_matrix, self.sigma_inv_matrix(self.F_matrix))
+        fv = linalg.mat_mul(self.F_matrix, linalg.mat_map(self.V_matrix, ring.frobenius))
+        vf = linalg.mat_mul(self.V_matrix, linalg.mat_map(self.F_matrix, ring.frobenius_inv))
         alternating = all(
             self.J[i][j] == -self.J[j][i] for i in range(4) for j in range(4)
         ) and all(not self.J[i][i] for i in range(4))
@@ -77,7 +71,7 @@ class DieudonneModule:
         # has rank 2, the number of unit divisors; 1 < n holds from n = 2 on
         divisors, _, _ = linalg.smith_form_local(ring, [row[:] for row in self.J])
         ftj = linalg.mat_mul(linalg.transpose(self.F_matrix), self.J)
-        jv = self.sigma_matrix(linalg.mat_mul(self.J, self.V_matrix))
+        jv = linalg.mat_map(linalg.mat_mul(self.J, self.V_matrix), ring.frobenius)
         return {
             "fv_is_p": linalg.mat_eq(fv, p_id),
             "vf_is_p": linalg.mat_eq(vf, p_id),
@@ -196,10 +190,11 @@ def kernel_type(module):
         return "NotSuperspecial"
     # B has the basis vectors of p M^t as columns; F(B) = F sigma(B), V(B) = V sigma^-1(B)
     B = linalg.transpose(dual_lattice(module).columns())
-    images = (linalg.mat_mul(module.F_matrix, module.sigma_matrix(B)),
-              linalg.mat_mul(module.V_matrix, module.sigma_inv_matrix(B)))
+    ring = module.ring
+    images = (linalg.mat_mul(module.F_matrix, linalg.mat_map(B, ring.frobenius)),
+              linalg.mat_mul(module.V_matrix, linalg.mat_map(B, ring.frobenius_inv)))
     # precision n-1 >= 1, so residues of the entries are trusted
-    if any(module.ring.residue(x) for image in images for row in image for x in row):
+    if any(ring.residue(x) for image in images for row in image for x in row):
         return "NonAlphaSquare"
     return "AlphaSquare"
 

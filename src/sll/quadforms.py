@@ -8,7 +8,6 @@ Both only read the form modulo p, so they work at every p, including 2.
 from __future__ import annotations
 
 from . import linalg
-from .base_rings import WittRing
 from .errors import DomainError, PreconditionError
 
 
@@ -75,17 +74,10 @@ def bilinear_gram(Q):
     return G
 
 
-def _residue_map(ring):
-    """The residue field of a coefficient ring and the reduction onto it."""
-    if isinstance(ring, WittRing):
-        return ring.field, ring.residue
-    return ring, lambda x: x
-
-
 def is_nondegenerate(Q):
     """True iff det of the Gram matrix is a unit in the coefficient ring."""
-    field, res = _residue_map(Q.coeff_ring)
-    return linalg.rank_field(field, linalg.mat_map(bilinear_gram(Q), res)) == Q.nvars
+    ring = Q.coeff_ring
+    return linalg.rank_field(ring.field, linalg.mat_map(bilinear_gram(Q), ring.residue)) == Q.nvars
 
 
 def quadric_class(Q):
@@ -103,7 +95,7 @@ def quadric_class(Q):
     n = Q.nvars
     if n % 2:
         raise PreconditionError("the quadric class needs an even number of variables")
-    field, res = _residue_map(Q.coeff_ring)
+    field, res = Q.coeff_ring.field, Q.coeff_ring.residue
     G = linalg.mat_map(bilinear_gram(Q), res)
     if linalg.rank_field(field, G) < n:
         raise PreconditionError("form is degenerate", part="quadratic")

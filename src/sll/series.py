@@ -316,7 +316,7 @@ class TruncatedSeries:
             raise PreconditionError("substitution needs one series per variable")
         for phi in images:
             self._check(phi)
-            if not ring.coeff_ring.in_maximal_ideal(phi.constant_term()):
+            if ring.coeff_ring.is_unit(phi.constant_term()):
                 raise PreconditionError(
                     "substituted series must have constant term in the maximal ideal",
                     part="constant",

@@ -159,7 +159,7 @@ def kill_linear_term(f):
     if any(map(A.is_unit, f.linear_coefficients())):
         raise SmoothShortCircuit("unit linear coefficient")
     forms = _step_forms(f)
-    if not A.in_maximal_ideal(f.constant_term()):
+    if A.is_unit(f.constant_term()):
         raise PreconditionError("constant term must lie in the maximal ideal", part="constant")
 
     F, phi = f, f.parent.variables()

@@ -43,8 +43,11 @@ valuation test for a' = a mod p^k in `singularity.normal_form` replaced.
 `loop_valuation` and `loop_divide_exact_p` (per-coefficient division
 loops), `series_pairing_relation` (`linalg.bilinear` over the series ring)
 and `stacked_rank_frame_error` (the rank of [V mod p | e_Y]) are the longer
-routes that `WittRing.valuation`, `WittRing.divide_exact_p`,
+routes that the rings' `valuation`, `WittRing.divide_exact_p`,
 `deformation.pairing_relation` and the `HodgeFrame` test replaced.
+`power_inverse` (x^(q - 2) over F_q), `loop_is_unit` (x != 0 over F_q) and
+`power_frobenius` (x^p and x^(p^(m-1)) over F_q) are the field routes that
+the ring interface written once for F_q and W_n(F_q) replaced.
 `iterative_p_rank` (images of F-bar spanned and row-reduced round by round),
 `rank_checked_validate` (the polarization check with its mod-p rank test)
 and `diagonal_dual_columns` (the diagonal matrix of p^{1-v} multiplied in)
@@ -277,10 +280,11 @@ def independent_rank(field, rows):
 # -- row reductions on Residue entries (the slow path of sll.linalg)
 
 
-def _loop_unit_inverse(ring, x):
-    """x^(u - 1) for a unit x, u = (q - 1) q^(n-1) the order of the unit group."""
-    q, n = (ring.q, 1) if isinstance(ring, FiniteField) else (ring.field.q, ring.n)
-    return x ** ((q - 1) * q ** (n - 1) - 1)
+def power_inverse(ring, x):
+    """x^(u - 1) for a unit x, u = (q - 1) q^(n-1) the order of the unit group;
+    over F_q = W_1(F_q) that is x^(q - 2)."""
+    q = ring.field.q
+    return x ** ((q - 1) * q ** (ring.n - 1) - 1)
 
 
 def loop_rref(ring, A):
@@ -301,7 +305,7 @@ def loop_rref(ring, A):
         work[rank], work[piv] = work[piv], work[rank]
         pivot = work[rank][col]
         if pivot != one:
-            inv = _loop_unit_inverse(ring, pivot)
+            inv = power_inverse(ring, pivot)
             work[rank] = [inv * x for x in work[rank]]
         for r in range(rows):
             if r != rank and work[r][col]:
@@ -352,7 +356,7 @@ def loop_smith_form(ring, A):
             row[t], row[bj] = row[bj], row[t]
         for row in V:
             row[t], row[bj] = row[bj], row[t]
-        uinv = _loop_unit_inverse(ring, loop_divide_exact_p(ring, S[t][t], v))
+        uinv = power_inverse(ring, loop_divide_exact_p(ring, S[t][t], v))
         S[t] = [uinv * x for x in S[t]]
         U[t] = [uinv * x for x in U[t]]
         for i in range(t + 1, rows):
@@ -449,8 +453,9 @@ def rank_tangent_dimension(plane):
 
 
 def loop_valuation(ring, x):
-    """Index of the first nonzero Teichmuller digit of x in W_n(F_q): the
-    least number of times p divides a coefficient, n for zero."""
+    """Index of the first nonzero Teichmuller digit of x in W_n(F_q), F_q
+    = W_1(F_q) included: the least number of times p divides a coefficient,
+    n for zero."""
     v = ring.n
     for c in x.coeffs:
         if c:
@@ -460,6 +465,22 @@ def loop_valuation(ring, x):
                 w += 1
             v = min(v, w)
     return v
+
+
+def loop_is_unit(ring, x):
+    """x != 0 over F_q; over W_n(F_q) a `loop_valuation` of 0."""
+    return bool(x) if isinstance(ring, FiniteField) else loop_valuation(ring, x) == 0
+
+
+def power_frobenius(ring, x, k=1):
+    """sigma^k(x) by element powers: x^(p^k) over F_q.  Over W_n(F_q), where
+    a power is not additive, the coefficient a_i of t^i in x, t the class of
+    the generator (its own Teichmuller lift), goes onto t^(i p^k)."""
+    e = ring.p ** k
+    if isinstance(ring, FiniteField):
+        return x ** e
+    t = ring.gen()
+    return sum((ring.element(a) * t ** (i * e) for i, a in enumerate(x.coeffs)), ring.zero())
 
 
 def loop_divide_exact_p(ring, x, k):

@@ -10,6 +10,7 @@ from sll.base_rings import (
     MAX_DEGREE,
     FiniteField,
     WittRing,
+    field_for_q,
     find_irreducible,
     is_irreducible,
 )
@@ -24,6 +25,10 @@ from .oracles import (
     ghost_sum_digits,
     int_poly_mul_mod,
     int_poly_pow_mod,
+    loop_is_unit,
+    loop_valuation,
+    power_frobenius,
+    power_inverse,
     reducible_monics,
 )
 
@@ -295,6 +300,58 @@ def test_unit_inversion_and_nonunit_rejection():
                 ring.invert(u)
             continue
         assert u * ring.invert(u) == ring.one()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_ring_primitives_match_the_routes_they_replace(q):
+    # F_q and W_1..4(F_q) share one valuation, unit test, inverse, residue
+    # and Frobenius; every element while q^n <= 729, a seeded sample above
+    field = field_for_q(q)
+    for ring in [field] + [WittRing(field, n) for n in (1, 2, 3, 4)]:
+        if q ** ring.n <= 729:
+            xs = ring.elements()
+        else:
+            rng = random.Random(f"primitives:{q}:{ring.n}")
+            xs = [ring.random_element(rng) for _ in range(200)]
+        m = field.m
+        for x in xs:
+            assert ring.valuation(x) == loop_valuation(ring, x), (ring, x)
+            assert ring.is_unit(x) == loop_is_unit(ring, x), (ring, x)
+            if ring.is_unit(x):
+                assert ring.invert(x) == power_inverse(ring, x), (ring, x)
+            else:
+                with pytest.raises(DomainError):
+                    ring.invert(x)
+            assert ring.frobenius(x) == power_frobenius(ring, x), (ring, x)
+            assert ring.frobenius_inv(x) == power_frobenius(ring, x, m - 1), (ring, x)
+            r = ring.residue(x)
+            assert r.ring is field
+            if ring is field:
+                assert r == x
+            else:
+                assert loop_valuation(ring, x - ring.teichmuller(r)) >= 1, (ring, x)
+
+
+def test_ring_primitives_refuse_an_element_of_another_ring():
+    F3, F9 = FiniteField(3), FiniteField(3, 2)
+    # other precisions, a larger residue field, a field and its W_1, and
+    # no element at all: each refused, not answered for the wrong ring
+    pairs = [
+        (WittRing(F3, 2), WittRing(F3, 3).element(4)),
+        (F3, WittRing(F3, 2).element(2)),
+        (WittRing(F9, 2), WittRing(F3, 2).element(3)),
+        (F3, WittRing(F3, 1).element(2)),
+        (WittRing(F3, 1), F3.element(2)),
+        (WittRing(F3, 2), 3),
+    ]
+    for ring, x in pairs:
+        calls = [ring.valuation, ring.is_unit, ring.invert, ring.residue, ring.frobenius,
+                 ring.frobenius_inv]
+        if isinstance(ring, WittRing):
+            calls.append(lambda y: ring.divide_exact_p(y, 0))
+        for call in calls:
+            with pytest.raises(DomainError):
+                call(x)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 1, 1), (2, 2, 4), (2, 1, 5), (3, 1, 9), (2, 3, 17),

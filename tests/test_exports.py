@@ -92,6 +92,35 @@ def test_every_definition_has_a_caller():
     assert uncalled == set(AWAITING_A_CALLER)
 
 
+RING_PRIMITIVES = {"valuation", "is_unit", "invert", "residue", "frobenius", "frobenius_inv"}
+
+
+def test_ring_primitives_are_written_once():
+    # F_q is W_1(F_q) at the ring interface: the coefficient rings define
+    # the primitives once, in their base class, and WittRing only re-binds
+    # `invert` in its own namespace, where the benchmark tracer finds it
+    from sll.base_rings import _CoeffRing
+
+    defined, bound, maximal_ideal = set(), set(), []
+    for path in (SRC / "sll").glob("*.py"):
+        module = importlib.import_module(f"sll.{path.stem}") if path.stem != "__init__" else sll
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "in_maximal_ideal":
+                maximal_ideal.append(path.stem)
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if not (isinstance(cls, type) and issubclass(cls, _CoeffRing)):
+                continue
+            for child in node.body:
+                if isinstance(child, ast.FunctionDef) and child.name in RING_PRIMITIVES:
+                    defined.add((node.name, child.name))
+                elif isinstance(child, ast.Assign):
+                    bound |= {(node.name, t.id, ast.unparse(child.value)) for t in child.targets
+                              if isinstance(t, ast.Name) and t.id in RING_PRIMITIVES}
+    assert defined == {("_CoeffRing", name) for name in RING_PRIMITIVES}
+    assert bound == {("WittRing", "invert", "_CoeffRing.invert")}
+    assert maximal_ideal == []
+
+
 def test_oracles_import_no_private_name_from_sll():
     # an oracle that imports the private helpers it checks shares their faults;
     # also refused: a private attribute read off an imported sll module
