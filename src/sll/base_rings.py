@@ -14,11 +14,11 @@ arithmetic of both, and one base class, `_CoeffRing`, builds them and holds
 the valuation, units, inverse, residue and Frobenius of both.
 
 The polynomial arithmetic over Z/N is written once: `_reduce` is the one
-reduction by a monic modulus (of a `Residue` product, of a packed sum in
-`CoeffPacking.fold`, and in the gcd and the modulus lift), `_powmod` the
-one square-and-multiply loop (`**`, Frobenius, Teichmuller lifts), and
-`is_irreducible` is Ben-Or's test on both (M. Ben-Or, *Probabilistic
-algorithms in finite fields*, FOCS 1981).
+reduction by a monic modulus (of a `Residue` product, of the x^(m+i) by
+which `CoeffPacking.fold` folds a packed sum inside the int, and in the gcd
+and the modulus lift), `_powmod` the one square-and-multiply loop (`**`,
+Frobenius, Teichmuller lifts), and `is_irreducible` is Ben-Or's test on
+both (M. Ben-Or, *Probabilistic algorithms in finite fields*, FOCS 1981).
 
 Elements are immutable value objects; rings are shareable read-only
 contexts; every operation is pure.
@@ -78,8 +78,8 @@ def _reduce(s, g, mod):
     """The len(g) - 1 residues mod `mod` of s reduced by the monic g.
 
     s is a list of coefficients, low degree first, of any length; it is
-    consumed.  The one reduction of the package: `_mulmod`, the packed
-    `CoeffPacking.fold`, `_pgcd` and the modulus lift all end here."""
+    consumed.  The one reduction of the package: `_mulmod`, the fold
+    residues of `CoeffPacking`, `_pgcd` and the modulus lift all end here."""
     m = len(g) - 1
     while len(s) > m:
         # g is monic, so c x^k = -c x^(k-m) (g_0 + ... + g_(m-1) x^(m-1)):
@@ -261,8 +261,7 @@ class CoeffPacking:
     m-tuple.  To multiply, the residues sit in slots of `width` bits of one
     int (Kronecker substitution), so one int product is the whole
     convolution of two residue vectors.  Products are summed unreduced and
-    each sum is reduced once, by `_reduce`: its 2m - 1 slots folded by g and
-    taken mod N.
+    each sum is reduced once, by `fold`, inside the int.
     The map methods (`spread_all`, `reduce`, `add`) take {key: coefficient}
     maps and never read the keys.
     """
@@ -280,13 +279,15 @@ class CoeffPacking:
         # a product of two reduced m-slot coefficients has slots below
         # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
         self.slot_bound = self.m * (self.pn - 1) ** 2
+        # x^(m+i) mod g, i < m - 1: what `fold` multiplies the top slots by
+        self.tops = [_reduce([0] * (self.m + i) + [1], self.g, self.pn) for i in range(self.m - 1)]
 
     def width(self, count):
-        """Slot width that holds a sum of `count` coefficient products
-        without carrying: each slot stays below count * m * (N-1)^2.  The
-        bound is exact int arithmetic, so it holds at every size the rings
-        admit, m = MAX_DEGREE = 8 and q^n = MAX_RING_ORDER = 2^256 included."""
-        return (count * self.slot_bound).bit_length()
+        """Slot width that holds a sum of `count` coefficient products, each
+        slot at most count * m (N-1)^2, and its `fold`, which adds at most
+        (m-1) (N-1)^2 more: one count of headroom.  Exact int arithmetic, so
+        it holds up to m = MAX_DEGREE and q^n = MAX_RING_ORDER included."""
+        return ((count + 1) * self.slot_bound).bit_length()
 
     def reduced(self, c):
         """The reduced coefficient of a ring element."""
@@ -316,12 +317,17 @@ class CoeffPacking:
     def fold(self, values, width):
         """The reduced coefficients of unreduced ints with `width`-bit slots,
         each a sum of products of spread coefficients, for m > 1 (at m = 1
-        a sum is reduced by `% pn` alone): each value's 2m - 1 slots are
-        read out and reduced by the lifted modulus with `_reduce`."""
-        pn, g = self.pn, self.g
-        mask = (1 << width) - 1
-        shifts = range(0, width * (2 * self.m - 1), width)
-        return [_reduce([v >> sh & mask for sh in shifts], g, pn) for v in values]
+        a sum is reduced by `% pn` alone), folded inside the int: each top
+        slot m + i, taken mod N, adds its multiple of x^(m+i) mod g (`tops`)
+        to the m low slots, which are then read out mod N."""
+        pn, m = self.pn, self.m
+        mask, low = (1 << width) - 1, (1 << width * m) - 1
+        lows = [v & low for v in values]
+        for i, top in enumerate(self.tops):
+            sh, r = width * (m + i), self.spread(top, width)
+            lows = [lo + (v >> sh & mask) % pn * r for lo, v in zip(lows, values)]
+        shifts = range(0, width * m, width)
+        return [tuple([(lo >> sh & mask) % pn for sh in shifts]) for lo in lows]
 
     def neg(self, r):
         """-r for a reduced coefficient r."""
@@ -340,9 +346,6 @@ class CoeffPacking:
         if self.m == 1:
             pn = self.pn
             return {k: r for k, v in acc.items() if (r := v % pn)}
-        if not acc:
-            # width 0 (nothing was summed) would make a zero range step
-            return {}
         return {k: r for k, r in zip(acc, self.fold(acc.values(), width)) if any(r)}
 
     def add(self, a, b):

@@ -7,7 +7,9 @@ is one int key, so adding keys multiplies monomials and one comparison is
 the truncation test, and each coefficient is one int (or m-tuple of ints)
 whose residues sit in bit slots when multiplied, so one int product is the
 whole coefficient product.  Products are summed unreduced, and every
-output coefficient is reduced once, by the lifted modulus and mod p^n.
+output coefficient is reduced once, folded by the lifted modulus inside
+its int and read out mod p^n.  One substitution takes several series and
+makes each power of an image once for all of them.
 `_Packing` owns the keys; the coefficient half is the coefficient ring's
 `base_rings.CoeffPacking`, which `sll.linalg`'s matrix products share.
 Exponent tuples and ring elements are built only where a caller reads them
@@ -186,38 +188,40 @@ class _Packing:
                 acc[k] = get(k, 0) + c1 * c2
         return coeff.reduce(acc, width)
 
-    def substitute(self, f, images):
-        """f(images_1, ..., images_n) for a packed f and packed images,
-        truncated and reduced.  Each x_i^k is a product of images[i] with
-        x_i^(k-1), made once, and each monomial's image a product of those."""
+    def substitute(self, fs, images):
+        """[f(images_1, ..., images_n) for f in fs], packed, truncated and
+        reduced.  Each x_i^k is a product of images[i] with x_i^(k-1), made
+        once for all of fs, and each monomial's image a product of those."""
         shift, mask = self.shift, (1 << self.shift) - 1
         fields = tuple(enumerate(range(0, self.degree_shift, shift)))
         pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
         coeff = self.coeff
-        # one slot width for the sum of c times each monomial image: every
-        # term of f adds at most one product c * v (the constant term c
-        # alone) to each output coefficient
-        width = coeff.width(len(f))
         mul, spread, spread_all = self.mul, coeff.spread, coeff.spread_all
-        out = {}
-        get = out.get
-        for k, c in f.items():
-            mono = None
-            for i, s in fields:
-                ei = k >> s & mask
-                if not ei:
+        results = []
+        for f in fs:
+            # every term of f adds at most one product c * v (the constant
+            # term c alone) to each output coefficient
+            width = coeff.width(len(f))
+            out = {}
+            get = out.get
+            for k, c in f.items():
+                mono = None
+                for i, s in fields:
+                    ei = k >> s & mask
+                    if not ei:
+                        continue
+                    pi = pows[i]
+                    while len(pi) <= ei:
+                        pi.append(mul(pi[-1], images[i]))
+                    mono = pi[ei] if mono is None else mul(mono, pi[ei])
+                c = spread(c, width)
+                if mono is None:
+                    out[k] = get(k, 0) + c
                     continue
-                pi = pows[i]
-                while len(pi) <= ei:
-                    pi.append(mul(pi[-1], images[i]))
-                mono = pi[ei] if mono is None else mul(mono, pi[ei])
-            c = spread(c, width)
-            if mono is None:
-                out[k] = get(k, 0) + c
-                continue
-            for key, v in spread_all(mono, width).items():
-                out[key] = get(key, 0) + c * v
-        return coeff.reduce(out, width)
+                for key, v in spread_all(mono, width).items():
+                    out[key] = get(key, 0) + c * v
+            results.append(coeff.reduce(out, width))
+        return results
 
 
 def _term_key(exps):
@@ -321,8 +325,8 @@ class TruncatedSeries:
                     "substituted series must have constant term in the maximal ideal",
                     part="constant",
                 )
-        return TruncatedSeries(
-            ring, ring._packing.substitute(self.packed, [phi.packed for phi in images]))
+        [packed] = ring._packing.substitute([self.packed], [phi.packed for phi in images])
+        return TruncatedSeries(ring, packed)
 
     # -- presentation -----------------------------------------------
 

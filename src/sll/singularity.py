@@ -8,16 +8,17 @@ part vanishes, the step is the Newton iteration for the shift that kills
 the linear term; applied once at each d = 3 .. D-1, it strips the higher
 terms.  f and phi stay `TruncatedSeries` throughout; the keys of their
 packed maps are read only by `series._Packing`, which splits a series at a
-degree, writes its degree-d part as sum x_i h_i, and substitutes.  The
-correction -G^{-1} h is one substitution y = h into the linear forms
--sum_k G^{-1}[j][k] y_k.  A step at degree d >= 3 is x -> x + u with u of
-order d - 1, so only the monomials of degree below D - d + 2 are
-substituted and the rest pass through; the series kernel visits only the
-products of total degree below D.
+degree, writes its degree-d part as sum x_i h_i, and substitutes.  A step
+is two substitutions: y = h into the linear forms -sum_k G^{-1}[j][k] y_k,
+then the step into f and every phi_j at once.  A step at degree d >= 3 is
+x -> x + u with u of order d - 1, so only the monomials of degree below
+D - d + 2 are substituted and the rest pass through; the series kernel
+visits only the products of total degree below D.
 
-G^{-1} comes from one row reduction of [G | I] over W_n(F_q) on reduced
-coefficients, `linalg.invert`, which is also the test that the quadratic
-part is non-degenerate.
+G (2 q_ii on the diagonal, q_ij off it, read off the packed coefficients)
+is inverted by one row reduction of [G | I], `linalg.invert`, which is
+also the test that the quadratic part is non-degenerate: once per normal
+form, unless the linear shift moves the quadratic part.
 
 The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), checked by
 one full substitution and exact up to the truncation degree, with a'
@@ -32,10 +33,12 @@ invertible.  The unit is kept in the result type as part of the contract.
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .base_rings import WittRing
 from .errors import DomainError, InternalInvariantError, PreconditionError, SmoothShortCircuit
-from .quadforms import QuadraticForm, bilinear_gram
+from .quadforms import QuadraticForm
 from .series import TruncatedSeries
 
 
@@ -88,17 +91,33 @@ def _coeff_ring_of(f):
 
 
 def _quadratic_inverse(f):
-    """The inverse of the Gram matrix G of the quadratic part of f, as rows
-    of reduced coefficients (the `base_rings.CoeffPacking` form).  The row
+    """The inverse of the Gram matrix of the quadratic part of f, as rows
+    of reduced coefficients, from its packed q_ij, i <= j (`_gram_inverse`)."""
+    ring = f.parent
+    weights, get, zero = ring._packing.weights, f.packed.get, ring.coeff_ring.packing.zero
+    upper = tuple(get(w + v, zero) for i, w in enumerate(weights) for v in weights[i:])
+    return [list(row) for row in _gram_inverse(ring, upper)]
+
+
+@functools.lru_cache(maxsize=1)
+def _gram_inverse(ring, upper):
+    """G^-1 for G with 2 q_ii on the diagonal and q_ij off it.  The row
     reduction of `linalg.invert` pivots on units, so it is also the test
-    that G mod p is non-degenerate."""
-    A = f.parent.coeff_ring
-    gram = bilinear_gram(QuadraticForm.from_series(f))
+    that G mod p is non-degenerate (a failure is not kept).  The last
+    inverse is kept for `strip_higher_terms` when the shift of
+    `kill_linear_term` leaves the quadratic part unchanged."""
+    A, n = ring.coeff_ring, ring.nvars
+    element, upper = A.packing.element, iter(upper)
+    gram = linalg.zeros(A, n, n)
+    for i in range(n):
+        for j in range(i, n):
+            c = element(next(upper))
+            gram[i][j] = gram[j][i] = c + c if i == j else c
     try:
         inverse = linalg.invert(A, gram)
     except DomainError:
         raise PreconditionError("quadratic part is degenerate", part="quadratic") from None
-    return A.packing.reduced_matrix(inverse)
+    return tuple(map(tuple, A.packing.reduced_matrix(inverse)))
 
 
 def _step_forms(f):
@@ -111,39 +130,35 @@ def _step_forms(f):
 def _step(F, d, forms):
     """The substitution x_j -> x_j - sum_k Ginv[j][k] h_k as packed maps,
     where the degree-d part of F is sum_i x_i h_i (`series._Packing.factor`),
-    or None if there is no such part.  Each correction is the substitution
-    y = h into forms[j] (`_step_forms`).  The step cancels that part up to
-    terms of higher degree (d >= 3) or higher valuation (d = 1)."""
-    ring = F.parent
-    packing = ring._packing
+    or None if there is no such part.  The corrections are one substitution
+    y = h into all the forms[j] (`_step_forms`).  The step cancels that
+    part up to terms of higher degree (d >= 3) or higher valuation (d = 1)."""
+    ring, packing = F.parent, F.parent._packing
     h = packing.factor(F.packed, d)
     if not any(h):
         return None
     # a correction has degree d - 1, never 1, so it does not meet x_j
     add = ring.coeff_ring.packing.add
-    return [add(packing.substitute(form, h), x.packed) for form, x in zip(forms, ring.variables())]
+    return [add(u, x.packed) for u, x in zip(packing.substitute(forms, h), ring.variables())]
 
 
-def _apply_step(g, step, cut):
-    """g(step) for a step x -> x + u with u of order d - 1 and
-    cut = D - d + 2.  A monomial of degree k only gains terms of degree
-    >= k + d - 2, so one of degree >= cut passes through unchanged: only
-    the part of g below the cut is substituted, and the rest is added back
-    as is."""
-    ring = g.parent
-    low, high = ring._packing.split(g.packed, cut)
-    return TruncatedSeries(
-        ring, ring.coeff_ring.packing.add(ring._packing.substitute(low, step), high))
+def _apply_step(gs, step, cut):
+    """[g(step) for g in gs], in one substitution, for a step x -> x + u
+    with u of order d - 1 and cut = D - d + 2.  A monomial of degree k only
+    gains terms of degree >= k + d - 2, so one of degree >= cut passes
+    through unchanged: only the part below the cut is substituted."""
+    ring = gs[0].parent
+    packing, add = ring._packing, ring.coeff_ring.packing.add
+    lows, highs = zip(*[packing.split(g.packed, cut) for g in gs])
+    return [TruncatedSeries(ring, add(low, high))
+            for low, high in zip(packing.substitute(lows, step), highs)]
 
 
 def _absorb(F, phi, d, forms):
-    """The degree-d absorbing step applied to F and to each component of phi;
-    None if F has no degree-d part."""
+    """[F, *phi] after the degree-d absorbing step, taken by F and by each
+    component of phi; None if F has no degree-d part."""
     step = _step(F, d, forms)
-    if step is None:
-        return None
-    cut = F.parent.degree - d + 2
-    return _apply_step(F, step, cut), [_apply_step(c, step, cut) for c in phi]
+    return None if step is None else _apply_step([F, *phi], step, F.parent.degree - d + 2)
 
 
 def kill_linear_term(f):
@@ -168,7 +183,7 @@ def kill_linear_term(f):
         if absorbed is None:
             # phi_j = x_j + b_j
             return [c.constant_term() for c in phi], F
-        F, phi = absorbed
+        F, *phi = absorbed
     raise InternalInvariantError("linear-term iteration did not converge")
 
 
@@ -194,7 +209,7 @@ def strip_higher_terms(f):
         absorbed = _absorb(F, phi, d, forms)
         if absorbed is None:
             continue
-        F, phi = absorbed
+        F, *phi = absorbed
         if F.graded_part(d):
             raise InternalInvariantError(f"degree-{d} part survived its correction step")
     if F.graded_part(2) != quadratic:

@@ -8,8 +8,10 @@ brute-force point counts of quadrics over integer-table fields.  Only
 base coefficient arithmetic is shared, and it is itself checked against
 the ghost-component construction of Witt-vector arithmetic in this file.
 `int_poly_mul_mod` and `int_poly_pow_mod` also check the one polynomial
-kernel of `sll.base_rings` directly, and `reducible_monics` (a sieve of
-products) checks its irreducibility test.
+kernel of `sll.base_rings` directly, `int_poly_reduce` (the 2m - 1 slots of
+a packed sum reduced one degree at a time) checks the in-int fold of
+`CoeffPacking`, and `reducible_monics` (a sieve of products) checks its
+irreducibility test.
 `naive_mat_mul` and `naive_mat_vec` are the slow path of the packed
 `linalg.mat_mul` and `linalg.mat_vec`: each entry summed with `Residue`
 `*` and `+`.
@@ -539,11 +541,19 @@ def stacked_rank_frame_error(module, Y_indices, X_indices):
 
 def int_poly_mul_mod(a, b, mod, p):
     """a * b reduced by the monic `mod`, coefficients mod p (any modulus)."""
-    m = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
+    return int_poly_reduce(out, mod, p)
+
+
+def int_poly_reduce(a, mod, p):
+    """The integer polynomial a (low degree first, any coefficient size)
+    reduced by the monic `mod`, coefficients mod p: the top coefficient
+    cleared one degree at a time."""
+    m = len(mod) - 1
+    out = [c % p for c in a]
     for k in range(len(out) - 1, m - 1, -1):
         c = out[k]
         if c:

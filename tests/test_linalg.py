@@ -6,8 +6,8 @@ from sll import linalg
 from sll.base_rings import FiniteField, WittRing, field_for_q
 from sll.dieudonne import base_change, make_standard
 from sll.errors import DomainError
-from .oracles import (independent_rank, loop_invert, loop_rref, loop_smith_form, naive_mat_mul,
-                      naive_mat_vec)
+from .oracles import (independent_rank, int_poly_reduce, loop_invert, loop_rref, loop_smith_form,
+                      naive_mat_mul, naive_mat_vec)
 
 
 def _invertible_matrices(ring, rng, count):
@@ -103,6 +103,45 @@ def test_packed_products_match_residue_products(p, m, n):
             assert linalg.mat_mul(A, B) == naive_mat_mul(A, B)
             v = [row[0] for row in B]
             assert linalg.mat_vec(A, v) == naive_mat_vec(A, v)
+
+
+def _counts_below_powers_of_two(slot_bound, keep=4):
+    """Counts c with c * slot_bound just below a power of two 2^w: of the
+    64 widths w above slot_bound's, the `keep` with the smallest gap
+    2^w - c * slot_bound, where the fewest added units carry out of a slot."""
+    low = slot_bound.bit_length() + 1
+    counts = [((1 << w) - 1) // slot_bound for w in range(low, low + 64)]
+    counts.sort(key=lambda c: (1 << (c * slot_bound).bit_length()) - c * slot_bound)
+    return counts[:keep]
+
+
+FOLD_RINGS = [(p, m, n) for p, m, n in PRODUCT_RINGS if m > 1]
+
+
+@pytest.mark.parametrize("p,m,n", FOLD_RINGS,
+                         ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in FOLD_RINGS])
+def test_fold_holds_at_its_headroom(p, m, n):
+    # the in-int fold of a packed sum against the 2m - 1 slots reduced one
+    # degree at a time, at the slot width of `count` products with every
+    # slot at its maximum: count * m (N-1)^2 in each slot, or, in the top
+    # m - 1 slots that the fold multiplies in, the largest value below that
+    # which is N - 1 mod N; and a real sum of count products of the
+    # coefficient with every residue N - 1
+    ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
+    packing, g, N = ring.packing, ring.lifted_modulus, ring.pn
+    top = [N - 1] * m
+    for count in [1, 2, 3] + _counts_below_powers_of_two(packing.slot_bound):
+        full = count * packing.slot_bound
+        high = full - (full + 1) % N
+        width = packing.width(count)
+        cases = [[full] * (2 * m - 1), [full] * m + [high] * (m - 1)]
+        spread = packing.spread(top, width)
+        real = count * spread * spread
+        mask = (1 << width) - 1
+        cases.append([real >> (width * k) & mask for k in range(2 * m - 1)])
+        for slots in cases:
+            value = sum(s << (width * k) for k, s in enumerate(slots))
+            assert packing.fold([value], width) == [int_poly_reduce(slots, g, N)], (count, slots)
 
 
 def test_products_accept_equal_rings_and_refuse_mixed_ones():

@@ -6,7 +6,7 @@ import pytest
 from sll.base_rings import FiniteField, WittRing
 from sll.errors import DomainError, PreconditionError, ValidationError
 from sll.jsonio import series_from_json, series_to_json
-from sll.series import SeriesRing
+from sll.series import SeriesRing, TruncatedSeries
 
 from .oracles import dict_add, dict_of, dict_scale, naive_compose, naive_mul, series_equals_dict
 
@@ -179,6 +179,42 @@ def test_substitute_matches_naive_composition():
             # constant terms must sit in the maximal ideal
             images.append(phi + S.constant(p * ring.random_element(rng)))
         assert series_equals_dict(f.substitute(images), naive_compose(f, images))
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 2), (2, 2, 3), (3, 2, 2)])
+def test_substitute_several_series_in_one_call(p, m, n):
+    # one call shares the powers of the images among all the series; each
+    # result equals that series substituted alone and naively composed, for
+    # the empty series, a constant, the images themselves and series long
+    # enough to need wider slots than the others
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, 3, 6)
+    rng = random.Random(f"several:{p}:{m}:{n}")
+    pe = ring.p_element()
+    for _ in range(6):
+        images = [random_series(S, rng, min_degree=1) + S.constant(pe * ring.random_element(rng))
+                  for _ in range(3)]
+        if rng.random() < 0.5:
+            images[rng.randrange(3)] = S.zero()
+        fs = [random_series(S, rng), S.zero(), S.constant(ring.random_element(rng) or ring.one()),
+              random_series(S, rng, max_terms=40), *images]
+        rng.shuffle(fs)
+        got = S._packing.substitute([f.packed for f in fs], [phi.packed for phi in images])
+        assert len(got) == len(fs)
+        for f, packed in zip(fs, got):
+            assert packed == f.substitute(images).packed
+            assert series_equals_dict(TruncatedSeries(S, packed), naive_compose(f, images))
+    # every residue at p^n - 1 and every monomial present: the dense series
+    # needs its own slot width, wider than the constant's before it
+    top = ring.element([ring.pn - 1] * m)
+    monomials = [e for e in itertools.product(range(6), repeat=3) if sum(e) < 6]
+    dense = S.from_terms((e, top) for e in monomials)
+    images = [S.from_terms((e, top) for e in monomials if sum(e) >= 1)] * 3
+    fs = [S.constant(top), S.zero(), dense]
+    got = S._packing.substitute([f.packed for f in fs], [phi.packed for phi in images])
+    for f, packed in zip(fs, got):
+        assert series_equals_dict(TruncatedSeries(S, packed), naive_compose(f, images))
+    assert S._packing.substitute([], [phi.packed for phi in S.variables()]) == []
 
 
 def test_substitution_associativity_up_to_truncation():

@@ -227,7 +227,7 @@ def test_compose_matches_naive_composition_at_every_degree(p, m, n, D):
             (monomial(k), ring.random_element(rng)) for k in range(D) for _ in range(2)
         )
         g = g + S.from_terms((monomial(D - d + 1), ring.one()) for _ in range(3))
-        got = singularity._apply_step(g, step, D - d + 2)
+        [got] = singularity._apply_step([g], step, D - d + 2)
         images = [TruncatedSeries(S, u) for u in step]
         assert series_equals_dict(got, naive_compose(g, images))
     linear = S.from_terms((monomial(1), ring.random_element(rng)) for _ in range(4))
@@ -346,6 +346,124 @@ def test_degenerate_quadratic_part_at_every_entry_point(p, m, n):
             assert err.value.part == "quadratic"
         cls = classify_local_ring(f)
         assert (cls.tag, cls.detail) == ("Undetermined", "degenerate_quadratic_part")
+
+
+def _counted_inverts(monkeypatch):
+    """A list that records each `linalg.invert` call."""
+    from sll import linalg
+
+    calls = []
+    invert = linalg.invert
+
+    def counted(ring, A):
+        calls.append(ring)
+        return invert(ring, A)
+
+    monkeypatch.setattr(linalg, "invert", counted)
+    return calls
+
+
+def test_gram_inverse_is_made_once_when_the_shift_keeps_the_quadratic_part(monkeypatch):
+    # linear coefficients in (p^2) and no cubic term over W_3: the shift b
+    # lies in (p^2), so it moves the quadratic part by b^2 = 0 and strip
+    # reuses kill_linear_term's inverse
+    from .oracles import naive_normal_form
+
+    ring = ring_W(3, 1, 3)
+    S = SeriesRing(ring, 4, 8)
+    rng = random.Random("gram-reuse")
+    x = S.variables()
+    p2 = ring.p_element() ** 2
+    calls = _counted_inverts(monkeypatch)
+    for _ in range(4):
+        f = S.constant(ring.p_element()) + random_nondegenerate_quadratic(S, rng)
+        f = f + random_tail(S, rng, min_degree=4)
+        f = f + sum((xi * S.constant(p2 * ring.random_element(rng)) for xi in x), S.zero())
+        singularity._gram_inverse.cache_clear()
+        del calls[:]
+        nf = normal_form(f)
+        assert len(calls) == 1
+        b, f1 = kill_linear_term(f)
+        assert any(b) and f1.graded_part(2) == f.graded_part(2)
+        phi, a_prime, q_prime = naive_normal_form(f)
+        assert [dict(c.coeffs) for c in nf.phi] == phi and nf.a_prime == a_prime
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (2, 2, 3), (3, 2, 2)])
+def test_gram_inverse_is_made_again_when_the_shift_moves_the_quadratic_part(p, m, n, monkeypatch):
+    # dense inputs with linear coefficients in (p): the shift moves the
+    # quadratic part through the cubic terms, so strip needs a new inverse;
+    # the certificate and strip's drift check hold, and phi, a' and Q'
+    # match the oracle, which inverts the Gram matrix afresh each time
+    from .oracles import naive_normal_form
+
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, 4, 7)
+    rng = random.Random(f"gram-moved:{p}:{m}:{n}")
+    calls = _counted_inverts(monkeypatch)
+    moved = 0
+    for _ in range(6):
+        f = random_normal_form_input(S, rng, 1)
+        singularity._gram_inverse.cache_clear()
+        del calls[:]
+        nf = reduce_to_quadric(f)
+        inverts = len(calls)
+        assert nf.certificate_holds(f)
+        _, f1 = kill_linear_term(f)
+        changed = f1.graded_part(2) != f.graded_part(2)
+        moved += changed
+        assert inverts == 1 + changed
+        phi, a_prime, q_prime = naive_normal_form(f)
+        assert [dict(c.coeffs) for c in nf.phi] == phi and nf.a_prime == a_prime
+        assert dict(nf.q_prime.to_series(S).coeffs) == q_prime
+    assert moved
+
+
+def test_a_degenerate_quadratic_part_raises_on_every_call():
+    # a failed inversion is never kept: it raises again, and the inverse kept
+    # before it is still the right one afterwards
+    from .oracles import naive_mat_mul
+
+    ring = ring_W(3, 1, 2)
+    S = SeriesRing(ring, 4, 6)
+    good = standard_quadric(S) + S.variable(0) * S.variable(0)
+    want = singularity._quadratic_inverse(good)
+    G = bilinear_gram(QuadraticForm.from_series(good))
+    for quadratic in degenerate_quadratics(S):
+        for _ in range(3):
+            with pytest.raises(PreconditionError) as err:
+                singularity._quadratic_inverse(quadratic)
+            assert err.value.part == "quadratic"
+            with pytest.raises(PreconditionError):
+                kill_linear_term(S.constant(ring.p_element()) + quadratic)
+        got = singularity._quadratic_inverse(good)
+        assert got == want
+        X = [[ring.element(c) for c in row] for row in got]
+        assert naive_mat_mul(G, X) == [[ring.element(int(i == j)) for j in range(4)]
+                                       for i in range(4)]
+
+
+def test_rings_with_equal_coefficient_tuples_share_no_gram_inverse():
+    # Q = x1^2 + 2 x1 x2 + 2 x2^2 has the same packed coefficients over W_2(F_3)
+    # and W_3(F_3) (and over two series rings that differ only in their
+    # variable names); G = [[2, 2], [2, 4]] has a different inverse mod 9 and
+    # mod 27, and each call gets its own ring's
+    from .oracles import naive_mat_mul
+
+    rings = [SeriesRing(ring_W(3, 1, 2), 2, 4), SeriesRing(ring_W(3, 1, 3), 2, 4),
+             SeriesRing(ring_W(3, 1, 2), 2, 4, ("y", "z"))]
+    inverses = []
+    for S in rings * 2:
+        A = S.coeff_ring
+        x1, x2 = S.variables()
+        f = x1 * x1 + S.constant(2) * x1 * x2 + S.constant(2) * x2 * x2
+        assert sorted(f.packed.values()) == [1, 2, 2]
+        got = singularity._quadratic_inverse(f)
+        G = [[A.element(2), A.element(2)], [A.element(2), A.element(4)]]
+        X = [[A.element(c) for c in row] for row in got]
+        assert naive_mat_mul(G, X) == [[A.one(), A.zero()], [A.zero(), A.one()]]
+        inverses.append(got)
+    assert inverses[0] != inverses[1] and inverses[:3] == inverses[3:]
 
 
 def test_normal_form_exact_quadric():
