@@ -175,7 +175,7 @@ def _random_unimodular(ring, rng):
 
     while True:
         g = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
-        if linalg.rank_field(ring.field, linalg.mat_map(g, ring.residue)) == 4:
+        if linalg.rank_field(ring, g) == 4:
             return g
 
 

@@ -34,13 +34,12 @@ class HodgeFrame:
     def __init__(self, module, Y_indices, X_indices):
         if sorted([*Y_indices, *X_indices]) != [0, 1, 2, 3]:
             raise PreconditionError("frame indices must partition the basis")
-        ring = module.ring
-        fld = ring.field
-        vbar = linalg.mat_map(module.V_matrix, ring.residue)
-        if linalg.rank_field(fld, vbar) != 2:
+        ring, V = module.ring, module.V_matrix
+        if linalg.rank_field(ring, V) != 2:
             raise PreconditionError("V has the wrong mod-p rank for a Hodge frame")
-        # the image has rank 2, so e_Y span it exactly when it lies in their span
-        if any(any(vbar[r]) for r in X_indices):
+        # the image has rank 2, so e_Y span it exactly when it lies in their
+        # span: when no entry of the X rows of V is a unit
+        if any(ring.is_unit(x) for r in X_indices for x in V[r]):
             raise PreconditionError("chosen Y vectors do not span the image of V mod p")
         self.module = module
         self.Y_indices = Y_indices

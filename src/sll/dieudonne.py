@@ -69,15 +69,15 @@ class DieudonneModule:
         ) and all(not self.J[i][i] for i in range(4))
         # elementary-divisor valuations (0, 0, 1, 1): det J = unit p^2, and J mod p
         # has rank 2, the number of unit divisors; 1 < n holds from n = 2 on
-        divisors, _, _ = linalg.smith_form_local(ring, [row[:] for row in self.J])
+        divisors, _, _ = linalg.smith_form_local(ring, self.J)
         ftj = linalg.mat_mul(linalg.transpose(self.F_matrix), self.J)
         jv = linalg.mat_map(linalg.mat_mul(self.J, self.V_matrix), ring.frobenius)
         return {
-            "fv_is_p": linalg.mat_eq(fv, p_id),
-            "vf_is_p": linalg.mat_eq(vf, p_id),
+            "fv_is_p": fv == p_id,
+            "vf_is_p": vf == p_id,
             "alternating": alternating,
             "polarization_degree_p2": divisors == [0, 0, 1, 1],
-            "fv_pairing_compatible": linalg.mat_eq(ftj, jv),
+            "fv_pairing_compatible": ftj == jv,
         }
 
     def require_valid(self, what):
@@ -133,10 +133,8 @@ def make_standard(ring, case):
 
 def a_number(module):
     """dim of M / (F, V)M = 4 - rank of the mod-p columns of [F | V]."""
-    fbar = linalg.mat_map(module.F_matrix, module.ring.residue)
-    vbar = linalg.mat_map(module.V_matrix, module.ring.residue)
-    combined = [frow + vrow for frow, vrow in zip(fbar, vbar)]
-    return 4 - linalg.rank_field(module.ring.field, combined)
+    combined = [frow + vrow for frow, vrow in zip(module.F_matrix, module.V_matrix)]
+    return 4 - linalg.rank_field(module.ring, combined)
 
 
 def p_rank(module):
@@ -172,7 +170,7 @@ def dual_lattice(module):
     true dual is pinned only to precision n-1; a principal pairing keeps
     full precision and gives p * M^t = p * M."""
     ring = module.ring
-    vals, U, V = linalg.smith_form_local(ring, [row[:] for row in module.J])
+    vals, U, V = linalg.smith_form_local(ring, module.J)
     if vals not in ([0, 0, 1, 1], [0, 0, 0, 0]):
         raise PreconditionError("pairing is not of polarization degree 1 or p^2")
     # diag(p^{1-v}) U is U with row i times p^{1-v_i}; p J^{-T} has p J^{-1}'s rows as columns
@@ -245,7 +243,7 @@ def _complete_witness(module, g1, g2):
     basis = [x1, x2, y1, y2]
     gram = linalg.mat_mul(basis, linalg.mat_mul(module.J, linalg.transpose(basis)))
     expect = [[ring.from_int(x) for x in row] for row in _standard_pairing(ring.p)]
-    if not linalg.mat_eq(gram, expect):
+    if gram != expect:
         return None
     if not ring.is_unit(linalg.det(ring, basis)):
         return None
@@ -308,7 +306,7 @@ def lagrangian_witness_search(module, max_nodes=None):
     ring = module.ring
     n = ring.n
     field = ring.field
-    vals, U, _ = linalg.smith_form_local(ring, [row[:] for row in module.V_matrix])
+    vals, U, _ = linalg.smith_form_local(ring, module.V_matrix)
     if vals != [0, 0, 1, 1]:
         raise PreconditionError(f"V has elementary divisor valuations {vals}, not [0, 0, 1, 1]")
     member = linalg.mat_map(U[2:], ring.residue)

@@ -60,10 +60,6 @@ def mat_vec(A, v):
     return [packing.element(row[0]) for row in C]
 
 
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def mat_map(A, f):
     return [[f(a) for a in row] for row in A]
 
@@ -110,9 +106,11 @@ def bilinear(G, v, w, zero):
     return acc
 
 
-def rank_field(field, A):
-    """Rank of a matrix over a finite field, by row reduction."""
-    packing = _packing(field, A)
+def rank_field(ring, A):
+    """Rank of a matrix mod p, by row reduction: over F_q its rank, over
+    W_n(F_q) that of its image over the residue field, since `_rref` pivots
+    on units and a column with no unit entry is zero mod p."""
+    packing = _packing(ring, A)
     return len(_rref(packing, packing.reduced_matrix(A)))
 
 

@@ -1,11 +1,16 @@
-"""Quadratic forms over W_n(F_q) and F_q: associated bilinear form,
-non-degeneracy, and the split/non-split class of the smooth quadric a
-non-degenerate form cuts out over the residue field.
-
-Both only read the form modulo p, so they work at every p, including 2.
+"""Quadratic forms over W_n(F_q) and F_q, and the one owner of the
+quadratic form of a series: `QuadraticForm.from_series` reads its degree-2
+part (`TruncatedSeries.quadratic_coefficients`), `bilinear_gram` builds the
+Gram matrix and `gram_inverse` inverts it.  The inversion pivots on units,
+so it is the one non-degeneracy test; `is_nondegenerate`, `quadric_class`
+(the split or non-split class of the smooth quadric over the residue field)
+and the normal form of `sll.singularity` ask it.  The test and the class
+depend only on the form mod p, and both work at every p, including 2.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import linalg
 from .errors import DomainError, PreconditionError
@@ -30,13 +35,9 @@ class QuadraticForm:
     @classmethod
     def from_series(cls, f):
         """The quadratic form given by the degree-2 graded part of f."""
-        ring = f.parent
-        q2 = f.graded_part(2)
-        upper = {}
-        for e, c in q2.coeffs.items():
-            idx = [i for i, ei in enumerate(e) for _ in range(ei)]
-            upper[(idx[0], idx[1])] = c
-        return cls(ring.coeff_ring, ring.nvars, upper)
+        n = f.parent.nvars
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        return cls(f.parent.coeff_ring, n, dict(zip(pairs, f.quadratic_coefficients())))
 
     def to_series(self, series_ring):
         if series_ring.coeff_ring != self.coeff_ring or series_ring.nvars != self.nvars:
@@ -57,27 +58,43 @@ class QuadraticForm:
             and other.upper == self.upper
         )
 
+    def __hash__(self):
+        return hash((self.coeff_ring, self.nvars, frozenset(self.upper.items())))
+
     def __repr__(self):
         return f"QuadraticForm({self.nvars} vars, {len(self.upper)} terms)"
 
 
 def bilinear_gram(Q):
-    """Gram matrix of B(x,y) = Q(x+y) - Q(x) - Q(y), i.e. Qmat + Qmat^T."""
-    n = Q.nvars
-    G = linalg.zeros(Q.coeff_ring, n, n)
+    """Gram matrix of B(x,y) = Q(x+y) - Q(x) - Q(y), i.e. Qmat + Qmat^T:
+    2 q_ii on the diagonal and q_ij off it, each entry written once."""
+    G = linalg.zeros(Q.coeff_ring, Q.nvars, Q.nvars)
     for (i, j), c in Q.upper.items():
-        if i == j:
-            G[i][i] = G[i][i] + c + c
-        else:
-            G[i][j] = G[i][j] + c
-            G[j][i] = G[j][i] + c
+        G[i][j] = G[j][i] = c + c if i == j else c
     return G
+
+
+@functools.lru_cache(maxsize=1)
+def gram_inverse(Q):
+    """The inverse of the Gram matrix of Q, as rows of ring elements, or a
+    PreconditionError (part "quadratic") if Q is degenerate.  `linalg.invert`
+    pivots on units, so it is also the test that the Gram matrix mod p is
+    non-degenerate (a failure is not kept).  The last inverse is kept: the
+    normal form asks for it again when its linear shift leaves Q unchanged."""
+    try:
+        inverse = linalg.invert(Q.coeff_ring, bilinear_gram(Q))
+    except DomainError:
+        raise PreconditionError("quadratic part is degenerate", part="quadratic") from None
+    return tuple(map(tuple, inverse))
 
 
 def is_nondegenerate(Q):
     """True iff det of the Gram matrix is a unit in the coefficient ring."""
-    ring = Q.coeff_ring
-    return linalg.rank_field(ring.field, linalg.mat_map(bilinear_gram(Q), ring.residue)) == Q.nvars
+    try:
+        gram_inverse(Q)
+    except PreconditionError:
+        return False
+    return True
 
 
 def quadric_class(Q):
@@ -95,10 +112,9 @@ def quadric_class(Q):
     n = Q.nvars
     if n % 2:
         raise PreconditionError("the quadric class needs an even number of variables")
+    gram_inverse(Q)  # refuses a degenerate Q
     field, res = Q.coeff_ring.field, Q.coeff_ring.residue
     G = linalg.mat_map(bilinear_gram(Q), res)
-    if linalg.rank_field(field, G) < n:
-        raise PreconditionError("form is degenerate", part="quadratic")
     if field.p != 2:
         disc = linalg.det(field, G) * field.from_int((-1) ** (n // 2))
         return "split" if disc ** ((field.q - 1) // 2) == field.one() else "nonsplit"

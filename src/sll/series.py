@@ -13,8 +13,9 @@ makes each power of an image once for all of them.
 `_Packing` owns the keys; the coefficient half is the coefficient ring's
 `base_rings.CoeffPacking`, which `sll.linalg`'s matrix products share.
 Exponent tuples and ring elements are built only where a caller reads them
-(`coeffs`, `terms`, `constant_term`, `linear_coefficients`); terms print
-and serialize in graded-lex order.
+(`coeffs`, `terms`, `constant_term`, `linear_coefficients`,
+`quadratic_coefficients`); terms print and serialize in graded-lex order.
+Monomial keys are read only in this module.
 All values are immutable and all operations pure.
 """
 
@@ -289,6 +290,12 @@ class TruncatedSeries:
         packing = self.parent.coeff_ring.packing
         return [packing.element(self.packed.get(w, packing.zero))
                 for w in self.parent._packing.weights]
+
+    def quadratic_coefficients(self):
+        """q_ij, i <= j, row by row, with sum q_ij x_i x_j the degree-2 part."""
+        packing, weights = self.parent.coeff_ring.packing, self.parent._packing.weights
+        return [packing.element(self.packed.get(w + v, packing.zero))
+                for i, w in enumerate(weights) for v in weights[i:]]
 
     def graded_part(self, d):
         if d >= self.parent.degree:

@@ -7,18 +7,18 @@ the Gram matrix of the quadratic part.  Repeated at d = 1 until the linear
 part vanishes, the step is the Newton iteration for the shift that kills
 the linear term; applied once at each d = 3 .. D-1, it strips the higher
 terms.  f and phi stay `TruncatedSeries` throughout; the keys of their
-packed maps are read only by `series._Packing`, which splits a series at a
-degree, writes its degree-d part as sum x_i h_i, and substitutes.  A step
-is two substitutions: y = h into the linear forms -sum_k G^{-1}[j][k] y_k,
-then the step into f and every phi_j at once.  A step at degree d >= 3 is
-x -> x + u with u of order d - 1, so only the monomials of degree below
-D - d + 2 are substituted and the rest pass through; the series kernel
-visits only the products of total degree below D.
+packed maps are read only in `sll.series`, whose `_Packing` splits a
+series at a degree, writes its degree-d part as sum x_i h_i, and
+substitutes.  A step is two substitutions: y = h into the linear forms
+-sum_k G^{-1}[j][k] y_k, then the step into f and every phi_j at once.  A
+step at degree d >= 3 is x -> x + u with u of order d - 1, so only the
+monomials of degree below D - d + 2 are substituted and the rest pass
+through; the series kernel visits only the products of total degree below D.
 
-G (2 q_ii on the diagonal, q_ij off it, read off the packed coefficients)
-is inverted by one row reduction of [G | I], `linalg.invert`, which is
-also the test that the quadratic part is non-degenerate: once per normal
-form, unless the linear shift moves the quadratic part.
+Each phase reads the quadratic part Q once (`QuadraticForm.from_series`)
+and asks `quadforms.gram_inverse` for G^{-1}, which is also the test that
+Q is non-degenerate.  That module keeps the last inverse, so G is inverted
+once per normal form, unless the linear shift moves Q.
 
 The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), checked by
 one full substitution and exact up to the truncation degree, with a'
@@ -33,12 +33,9 @@ invertible.  The unit is kept in the result type as part of the contract.
 
 from __future__ import annotations
 
-import functools
-
-from . import linalg
 from .base_rings import WittRing
-from .errors import DomainError, InternalInvariantError, PreconditionError, SmoothShortCircuit
-from .quadforms import QuadraticForm
+from .errors import InternalInvariantError, PreconditionError, SmoothShortCircuit
+from .quadforms import QuadraticForm, gram_inverse
 from .series import TruncatedSeries
 
 
@@ -90,41 +87,11 @@ def _coeff_ring_of(f):
     return ring
 
 
-def _quadratic_inverse(f):
-    """The inverse of the Gram matrix of the quadratic part of f, as rows
-    of reduced coefficients, from its packed q_ij, i <= j (`_gram_inverse`)."""
-    ring = f.parent
-    weights, get, zero = ring._packing.weights, f.packed.get, ring.coeff_ring.packing.zero
-    upper = tuple(get(w + v, zero) for i, w in enumerate(weights) for v in weights[i:])
-    return [list(row) for row in _gram_inverse(ring, upper)]
-
-
-@functools.lru_cache(maxsize=1)
-def _gram_inverse(ring, upper):
-    """G^-1 for G with 2 q_ii on the diagonal and q_ij off it.  The row
-    reduction of `linalg.invert` pivots on units, so it is also the test
-    that G mod p is non-degenerate (a failure is not kept).  The last
-    inverse is kept for `strip_higher_terms` when the shift of
-    `kill_linear_term` leaves the quadratic part unchanged."""
-    A, n = ring.coeff_ring, ring.nvars
-    element, upper = A.packing.element, iter(upper)
-    gram = linalg.zeros(A, n, n)
-    for i in range(n):
-        for j in range(i, n):
-            c = element(next(upper))
-            gram[i][j] = gram[j][i] = c + c if i == j else c
-    try:
-        inverse = linalg.invert(A, gram)
-    except DomainError:
-        raise PreconditionError("quadratic part is degenerate", part="quadratic") from None
-    return tuple(map(tuple, A.packing.reduced_matrix(inverse)))
-
-
-def _step_forms(f):
-    """The linear forms -sum_k Ginv[j][k] y_k, one per j, as packed maps,
-    with Ginv the inverse Gram matrix of the quadratic part of f."""
-    neg, linear = f.parent.coeff_ring.packing.neg, f.parent._packing.linear
-    return [linear([neg(g) for g in row]) for row in _quadratic_inverse(f)]
+def _step_forms(ring, Q):
+    """The linear forms -sum_k Ginv[j][k] y_k, one per j, as packed maps of
+    the series ring, with Ginv the inverse Gram matrix of Q."""
+    packing, linear = ring.coeff_ring.packing, ring._packing.linear
+    return [linear([packing.neg(packing.reduced(g)) for g in row]) for row in gram_inverse(Q)]
 
 
 def _step(F, d, forms):
@@ -173,7 +140,7 @@ def kill_linear_term(f):
     A = _coeff_ring_of(f)
     if any(map(A.is_unit, f.linear_coefficients())):
         raise SmoothShortCircuit("unit linear coefficient")
-    forms = _step_forms(f)
+    forms = _step_forms(f.parent, QuadraticForm.from_series(f))
     if A.is_unit(f.constant_term()):
         raise PreconditionError("constant term must lie in the maximal ideal", part="constant")
 
@@ -198,9 +165,9 @@ def strip_higher_terms(f):
     _coeff_ring_of(f)
     if any(f.linear_coefficients()):
         raise PreconditionError("strip_higher_terms needs a vanishing linear part", part="linear")
-    forms = _step_forms(f)
+    ring, q_prime = f.parent, QuadraticForm.from_series(f)
+    forms = _step_forms(ring, q_prime)
 
-    ring = f.parent
     F, phi = f, ring.variables()
     quadratic = f.graded_part(2)
     for d in range(3, ring.degree):
@@ -214,7 +181,7 @@ def strip_higher_terms(f):
             raise InternalInvariantError(f"degree-{d} part survived its correction step")
     if F.graded_part(2) != quadratic:
         raise InternalInvariantError("quadratic part drifted during stripping")
-    return phi, ring.one(), QuadraticForm.from_series(quadratic)
+    return phi, ring.one(), q_prime
 
 
 def reduce_to_quadric(f):

@@ -54,6 +54,9 @@ the ring interface written once for F_q and W_n(F_q) replaced.
 `rank_checked_validate` (the polarization check with its mod-p rank test)
 and `diagonal_dual_columns` (the diagonal matrix of p^{1-v} multiplied in)
 are the longer routes that `sll.dieudonne` replaced by closed forms.
+`residue_rank_nondegenerate` (full rank of the Gram matrix mod p, built
+here from the form's coefficients) is the non-degeneracy test that the
+inverse of `quadforms.gram_inverse` replaced.
 `reduce_mod_p` maps a series over W_n(F_q) onto its residue field.
 """
 
@@ -277,6 +280,19 @@ def independent_rank(field, rows):
                 work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+def residue_rank_nondegenerate(Q):
+    """Whether the Gram matrix of the quadratic form Q, 2 q_ii on the
+    diagonal and q_ij off it, has full rank over the residue field."""
+    ring, n = Q.coeff_ring, Q.nvars
+    field = ring.field
+    gram = [[field.zero()] * n for _ in range(n)]
+    for (i, j), c in Q.upper.items():
+        c = ring.residue(c)
+        gram[i][j] = gram[i][j] + c
+        gram[j][i] = gram[j][i] + c
+    return independent_rank(field, gram) == n
 
 
 # -- row reductions on Residue entries (the slow path of sll.linalg)

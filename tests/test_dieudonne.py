@@ -575,6 +575,6 @@ def test_module_json_roundtrip():
     doc = jsonio.module_to_json(module)
     back = jsonio.module_from_json(doc)
     assert back.ring == module.ring
-    assert linalg.mat_eq(back.F_matrix, module.F_matrix)
-    assert linalg.mat_eq(back.V_matrix, module.V_matrix)
-    assert linalg.mat_eq(back.J, module.J)
+    assert back.F_matrix == module.F_matrix
+    assert back.V_matrix == module.V_matrix
+    assert back.J == module.J

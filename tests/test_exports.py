@@ -121,6 +121,18 @@ def test_ring_primitives_are_written_once():
     assert maximal_ideal == []
 
 
+def test_monomial_keys_are_read_only_in_series():
+    # `_Packing.weights` and `degree_shift` lay out the monomial keys; every
+    # other module asks `sll.series` for coefficients instead of adding keys
+    readers = []
+    for path in (SRC / "sll").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in ("weights", "degree_shift")):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert [r for r in readers if not r.startswith("series.py:")] == []
+
+
 def test_oracles_import_no_private_name_from_sll():
     # an oracle that imports the private helpers it checks shares their faults;
     # also refused: a private attribute read off an imported sll module

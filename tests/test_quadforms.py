@@ -6,10 +6,13 @@ from sll.base_rings import FiniteField, WittRing
 from sll.deformation import classify_point, standard_frame
 from sll.dieudonne import make_standard
 from sll.errors import PreconditionError
-from sll.quadforms import QuadraticForm, bilinear_gram, is_nondegenerate, quadric_class
+from sll import linalg
+from sll.quadforms import (QuadraticForm, bilinear_gram, gram_inverse, is_nondegenerate,
+                           quadric_class)
 from sll.series import SeriesRing
 
-from .oracles import TableField, projective_quadric_points
+from .oracles import (TableField, naive_mat_mul, projective_quadric_points,
+                      residue_rank_nondegenerate)
 
 QS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -195,3 +198,82 @@ def test_quadric_class_refuses_degenerate_and_odd_nvars():
             quadric_class(QuadraticForm(ring, 4, {(0, 1): one, (2, 2): one}))
         with pytest.raises(PreconditionError):
             quadric_class(QuadraticForm(ring, 3, {(0, 0): one, (1, 2): one}))
+
+
+def test_equal_forms_hash_equal():
+    ring = ring_W(3, 2, 2)
+    S = SeriesRing(ring, 3, 4)
+    rng = random.Random(21)
+    for _ in range(10):
+        Q = random_nondegenerate_form(ring, 3, rng)
+        reordered = QuadraticForm(ring, 3, dict(reversed(list(Q.upper.items()))))
+        for other in (reordered, QuadraticForm.from_series(Q.to_series(S))):
+            assert other == Q and hash(other) == hash(Q)
+
+
+def test_forms_over_two_precisions_share_no_inverse():
+    # x1^2 + 2 x1 x2 + 2 x2^2 has the same coefficient tuples over W_2(F_3)
+    # and W_3(F_3); G = [[2, 2], [2, 4]] has a different inverse mod 9 and
+    # mod 27, and each form gets its own ring's
+    forms = [QuadraticForm(ring_W(3, 1, n), 2, {(0, 0): 1, (0, 1): 2, (1, 1): 2}) for n in (2, 3)]
+    tuples = [[c.coeffs for c in Q.upper.values()] for Q in forms]
+    assert tuples[0] == tuples[1]
+    assert forms[0] != forms[1]
+    gram_inverse.cache_clear()
+    inverses = [gram_inverse(Q) for Q in forms * 2]
+    for Q, inverse in zip(forms * 2, inverses):
+        X = [list(row) for row in inverse]
+        assert naive_mat_mul(bilinear_gram(Q), X) == linalg.identity(Q.coeff_ring, 2)
+    coeffs = [[[c.coeffs for c in row] for row in inverse] for inverse in inverses]
+    assert coeffs[0] != coeffs[1] and coeffs[:2] == coeffs[2:]
+
+
+# n = 0: the field F_q itself
+NONDEGENERACY_RINGS = [(2, 1, 0), (3, 1, 0), (2, 2, 0), (5, 1, 0), (3, 2, 0),
+                       (2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 1, 3)]
+
+
+@pytest.mark.parametrize("p,m,n", NONDEGENERACY_RINGS)
+def test_nondegeneracy_matches_the_residue_rank(p, m, n):
+    # is_nondegenerate, and the refusal of quadric_class, against the rank
+    # of the Gram matrix mod p, on forms whose coefficients lie in random
+    # powers of p; at p = 2 a form in an odd number of variables is
+    # degenerate (an alternating form mod 2 has even rank)
+    ring = FiniteField(p, m) if n == 0 else ring_W(p, m, n)
+    rng = random.Random(f"nondegenerate:{p}:{m}:{n}")
+    top = max(n, 1) + 1  # a coefficient lies in (p^k), k < top; p^n is zero
+    verdicts = set()
+    for nvars in (1, 2, 3, 4):
+        for _ in range(12):
+            upper = {(i, j): ring.random_element(rng) * ring.from_int(p ** rng.randrange(top))
+                     for i in range(nvars) for j in range(i, nvars) if rng.random() < 0.7}
+            Q = QuadraticForm(ring, nvars, upper)
+            want = residue_rank_nondegenerate(Q)
+            assert is_nondegenerate(Q) == want
+            assert not (want and p == 2 and nvars % 2)
+            verdicts.add(want)
+            if nvars % 2:
+                continue
+            if want:
+                assert quadric_class(Q) in ("split", "nonsplit")
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    quadric_class(Q)
+                assert err.value.part == "quadratic"
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_degenerate_mod_p_but_not_mod_p2(p):
+    # x1 x2 + p x3 x4 over W_3(F_p): det G = p^2 times a unit, nonzero in
+    # the ring, but G has rank 2 mod p
+    ring = ring_W(p, 1, 3)
+    one = ring.one()
+    Q = QuadraticForm(ring, 4, {(0, 1): one, (2, 3): ring.p_element()})
+    assert ring.valuation(linalg.det(ring, bilinear_gram(Q))) == 2
+    assert not residue_rank_nondegenerate(Q) and not is_nondegenerate(Q)
+    with pytest.raises(PreconditionError) as err:
+        gram_inverse(Q)
+    assert err.value.part == "quadratic"
+    with pytest.raises(PreconditionError):
+        quadric_class(Q)

@@ -361,6 +361,37 @@ def test_linear_coefficients_order():
     assert lin[2] == S.coeff_ring.one()
 
 
+@pytest.mark.parametrize("p,m,n", [(3, 1, 2), (2, 2, 3), (3, 2, 2), (5, 3, 1), (2, 8, 32)],
+                         ids=["W2(F3)", "W3(F4)", "W2(F9)", "W1(F125)", "W32(F256)"])
+@pytest.mark.parametrize("nvars", [1, 2, 4, 8])
+def test_quadratic_coefficients_match_the_graded_part(p, m, n, nvars):
+    # q_ij for i <= j, row by row, against the exponent map of the degree-2
+    # part, with zero q_ij among them; at D = 3 degree 2 is the top degree
+    ring = ring_W(p, m, n)
+    rng = random.Random(f"quadratic:{p}:{m}:{n}:{nvars}")
+    pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
+
+    def exponents(i, j):
+        e = [0] * nvars
+        e[i] += 1
+        e[j] += 1
+        return tuple(e)
+
+    seen = set()
+    for D in (3, 6):
+        S = SeriesRing(ring, nvars, D)
+        assert S.zero().quadratic_coefficients() == [ring.zero()] * len(pairs)
+        for _ in range(4):
+            quadratic = S.from_terms((exponents(i, j), ring.random_element(rng))
+                                     for i, j in pairs if rng.random() < 0.6)
+            f = random_series(S, rng) + quadratic
+            want = f.graded_part(2).coeffs
+            got = f.quadratic_coefficients()
+            assert got == [want.get(exponents(i, j), ring.zero()) for i, j in pairs]
+            seen |= {bool(c) for c in got}
+    assert seen == {True, False}
+
+
 def test_text_rendering():
     ring = ring_W(2, 1, 3)
     S = SeriesRing(ring, 4, 4, ("t11", "t12", "t21", "t22"))

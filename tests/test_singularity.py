@@ -7,7 +7,7 @@ from sll.base_rings import FiniteField, WittRing, field_for_q
 from sll.deformation import deformation_equation, standard_frame
 from sll.dieudonne import make_standard
 from sll.errors import InternalInvariantError, PreconditionError, SmoothShortCircuit
-from sll.quadforms import QuadraticForm, bilinear_gram, is_nondegenerate
+from sll.quadforms import QuadraticForm, bilinear_gram, gram_inverse, is_nondegenerate
 from sll.series import SeriesRing, TruncatedSeries
 from sll.singularity import (
     classify_local_ring,
@@ -23,6 +23,13 @@ from .oracles import digit_congruent
 
 def ring_W(p, m, n):
     return WittRing(FiniteField(p, m), n)
+
+
+def _quadratic_inverse(f):
+    """The inverse Gram matrix of the quadratic part of f, as the normal
+    form gets it, in rows of reduced coefficients."""
+    reduced = f.parent.coeff_ring.packing.reduced
+    return [[reduced(c) for c in row] for row in gram_inverse(QuadraticForm.from_series(f))]
 
 
 def standard_quadric(S):
@@ -209,7 +216,7 @@ def test_compose_matches_naive_composition_at_every_degree(p, m, n, D):
         return tuple(e)
 
     quadratic = random_nondegenerate_quadratic(S, rng)
-    forms = singularity._step_forms(quadratic)
+    forms = singularity._step_forms(S, QuadraticForm.from_series(quadratic))
     ginv = _gram_inverse(ring, dict_of(quadratic))
     variables = [dict_of(x) for x in S.variables()]
 
@@ -312,7 +319,7 @@ def test_gram_inverse_matches_residue_inverse(p, m, n):
         for _ in range(4):
             Q = unit_gram_quadratic(S, rng)
             G = bilinear_gram(Q)
-            got = singularity._quadratic_inverse(Q.to_series(S))
+            got = _quadratic_inverse(Q.to_series(S))
             want = loop_invert(ring, G)
             assert got == [[ring.packing.reduced(c) for c in row] for row in want]
             X = [[ring.element(c) for c in row] for row in got]
@@ -379,7 +386,7 @@ def test_gram_inverse_is_made_once_when_the_shift_keeps_the_quadratic_part(monke
         f = S.constant(ring.p_element()) + random_nondegenerate_quadratic(S, rng)
         f = f + random_tail(S, rng, min_degree=4)
         f = f + sum((xi * S.constant(p2 * ring.random_element(rng)) for xi in x), S.zero())
-        singularity._gram_inverse.cache_clear()
+        gram_inverse.cache_clear()
         del calls[:]
         nf = normal_form(f)
         assert len(calls) == 1
@@ -404,7 +411,7 @@ def test_gram_inverse_is_made_again_when_the_shift_moves_the_quadratic_part(p, m
     moved = 0
     for _ in range(6):
         f = random_normal_form_input(S, rng, 1)
-        singularity._gram_inverse.cache_clear()
+        gram_inverse.cache_clear()
         del calls[:]
         nf = reduce_to_quadric(f)
         inverts = len(calls)
@@ -427,16 +434,16 @@ def test_a_degenerate_quadratic_part_raises_on_every_call():
     ring = ring_W(3, 1, 2)
     S = SeriesRing(ring, 4, 6)
     good = standard_quadric(S) + S.variable(0) * S.variable(0)
-    want = singularity._quadratic_inverse(good)
+    want = _quadratic_inverse(good)
     G = bilinear_gram(QuadraticForm.from_series(good))
     for quadratic in degenerate_quadratics(S):
         for _ in range(3):
             with pytest.raises(PreconditionError) as err:
-                singularity._quadratic_inverse(quadratic)
+                _quadratic_inverse(quadratic)
             assert err.value.part == "quadratic"
             with pytest.raises(PreconditionError):
                 kill_linear_term(S.constant(ring.p_element()) + quadratic)
-        got = singularity._quadratic_inverse(good)
+        got = _quadratic_inverse(good)
         assert got == want
         X = [[ring.element(c) for c in row] for row in got]
         assert naive_mat_mul(G, X) == [[ring.element(int(i == j)) for j in range(4)]
@@ -458,7 +465,7 @@ def test_rings_with_equal_coefficient_tuples_share_no_gram_inverse():
         x1, x2 = S.variables()
         f = x1 * x1 + S.constant(2) * x1 * x2 + S.constant(2) * x2 * x2
         assert sorted(f.packed.values()) == [1, 2, 2]
-        got = singularity._quadratic_inverse(f)
+        got = _quadratic_inverse(f)
         G = [[A.element(2), A.element(2)], [A.element(2), A.element(4)]]
         X = [[A.element(c) for c in row] for row in got]
         assert naive_mat_mul(G, X) == [[A.one(), A.zero()], [A.zero(), A.one()]]
