@@ -16,17 +16,15 @@ Conventions (fixed throughout the package):
 The dual lattice is represented integrally as p*M^t to avoid fractional
 entries; every containment test runs at precision n-1, one digit below
 full precision, which is why the module constructor demands n >= 2.
+The Lagrangian witness question is decided in closed form from the Hodge
+point VM/pM and the radical of the pairing mod p.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from . import linalg
 from .base_rings import STANDARD_CASES, WittRing
 from .errors import DomainError, PreconditionError, ValidationError
-
-X1, X2, Y1, Y2 = 0, 1, 2, 3
 
 
 def _standard_pairing(p):
@@ -52,9 +50,6 @@ class DieudonneModule:
 
     def pair(self, x, y):
         return linalg.bilinear(self.J, x, y, self.ring.zero())
-
-    def basis_vector(self, i):
-        return [self.ring.one() if j == i else self.ring.zero() for j in range(4)]
 
     # -- validation ---------------------------------------------------------
 
@@ -212,7 +207,8 @@ class LagrangianWitness:
 
 
 class LagrangianSearchResult:
-    """A search's verdict, its witness if found, and the nodes it visited."""
+    """A verdict, its witness if found, and `nodes`, which the closed form
+    leaves at 0 and the benchmark reads."""
 
     def __init__(self, found, witness=None, precision=0, nodes=0, message=""):
         self.found = found
@@ -220,9 +216,6 @@ class LagrangianSearchResult:
         self.precision = precision
         self.nodes = nodes
         self.message = message
-
-    def __eq__(self, other):
-        return isinstance(other, LagrangianSearchResult) and vars(self) == vars(other)
 
 
 def _complete_witness(module, g1, g2):
@@ -250,139 +243,52 @@ def _complete_witness(module, g1, g2):
     return LagrangianWitness(y1, y2, x1, x2)
 
 
-def _solutions(field, rows, nvars):
-    """The x in F_q^nvars with sum_j c_j x_j + c = 0 for every row
-    (c_1, ..., c_nvars, c), in lexicographic order of the entries'
-    coefficient tuples (the order of FiniteField.elements).
-
-    Row reduction of the reversed columns writes each pivot unknown through
-    the free unknowns to its left, so two solutions first differ at a free
-    unknown, and running the free unknowns' coefficients through
-    itertools.product visits the solutions in lexicographic order."""
-    reduced, pivots = linalg.rref_field(
-        field, [row[nvars - 1::-1] + [-row[nvars]] for row in rows])
-    if nvars in pivots:
-        return
-    bound = {nvars - 1 - col: row for row, col in zip(reduced, pivots)}
-    free = [j for j in range(nvars) if j not in bound]
-    m = field.m
-    for flat in itertools.product(range(field.p), repeat=m * len(free)):
-        x = {f: field.element(flat[m * i:m * i + m]) for i, f in enumerate(free)}
-        for j, row in bound.items():
-            acc = row[nvars]
-            for f in free:
-                if row[nvars - 1 - f]:
-                    acc = acc - row[nvars - 1 - f] * x[f]
-            x[j] = acc
-        yield [x[j] for j in range(nvars)]
-
-
-def lagrangian_witness_search(module, max_nodes=None):
-    """Digit-by-digit backtracking search for a rank-2 direct summand
-    L <= VM, isotropic at full precision, completable to the standard
-    pairing shape.  A found witness is a proof; exhaustion is evidence
-    only, since finite precision cannot certify non-liftability.
+def lagrangian_witness_search(module):
+    """A rank-2 direct summand L <= VM, isotropic at full precision and
+    completable to the standard pairing shape, or a proof that none exists
+    at any precision: the verdict is read off the Hodge point VM/pM.
 
     On a valid module V has elementary divisors (1, 1, p, p): pM = VFM
     lies in VM, and FV = p with v(det F) = v(det V) (F^T J = sigma(J V))
-    gives v(det V) = 2.  The search refuses other Smith divisors of V, so
-    x lies in VM iff rows 2 and 3 of U x vanish mod p, U from that Smith
-    form, and adding p^k [delta] with k >= 1 never leaves VM.
+    gives v(det V) = 2, so VM/pM is a plane in M/pM.  Other Smith divisors
+    of V are refused.
 
-    The generators g1, g2 carry 1 at two pivot positions and Teichmuller
-    digits at the other two, the free slots.  At the first digit delta1 runs
-    over the solutions of g1's membership equations mod p, and delta2 is
-    solved for with delta1 fixed, with isotropy mod p.  A node at level
-    k + 1 >= 2 adds p^k [delta] at the four free slots and needs only
-    isotropy mod p^{k+1}, one F_q-linear equation in delta, as
-    p^{2k} <delta1, delta2> vanishes mod p^{k+1}.  Solutions are visited in
-    lexicographic digit order, so the search meets the witness that trying
-    all q^4 digit choices per level meets first.
-
-    `nodes` counts the nodes visited.  With `max_nodes` the search visits
-    at most that many, and a search cut short says so in its message."""
-    if max_nodes is not None and max_nodes < 0:
-        raise ValidationError("max_nodes must be >= 0")
+    If J V = 0 mod p, VM/pM is R, the radical of the pairing mod p: every
+    y in VM has <x, y> in pW for all x, while the standard shape needs
+    <X1, Y1> = 1.  Otherwise g1, the first column of V with J g1 nonzero
+    mod p, has <g1, e_z> a unit for some first basis index z, and g2 is the
+    first column of V independent of g1 mod p.  Then
+    l2 = g2 - <g1, g2> <g1, e_z>^{-1} e_z has <g1, l2> = 0 exactly; VM/pM
+    is isotropic mod p, so the correction lies in pM and l2 in VM.
+    `_complete_witness` completes (g1, l2), and its Gram and determinant
+    checks certify the witness.  A module on which a step fails (no such z,
+    <g1, g2> a unit, or no completion) fails `validate()` and is refused."""
     ring = module.ring
     n = ring.n
-    field = ring.field
-    vals, U, _ = linalg.smith_form_local(ring, module.V_matrix)
+    vals, _, _ = linalg.smith_form_local(ring, module.V_matrix)
     if vals != [0, 0, 1, 1]:
         raise PreconditionError(f"V has elementary divisor valuations {vals}, not [0, 0, 1, 1]")
-    member = linalg.mat_map(U[2:], ring.residue)
-    Jbar = linalg.mat_map(module.J, ring.residue)
-    JbarT = linalg.transpose(Jbar)
-    nodes = 0
-    cut = False
-
-    for pivots in itertools.combinations(range(4), 2):
-        free = [j for j in range(4) if j not in pivots]
-
-        def children(k, g1, g2):
-            if k:
-                # digit k of <g1, g2>, plus <delta1, g2> + <g1, delta2>
-                right = linalg.mat_vec(Jbar, [ring.residue(x) for x in g2])
-                left = linalg.mat_vec(JbarT, [ring.residue(x) for x in g1])
-                isotropy = [right[free[0]], right[free[1]], left[free[0]], left[free[1]],
-                            ring.residue(ring.divide_exact_p(module.pair(g1, g2), k))]
-                yield from _solutions(field, [isotropy], 4)
-                return
-            # g_s = e_pivot_s + delta_s mod p lies in VM iff member g_s = 0
-            rows1, rows2 = ([[row[free[0]], row[free[1]], row[pivots[s]]] for row in member]
-                            for s in (0, 1))
-            checked = False
-            for d1 in _solutions(field, rows1, 2):
-                h1 = [ring.residue(x) for x in g1]
-                h1[free[0]], h1[free[1]] = d1
-                left = linalg.mat_vec(JbarT, h1)
-                isotropy = [left[free[0]], left[free[1]], left[pivots[1]]]
-                stuck = True
-                for d2 in _solutions(field, rows2 + [isotropy], 2):
-                    stuck = False
-                    yield d1 + d2
-                # no delta1 has a delta2 if g2's membership rows alone have none
-                if stuck and not checked:
-                    if next(_solutions(field, rows2, 2), None) is None:
-                        return
-                    checked = True
-
-        def dfs(level, g1, g2):
-            nonlocal nodes, cut
-            if level == n:
-                if ring.valuation(module.pair(g1, g2)) < n:
-                    return None
-                return _complete_witness(module, g1, g2)
-            pk = ring.from_int(ring.p ** level)
-            for delta in children(level, g1, g2):
-                if max_nodes is not None and nodes >= max_nodes:
-                    cut = True
-                    return None
-                nodes += 1
-                h1, h2 = g1[:], g2[:]
-                for s, d in enumerate(delta):
-                    if d:
-                        vec, pos = (h1, h2)[s // 2], free[s % 2]
-                        vec[pos] = vec[pos] + ring.teichmuller(d) * pk
-                got = dfs(level + 1, h1, h2)
-                if got is not None or cut:
-                    return got
-            return None
-
-        witness = dfs(0, module.basis_vector(pivots[0]), module.basis_vector(pivots[1]))
-        if witness is not None:
-            return LagrangianSearchResult(
-                True, witness, n, nodes, "witness found (proof of the pairing shape)"
-            )
-        if cut:
-            return LagrangianSearchResult(
-                False, None, n, nodes,
-                f"node budget of {max_nodes} spent before the search at precision {n} "
-                "finished; a search cut short is not evidence",
-            )
-    return LagrangianSearchResult(
-        False, None, n, nodes,
-        f"no witness at precision {n}; exhaustion is evidence, not a proof",
-    )
+    columns = linalg.transpose(module.V_matrix)
+    images = linalg.transpose(linalg.mat_mul(module.J, module.V_matrix))
+    g1 = next((g for g, image in zip(columns, images) if any(map(ring.residue, image))), None)
+    if g1 is None:
+        return LagrangianSearchResult(
+            False, None, n,
+            message="no witness at any precision: VM/pM is the radical of the pairing mod p",
+        )
+    g2 = next(g for g in columns if linalg.rank_field(ring, [g1, g]) == 2)
+    # entry j is <g1, e_j>
+    pairings = linalg.mat_vec(linalg.transpose(module.J), g1)
+    z = next((j for j, x in enumerate(pairings) if ring.is_unit(x)), None)
+    c = module.pair(g1, g2)
+    if z is None or ring.residue(c):
+        raise PreconditionError("mod p the pairing on VM is not alternating or VM/pM not isotropic")
+    l2 = list(g2)
+    l2[z] = l2[z] - c * ring.invert(pairings[z])
+    witness = _complete_witness(module, g1, l2)
+    if witness is None:
+        raise PreconditionError("the isotropic pair in VM does not complete to the standard shape")
+    return LagrangianSearchResult(True, witness, n, message="witness found (proof of the pairing shape)")
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,19 @@ rank tests) are the references for the fiber and tangent dimensions that
 `sll.local_model` reads off the Schubert-divisor description; they share
 `IsotropicPlane` with it, but not its generator, and pair vectors with
 `matrix_pairing`, v^T J w over this file's own copy of the pairing matrix,
-not with `local_model.pairing_value`.  The brute-force witness search
-takes its Smith data from `loop_smith_form` and shares neither the linear
-solver of `sll.dieudonne` nor its membership test or witness completion:
-it tests VM membership with `loop_in_vm_mod` (one `linalg.mat_vec` per
-generator, valuations by `loop_valuation`, at every level and to
-precision min(v_i, k), so it does not assume the divisors (1, 1, p, p)
-of V that the search certifies and uses) and completes a witness with
-`pairwise_complete_witness` (the basis and its Gram matrix built pair by
-pair), the per-vector routes that the whole-matrix products of
-`sll.dieudonne` replaced.  `per_column_kernel_type` applies F and V to the
+not with `local_model.pairing_value`.  The brute-force witness search,
+the digit-by-digit search that the closed form of `sll.dieudonne`
+replaced, takes its Smith data from `loop_smith_form` and shares neither
+that closed form nor its witness completion: it tests VM membership with
+`loop_in_vm_mod` (one `linalg.mat_vec` per generator, valuations by
+`loop_valuation`, at every level and to precision min(v_i, k), so it does
+not assume the divisors (1, 1, p, p) of V that the closed form certifies
+and uses) and completes a witness with `pairwise_complete_witness` (the
+basis and its Gram matrix built pair by pair), the per-vector routes that
+the whole-matrix products of `sll.dieudonne` replaced.  Its exhaustion
+is evidence, not proof.  `hodge_point_in_radical` (J V by
+`naive_mat_mul`, valuations by `loop_valuation`) is the reference for
+the closed form's proof that no witness exists.  `per_column_kernel_type` applies F and V to the
 dual-lattice columns one at a time, the route `kernel_type` replaced.
 `digit_congruent` compares leading Teichmuller digits, the route that the
 valuation test for a' = a mod p^k in `singularity.normal_form` replaced.
@@ -852,6 +855,14 @@ def loop_in_vm_mod(ring, vals, U, vec, k):
     (U vec)_i = 0 mod p^{min(v_i, k)} for every i."""
     coords = linalg.mat_vec(U, vec)
     return all(loop_valuation(ring, c) >= min(v, k) for v, c in zip(vals, coords))
+
+
+def hodge_point_in_radical(module):
+    """VM/pM lies in R, the radical of the pairing mod p: every pairing
+    <e_i, V e_j>, an entry of J V by `naive_mat_mul`, lies in pW."""
+    ring = module.ring
+    return all(loop_valuation(ring, x) >= 1
+               for row in naive_mat_mul(module.J, module.V_matrix) for x in row)
 
 
 def pairwise_complete_witness(module, g1, g2):
