@@ -450,17 +450,19 @@ class _CoeffRing:
         return x
 
     def element(self, x):
-        """The element given by an int, by an element of this ring, or by a
-        list of exactly m coefficients."""
-        m = len(self.lifted_modulus) - 1
-        if isinstance(x, int):
-            return self._element(self, (x % self.pn,) + (0,) * (m - 1))
+        """The element given by an element of this ring, by an int, or by a
+        list or tuple of exactly m ints; anything else, a bool or a float
+        too, is a ValidationError."""
         if isinstance(x, Residue):
             return self._own(x)
-        coeffs = tuple(int(c) % self.pn for c in x)
-        if len(coeffs) != m:
-            raise ValidationError("coefficient vector has wrong length")
-        return self._element(self, coeffs)
+        m, pn = len(self.lifted_modulus) - 1, self.pn
+        if type(x) is int:
+            return self._element(self, (x % pn,) + (0,) * (m - 1))
+        if type(x) in (list, tuple) and len(x) == m:
+            coeffs = tuple([c % pn for c in x if type(c) is int])
+            if len(coeffs) == m:
+                return self._element(self, coeffs)
+        raise ValidationError(f"not an int or a list of {m} ints: {x!r}")
 
     from_int = element
 

@@ -9,9 +9,10 @@ Conventions (fixed throughout the package):
     the clean identity F_matrix . sigma(V_matrix) = p . Id;
   * the pairing is <x, y> = x^T J y with J alternating of determinant
     unit * p^2 (elementary divisors 1, 1, p, p);
-  * the p-rank is computed as the stable rank of F mod p (etale summands
-    contribute bijective F-bar, multiplicative and local-local summands
-    nilpotent F-bar), validated against the standard fixtures.
+  * the p-rank is the stable rank of F mod p (etale summands contribute
+    bijective F-bar, multiplicative and local-local summands nilpotent
+    F-bar), taken over W_n(F_q), as reduction mod p commutes with sigma
+    and with products; validated against the standard fixtures.
 
 The dual lattice is represented integrally as p*M^t to avoid fractional
 entries; every containment test runs at precision n-1, one digit below
@@ -133,14 +134,14 @@ def a_number(module):
 
 
 def p_rank(module):
-    """Dimension of the stable image of F-bar, that of F-bar^4: with A = F mod p,
-    F-bar^4 = A sigma(A) sigma^2(A) sigma^3(A) sigma^4, and sigma is bijective."""
-    fld = module.ring.field
-    power = step = linalg.mat_map(module.F_matrix, module.ring.residue)
+    """Dimension of the stable image of F-bar, that of F-bar^4: the rank mod p of
+    F sigma(F) sigma^2(F) sigma^3(F) (sigma^4 is bijective), over W_n(F_q)."""
+    ring = module.ring
+    power = step = module.F_matrix
     for _ in range(3):
-        step = linalg.mat_map(step, fld.frobenius)
+        step = linalg.mat_map(step, ring.frobenius)
         power = linalg.mat_mul(power, step)
-    return linalg.rank_field(fld, power)
+    return linalg.rank_field(ring, power)
 
 
 class DualLattice:
@@ -150,9 +151,6 @@ class DualLattice:
     def __init__(self, basis_columns, precision):
         self.basis_columns = basis_columns
         self.precision = precision
-
-    def columns(self):
-        return self.basis_columns
 
 
 def dual_lattice(module):
@@ -182,12 +180,12 @@ def kernel_type(module):
     if a_number(module) != 2:
         return "NotSuperspecial"
     # B has the basis vectors of p M^t as columns; F(B) = F sigma(B), V(B) = V sigma^-1(B)
-    B = linalg.transpose(dual_lattice(module).columns())
+    B = linalg.transpose(dual_lattice(module).basis_columns)
     ring = module.ring
     images = (linalg.mat_mul(module.F_matrix, linalg.mat_map(B, ring.frobenius)),
               linalg.mat_mul(module.V_matrix, linalg.mat_map(B, ring.frobenius_inv)))
-    # precision n-1 >= 1, so residues of the entries are trusted
-    if any(ring.residue(x) for image in images for row in image for x in row):
+    # precision n-1 >= 1 trusts the first digit: an entry is not in pW iff it is a unit
+    if any(ring.is_unit(x) for image in images for row in image for x in row):
         return "NonAlphaSquare"
     return "AlphaSquare"
 
@@ -219,8 +217,8 @@ class LagrangianSearchResult:
 
 
 def _complete_witness(module, g1, g2):
-    """Try to complete an isotropic direct-summand pair to a basis with
-    the standard pairing shape `_standard_pairing`."""
+    """Complete an isotropic direct-summand pair to a basis with the standard
+    pairing shape `_standard_pairing`, certified by its Gram matrix and full rank mod p."""
     ring = module.ring
     G = linalg.transpose([g1, g2])
     # row j of J G is (<e_j, g1>, <e_j, g2>)
@@ -236,9 +234,7 @@ def _complete_witness(module, g1, g2):
     basis = [x1, x2, y1, y2]
     gram = linalg.mat_mul(basis, linalg.mat_mul(module.J, linalg.transpose(basis)))
     expect = [[ring.from_int(x) for x in row] for row in _standard_pairing(ring.p)]
-    if gram != expect:
-        return None
-    if not ring.is_unit(linalg.det(ring, basis)):
+    if gram != expect or linalg.rank_field(ring, basis) != 4:
         return None
     return LagrangianWitness(y1, y2, x1, x2)
 
@@ -260,8 +256,8 @@ def lagrangian_witness_search(module):
     first column of V independent of g1 mod p.  Then
     l2 = g2 - <g1, g2> <g1, e_z>^{-1} e_z has <g1, l2> = 0 exactly; VM/pM
     is isotropic mod p, so the correction lies in pM and l2 in VM.
-    `_complete_witness` completes (g1, l2), and its Gram and determinant
-    checks certify the witness.  A module on which a step fails (no such z,
+    `_complete_witness` completes (g1, l2), and its Gram check and full
+    rank mod p certify the witness.  A module on which a step fails (no such z,
     <g1, g2> a unit, or no completion) fails `validate()` and is refused."""
     ring = module.ring
     n = ring.n
@@ -270,7 +266,7 @@ def lagrangian_witness_search(module):
         raise PreconditionError(f"V has elementary divisor valuations {vals}, not [0, 0, 1, 1]")
     columns = linalg.transpose(module.V_matrix)
     images = linalg.transpose(linalg.mat_mul(module.J, module.V_matrix))
-    g1 = next((g for g, image in zip(columns, images) if any(map(ring.residue, image))), None)
+    g1 = next((g for g, image in zip(columns, images) if any(map(ring.is_unit, image))), None)
     if g1 is None:
         return LagrangianSearchResult(
             False, None, n,
@@ -281,7 +277,7 @@ def lagrangian_witness_search(module):
     pairings = linalg.mat_vec(linalg.transpose(module.J), g1)
     z = next((j for j, x in enumerate(pairings) if ring.is_unit(x)), None)
     c = module.pair(g1, g2)
-    if z is None or ring.residue(c):
+    if z is None or ring.is_unit(c):
         raise PreconditionError("mod p the pairing on VM is not alternating or VM/pM not isotropic")
     l2 = list(g2)
     l2[z] = l2[z] - c * ring.invert(pairings[z])
@@ -298,7 +294,7 @@ def lagrangian_witness_search(module):
 def base_change(module, g):
     """The module in the new basis given by an invertible matrix g:
     F -> g^{-1} F sigma(g), V -> g^{-1} V sigma^{-1}(g), J -> g^T J g,
-    all on reduced coefficients (`base_rings.CoeffPacking`)."""
+    on reduced coefficients (`base_rings.CoeffPacking`) that the constructor reads."""
     ring = module.ring
     packing = ring.packing
     mul, sigma = packing.mat_mul, packing.frobenius
@@ -308,4 +304,4 @@ def base_change(module, g):
     F = mul(ginv, mul(F, sigma(g)))
     V = mul(ginv, mul(V, sigma(g, inverse=True)))
     J = mul(linalg.transpose(g), mul(J, g))
-    return DieudonneModule(ring, *map(packing.element_matrix, (F, V, J)))
+    return DieudonneModule(ring, F, V, J)

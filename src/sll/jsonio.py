@@ -211,7 +211,7 @@ def module_from_json(doc):
 
 
 def dual_lattice_to_json(dual):
-    return {"precision": dual.precision, "p_dual_basis_columns": vectors_to_json(dual.columns())}
+    return {"precision": dual.precision, "p_dual_basis_columns": vectors_to_json(dual.basis_columns)}
 
 
 def search_to_json(result):

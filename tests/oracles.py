@@ -833,7 +833,7 @@ def per_column_kernel_type(module):
     if a_number(module) != 2:
         return "NotSuperspecial"
     ring = module.ring
-    for col in dual_lattice(module).columns():
+    for col in dual_lattice(module).basis_columns:
         for matrix, twist in ((module.F_matrix, ring.frobenius),
                               (module.V_matrix, ring.frobenius_inv)):
             image = linalg.mat_vec(matrix, [twist(x) for x in col])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -288,6 +289,19 @@ def test_invalid_inputs_rejected():
     assert WittRing(FiniteField(2), 256).n == 256
     assert is_irreducible((1, 1, 1), 2)
     assert not is_irreducible((1, 0, 1), 2)  # x^2 + 1 = (x+1)^2 over F_2
+
+
+def test_element_refuses_what_is_no_int_or_list_of_ints():
+    # a float is not truncated, a string not split into coefficients and a
+    # bool not read as 0 or 1: each is a ValidationError naming the value
+    for ring in (W(3, 2, 3), FiniteField(3, 2)):
+        for bad in ([1.5, 2], "12", 1.5, True, [True, 0], (1, None), None, {1: 2}):
+            with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+                ring.element(bad)
+        assert ring.element([1, 2]) == ring.element((1, 2)) == ring.element([1 + ring.pn, 2])
+        assert ring.element(5) == ring.element([5, 0])
+        one = ring.one()
+        assert ring.element(one) is one
 
 
 def test_unit_inversion_and_nonunit_rejection():

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -128,6 +129,51 @@ def test_dieudonne_validate_with_spot_checks(capsys):
     assert code == 0
     assert doc["valid"] is True
     assert doc["spot_checks"] == {"runs": 3, "invariant_stable": True}
+
+
+def test_spot_checks_row_reduce_each_draw_once(capsys, monkeypatch):
+    # the draws that base_change accepts are those the rank filter over the
+    # residue field keeps, and every draw, kept or refused, is row-reduced
+    # exactly once: by base_change's inverse
+    from sll import dieudonne, linalg
+    from sll.base_rings import field_for_q
+
+    from .oracles import independent_rank
+
+    real_change, real_rref = dieudonne.base_change, linalg._rref
+    passed, reduced = [], []
+
+    def change(module, g):
+        other = real_change(module, g)
+        passed.append(g)
+        return other
+
+    def rref(packing, work):
+        reduced.append([row[:4] for row in work])
+        return real_rref(packing, work)
+
+    monkeypatch.setattr(dieudonne, "base_change", change)
+    monkeypatch.setattr(linalg, "_rref", rref)
+    for q in (2, 4, 9):
+        ring = WittRing(field_for_q(q), 2)
+        for case in ("iia", "ordinary"):
+            for seed in range(10):
+                passed.clear()
+                reduced.clear()
+                code, doc = run_cli(capsys, "--seed", str(seed), "dieudonne", "validate",
+                                    "--fixture", case, "--q", str(q), "--n", "2",
+                                    "--spot-checks", "2")
+                assert code == 0 and doc["spot_checks"] == {"runs": 2, "invariant_stable": True}
+                rng = random.Random(seed)
+                draws, kept = [], []
+                while len(kept) < 2:
+                    g = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
+                    draws.append(g)
+                    if independent_rank(ring.field, linalg.mat_map(g, ring.residue)) == 4:
+                        kept.append(g)
+                assert passed == kept, (q, case, seed)
+                for g in draws:
+                    assert reduced.count(ring.packing.reduced_matrix(g)) == 1, (q, case, seed)
 
 
 def test_dieudonne_file_roundtrip(tmp_path, capsys):

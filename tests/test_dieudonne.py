@@ -172,13 +172,13 @@ def test_dual_lattice_iib_matches_the_case_display():
     p = ring.p_element()
     # contract: <b_i, e_j> = p * delta_ij at precision n-1
     pn1 = ring.p ** (ring.n - 1)
-    for i, col in enumerate(dual.columns()):
+    for i, col in enumerate(dual.basis_columns):
         for j in range(4):
             got = module.pair(col, basis_vector(ring, j))
             want = p if i == j else ring.zero()
             assert all((g - w) % pn1 == 0 for g, w in zip(got.coeffs, want.coeffs))
     # lattice generated = span(p X1, p X2, Y1, Y2): mod p it is span(e3, e4)
-    cols_bar = [[ring.residue(x) for x in col] for col in dual.columns()]
+    cols_bar = [[ring.residue(x) for x in col] for col in dual.basis_columns]
     reduced, pivots = linalg.rref_field(ring.field, cols_bar)
     assert pivots == [2, 3]
 
@@ -188,7 +188,7 @@ def test_dual_lattice_iia_matches_the_case_display():
     module = make_standard(ring, "iia")
     dual = dual_lattice(module)
     # span(p X1, p Y1, X2, Y2): mod p it is span(e2, e4)
-    cols_bar = [[ring.residue(x) for x in col] for col in dual.columns()]
+    cols_bar = [[ring.residue(x) for x in col] for col in dual.basis_columns]
     reduced, pivots = linalg.rref_field(ring.field, cols_bar)
     assert pivots == [1, 3]
 
@@ -203,9 +203,9 @@ def test_dual_lattice_principal_variant_is_p_times_M():
     module = DieudonneModule(ring, F, V, J)
     dual = dual_lattice(module)
     assert dual.precision == ring.n
-    for col in dual.columns():
+    for col in dual.basis_columns:
         assert all(ring.valuation(x) >= 1 for x in col)
-    cols_over_p = [[ring.divide_exact_p(x, 1) for x in col] for col in dual.columns()]
+    cols_over_p = [[ring.divide_exact_p(x, 1) for x in col] for col in dual.basis_columns]
     mat = [[cols_over_p[j][i] for j in range(4)] for i in range(4)]
     assert ring.is_unit(linalg.det(ring, mat))
 
@@ -486,7 +486,7 @@ def test_closed_forms_match_the_longer_routes(q, n):
                     with pytest.raises(PreconditionError):
                         dual_lattice(m)
                 else:
-                    assert dual_lattice(m).columns() == want, (case, q, n)
+                    assert dual_lattice(m).basis_columns == want, (case, q, n)
     assert invalid
 
 
@@ -534,6 +534,27 @@ def test_product_routes_match_the_per_vector_routes(q, n, monkeypatch):
                 assert real(module, g1, g2) == want, (case, q, n)
                 outcomes.add(want is None)
     assert outcomes == {True, False}
+    assert kinds >= {"AlphaSquare", "NonAlphaSquare"}
+
+
+@pytest.mark.parametrize("q,n", [(65521, 16), (256, 30)])
+def test_mod_p_invariants_match_the_longer_routes_on_large_rings(q, n):
+    # p_rank and kernel_type, read off W_n(F_q), against the residue-field
+    # p_rank and F and V applied column by column, on each module and its
+    # invalid neighbours (as the product-routes grid, at large q and n)
+    kinds = set()
+    for case, fixture in _fixtures_at(q, n):
+        rng = random.Random(f"large-routes-{case}-{q}-{n}")
+        for module in [fixture] + [base_change(fixture, g)
+                                   for g in _seeded_base_changes(fixture.ring, rng)]:
+            neighbours = _perturbed(module, rng)
+            for m in [module] + neighbours:
+                assert p_rank(m) == iterative_p_rank(m), (case, q, n)
+            # the neighbours with J moved have no dual lattice
+            for m in (module, neighbours[0]):
+                kind = kernel_type(m)
+                assert kind == per_column_kernel_type(m), (case, q, n)
+                kinds.add(kind)
     assert kinds >= {"AlphaSquare", "NonAlphaSquare"}
 
 

@@ -133,6 +133,30 @@ def test_monomial_keys_are_read_only_in_series():
     assert [r for r in readers if not r.startswith("series.py:")] == []
 
 
+def test_dieudonne_reads_mod_p_facts_off_witt_entries():
+    # every mod-p fact of a module is read off its W_n(F_q) entries, and row
+    # reduction is the one invertibility test: sll.dieudonne reads no
+    # `residue` and calls no `det`, and the spot checks in sll.cli leave the
+    # test of a draw to base_change's inverse, with no rank filter of their own
+    def parse(name):
+        return ast.parse((SRC / "sll" / name).read_text(encoding="utf-8"))
+
+    detours = [f"dieudonne.py:{node.lineno}" for node in ast.walk(parse("dieudonne.py"))
+               if (isinstance(node, ast.Attribute) and node.attr in ("residue", "det"))
+               or (isinstance(node, ast.Name) and node.id == "det")]
+    assert detours == []
+    cli = parse("cli.py")
+    defined = {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
+    imported = set()
+    for node in ast.walk(cli):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert "_random_unimodular" not in defined
+    assert [name for name in imported if name.rpartition(".")[2] == "linalg"] == []
+
+
 def test_oracles_import_no_private_name_from_sll():
     # an oracle that imports the private helpers it checks shares their faults;
     # also refused: a private attribute read off an imported sll module

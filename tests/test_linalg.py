@@ -243,6 +243,43 @@ def test_row_reductions_match_the_residue_loops(q, n):
             assert A == before
 
 
+# invertibility decided three ways: the grid's fields at n = 1..3 and two large rings
+UNIT_RINGS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 25) for n in (1, 2, 3)]
+UNIT_RINGS += [(65521, 16), (256, 30)]
+
+
+@pytest.mark.parametrize("q,n", UNIT_RINGS, ids=[f"W{n}(F{q})" for q, n in UNIT_RINGS])
+def test_full_rank_mod_p_is_invertibility_and_a_unit_determinant(q, n):
+    # rank_field == 4 <=> invert succeeds <=> det is a unit, on random 4x4
+    # matrices and on matrices singular mod p (one row repeated plus p times
+    # noise); and is_unit(x) <=> x is nonzero mod p
+    ring = WittRing(field_for_q(q), n)
+    rng = random.Random(f"invertibility:{q}:{n}")
+    p = ring.p_element()
+    outcomes = set()
+    for _ in range(20):
+        A = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
+        i, j = rng.sample(range(4), 2)
+        singular = [row[:] for row in A]
+        singular[j] = [x + p * ring.random_element(rng) for x in A[i]]
+        for M in (A, singular):
+            full = linalg.rank_field(ring, M) == 4
+            try:
+                linalg.invert(ring, M)
+            except DomainError:
+                inverted = False
+            else:
+                inverted = True
+            assert full == inverted == ring.is_unit(linalg.det(ring, M)), (q, n)
+            outcomes.add(full)
+    assert outcomes == {True, False}
+    xs = [ring.random_element(rng) for _ in range(40)] + [p * ring.random_element(rng)
+                                                          for _ in range(10)]
+    assert {ring.is_unit(x) for x in xs} == {True, False}
+    for x in xs:
+        assert ring.is_unit(x) == bool(ring.residue(x)), (q, n)
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 4), (3, 2), (4, 3), (5, 2), (9, 3), (25, 2)])
 def test_smith_form_diagonalizes(q, n):
     # U A V = diag(p^v), v non-decreasing, with U and V invertible mod p
