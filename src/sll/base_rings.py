@@ -15,7 +15,7 @@ the valuation, units, inverse, residue and Frobenius of both.
 
 The polynomial arithmetic over Z/N is written once: `_reduce` is the one
 reduction by a monic modulus (of a `Residue` product, of the x^(m+i) by
-which `CoeffPacking.fold` folds a packed sum inside the int, and in the gcd
+which `CoeffPacking` folds a packed sum inside the int, and in the gcd
 and the modulus lift), `_powmod` the one square-and-multiply loop (`**`,
 Frobenius, Teichmuller lifts), and `is_irreducible` is Ben-Or's test on
 both (M. Ben-Or, *Probabilistic algorithms in finite fields*, FOCS 1981).
@@ -261,9 +261,9 @@ class CoeffPacking:
     m-tuple.  To multiply, the residues sit in slots of `width` bits of one
     int (Kronecker substitution), so one int product is the whole
     convolution of two residue vectors.  Products are summed unreduced and
-    each sum is reduced once, by `fold`, inside the int.
-    The map methods (`spread_all`, `reduce`, `add`) take {key: coefficient}
-    maps and never read the keys.
+    each sum is reduced once inside the int: `fold` reads it out as
+    m-tuples for the matrix products; `reduce` leaves a slot int, the form
+    a series stores (at m = 1, the reduced int), and never reads the keys.
     """
 
     def __init__(self, ring):
@@ -323,45 +323,40 @@ class CoeffPacking:
         pn, m = self.pn, self.m
         mask, low = (1 << width) - 1, (1 << width * m) - 1
         lows = [v & low for v in values]
-        for i, top in enumerate(self.tops):
-            sh, r = width * (m + i), self.spread(top, width)
+        for sh, r in self.spread_tops(width):
             lows = [lo + (v >> sh & mask) % pn * r for lo, v in zip(lows, values)]
         shifts = range(0, width * m, width)
         return [tuple([(lo >> sh & mask) % pn for sh in shifts]) for lo in lows]
 
-    def neg(self, r):
-        """-r for a reduced coefficient r."""
-        pn = self.pn
-        return -r % pn if self.m == 1 else tuple([-x % pn for x in r])
-
-    def spread_all(self, packed, width):
-        """{key: spread coefficient} of a {key: reduced coefficient} map."""
+    def unspread(self, v, width):
+        """The reduced coefficient of a slot int: the inverse of `spread`."""
         if self.m == 1:
-            return packed
-        shifts = range(0, width * self.m, width)
-        return {k: sum(map(operator.lshift, r, shifts)) for k, r in packed.items()}
+            return v
+        mask = (1 << width) - 1
+        return tuple([v >> s & mask for s in range(0, width * self.m, width)])
 
-    def reduce(self, acc, width):
-        """Reduce every {key: unreduced int with `width`-bit slots} and drop zeros."""
-        if self.m == 1:
-            pn = self.pn
+    def spread_tops(self, width):
+        """(shift, spread x^(m+i) mod g) of each top slot m + i at `width` bits."""
+        return [(width * (self.m + i), self.spread(top, width)) for i, top in enumerate(self.tops)]
+
+    def reduce(self, acc, width, tops):
+        """`fold` for a {key: unreduced int} map, zeros dropped, each sum left a
+        slot int at `width`; `tops` is `spread_tops(width)`, made once per width."""
+        pn, m = self.pn, self.m
+        if m == 1:
             return {k: r for k, v in acc.items() if (r := v % pn)}
-        return {k: r for k, r in zip(acc, self.fold(acc.values(), width)) if any(r)}
-
-    def add(self, a, b):
-        """The reduced sum of two {key: reduced coefficient} maps, zeros dropped."""
-        pn, one = self.pn, self.m == 1
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-                continue
-            s = (s + c) % pn if one else tuple([(x + y) % pn for x, y in zip(s, c)])
-            if s == self.zero:
-                del out[k]
-            else:
-                out[k] = s
+        mask, low = (1 << width) - 1, (1 << width * m) - 1
+        shifts = range(0, width * m, width)
+        out = {}
+        for k, v in acc.items():
+            lo = v & low
+            for sh, top in tops:
+                lo += (v >> sh & mask) % pn * top
+            r = 0
+            for s in shifts:
+                r |= (lo >> s & mask) % pn << s
+            if r:
+                out[k] = r
         return out
 
     def is_unit(self, r):

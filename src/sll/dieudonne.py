@@ -47,6 +47,13 @@ class DieudonneModule:
         self.V_matrix = [[ring.element(x) for x in row] for row in V_matrix]
         self.J = [[ring.element(x) for x in row] for row in J]
 
+    @classmethod
+    def _of_elements(cls, ring, F_matrix, V_matrix, J):
+        """The module on matrices of `ring` elements, unchecked: `base_change`'s path."""
+        module = cls.__new__(cls)
+        module.ring, module.F_matrix, module.V_matrix, module.J = ring, F_matrix, V_matrix, J
+        return module
+
     # -- operator and pairing actions -------------------------------------
 
     def pair(self, x, y):
@@ -294,7 +301,8 @@ def lagrangian_witness_search(module):
 def base_change(module, g):
     """The module in the new basis given by an invertible matrix g:
     F -> g^{-1} F sigma(g), V -> g^{-1} V sigma^{-1}(g), J -> g^T J g,
-    on reduced coefficients (`base_rings.CoeffPacking`) that the constructor reads."""
+    on reduced coefficients (`base_rings.CoeffPacking`), each entry made a
+    ring element once."""
     ring = module.ring
     packing = ring.packing
     mul, sigma = packing.mat_mul, packing.frobenius
@@ -304,4 +312,4 @@ def base_change(module, g):
     F = mul(ginv, mul(F, sigma(g)))
     V = mul(ginv, mul(V, sigma(g, inverse=True)))
     J = mul(linalg.transpose(g), mul(J, g))
-    return DieudonneModule(ring, F, V, J)
+    return DieudonneModule._of_elements(ring, *map(packing.element_matrix, (F, V, J)))

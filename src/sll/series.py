@@ -2,25 +2,25 @@
 
 Coefficients live in a WittRing or a FiniteField.  A series is stored in
 one form only, the packed-integer form of `_Packing`: a map from int
-monomial keys to reduced coefficients, nonzero ones only.  Each monomial
-is one int key, so adding keys multiplies monomials and one comparison is
-the truncation test, and each coefficient is one int (or m-tuple of ints)
-whose residues sit in bit slots when multiplied, so one int product is the
-whole coefficient product.  Products are summed unreduced, and every
-output coefficient is reduced once, folded by the lifted modulus inside
-its int and read out mod p^n.  One substitution takes several series and
-makes each power of an image once for all of them.
-`_Packing` owns the keys; the coefficient half is the coefficient ring's
+monomial keys to slot ints, nonzero ones only.  Each monomial is one int
+key, so adding keys multiplies monomials and one comparison is the
+truncation test, and each coefficient is one int holding its m reduced
+residues in bit slots of one width per series ring, so one int product is
+the whole coefficient product and no operand is re-spread.  Each output
+coefficient is summed unreduced and reduced once inside its int.
+`_Packing` owns the keys; the slot arithmetic is the coefficient ring's
 `base_rings.CoeffPacking`, which `sll.linalg`'s matrix products share.
-Exponent tuples and ring elements are built only where a caller reads them
-(`coeffs`, `terms`, `constant_term`, `linear_coefficients`,
-`quadratic_coefficients`); terms print and serialize in graded-lex order.
+Coefficients are packed where a series is built, and exponent tuples and
+ring elements are built only where a caller reads them (`coeffs`, `terms`,
+`constant_term`, `linear_coefficients`, `quadratic_coefficients`); terms
+print and serialize in graded-lex order.
 Monomial keys are read only in this module.
 All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .errors import DomainError, PreconditionError, ValidationError
@@ -73,19 +73,20 @@ class SeriesRing:
 
     def constant(self, c):
         c = self.coeff_ring.element(c)
-        return TruncatedSeries(self, {0: self.coeff_ring.packing.reduced(c)} if c else {})
+        return TruncatedSeries(self, {0: self._packing.pack(c)} if c else {})
 
     def variable(self, i):
         if not 0 <= i < self.nvars:
             raise DomainError("variable index out of range")
-        return TruncatedSeries(self, {self._packing.weights[i]: self.coeff_ring.packing.one})
+        packing = self._packing
+        return TruncatedSeries(self, {packing.weights[i]: packing.pack(self.coeff_ring.one())})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
 
     def from_terms(self, terms):
         """Build from an iterable of (exponent tuple, coefficient)."""
-        key, reduced = self._packing.key, self.coeff_ring.packing.reduced
+        key, pack = self._packing.key, self._packing.pack
         coeffs = {}
         for exps, c in terms:
             exps = tuple(int(e) for e in exps)
@@ -97,7 +98,7 @@ class SeriesRing:
             k = key(exps)
             acc = coeffs.get(k)
             coeffs[k] = acc + c if acc is not None else c
-        return TruncatedSeries(self, {k: reduced(c) for k, c in coeffs.items() if c})
+        return TruncatedSeries(self, {k: pack(c) for k, c in coeffs.items() if c})
 
     def with_degree(self, degree):
         return SeriesRing(self.coeff_ring, self.nvars, degree, self.var_names)
@@ -107,9 +108,9 @@ class _Packing:
     """The packed-integer form of the series of one SeriesRing: the one form
     a `TruncatedSeries` stores, in which its operations and the normal-form
     phases of `sll.singularity` do all their arithmetic, and the only code
-    that does arithmetic on monomial keys.  Its coefficients are reduced
-    coefficients of `coeff`, the coefficient ring's `base_rings.CoeffPacking`,
-    which does all their slot arithmetic.
+    that does arithmetic on monomial keys.  Its coefficients are slot ints
+    at the ring's one `width`: m reduced residues in slots of `width` bits,
+    whose arithmetic is `coeff`, the coefficient ring's `CoeffPacking`.
 
     A monomial x^e is the int key deg(e) << (s * nvars) | sum_i e_i << (s * i)
     with s = D.bit_length() bits per exponent field, so adding two keys
@@ -119,12 +120,16 @@ class _Packing:
     `limit` = D << (s * nvars) anyway.  So `key >= limit` is exactly the
     truncation test, a row of products over keys in ascending order stops
     at its first truncated pair, and key >> (s * nvars) is the total degree.
-    Products are summed unreduced per output key, each key is reduced once,
-    and zeros are dropped.
+    Products of stored slot ints are summed unreduced per output key, each
+    key is reduced once back to a slot int at `width`, and zeros are dropped.
     """
 
     def __init__(self, ring):
-        self.coeff = ring.coeff_ring.packing
+        coeff = self.coeff = ring.coeff_ring.packing
+        # a product key sums at most min(len(a), len(b)) products, a substitution
+        # key one per term of f: at most the comb(D - 1 + nvars, nvars) monomials
+        self.width = coeff.width(math.comb(ring.degree - 1 + ring.nvars, ring.nvars))
+        self.tops = coeff.spread_tops(self.width)
         self.nvars = ring.nvars
         self.shift = ring.degree.bit_length()
         # a key's total degree is key >> degree_shift
@@ -137,17 +142,35 @@ class _Packing:
         # deg(e) = sum_i e_i, so the key is sum_i e_i (2^(s*i) + 2^(s*nvars))
         return sum(map(operator.mul, e, self.weights))
 
+    def pack(self, c):
+        """The slot int of a ring element."""
+        return self.coeff.spread(self.coeff.reduced(c), self.width)
+
+    def coefficient(self, v):
+        """The ring element of a slot int."""
+        return self.coeff.element(self.coeff.unspread(v, self.width))
+
     def unpack(self, packed):
-        """The {exponents: coefficient} map of a {key: reduced coefficient} map."""
+        """The {exponents: coefficient} map of a {key: slot int} map."""
         shift, mask = self.shift, (1 << self.shift) - 1
         shifts = range(0, shift * self.nvars, shift)
         return {tuple([k >> s & mask for s in shifts]): c
-                for k, c in zip(packed, map(self.coeff.element, packed.values()))}
+                for k, c in zip(packed, map(self.coefficient, packed.values()))}
 
     def linear(self, coeffs):
-        """The packed linear form sum_i coeffs[i] x_i of reduced coefficients."""
-        zero = self.coeff.zero
-        return {w: c for w, c in zip(self.weights, coeffs) if c != zero}
+        """The packed linear form sum_i coeffs[i] x_i of ring elements."""
+        return {w: self.pack(c) for w, c in zip(self.weights, coeffs) if c}
+
+    def add(self, a, b):
+        """The sum of two packed maps, reduced, zeros dropped."""
+        out = {**a, **b}
+        sums = {k: a[k] + out.pop(k) for k in a.keys() & b.keys()}
+        out.update(self.coeff.reduce(sums, self.width, self.tops))
+        return out
+
+    def neg(self, a):
+        """-a for a packed map: a times the constant -1, whose slot int is N - 1."""
+        return self.mul(a, {0: self.coeff.pn - 1})
 
     def split(self, packed, d):
         """(low, high): the terms of degree below d and those of degree >= d."""
@@ -175,19 +198,17 @@ class _Packing:
         meets at most the one term k - k1 of b, and vice versa."""
         if not a or not b:
             return {}
-        coeff = self.coeff
-        width = coeff.width(min(len(a), len(b)))
-        right = sorted(coeff.spread_all(b, width).items())
+        right = sorted(b.items())
         limit = self.limit
         acc = {}
         get = acc.get
-        for k1, c1 in coeff.spread_all(a, width).items():
+        for k1, c1 in a.items():
             for k2, c2 in right:
                 k = k1 + k2
                 if k >= limit:
                     break
                 acc[k] = get(k, 0) + c1 * c2
-        return coeff.reduce(acc, width)
+        return self.coeff.reduce(acc, self.width, self.tops)
 
     def substitute(self, fs, images):
         """[f(images_1, ..., images_n) for f in fs], packed, truncated and
@@ -196,13 +217,11 @@ class _Packing:
         shift, mask = self.shift, (1 << self.shift) - 1
         fields = tuple(enumerate(range(0, self.degree_shift, shift)))
         pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
-        coeff = self.coeff
-        mul, spread, spread_all = self.mul, coeff.spread, coeff.spread_all
+        mul, reduce = self.mul, self.coeff.reduce
         results = []
         for f in fs:
             # every term of f adds at most one product c * v (the constant
             # term c alone) to each output coefficient
-            width = coeff.width(len(f))
             out = {}
             get = out.get
             for k, c in f.items():
@@ -215,13 +234,12 @@ class _Packing:
                     while len(pi) <= ei:
                         pi.append(mul(pi[-1], images[i]))
                     mono = pi[ei] if mono is None else mul(mono, pi[ei])
-                c = spread(c, width)
                 if mono is None:
                     out[k] = get(k, 0) + c
                     continue
-                for key, v in spread_all(mono, width).items():
+                for key, v in mono.items():
                     out[key] = get(key, 0) + c * v
-            results.append(coeff.reduce(out, width))
+            results.append(reduce(out, self.width, self.tops))
         return results
 
 
@@ -231,7 +249,7 @@ def _term_key(exps):
 
 class TruncatedSeries:
     """A truncated multivariate power series, held as the packed map
-    {monomial key: nonzero reduced coefficient} of its ring's `_Packing`."""
+    {monomial key: nonzero slot int} of its ring's `_Packing`."""
 
     __slots__ = ("parent", "packed")
 
@@ -253,15 +271,13 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        return TruncatedSeries(self.parent,
-                               self.parent.coeff_ring.packing.add(self.packed, other.packed))
+        return TruncatedSeries(self.parent, self.parent._packing.add(self.packed, other.packed))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        neg = self.parent.coeff_ring.packing.neg
-        return TruncatedSeries(self.parent, {k: neg(c) for k, c in self.packed.items()})
+        return TruncatedSeries(self.parent, self.parent._packing.neg(self.packed))
 
     def __mul__(self, other):
         self._check(other)
@@ -283,18 +299,16 @@ class TruncatedSeries:
     # -- graded structure -----------------------------------------
 
     def constant_term(self):
-        packing = self.parent.coeff_ring.packing
-        return packing.element(self.packed.get(0, packing.zero))
+        return self.parent._packing.coefficient(self.packed.get(0, 0))
 
     def linear_coefficients(self):
-        packing = self.parent.coeff_ring.packing
-        return [packing.element(self.packed.get(w, packing.zero))
-                for w in self.parent._packing.weights]
+        packing = self.parent._packing
+        return [packing.coefficient(self.packed.get(w, 0)) for w in packing.weights]
 
     def quadratic_coefficients(self):
         """q_ij, i <= j, row by row, with sum q_ij x_i x_j the degree-2 part."""
-        packing, weights = self.parent.coeff_ring.packing, self.parent._packing.weights
-        return [packing.element(self.packed.get(w + v, packing.zero))
+        packing, weights = self.parent._packing, self.parent._packing.weights
+        return [packing.coefficient(self.packed.get(w + v, 0))
                 for i, w in enumerate(weights) for v in weights[i:]]
 
     def graded_part(self, d):

@@ -90,8 +90,8 @@ def _coeff_ring_of(f):
 def _step_forms(ring, Q):
     """The linear forms -sum_k Ginv[j][k] y_k, one per j, as packed maps of
     the series ring, with Ginv the inverse Gram matrix of Q."""
-    packing, linear = ring.coeff_ring.packing, ring._packing.linear
-    return [linear([packing.neg(packing.reduced(g)) for g in row]) for row in gram_inverse(Q)]
+    linear = ring._packing.linear
+    return [linear([-g for g in row]) for row in gram_inverse(Q)]
 
 
 def _step(F, d, forms):
@@ -105,8 +105,8 @@ def _step(F, d, forms):
     if not any(h):
         return None
     # a correction has degree d - 1, never 1, so it does not meet x_j
-    add = ring.coeff_ring.packing.add
-    return [add(u, x.packed) for u, x in zip(packing.substitute(forms, h), ring.variables())]
+    return [packing.add(u, x.packed)
+            for u, x in zip(packing.substitute(forms, h), ring.variables())]
 
 
 def _apply_step(gs, step, cut):
@@ -115,9 +115,9 @@ def _apply_step(gs, step, cut):
     gains terms of degree >= k + d - 2, so one of degree >= cut passes
     through unchanged: only the part below the cut is substituted."""
     ring = gs[0].parent
-    packing, add = ring._packing, ring.coeff_ring.packing.add
+    packing = ring._packing
     lows, highs = zip(*[packing.split(g.packed, cut) for g in gs])
-    return [TruncatedSeries(ring, add(low, high))
+    return [TruncatedSeries(ring, packing.add(low, high))
             for low, high in zip(packing.substitute(lows, step), highs)]
 
 

@@ -133,11 +133,14 @@ def test_packed_kernel_matches_naive_on_a_grid(name, make_ring, nvars, D):
         assert series_equals_dict(f.substitute(images), naive_compose(f, images))
 
 
-@pytest.mark.parametrize("p,m,n,nvars,D", [(3, 2, 2, 1, 9), (5, 3, 2, 3, 6), (2, 8, 32, 1, 6)])
+@pytest.mark.parametrize("p,m,n,nvars,D", [
+    (3, 2, 2, 1, 9), (5, 3, 2, 3, 6), (2, 8, 32, 1, 6), (3, 2, 2, 4, 5),
+])
 def test_dense_top_coefficients_fill_the_slots_exactly(p, m, n, nvars, D):
     # every residue of every coefficient is p^n - 1 and every monomial below
     # D is present; in one variable the top output coefficient sums
-    # D = min(len(f), len(f)) products, so a slot reaches the width bound
+    # D = min(len(f), len(f)) products, so a slot reaches the width bound,
+    # and in four variables many keys sum products at the ring's one width
     ring = ring_W(p, m, n)
     S = SeriesRing(ring, nvars, D)
     top = ring.element([ring.pn - 1] * m)
@@ -146,6 +149,46 @@ def test_dense_top_coefficients_fill_the_slots_exactly(p, m, n, nvars, D):
     assert series_equals_dict(f * f, naive_mul(f, f))
     phi = [S.from_terms((e, top) for e in monomials if sum(e) >= 1)] * nvars
     assert series_equals_dict(f.substitute(phi), naive_compose(f, phi))
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 2, 2), (2, 3, 3), (2, 8, 32)])
+def test_sums_of_dense_top_coefficients_drop_zero_slot_ints(p, m, n):
+    # each coefficient is one slot int; a sum or negation reduces every slot
+    # mod p^n and drops a coefficient exactly when all its slots vanish
+    ring = ring_W(p, m, n)
+    S = SeriesRing(ring, 3, 5)
+    top = ring.element([ring.pn - 1] * m)
+    rng = random.Random(f"sums:{p}:{m}:{n}")
+    monomials = [e for e in itertools.product(range(5), repeat=3) if sum(e) < 5]
+    f = S.from_terms((e, top) for e in monomials)
+    g = S.from_terms((e, ring.element([ring.pn - 1] * (m - 1) + [rng.randrange(ring.pn)]))
+                     for e in monomials if rng.random() < 0.7)
+    assert (f + (-f)).packed == {} and (f - f).packed == {}
+    F, G, minus_one = dict_of(f), dict_of(g), -ring.one()
+    assert dict_of(f + g) == dict_add(F, G)
+    assert dict_of(f - g) == dict_add(F, dict_scale(G, minus_one))
+    assert dict_of(-f) == dict_scale(F, minus_one)
+    assert dict_of(g + (-f)) == dict_add(G, dict_scale(F, minus_one))
+
+
+@pytest.mark.parametrize("make_ring", [
+    lambda: ring_W(3, 1, 3), lambda: ring_W(3, 2, 2), lambda: ring_W(2, 8, 32),
+], ids=["m1", "m2", "m8"])
+def test_terms_round_trip_through_slot_ints(make_ring):
+    # coefficients are packed where a series is built and read out where a
+    # caller reads them; building from the terms read out gives the series
+    ring = make_ring()
+    rng = random.Random(f"round-trip:{ring!r}")
+    for nvars, D in ((2, 6), (4, 4)):
+        S = SeriesRing(ring, nvars, D)
+        for _ in range(5):
+            f = random_series(S, rng, max_terms=20) + S.constant(ring.random_element(rng))
+            g = S.from_terms(f.terms())
+            assert g == f and g.packed == f.packed
+            assert g.constant_term() == f.constant_term()
+            assert g.linear_coefficients() == f.linear_coefficients()
+            assert g.quadratic_coefficients() == f.quadratic_coefficients()
+            assert S.from_terms(f.coeffs.items()).coeffs == f.coeffs
 
 
 def test_substitute_identity_variables():
