@@ -261,9 +261,10 @@ class CoeffPacking:
     m-tuple.  To multiply, the residues sit in slots of `width` bits of one
     int (Kronecker substitution), so one int product is the whole
     convolution of two residue vectors.  Products are summed unreduced and
-    each sum is reduced once inside the int: `fold` reads it out as
-    m-tuples for the matrix products; `reduce` leaves a slot int, the form
-    a series stores (at m = 1, the reduced int), and never reads the keys.
+    each sum is reduced once inside the int by `reduce`, which leaves a
+    slot int, the form a series stores (at m = 1, the reduced int), and
+    never reads the keys; `fold` reads its slots out as m-tuples for the
+    matrix products.
     """
 
     def __init__(self, ring):
@@ -279,8 +280,9 @@ class CoeffPacking:
         # a product of two reduced m-slot coefficients has slots below
         # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
         self.slot_bound = self.m * (self.pn - 1) ** 2
-        # x^(m+i) mod g, i < m - 1: what `fold` multiplies the top slots by
+        # x^(m+i) mod g, i < m - 1: what `reduce` multiplies the top slots by
         self.tops = [_reduce([0] * (self.m + i) + [1], self.g, self.pn) for i in range(self.m - 1)]
+        self._spread_tops = {}  # width: [(shift, spread top)], made by `reduce`
 
     def width(self, count):
         """Slot width that holds a sum of `count` coefficient products, each
@@ -316,17 +318,10 @@ class CoeffPacking:
 
     def fold(self, values, width):
         """The reduced coefficients of unreduced ints with `width`-bit slots,
-        each a sum of products of spread coefficients, for m > 1 (at m = 1
-        a sum is reduced by `% pn` alone), folded inside the int: each top
-        slot m + i, taken mod N, adds its multiple of x^(m+i) mod g (`tops`)
-        to the m low slots, which are then read out mod N."""
-        pn, m = self.pn, self.m
-        mask, low = (1 << width) - 1, (1 << width * m) - 1
-        lows = [v & low for v in values]
-        for sh, r in self.spread_tops(width):
-            lows = [lo + (v >> sh & mask) % pn * r for lo, v in zip(lows, values)]
-        shifts = range(0, width * m, width)
-        return [tuple([(lo >> sh & mask) % pn for sh in shifts]) for lo in lows]
+        each a sum of products of spread coefficients, for m > 1: their
+        `reduce` keyed by position, each read out by `unspread`."""
+        slots, unspread = self.reduce(dict(enumerate(values)), width), self.unspread
+        return [unspread(slots.get(i, 0), width) for i in range(len(values))]
 
     def unspread(self, v, width):
         """The reduced coefficient of a slot int: the inverse of `spread`."""
@@ -335,18 +330,21 @@ class CoeffPacking:
         mask = (1 << width) - 1
         return tuple([v >> s & mask for s in range(0, width * self.m, width)])
 
-    def spread_tops(self, width):
-        """(shift, spread x^(m+i) mod g) of each top slot m + i at `width` bits."""
-        return [(width * (self.m + i), self.spread(top, width)) for i, top in enumerate(self.tops)]
-
-    def reduce(self, acc, width, tops):
-        """`fold` for a {key: unreduced int} map, zeros dropped, each sum left a
-        slot int at `width`; `tops` is `spread_tops(width)`, made once per width."""
+    def reduce(self, acc, width):
+        """The {key: slot int} map of a {key: unreduced int} map, each sum of
+        products of spread coefficients folded at `width` inside the int,
+        zeros dropped: each top slot m + i, taken mod N, adds its multiple
+        of x^(m+i) mod g (`tops`, spread once per width) to the m low slots,
+        which are then taken mod N.  At m = 1 a sum is reduced by % pn."""
         pn, m = self.pn, self.m
         if m == 1:
             return {k: r for k, v in acc.items() if (r := v % pn)}
         mask, low = (1 << width) - 1, (1 << width * m) - 1
         shifts = range(0, width * m, width)
+        tops = self._spread_tops.get(width)
+        if tops is None:
+            tops = self._spread_tops[width] = [(width * (m + i), self.spread(top, width))
+                                               for i, top in enumerate(self.tops)]
         out = {}
         for k, v in acc.items():
             lo = v & low
@@ -405,19 +403,18 @@ class CoeffPacking:
 
     def mat_mul(self, A, B):
         """A B for matrices of reduced coefficients: each entry one int dot
-        product of spread coefficients, reduced once."""
+        product of spread coefficients, all reduced in one `fold`."""
         cols, mul = list(zip(*B)), operator.mul
         if self.m == 1:
             pn = self.pn
             return [[sum(map(mul, row, col)) % pn for col in cols] for row in A]
         width = self.width(len(B))
-        spread, fold = self.spread, self.fold
+        spread = self.spread
         cols = [[spread(b, width) for b in col] for col in cols]
-        out = []
-        for row in A:
-            row = [spread(a, width) for a in row]
-            out.append(fold([sum(map(mul, row, col)) for col in cols], width))
-        return out
+        rows = [[spread(a, width) for a in row] for row in A]
+        flat = self.fold([sum(map(mul, row, col)) for row in rows for col in cols], width)
+        n = len(cols)
+        return [flat[i * n:i * n + n] for i in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------

@@ -37,22 +37,17 @@ def _standard_pairing(p):
 class DieudonneModule:
     """Free rank-4 module with semilinear F, V and an alternating pairing."""
 
-    def __init__(self, ring, F_matrix, V_matrix, J):
+    def __init__(self, ring, F_matrix, V_matrix, J, *, _elements=False):
+        """`_elements`: the matrices hold elements of `ring` already, as
+        `base_change` makes them, and are stored without a check."""
         if not isinstance(ring, WittRing):
             raise DomainError("Dieudonne modules live over Witt rings")
         if ring.n < 2:
             raise PreconditionError("dual-lattice tests need one spare digit: n >= 2")
-        self.ring = ring
-        self.F_matrix = [[ring.element(x) for x in row] for row in F_matrix]
-        self.V_matrix = [[ring.element(x) for x in row] for row in V_matrix]
-        self.J = [[ring.element(x) for x in row] for row in J]
-
-    @classmethod
-    def _of_elements(cls, ring, F_matrix, V_matrix, J):
-        """The module on matrices of `ring` elements, unchecked: `base_change`'s path."""
-        module = cls.__new__(cls)
-        module.ring, module.F_matrix, module.V_matrix, module.J = ring, F_matrix, V_matrix, J
-        return module
+        if not _elements:
+            F_matrix, V_matrix, J = ([[ring.element(x) for x in row] for row in A]
+                                     for A in (F_matrix, V_matrix, J))
+        self.ring, self.F_matrix, self.V_matrix, self.J = ring, F_matrix, V_matrix, J
 
     # -- operator and pairing actions -------------------------------------
 
@@ -312,4 +307,4 @@ def base_change(module, g):
     F = mul(ginv, mul(F, sigma(g)))
     V = mul(ginv, mul(V, sigma(g, inverse=True)))
     J = mul(linalg.transpose(g), mul(J, g))
-    return DieudonneModule._of_elements(ring, *map(packing.element_matrix, (F, V, J)))
+    return DieudonneModule(ring, *map(packing.element_matrix, (F, V, J)), _elements=True)

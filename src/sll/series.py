@@ -129,7 +129,6 @@ class _Packing:
         # a product key sums at most min(len(a), len(b)) products, a substitution
         # key one per term of f: at most the comb(D - 1 + nvars, nvars) monomials
         self.width = coeff.width(math.comb(ring.degree - 1 + ring.nvars, ring.nvars))
-        self.tops = coeff.spread_tops(self.width)
         self.nvars = ring.nvars
         self.shift = ring.degree.bit_length()
         # a key's total degree is key >> degree_shift
@@ -165,7 +164,7 @@ class _Packing:
         """The sum of two packed maps, reduced, zeros dropped."""
         out = {**a, **b}
         sums = {k: a[k] + out.pop(k) for k in a.keys() & b.keys()}
-        out.update(self.coeff.reduce(sums, self.width, self.tops))
+        out.update(self.coeff.reduce(sums, self.width))
         return out
 
     def neg(self, a):
@@ -208,7 +207,7 @@ class _Packing:
                 if k >= limit:
                     break
                 acc[k] = get(k, 0) + c1 * c2
-        return self.coeff.reduce(acc, self.width, self.tops)
+        return self.coeff.reduce(acc, self.width)
 
     def substitute(self, fs, images):
         """[f(images_1, ..., images_n) for f in fs], packed, truncated and
@@ -239,7 +238,7 @@ class _Packing:
                     continue
                 for key, v in mono.items():
                     out[key] = get(key, 0) + c * v
-            results.append(reduce(out, self.width, self.tops))
+            results.append(reduce(out, self.width))
         return results
 
 
