@@ -47,6 +47,7 @@ BUILTIN_MODULI = {
 MAX_CHARACTERISTIC = 2 ** 16
 MAX_DEGREE = 8
 MAX_RING_ORDER = 2 ** 256
+_MAX_INNER = 64  # the largest inner dimension of a product at m > 1 (`CoeffPacking.width`)
 
 # the standard Dieudonne fixtures of `dieudonne.make_standard`, named here so
 # the command line can offer them without importing `dieudonne`
@@ -128,12 +129,6 @@ def _powmod(base, e, g, mod):
         if bit == "1":
             out = _mulmod(out, base, g, mod)
     return out
-
-
-def _int_matvec(A, v, pn):
-    """A v mod `pn`: a substitution matrix applied to a residue vector."""
-    m = len(A)
-    return tuple(sum(A[i][k] * v[k] for k in range(m)) % pn for i in range(m))
 
 
 def is_irreducible(poly, p):
@@ -251,170 +246,173 @@ class WittElement(Residue):
 
 class CoeffPacking:
     """The packed-integer form of the coefficients of one ring, the ring's
-    `packing`: the only code that knows the reduced form and its slots.
-    The products and row reductions of `linalg`, `dieudonne.base_change`
-    and the series kernel `series._Packing` take their coefficient
-    arithmetic here.
+    `packing`: the coefficient arithmetic of `linalg`, `dieudonne` and
+    `series._Packing`, and the only code that knows the slot layout.
 
-    A coefficient is m residues mod N = p^n (N = p over a field), m the
-    degree of the lifted modulus g.  Reduced, it is an int (m = 1) or an
-    m-tuple.  To multiply, the residues sit in slots of `width` bits of one
-    int (Kronecker substitution), so one int product is the whole
-    convolution of two residue vectors.  Products are summed unreduced and
-    each sum is reduced once inside the int by `reduce`, which leaves a
-    slot int, the form a series stores (at m = 1, the reduced int), and
-    never reads the keys; `fold` reads its slots out as m-tuples for the
-    matrix products.
+    A coefficient, m residues mod N = p^n (N = p over a field), is a slot
+    int: the residues in slots of `slot_width` bits of one int (Kronecker
+    substitution), so one int product is the whole convolution of two
+    residue vectors; at m = 1 it is the residue, and zero and one are 0
+    and 1 at every m.  A sum of products is reduced once, inside the int,
+    by `fold` (`folder`), and x - f y is folded from x + `offset` - f y,
+    whose slots are multiples of N at least any slot of f y, so no slot
+    borrows.
     """
 
     def __init__(self, ring):
         self.coeff_ring = ring
-        self.p = ring.p
-        self.pn = ring.pn
+        self.p, self.n = ring.p, ring.n
+        pn = self.pn = ring.pn
         # gcd(p^n, coefficients) = p^v for the valuation v (a field is W_1)
         self.valuations = {ring.p ** v: v for v in range(ring.n + 1)}
-        self.m = len(ring.lifted_modulus) - 1
+        self.m = m = len(ring.lifted_modulus) - 1
         self.g = ring.lifted_modulus
-        self.zero = 0 if self.m == 1 else (0,) * self.m
-        self.one = 1 if self.m == 1 else (1,) + self.zero[1:]
         # a product of two reduced m-slot coefficients has slots below
         # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
-        self.slot_bound = self.m * (self.pn - 1) ** 2
-        # x^(m+i) mod g, i < m - 1: what `reduce` multiplies the top slots by
-        self.tops = [_reduce([0] * (self.m + i) + [1], self.g, self.pn) for i in range(self.m - 1)]
-        self._spread_tops = {}  # width: [(shift, spread top)], made by `reduce`
+        self.slot_bound = m * (pn - 1) ** 2
+        # x^(m+i) mod g, i < m - 1: what a fold multiplies the top slots by
+        self.tops = [_reduce([0] * (m + i) + [1], self.g, pn) for i in range(m - 1)]
+        w = self.slot_width = self.width(_MAX_INNER)
+        self.mask, self.shifts = (1 << w) - 1, range(0, w * m, w)
+        self.fold = self.folder(w)
+        self.offset = self.spread([-(-self.slot_bound // pn) * pn] * (2 * m - 1), w)
 
     def width(self, count):
         """Slot width that holds a sum of `count` coefficient products, each
-        slot at most count * m (N-1)^2, and its `fold`, which adds at most
-        (m-1) (N-1)^2 more: one count of headroom.  Exact int arithmetic, so
-        it holds up to m = MAX_DEGREE and q^n = MAX_RING_ORDER included."""
+        slot at most count * m (N-1)^2, and its fold, which adds at most
+        (m-1) (N-1)^2 more: one count of headroom.  The ring's `slot_width`
+        is width(64), exact for a matrix product of inner dimension at most
+        64 (`mat_mul` refuses more at m > 1; at m = 1 the fold is the sum
+        mod N, exact at any size), a row operation (slots below 2 m (N-1)^2
+        + 2 (N-1)) and a Frobenius image.  Exact int arithmetic, so it holds
+        up to m = MAX_DEGREE and q^n = MAX_RING_ORDER included."""
         return ((count + 1) * self.slot_bound).bit_length()
 
     def reduced(self, c):
-        """The reduced coefficient of a ring element."""
-        return c.coeffs[0] if self.m == 1 else c.coeffs
+        """The slot int of a ring element."""
+        return c.coeffs[0] if self.m == 1 else sum(map(operator.lshift, c.coeffs, self.shifts))
 
     def element(self, r):
-        """The ring element of a reduced coefficient."""
+        """The ring element of a slot int."""
         ring = self.coeff_ring
-        return ring._element(ring, (r,) if self.m == 1 else r)
+        return ring._element(ring, (r,) if self.m == 1 else self.slots(r))
+
+    def slots(self, r):
+        """The m residues of a slot int."""
+        return tuple([r >> s & self.mask for s in self.shifts])
 
     def reduced_matrix(self, A):
-        """The reduced coefficients of a matrix of ring elements."""
+        """The slot ints of a matrix of ring elements."""
         if self.m == 1:
             return [[a.coeffs[0] for a in row] for row in A]
-        return [[a.coeffs for a in row] for row in A]
+        shifts, lshift = self.shifts, operator.lshift
+        return [[sum(map(lshift, a.coeffs, shifts)) for a in row] for row in A]
 
     def element_matrix(self, A):
-        element = self.element
-        return [[element(a) for a in row] for row in A]
+        return [list(map(self.element, row)) for row in A]
 
-    def spread(self, r, width):
-        """A reduced coefficient as one int with slots of `width` bits."""
-        if self.m == 1:
-            return r
-        return sum(map(operator.lshift, r, range(0, width * self.m, width)))
-
-    def fold(self, values, width):
-        """The reduced coefficients of unreduced ints with `width`-bit slots,
-        each a sum of products of spread coefficients, for m > 1: their
-        `reduce` keyed by position, each read out by `unspread`."""
-        slots, unspread = self.reduce(dict(enumerate(values)), width), self.unspread
-        return [unspread(slots.get(i, 0), width) for i in range(len(values))]
+    def spread(self, coeffs, width):
+        """The int of residues in consecutive slots of `width` bits."""
+        return sum(map(operator.lshift, coeffs, itertools.count(0, width)))
 
     def unspread(self, v, width):
-        """The reduced coefficient of a slot int: the inverse of `spread`."""
-        if self.m == 1:
-            return v
+        """The m residues of an int with `width`-bit slots: the inverse of `spread`."""
         mask = (1 << width) - 1
         return tuple([v >> s & mask for s in range(0, width * self.m, width)])
 
-    def reduce(self, acc, width):
-        """The {key: slot int} map of a {key: unreduced int} map, each sum of
-        products of spread coefficients folded at `width` inside the int,
-        zeros dropped: each top slot m + i, taken mod N, adds its multiple
-        of x^(m+i) mod g (`tops`, spread once per width) to the m low slots,
-        which are then taken mod N.  At m = 1 a sum is reduced by % pn."""
+    def folder(self, width):
+        """The fold at `width`: the slot int of an int whose 2m - 1 slots of
+        `width` bits hold a sum of products of slot ints.  Each top slot
+        m + i, taken mod N, adds its multiple of x^(m+i) mod g to the m low
+        slots, which are then taken mod N (at m = 1, the sum mod N)."""
         pn, m = self.pn, self.m
         if m == 1:
-            return {k: r for k, v in acc.items() if (r := v % pn)}
-        mask, low = (1 << width) - 1, (1 << width * m) - 1
-        shifts = range(0, width * m, width)
-        tops = self._spread_tops.get(width)
-        if tops is None:
-            tops = self._spread_tops[width] = [(width * (m + i), self.spread(top, width))
-                                               for i, top in enumerate(self.tops)]
-        out = {}
-        for k, v in acc.items():
+            return pn.__rmod__
+        mask, low, shifts = (1 << width) - 1, (1 << width * m) - 1, range(0, width * m, width)
+        tops = [(width * (m + i), self.spread(top, width)) for i, top in enumerate(self.tops)]
+        # N = 2^n: the low slots mod N are their low n bits, kept by one mask
+        keep = self.spread([pn - 1] * m, width) if pn & (pn - 1) == 0 else 0
+
+        def fold(v):
             lo = v & low
             for sh, top in tops:
                 lo += (v >> sh & mask) % pn * top
+            if keep:
+                return lo & keep
             r = 0
             for s in shifts:
                 r |= (lo >> s & mask) % pn << s
-            if r:
-                out[k] = r
-        return out
+            return r
+        return fold
 
     def is_unit(self, r):
-        """Whether r is a unit: some coefficient is prime to p."""
-        return r % self.p != 0 if self.m == 1 else math.gcd(self.p, *r) == 1
+        """Whether r is a unit: some residue is prime to p."""
+        return (r if self.m == 1 else math.gcd(*self.slots(r))) % self.p != 0
 
     def valuation(self, r):
         """The index of the first nonzero Teichmuller digit; n for zero."""
-        return self.valuations[math.gcd(self.pn, r) if self.m == 1 else math.gcd(self.pn, *r)]
+        return self.valuations[math.gcd(self.pn, r if self.m == 1 else math.gcd(*self.slots(r)))]
 
     def divide(self, r, k):
-        """r / p^k, for an r that p^k divides."""
-        pk = self.p ** k
-        return r // pk if self.m == 1 else tuple([c // pk for c in r])
+        """r / p^k, for an r that p^k divides: each slot is a multiple of
+        p^k, so the int is too and no slot borrows."""
+        return r // self.p ** k
 
     def inverse(self, r):
         """The inverse of a unit r: the residue inverse r^(q-2) mod p, lifted
         by Newton's y <- y (2 - r y), each round doubling the exact digits."""
-        p, pn, g = self.p, self.pn, self.g
-        if self.m == 1:
+        p, pn, g, m = self.p, self.pn, self.g, self.m
+        if m == 1:
             return pow(r, -1, pn)
-        y = _powmod(tuple([c % p for c in r]), p ** self.m - 2, tuple([c % p for c in g]), p)
+        r = self.slots(r)
+        y = _powmod(tuple([c % p for c in r]), p ** m - 2, tuple([c % p for c in g]), p)
+        one = (1,) + (0,) * (m - 1)
         for _ in range(pn.bit_length()):
-            if (e := _mulmod(r, y, g, pn)) == self.one:
-                return y
+            if (e := _mulmod(r, y, g, pn)) == one:
+                return self.spread(y, self.slot_width)
             y = _mulmod(y, (2 - e[0],) + tuple([-c for c in e[1:]]), g, pn)
         raise InternalInvariantError("unit inversion failed to converge")
 
     def scale(self, c, row):
         """The row c x, x in `row`."""
-        pn, g = self.pn, self.g
-        return [c * x % pn for x in row] if self.m == 1 else [_mulmod(c, x, g, pn) for x in row]
+        return list(map(self.fold, map(c.__mul__, row)))
 
     def submul(self, row, f, other):
         """The row x - f y, x in `row` and y in `other`."""
-        pn, g, zero = self.pn, self.g, self.zero
-        if self.m == 1:
-            return [(x - f * y) % pn for x, y in zip(row, other)]
-        return [x if y == zero else tuple([(a - b) % pn for a, b in zip(x, _mulmod(f, y, g, pn))])
-                for x, y in zip(row, other)]
+        fold, offset = self.fold, self.offset
+        return [fold(x + offset - f * y) if y else x for x, y in zip(row, other)]
+
+    @functools.cached_property
+    def _sigmas(self):
+        """sigma(x^k) and sigma^-1(x^k), k < m, as slot ints, made on first
+        use: the powers of x^e, e = p and p^(m-1) (sigma^-1 = sigma^(m-1))."""
+        g, pn = self.g, self.pn
+        out = []
+        for e in (self.p, self.p ** (self.m - 1)):
+            img, powers = _powmod(_reduce([0, 1], g, pn), e, g, pn), [_reduce([1], g, pn)]
+            while len(powers) < self.m:
+                powers.append(_mulmod(powers[-1], img, g, pn))
+            out.append([self.spread(c, self.slot_width) for c in powers])
+        return out
 
     def frobenius(self, M, inverse=False):
-        """sigma (sigma^-1 if `inverse`) of each entry of a matrix over a Witt ring."""
-        mat = self.coeff_ring._sigma_inv_mat if inverse else self.coeff_ring._sigma_mat
-        return M if self.m == 1 else [[_int_matvec(mat, r, self.pn) for r in row] for row in M]
+        """sigma (sigma^-1 if `inverse`) of each entry of a matrix of slot
+        ints: sum_k r_k sigma(x^k), m slot products and one fold per entry."""
+        if self.m == 1:
+            return M
+        images, fold, slots, mul = self._sigmas[inverse], self.fold, self.slots, operator.mul
+        return [[fold(sum(map(mul, slots(r), images))) for r in row] for row in M]
 
     def mat_mul(self, A, B):
-        """A B for matrices of reduced coefficients: each entry one int dot
-        product of spread coefficients, all reduced in one `fold`."""
-        cols, mul = list(zip(*B)), operator.mul
-        if self.m == 1:
-            pn = self.pn
-            return [[sum(map(mul, row, col)) % pn for col in cols] for row in A]
-        width = self.width(len(B))
-        spread = self.spread
-        cols = [[spread(b, width) for b in col] for col in cols]
-        rows = [[spread(a, width) for a in row] for row in A]
-        flat = self.fold([sum(map(mul, row, col)) for row in rows for col in cols], width)
-        n = len(cols)
-        return [flat[i * n:i * n + n] for i in range(len(rows))]
+        """A B for matrices of slot ints: each entry one int dot product, folded
+        once; inner dimensions must agree, and at m > 1 be at most 64 (`width`)."""
+        inner = len(B)
+        if any(len(row) != inner for row in A) or len(set(map(len, B))) > 1:
+            raise DomainError("matrix dimensions do not match")
+        if inner > _MAX_INNER and self.m > 1:
+            raise DomainError(f"inner dimension {inner} is above the limit {_MAX_INNER}")
+        cols, mul, fold = list(zip(*B)), operator.mul, self.fold
+        return [[fold(sum(map(mul, row, col))) for col in cols] for row in A]
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +478,7 @@ class _CoeffRing:
     def valuation(self, x):
         """Index of the first nonzero Teichmuller digit; n means zero at
         this precision (`CoeffPacking.valuation`)."""
-        packing = self.packing
-        return packing.valuation(packing.reduced(self._own(x)))
+        return self.packing.valuations[math.gcd(self.pn, *self._own(x).coeffs)]
 
     def is_unit(self, x):
         return self.valuation(x) == 0
@@ -498,32 +495,13 @@ class _CoeffRing:
         return field._element(field, tuple([c % p for c in self._own(x).coeffs]))
 
     def frobenius(self, x):
-        """sigma(x), the substitution x |-> x^p, by its matrix over Z/p^n."""
-        return self._element(self, _int_matvec(self._sigma_mat, self._own(x).coeffs, self.pn))
+        """sigma(x), the substitution x |-> x^p (`CoeffPacking.frobenius`)."""
+        packing = self.packing
+        return packing.element(packing.frobenius([[packing.reduced(self._own(x))]])[0][0])
 
     def frobenius_inv(self, x):
-        return self._element(self, _int_matvec(self._sigma_inv_mat, self._own(x).coeffs, self.pn))
-
-    @functools.cached_property
-    def _sigma_mat(self):
-        return self._powers_matrix(self.p)
-
-    @functools.cached_property
-    def _sigma_inv_mat(self):
-        # sigma^(-1) = sigma^(m-1), the substitution x |-> x^(p^(m-1))
-        return self._powers_matrix(self.field.q // self.p)
-
-    def _powers_matrix(self, e):
-        """The m x m matrix over Z/p^n of the substitution x |-> x^e on the
-        power basis (O(m^2) per application); sigma and sigma^-1 make
-        theirs on first use."""
-        g, pn = self.lifted_modulus, self.pn
-        m = len(g) - 1
-        img = _powmod(_reduce([0, 1], g, pn), e, g, pn)
-        cols = [(1,) + (0,) * (m - 1)]
-        for _ in range(m - 1):
-            cols.append(_mulmod(cols[-1], img, g, pn))
-        return [[cols[j][i] for j in range(m)] for i in range(m)]
+        packing = self.packing
+        return packing.element(packing.frobenius([[packing.reduced(self._own(x))]], True)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +572,8 @@ class WittRing(_CoeffRing):
 
     The lifted modulus is the Hensel lift of the field modulus: the unique
     monic lift dividing x^q - x, so the residue class of x is its own
-    Teichmuller representative.  Frobenius is x |-> x^p applied by a
-    substitution matrix made on first use (O(m^2) per application).
+    Teichmuller representative.  Frobenius is x |-> x^p, applied through
+    the images of the power basis, made on first use (`CoeffPacking.frobenius`).
     """
 
     _element = WittElement
@@ -613,7 +591,7 @@ class WittRing(_CoeffRing):
         self._key = (field, n)
         self.lifted_modulus = self._lift_modulus()
         gen = self.gen()
-        if field.m > 1 and self.frobenius(gen) ** (field.q // field.p) != gen:
+        if field.m > 1 and gen ** field.q != gen:
             # x^q must equal x: the defining Newton iteration is stationary
             raise InternalInvariantError("lifted modulus is not the Hensel lift")
 

@@ -35,19 +35,31 @@ def _standard_pairing(p):
 
 
 class DieudonneModule:
-    """Free rank-4 module with semilinear F, V and an alternating pairing."""
+    """Free rank-4 module with semilinear F, V and an alternating pairing,
+    stored as rows of slot ints (`base_rings.CoeffPacking`); `F_matrix`,
+    `V_matrix` and `J` are read-only views in ring elements, built on first read."""
 
-    def __init__(self, ring, F_matrix, V_matrix, J, *, _elements=False):
-        """`_elements`: the matrices hold elements of `ring` already, as
-        `base_change` makes them, and are stored without a check."""
+    def __init__(self, ring, F_matrix, V_matrix, J):
         if not isinstance(ring, WittRing):
             raise DomainError("Dieudonne modules live over Witt rings")
         if ring.n < 2:
             raise PreconditionError("dual-lattice tests need one spare digit: n >= 2")
-        if not _elements:
-            F_matrix, V_matrix, J = ([[ring.element(x) for x in row] for row in A]
-                                     for A in (F_matrix, V_matrix, J))
-        self.ring, self.F_matrix, self.V_matrix, self.J = ring, F_matrix, V_matrix, J
+        views = [[[ring.element(x) for x in row] for row in A] for A in (F_matrix, V_matrix, J)]
+        self._store(ring, *map(ring.packing.reduced_matrix, views), dict(zip(("_F", "_V", "_J"), views)))
+
+    def _store(self, ring, F, V, J, views):
+        """Set the attributes, here only, from rows of slot ints; returns self."""
+        self.ring, self._views, self._F, self._V, self._J = ring, views, F, V, J
+        return self
+
+    def _view(self, rows):
+        view = self._views.get(rows)
+        if view is None:
+            view = self._views[rows] = self.ring.packing.element_matrix(getattr(self, rows))
+        return view
+
+    F_matrix, V_matrix, J = (property(lambda self, rows=rows: self._view(rows))
+                             for rows in ("_F", "_V", "_J"))
 
     # -- operator and pairing actions -------------------------------------
 
@@ -58,24 +70,20 @@ class DieudonneModule:
 
     def validate(self):
         """Named checks for every structural invariant."""
-        ring = self.ring
-        p_id = [[ring.p_element() if i == j else ring.zero() for j in range(4)] for i in range(4)]
-        fv = linalg.mat_mul(self.F_matrix, linalg.mat_map(self.V_matrix, ring.frobenius))
-        vf = linalg.mat_mul(self.V_matrix, linalg.mat_map(self.F_matrix, ring.frobenius_inv))
-        alternating = all(
-            self.J[i][j] == -self.J[j][i] for i in range(4) for j in range(4)
-        ) and all(not self.J[i][i] for i in range(4))
+        packing = self.ring.packing
+        mul, sigma, fold = packing.mat_mul, packing.frobenius, packing.fold
+        F, V, J = self._F, self._V, self._J
+        p_id = [[self.ring.p if i == j else 0 for j in range(4)] for i in range(4)]
         # elementary-divisor valuations (0, 0, 1, 1): det J = unit p^2, and J mod p
         # has rank 2, the number of unit divisors; 1 < n holds from n = 2 on
-        divisors, _, _ = linalg.smith_form_local(ring, self.J)
-        ftj = linalg.mat_mul(linalg.transpose(self.F_matrix), self.J)
-        jv = linalg.mat_map(linalg.mat_mul(self.J, self.V_matrix), ring.frobenius)
+        divisors, _, _ = linalg._smith(packing, J)
         return {
-            "fv_is_p": fv == p_id,
-            "vf_is_p": vf == p_id,
-            "alternating": alternating,
+            "fv_is_p": mul(F, sigma(V)) == p_id,
+            "vf_is_p": mul(V, sigma(F, inverse=True)) == p_id,
+            "alternating": all(fold(J[i][j] + J[j][i]) == 0 for i in range(4) for j in range(4))
+            and not any(J[i][i] for i in range(4)),
             "polarization_degree_p2": divisors == [0, 0, 1, 1],
-            "fv_pairing_compatible": ftj == jv,
+            "fv_pairing_compatible": mul(linalg.transpose(F), J) == sigma(mul(J, V)),
         }
 
     def require_valid(self, what):
@@ -131,19 +139,18 @@ def make_standard(ring, case):
 
 def a_number(module):
     """dim of M / (F, V)M = 4 - rank of the mod-p columns of [F | V]."""
-    combined = [frow + vrow for frow, vrow in zip(module.F_matrix, module.V_matrix)]
-    return 4 - linalg.rank_field(module.ring, combined)
+    return 4 - len(linalg._rref(module.ring.packing, [f + v for f, v in zip(module._F, module._V)]))
 
 
 def p_rank(module):
     """Dimension of the stable image of F-bar, that of F-bar^4: the rank mod p of
     F sigma(F) sigma^2(F) sigma^3(F) (sigma^4 is bijective), over W_n(F_q)."""
-    ring = module.ring
-    power = step = module.F_matrix
+    packing = module.ring.packing
+    power = step = module._F
     for _ in range(3):
-        step = linalg.mat_map(step, ring.frobenius)
-        power = linalg.mat_mul(power, step)
-    return linalg.rank_field(ring, power)
+        step = packing.frobenius(step)
+        power = packing.mat_mul(power, step)
+    return len(linalg._rref(packing, power))
 
 
 class DualLattice:
@@ -219,26 +226,27 @@ class LagrangianSearchResult:
 
 
 def _complete_witness(module, g1, g2):
-    """Complete an isotropic direct-summand pair to a basis with the standard
-    pairing shape `_standard_pairing`, certified by its Gram matrix and full rank mod p."""
-    ring = module.ring
-    G = linalg.transpose([g1, g2])
-    # row j of J G is (<e_j, g1>, <e_j, g2>)
-    vals, U, V = linalg.smith_form_local(ring, linalg.mat_mul(module.J, G))
+    """Complete an isotropic direct-summand pair, two vectors of slot ints,
+    to a basis with the standard pairing shape `_standard_pairing`, certified
+    by its Gram matrix and full rank mod p: only the witness is built as ring
+    elements."""
+    packing = module.ring.packing
+    mul, J, pair = packing.mat_mul, module._J, [g1, g2]
+    # row j of J G, G = pair^T, is (<e_j, g1>, <e_j, g2>)
+    vals, U, VT = linalg._smith(packing, mul(J, linalg.transpose(pair)))
     if vals != [0, 1]:
         return None
-    y1, y2 = linalg.transpose(linalg.mat_mul(G, V))
-    x1 = list(U[0])
-    x2 = list(U[1])
-    c = module.pair(x1, x2)
+    # the columns of G V are the rows of V^T G^T
+    y1, y2 = mul(VT, pair)
+    x1, x2 = U[:2]
+    [[c]] = mul(mul([x1], J), [[v] for v in x2])
     if c:
-        x2 = [a - c * b for a, b in zip(x2, y1)]
+        x2 = packing.submul(x2, c, y1)
     basis = [x1, x2, y1, y2]
-    gram = linalg.mat_mul(basis, linalg.mat_mul(module.J, linalg.transpose(basis)))
-    expect = [[ring.from_int(x) for x in row] for row in _standard_pairing(ring.p)]
-    if gram != expect or linalg.rank_field(ring, basis) != 4:
+    expect = [[x % packing.pn for x in row] for row in _standard_pairing(packing.p)]
+    if mul(basis, mul(J, linalg.transpose(basis))) != expect or len(linalg._rref(packing, basis[:])) != 4:
         return None
-    return LagrangianWitness(y1, y2, x1, x2)
+    return LagrangianWitness(*packing.element_matrix([y1, y2, x1, x2]))
 
 
 def lagrangian_witness_search(module):
@@ -261,28 +269,28 @@ def lagrangian_witness_search(module):
     `_complete_witness` completes (g1, l2), and its Gram check and full
     rank mod p certify the witness.  A module on which a step fails (no such z,
     <g1, g2> a unit, or no completion) fails `validate()` and is refused."""
-    ring = module.ring
-    n = ring.n
-    vals, _, _ = linalg.smith_form_local(ring, module.V_matrix)
+    packing, n = module.ring.packing, module.ring.n
+    V, J, is_unit = module._V, module._J, packing.is_unit
+    vals, _, _ = linalg._smith(packing, V)
     if vals != [0, 0, 1, 1]:
         raise PreconditionError(f"V has elementary divisor valuations {vals}, not [0, 0, 1, 1]")
-    columns = linalg.transpose(module.V_matrix)
-    images = linalg.transpose(linalg.mat_mul(module.J, module.V_matrix))
-    g1 = next((g for g, image in zip(columns, images) if any(map(ring.is_unit, image))), None)
+    columns = linalg.transpose(V)
+    images = linalg.transpose(packing.mat_mul(J, V))
+    g1 = next((g for g, image in zip(columns, images) if any(map(is_unit, image))), None)
     if g1 is None:
         return LagrangianSearchResult(
             False, None, n,
             message="no witness at any precision: VM/pM is the radical of the pairing mod p",
         )
-    g2 = next(g for g in columns if linalg.rank_field(ring, [g1, g]) == 2)
-    # entry j is <g1, e_j>
-    pairings = linalg.mat_vec(linalg.transpose(module.J), g1)
-    z = next((j for j, x in enumerate(pairings) if ring.is_unit(x)), None)
-    c = module.pair(g1, g2)
-    if z is None or ring.is_unit(c):
+    g2 = next(g for g in columns if len(linalg._rref(packing, [g1, g])) == 2)
+    # entry j is <g1, e_j>, and <g1, g2> = sum_j <g1, e_j> g2_j
+    [pairings] = packing.mat_mul([g1], J)
+    z = next((j for j, x in enumerate(pairings) if is_unit(x)), None)
+    [[c]] = packing.mat_mul([pairings], [[v] for v in g2])
+    if z is None or is_unit(c):
         raise PreconditionError("mod p the pairing on VM is not alternating or VM/pM not isotropic")
     l2 = list(g2)
-    l2[z] = l2[z] - c * ring.invert(pairings[z])
+    [l2[z]] = packing.submul([l2[z]], c, [packing.inverse(pairings[z])])
     witness = _complete_witness(module, g1, l2)
     if witness is None:
         raise PreconditionError("the isotropic pair in VM does not complete to the standard shape")
@@ -296,15 +304,13 @@ def lagrangian_witness_search(module):
 def base_change(module, g):
     """The module in the new basis given by an invertible matrix g:
     F -> g^{-1} F sigma(g), V -> g^{-1} V sigma^{-1}(g), J -> g^T J g,
-    on reduced coefficients (`base_rings.CoeffPacking`), each entry made a
-    ring element once."""
-    ring = module.ring
-    packing = ring.packing
+    on the stored rows of slot ints (`base_rings.CoeffPacking`); no ring
+    element is built."""
+    # g from another ring, not square or not invertible mod p is refused
+    packing = linalg._packing(module.ring, g)
     mul, sigma = packing.mat_mul, packing.frobenius
-    # linalg.invert goes first: it refuses an entry of g from another ring
-    ginv, g, F, V, J = map(packing.reduced_matrix, (linalg.invert(ring, g), g, module.F_matrix,
-                                                    module.V_matrix, module.J))
-    F = mul(ginv, mul(F, sigma(g)))
-    V = mul(ginv, mul(V, sigma(g, inverse=True)))
-    J = mul(linalg.transpose(g), mul(J, g))
-    return DieudonneModule(ring, *map(packing.element_matrix, (F, V, J)), _elements=True)
+    g = packing.reduced_matrix(g)
+    ginv = linalg._invert(packing, g)
+    return DieudonneModule.__new__(DieudonneModule)._store(
+        module.ring, mul(ginv, mul(module._F, sigma(g))), mul(ginv, mul(module._V, sigma(g, inverse=True))),
+        mul(linalg.transpose(g), mul(module._J, g)), {})

@@ -2,15 +2,15 @@
 
 Matrices are lists of row lists of ring elements.  `mat_mul`, `mat_vec`,
 `invert`, `rref_field`, `rank_field` and `smith_form_local` take elements
-of one coefficient ring (F_q or W_n(F_q)) only; any other operand is a
-`DomainError`.  Each reads the reduced coefficients once, computes with the
-ring's `base_rings.CoeffPacking` (a product is one int dot product per
-entry; a row reduction scales rows and subtracts multiples of rows) and
-builds ring elements once at the end.  The one Gauss-Jordan loop, `_rref`,
-pivots on units: over a field the nonzero entries, over W_n(F_q) enough for
-every matrix invertible mod p, the only kind `invert` accepts.  `bilinear`
-(v^T G w, skipping the zeros that the pairings are full of) and `det` stay
-on `Residue` arithmetic.
+of one coefficient ring (F_q or W_n(F_q)) only, in matching dimensions;
+anything else is a `DomainError`.  Each computes on slot ints (one int
+product and one fold per entry, `base_rings.CoeffPacking`) and builds ring
+elements once at the end; `sll.dieudonne` calls the row-level `_rref`,
+`_invert` and `_smith` on the rows it stores.  The one Gauss-Jordan loop,
+`_rref`, pivots on units: over a field the nonzero entries, over W_n(F_q)
+enough for every matrix invertible mod p, the only kind `invert` accepts.
+`bilinear` (v^T G w, skipping the zeros that the pairings are full of) and
+`det` stay on `Residue` arithmetic.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    packing = _packing(None, A, [v])
-    C = packing.mat_mul(packing.reduced_matrix(A), [[packing.reduced(x)] for x in v])
-    return [packing.element(row[0]) for row in C]
+    return [row[0] for row in mat_mul(A, [[x] for x in v])]
 
 
 def mat_map(A, f):
@@ -84,15 +82,20 @@ def det(ring, A):
 
 
 def invert(ring, A):
-    """Inverse of a matrix that is invertible modulo the maximal ideal: the
-    right half of the reduced form of [A | I]."""
+    """Inverse of a square matrix invertible mod the maximal ideal (`_invert`)."""
     packing = _packing(ring, A)
-    n, zero, one = len(A), packing.zero, packing.one
-    work = [row + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(packing.reduced_matrix(A))]
+    return packing.element_matrix(_invert(packing, packing.reduced_matrix(A)))
+
+
+def _invert(packing, A):
+    """The right half of the reduced form of [A | I], A square of slot ints."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise DomainError("matrix is not square")
+    work = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A)]
     if _rref(packing, work) != list(range(n)):
         raise DomainError("matrix is not invertible over the local ring")
-    return packing.element_matrix([row[n:] for row in work])
+    return [row[n:] for row in work]
 
 
 def bilinear(G, v, w, zero):
@@ -129,12 +132,12 @@ def rref_field(ring, A):
 
 
 def _rref(packing, work):
-    """Gauss-Jordan on rows of reduced coefficients, in place, pivoting on
-    the first unit in each column; returns the pivot columns.  A row that a
-    step changes is replaced by a new list."""
+    """Gauss-Jordan on rows of slot ints, in place, pivoting on the first
+    unit in each column; returns the pivot columns.  A row that a step
+    changes is replaced by a new list."""
     rows = len(work)
     cols = len(work[0]) if rows else 0
-    is_unit, zero, one = packing.is_unit, packing.zero, packing.one
+    is_unit = packing.is_unit
     pivots = []
     for col in range(cols):
         rank = len(pivots)
@@ -145,10 +148,10 @@ def _rref(packing, work):
             continue
         work[rank], work[piv] = work[piv], work[rank]
         top = work[rank]
-        if top[col] != one:
+        if top[col] != 1:
             top = work[rank] = packing.scale(packing.inverse(top[col]), top)
         for r in range(rows):
-            if r != rank and work[r][col] != zero:
+            if r != rank and work[r][col]:
                 work[r] = packing.submul(work[r], work[r][col], top)
         pivots.append(col)
         if rank + 1 == rows:
@@ -158,20 +161,25 @@ def _rref(packing, work):
 
 def smith_form_local(ring, A):
     """Smith normal form over W_n(F_q), where every elementary divisor is a
-    power of p.  Returns (divisor valuations, U, V) with U A V = diag(p^v).
+    power of p.  Returns (divisor valuations, U, V) with U A V = diag(p^v)
+    (`_smith`)."""
+    packing = _packing(ring, A)
+    vals, U, VT = _smith(packing, packing.reduced_matrix(A))
+    return vals, packing.element_matrix(U), packing.element_matrix(transpose(VT))
 
-    U, V are invertible; entries of the diagonal beyond min(rows, cols)
-    valuations are reported as ring.n (zero at this precision).
+
+def _smith(packing, A):
+    """(valuations, U, VT) of a matrix A of slot ints, left unchanged, with
+    U A VT^T = diag(p^v), U and VT invertible, and valuations beyond
+    min(rows, cols) reported as n (zero at this precision).
 
     Clearing the pivot's column leaves zeros below it, so clearing its row
     would change only row t of S, which no later step reads: the column
     operations act on V alone, kept by its columns, the rows of VT."""
-    packing = _packing(ring, A)
-    rows, cols, n = len(A), len(A[0]), ring.n
-    S = packing.reduced_matrix(A)
-    zero, one = packing.zero, packing.one
-    U = [[one if i == j else zero for j in range(rows)] for i in range(rows)]
-    VT = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
+    rows, cols, n = len(A), len(A[0]), packing.n
+    S = [row[:] for row in A]
+    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    VT = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
     valuation, divide, submul = packing.valuation, packing.divide, packing.submul
     vals = []
     for t in range(min(rows, cols)):
@@ -186,15 +194,15 @@ def smith_form_local(ring, A):
             row[t], row[bj] = row[bj], row[t]
         # normalize pivot to exactly p^v
         unit = divide(S[t][t], v)
-        if unit != one:
+        if unit != 1:
             uinv = packing.inverse(unit)
             S[t], U[t] = packing.scale(uinv, S[t]), packing.scale(uinv, U[t])
         for i in range(t + 1, rows):
-            if S[i][t] != zero:
+            if S[i][t]:
                 f = divide(S[i][t], v)
                 S[i], U[i] = submul(S[i], f, S[t]), submul(U[i], f, U[t])
         for j in range(t + 1, cols):
-            if S[t][j] != zero:
+            if S[t][j]:
                 VT[j] = submul(VT[j], divide(S[t][j], v), VT[t])
         vals.append(v)
-    return vals, packing.element_matrix(U), packing.element_matrix(transpose(VT))
+    return vals, U, VT

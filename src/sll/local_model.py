@@ -50,8 +50,13 @@ class IsotropicPlane:
         red, pivots = linalg.rref_field(field, rows)
         if len(pivots) != 2:
             raise ValidationError("plane basis must have rank 2")
+        self._store(field, red)
+
+    def _store(self, field, echelon):
+        """Set the attributes, here only, from a basis in echelon form; returns self."""
         self.field = field
-        self.basis = tuple(tuple(r) for r in red)  # two 4-tuples of field elements
+        self.basis = tuple(tuple(r) for r in echelon)  # two 4-tuples of field elements
+        return self
 
     def __eq__(self, other):
         return (isinstance(other, IsotropicPlane)
@@ -109,7 +114,7 @@ def enumerate_special_fiber(q):
         for vals1 in itertools.product(*([zero] if c == pinned else elements for c in free1)):
             row1 = row(i, free1, vals1)
             for vals2 in itertools.product(elements, repeat=len(free2)):
-                out.append(IsotropicPlane(field, (row1, row(j, free2, vals2))))
+                out.append(IsotropicPlane.__new__(IsotropicPlane)._store(field, (row1, row(j, free2, vals2))))
     return out
 
 

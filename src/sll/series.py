@@ -129,6 +129,7 @@ class _Packing:
         # a product key sums at most min(len(a), len(b)) products, a substitution
         # key one per term of f: at most the comb(D - 1 + nvars, nvars) monomials
         self.width = coeff.width(math.comb(ring.degree - 1 + ring.nvars, ring.nvars))
+        self.fold = coeff.folder(self.width)
         self.nvars = ring.nvars
         self.shift = ring.degree.bit_length()
         # a key's total degree is key >> degree_shift
@@ -143,11 +144,12 @@ class _Packing:
 
     def pack(self, c):
         """The slot int of a ring element."""
-        return self.coeff.spread(self.coeff.reduced(c), self.width)
+        return self.coeff.spread(c.coeffs, self.width)
 
     def coefficient(self, v):
         """The ring element of a slot int."""
-        return self.coeff.element(self.coeff.unspread(v, self.width))
+        ring = self.coeff.coeff_ring
+        return ring._element(ring, self.coeff.unspread(v, self.width))
 
     def unpack(self, packed):
         """The {exponents: coefficient} map of a {key: slot int} map."""
@@ -161,10 +163,14 @@ class _Packing:
         return {w: self.pack(c) for w, c in zip(self.weights, coeffs) if c}
 
     def add(self, a, b):
-        """The sum of two packed maps, reduced, zeros dropped."""
-        out = {**a, **b}
-        sums = {k: a[k] + out.pop(k) for k in a.keys() & b.keys()}
-        out.update(self.coeff.reduce(sums, self.width))
+        """The sum of two packed maps: the smaller is walked, and a key that
+        both hold is summed and folded, or dropped if the sum is zero."""
+        small, out = (a, dict(b)) if len(a) < len(b) else (b, dict(a))
+        for k, c in small.items():
+            if k in out and not (c := self.fold(out[k] + c)):
+                del out[k]
+            else:
+                out[k] = c
         return out
 
     def neg(self, a):
@@ -207,7 +213,8 @@ class _Packing:
                 if k >= limit:
                     break
                 acc[k] = get(k, 0) + c1 * c2
-        return self.coeff.reduce(acc, self.width)
+        fold = self.fold
+        return {k: r for k, v in acc.items() if (r := fold(v))}
 
     def substitute(self, fs, images):
         """[f(images_1, ..., images_n) for f in fs], packed, truncated and
@@ -216,7 +223,7 @@ class _Packing:
         shift, mask = self.shift, (1 << self.shift) - 1
         fields = tuple(enumerate(range(0, self.degree_shift, shift)))
         pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
-        mul, reduce = self.mul, self.coeff.reduce
+        mul, fold = self.mul, self.fold
         results = []
         for f in fs:
             # every term of f adds at most one product c * v (the constant
@@ -238,7 +245,7 @@ class _Packing:
                     continue
                 for key, v in mono.items():
                     out[key] = get(key, 0) + c * v
-            results.append(reduce(out, self.width))
+            results.append({k: r for k, v in out.items() if (r := fold(v))})
         return results
 
 

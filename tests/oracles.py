@@ -53,6 +53,8 @@ routes that the rings' `valuation`, `WittRing.divide_exact_p`,
 `power_inverse` (x^(q - 2) over F_q), `loop_is_unit` (x != 0 over F_q) and
 `power_frobenius` (x^p and x^(p^(m-1)) over F_q) are the field routes that
 the ring interface written once for F_q and W_n(F_q) replaced.
+`residue_base_change` is `dieudonne.base_change` on `Residue` matrices, by
+`loop_invert`, `naive_mat_mul` and `power_frobenius`.
 `iterative_p_rank` (images of F-bar spanned and row-reduced round by round),
 `rank_checked_validate` (the polarization check with its mod-p rank test)
 and `diagonal_dual_columns` (the diagonal matrix of p^{1-v} multiplied in)
@@ -863,6 +865,21 @@ def hodge_point_in_radical(module):
     ring = module.ring
     return all(loop_valuation(ring, x) >= 1
                for row in naive_mat_mul(module.J, module.V_matrix) for x in row)
+
+
+def residue_base_change(module, g):
+    """(F, V, J) of `dieudonne.base_change` on `Residue` entries:
+    g^-1 F sigma(g), g^-1 V sigma^-1(g) and g^T J g, by `loop_invert`,
+    `naive_mat_mul` and `power_frobenius` (the ring's own `frobenius` runs
+    on the slot ints that base change uses)."""
+    ring = module.ring
+    ginv = loop_invert(ring, g)
+    images = [[[power_frobenius(ring, x, k) for x in row] for row in g]
+              for k in (1, ring.field.m - 1)]
+    gt = [list(col) for col in zip(*g)]
+    return (naive_mat_mul(ginv, naive_mat_mul(module.F_matrix, images[0])),
+            naive_mat_mul(ginv, naive_mat_mul(module.V_matrix, images[1])),
+            naive_mat_mul(gt, naive_mat_mul(module.J, g)))
 
 
 def pairwise_complete_witness(module, g1, g2):

@@ -1,11 +1,12 @@
 import functools
 import inspect
 import random
+import sys
 import time
 
 import pytest
 
-from sll import dieudonne, jsonio, linalg
+from sll import base_rings, dieudonne, jsonio, linalg
 from sll.base_rings import FiniteField, WittRing
 from sll.dieudonne import (
     STANDARD_CASES,
@@ -33,6 +34,7 @@ from .oracles import (
     pairwise_complete_witness,
     per_column_kernel_type,
     rank_checked_validate,
+    residue_base_change,
 )
 
 
@@ -497,12 +499,13 @@ def test_product_routes_match_the_per_vector_routes(q, n, monkeypatch):
     # here where sigma^2 != 1, so sigma and sigma^{-1} differ); the witness
     # completion against the pairwise one on every leaf pair the search
     # completes, each also in VM and isotropic by the loop routes, and on
-    # seeded pairs
+    # seeded pairs; the completion takes and is recorded as slot ints and
+    # is checked in ring elements
     real = dieudonne._complete_witness
     leaves = []
 
     def recorded(module, g1, g2):
-        leaves.append((g1, g2))
+        leaves.append(tuple(module.ring.packing.element_matrix([g1, g2])))
         return real(module, g1, g2)
 
     monkeypatch.setattr(dieudonne, "_complete_witness", recorded)
@@ -531,7 +534,7 @@ def test_product_routes_match_the_per_vector_routes(q, n, monkeypatch):
                        [ring.random_element(rng) for _ in range(4)]) for _ in range(4)]
             for g1, g2 in pairs:
                 want = pairwise_complete_witness(module, g1, g2)
-                assert real(module, g1, g2) == want, (case, q, n)
+                assert real(module, *ring.packing.reduced_matrix([g1, g2])) == want, (case, q, n)
                 outcomes.add(want is None)
     assert outcomes == {True, False}
     assert kinds >= {"AlphaSquare", "NonAlphaSquare"}
@@ -609,3 +612,59 @@ def test_module_json_roundtrip():
     assert back.F_matrix == module.F_matrix
     assert back.V_matrix == module.V_matrix
     assert back.J == module.J
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (2, 3)])
+def test_base_change_matches_the_residue_products(q, n):
+    # base change on stored slot-int rows against the Residue products, on
+    # every fixture and its seeded base changes (one 1 mod p, one generic)
+    for case, fixture in _fixtures_at(q, n):
+        rng = random.Random(f"residue-base-change-{case}-{q}-{n}")
+        for g in _seeded_base_changes(fixture.ring, rng):
+            changed = base_change(fixture, g)
+            assert (changed.F_matrix, changed.V_matrix, changed.J) == \
+                residue_base_change(fixture, g), (case, q, n)
+
+
+def test_module_views_are_the_matrices_given():
+    # F_matrix, V_matrix and J read back what the constructor was given, as
+    # ring elements, from ints, coefficient lists or elements alike; a view
+    # is built once and cannot be assigned
+    ring = WittRing(field_for_q(4), 3)
+    rng = random.Random("module-views")
+    F = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
+    V = [[rng.randrange(-20, 20) for _ in range(4)] for _ in range(4)]
+    J = [[[rng.randrange(8), rng.randrange(8)] for _ in range(4)] for _ in range(4)]
+    module = DieudonneModule(ring, F, V, J)
+    assert module.F_matrix == F
+    assert module.V_matrix == [[ring.element(x) for x in row] for row in V]
+    assert module.J == [[ring.element(x) for x in row] for row in J]
+    changed = base_change(module, linalg.identity(ring, 4))
+    for name in ("F_matrix", "V_matrix", "J"):
+        assert getattr(changed, name) == getattr(module, name)
+        assert getattr(changed, name) is getattr(changed, name)
+        with pytest.raises(AttributeError):
+            setattr(module, name, F)
+
+
+def test_base_change_and_verdict_multiply_per_entry_only_in_inverse(monkeypatch):
+    # an op-count pin that needs no clock: over W_3(F_4) a generic base
+    # change and the witness verdict make every base_rings._mulmod call
+    # inside CoeffPacking.inverse; products, row operations and Frobenius
+    # images are one int product and one fold per entry
+    ring = WittRing(field_for_q(4), 3)
+    module = make_standard(ring, "iia")
+    _, g = _seeded_base_changes(ring, random.Random("mulmod-pin"))
+    inverse, real = base_rings.CoeffPacking.inverse.__code__, base_rings._mulmod
+    callers = []
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not inverse:
+            frame = frame.f_back
+        callers.append("inverse" if frame else sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(base_rings, "_mulmod", counted)
+    assert lagrangian_witness_search(base_change(module, g)).found
+    assert callers and set(callers) == {"inverse"}

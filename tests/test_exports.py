@@ -42,6 +42,7 @@ AWAITING_A_CALLER = {
     "deformation.nonordinary_locus": "item 5",
     "jsonio.module_to_json": "tests write module files with it",
     "jsonio.quadform_from_json": "a bench/tracer.py target; only tests call it",
+    "linalg.mat_vec": "a bench/tracer.py target; the witness verdict pairs on slot-int rows",
 }
 
 

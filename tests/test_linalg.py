@@ -6,8 +6,9 @@ from sll import linalg
 from sll.base_rings import FiniteField, WittRing, field_for_q
 from sll.dieudonne import base_change, make_standard
 from sll.errors import DomainError
-from .oracles import (independent_rank, int_poly_reduce, loop_invert, loop_rref, loop_smith_form,
-                      naive_mat_mul, naive_mat_vec)
+from .oracles import (independent_rank, int_poly_reduce, loop_divide_exact_p, loop_invert,
+                      loop_is_unit, loop_rref, loop_smith_form, loop_valuation, naive_mat_mul,
+                      naive_mat_vec, power_frobenius, power_inverse)
 
 
 def _invertible_matrices(ring, rng, count):
@@ -121,7 +122,7 @@ FOLD_RINGS = [(p, m, n) for p, m, n in PRODUCT_RINGS if m > 1]
 @pytest.mark.parametrize("p,m,n", FOLD_RINGS,
                          ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in FOLD_RINGS])
 def test_fold_holds_at_its_headroom(p, m, n):
-    # the in-int fold of a packed sum against the 2m - 1 slots reduced one
+    # `folder`'s in-int fold of a packed sum, against the 2m - 1 slots reduced one
     # degree at a time, at the slot width of `count` products with every
     # slot at its maximum: count * m (N-1)^2 in each slot, or, in the top
     # m - 1 slots that the fold multiplies in, the largest value below that
@@ -141,7 +142,8 @@ def test_fold_holds_at_its_headroom(p, m, n):
         cases.append([real >> (width * k) & mask for k in range(2 * m - 1)])
         for slots in cases:
             value = sum(s << (width * k) for k, s in enumerate(slots))
-            assert packing.fold([value], width) == [int_poly_reduce(slots, g, N)], (count, slots)
+            want = sum(r << (width * k) for k, r in enumerate(int_poly_reduce(slots, g, N)))
+            assert packing.folder(width)(value) == want, (count, slots)
 
 
 def test_products_accept_equal_rings_and_refuse_mixed_ones():
@@ -297,3 +299,118 @@ def test_smith_form_diagonalizes(q, n):
                 assert independent_rank(ring.field, linalg.mat_map(T, ring.residue)) == len(T)
             zero_blocks += n in vals
     assert zero_blocks >= len(GRID_SHAPES)
+
+
+def test_products_and_inverses_refuse_mismatched_dimensions():
+    # a product whose inner dimensions differ or whose operand is ragged,
+    # and the inverse of a matrix that is not square, are refused rather
+    # than computed on the rows that happen to zip
+    ring = WittRing(FiniteField(3), 2)
+    e = ring.element
+    for A, B in (([[e(1), e(2)]], [[e(1)], [e(2)], [e(3)]]),
+                 ([[e(1), e(2), e(3)]], [[e(1)], [e(2)]]),
+                 ([[e(1), e(2)]], [[e(1), e(2)], [e(3)]]),
+                 ([[e(1), e(2)], [e(1)]], [[e(1)], [e(2)]])):
+        with pytest.raises(DomainError):
+            linalg.mat_mul(A, B)
+    for A, v in (([[e(1), e(2)]], [e(1), e(2), e(3)]), ([[e(1), e(2), e(3)]], [e(1), e(2)]),
+                 ([[e(1), e(2)], [e(1)]], [e(1), e(2)])):
+        with pytest.raises(DomainError):
+            linalg.mat_vec(A, v)
+    rng = random.Random("not-square")
+    for rows, cols in ((3, 4), (4, 3), (1, 2)):
+        with pytest.raises(DomainError):
+            linalg.invert(ring, [[ring.random_element(rng) for _ in range(cols)] for _ in range(rows)])
+    with pytest.raises(DomainError):
+        linalg.invert(ring, [[e(1), e(0)], [e(0)]])
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 2, 1), (3, 2, 1), (2, 2, 3), (2, 8, 32)],
+                         ids=["F4", "F9", "W3(F4)", "W32(F256)"])
+def test_products_are_exact_up_to_the_width_bound_and_refused_beyond(p, m, n):
+    # at m > 1 the ring's one slot width holds a sum of 64 products: every
+    # entry at N - 1 at inner dimension 64 matches the Residue sums, and 65
+    # is refused
+    ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
+    for inner in (63, 64):
+        A, B = _full_matrix(ring, 2, inner), _full_matrix(ring, inner, 2)
+        assert linalg.mat_mul(A, B) == naive_mat_mul(A, B)
+        assert linalg.mat_vec(A, [row[0] for row in B]) == naive_mat_vec(A, [row[0] for row in B])
+    with pytest.raises(DomainError):
+        linalg.mat_mul(_full_matrix(ring, 2, 65), _full_matrix(ring, 65, 2))
+    with pytest.raises(DomainError):
+        linalg.mat_vec(_full_matrix(ring, 1, 65), [ring.one()] * 65)
+
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (65521, 1), (65521, 16)],
+                         ids=["F2", "W2(F3)", "F65521", "W16(F65521)"])
+def test_products_at_m_1_are_exact_at_any_inner_dimension(p, n):
+    # at m = 1 the fold is the sum mod N, so no width bound applies: every
+    # entry at N - 1 and seeded entries beyond inner dimension 64 match the
+    # Residue sums
+    ring = FiniteField(p) if n == 1 else WittRing(FiniteField(p), n)
+    rng = random.Random(f"m1-products:{p}:{n}")
+    for inner in (65, 200):
+        for A, B in ((_full_matrix(ring, 2, inner), _full_matrix(ring, inner, 2)),
+                     (_sparse_matrix(ring, rng, 3, inner), _sparse_matrix(ring, rng, inner, 2))):
+            assert linalg.mat_mul(A, B) == naive_mat_mul(A, B)
+            v = [row[0] for row in B]
+            assert linalg.mat_vec(A, v) == naive_mat_vec(A, v)
+
+# the slot-int grid: m = 1, 2, 3 and 8; p = 2, where a slot mod N is a mask,
+# and odd p; fields (N = p, the least headroom) and Witt rings up to W_32(F_256)
+SLOT_RINGS = [(5, 1, 3), (3, 1, 1), (2, 2, 1), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 2), (2, 8, 32)]
+
+
+def _slot_elements(ring, rng):
+    """Every residue at N - 1 (the largest products, which the subtraction
+    offset and the fold headroom must hold), N - 1, zero, one, elements
+    divisible by random powers of p, and random elements."""
+    top = ring.element([ring.pn - 1] * (len(ring.lifted_modulus) - 1))
+    xs = [top, ring.element(ring.pn - 1), ring.zero(), ring.one()]
+    xs += [ring.random_element(rng) * ring.from_int(ring.p ** rng.randrange(ring.n)) for _ in range(4)]
+    return xs + [ring.random_element(rng) for _ in range(8)]
+
+
+@pytest.mark.parametrize("p,m,n", SLOT_RINGS,
+                         ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in SLOT_RINGS])
+def test_slot_int_ops_match_the_residue_routes(p, m, n):
+    # each CoeffPacking op on slot ints against its Residue route: the
+    # entry ops against the loop and power oracles, the row operations
+    # and products against Residue sums and products, and the row
+    # reductions built on them against the Residue loops
+    ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
+    packing = ring.packing
+    red = packing.reduced
+    xs = _slot_elements(ring, random.Random(f"slots:{p}:{m}:{n}"))
+    rs = [red(x) for x in xs]
+    assert [packing.element(r) for r in rs] == xs
+    for x, r in zip(xs, rs):
+        v = loop_valuation(ring, x)
+        assert packing.valuation(r) == v and packing.is_unit(r) == loop_is_unit(ring, x), x
+        for k in range(v + 1):
+            assert packing.divide(r, k) == red(loop_divide_exact_p(ring, x, k)), (x, k)
+        if v == 0:
+            assert packing.inverse(r) == red(power_inverse(ring, x)), x
+        assert packing.frobenius([[r]]) == [[red(power_frobenius(ring, x))]], x
+        assert packing.frobenius([[r]], inverse=True) == [[red(power_frobenius(ring, x, m - 1))]], x
+    for f, x in zip(rs, xs):
+        assert packing.scale(f, rs) == [red(y) for y in naive_mat_mul([[x]], [xs])[0]], x
+        assert packing.submul(rs, f, rs[::-1]) == [red(a - x * b) for a, b in zip(xs, xs[::-1])], x
+    A, B = [xs[:4], xs[4:8], xs[8:12], xs[12:]], [xs[::-4], xs[1::4], xs[2::4], xs[3::4]]
+    full = [[xs[0]] * 4 for _ in range(4)]
+    for P, Q in ((A, B), (full, full), (full, A)):
+        assert packing.mat_mul(packing.reduced_matrix(P), packing.reduced_matrix(Q)) == \
+            packing.reduced_matrix(naive_mat_mul(P, Q))
+    for M in (A, B, full, [xs[:3] + [xs[0]], xs[4:8], [xs[0]] * 4, xs[12:]]):
+        assert linalg.rref_field(ring, M) == loop_rref(ring, M)
+        if n > 1:
+            assert linalg.smith_form_local(ring, M) == loop_smith_form(ring, M)
+        try:
+            inverse = loop_invert(ring, M)
+        except DomainError:
+            with pytest.raises(DomainError):
+                linalg.invert(ring, M)
+        else:
+            assert linalg.invert(ring, M) == inverse

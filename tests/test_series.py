@@ -171,6 +171,30 @@ def test_sums_of_dense_top_coefficients_drop_zero_slot_ints(p, m, n):
     assert dict_of(g + (-f)) == dict_add(G, dict_scale(F, minus_one))
 
 
+@pytest.mark.parametrize("p,m,n", [(3, 1, 2), (2, 2, 3), (3, 2, 2)])
+def test_sums_fold_only_the_keys_both_summands_hold(p, m, n, monkeypatch):
+    # a sum walks the smaller map: an empty or disjoint summand costs no
+    # fold, each shared key one, and every sum matches the dict oracle
+    S = SeriesRing(ring_W(p, m, n), 3, 6)
+    rng = random.Random(f"sum-folds:{p}:{m}:{n}")
+    cases = []
+    for _ in range(8):
+        f, high = random_series(S, rng), random_series(S, rng, min_degree=3)
+        low = S.from_terms((e, c) for e, c in f.coeffs.items() if sum(e) < 3)
+        cases += [(low, high), (f, high), (f, -f), (f, S.zero())]
+    real, folds = S._packing.fold, []
+    monkeypatch.setattr(S._packing, "fold", lambda v: folds.append(v) or real(v))
+    shared_counts = set()
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            folds.clear()
+            got = x + y
+            shared_counts.add(len(folds))
+            assert len(folds) == len(x.packed.keys() & y.packed.keys())
+            assert series_equals_dict(got, dict_add(dict_of(x), dict_of(y)))
+    assert 0 in shared_counts and len(shared_counts) > 2
+
+
 @pytest.mark.parametrize("make_ring", [
     lambda: ring_W(3, 1, 3), lambda: ring_W(3, 2, 2), lambda: ring_W(2, 8, 32),
 ], ids=["m1", "m2", "m8"])

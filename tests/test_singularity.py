@@ -322,7 +322,7 @@ def test_gram_inverse_matches_residue_inverse(p, m, n):
             got = _quadratic_inverse(Q.to_series(S))
             want = loop_invert(ring, G)
             assert got == [[ring.packing.reduced(c) for c in row] for row in want]
-            X = [[ring.element(c) for c in row] for row in got]
+            X = ring.packing.element_matrix(got)
             assert naive_mat_mul(G, X) == linalg.identity(ring, nvars)
 
 
@@ -445,7 +445,7 @@ def test_a_degenerate_quadratic_part_raises_on_every_call():
                 kill_linear_term(S.constant(ring.p_element()) + quadratic)
         got = _quadratic_inverse(good)
         assert got == want
-        X = [[ring.element(c) for c in row] for row in got]
+        X = ring.packing.element_matrix(got)
         assert naive_mat_mul(G, X) == [[ring.element(int(i == j)) for j in range(4)]
                                        for i in range(4)]
 
