@@ -15,10 +15,11 @@ the valuation, units, inverse, residue and Frobenius of both.
 
 The polynomial arithmetic over Z/N is written once: `_reduce` is the one
 reduction by a monic modulus (of a `Residue` product, of the x^(m+i) by
-which `CoeffPacking` folds a packed sum inside the int, and in the gcd
-and the modulus lift), `_powmod` the one square-and-multiply loop (`**`,
-Frobenius, Teichmuller lifts), and `is_irreducible` is Ben-Or's test on
-both (M. Ben-Or, *Probabilistic algorithms in finite fields*, FOCS 1981).
+which each `CoeffPacking` folds a packed sum inside the int at its own
+slot width, and in the gcd and the modulus lift), `_powmod` the one
+square-and-multiply loop (`**`, Frobenius, Teichmuller lifts), and
+`is_irreducible` is Ben-Or's test on both (M. Ben-Or, *Probabilistic
+algorithms in finite fields*, FOCS 1981).
 
 Elements are immutable value objects; rings are shareable read-only
 contexts; every operation is pure.
@@ -47,7 +48,6 @@ BUILTIN_MODULI = {
 MAX_CHARACTERISTIC = 2 ** 16
 MAX_DEGREE = 8
 MAX_RING_ORDER = 2 ** 256
-_MAX_INNER = 64  # the largest inner dimension of a product at m > 1 (`CoeffPacking.width`)
 
 # the standard Dieudonne fixtures of `dieudonne.make_standard`, named here so
 # the command line can offer them without importing `dieudonne`
@@ -245,52 +245,73 @@ class WittElement(Residue):
 
 
 class CoeffPacking:
-    """The packed-integer form of the coefficients of one ring, the ring's
-    `packing`: the coefficient arithmetic of `linalg`, `dieudonne` and
-    `series._Packing`, and the only code that knows the slot layout.
+    """The packed-integer form of the coefficients of one ring at one slot
+    width, sized for a sum of `count` products: the coefficient arithmetic
+    of `linalg`, `dieudonne` and `series._Packing`, and the only code that
+    knows the slot layout.  The ring's `packing` has count 64; each series
+    ring has its own.
 
     A coefficient, m residues mod N = p^n (N = p over a field), is a slot
     int: the residues in slots of `slot_width` bits of one int (Kronecker
-    substitution), so one int product is the whole convolution of two
-    residue vectors; at m = 1 it is the residue, and zero and one are 0
-    and 1 at every m.  A sum of products is reduced once, inside the int,
-    by `fold` (`folder`), and x - f y is folded from x + `offset` - f y,
-    whose slots are multiples of N at least any slot of f y, so no slot
-    borrows.
+    substitution; D. Harvey, *Faster polynomial multiplication via
+    multipoint Kronecker substitution*, 2009), so one int product is the
+    whole convolution of two residue vectors; at m = 1 it is the residue,
+    and zero and one are 0 and 1 at every m and width.  A sum of products
+    is reduced once, inside the int, by `fold`, and x - f y is folded from
+    x + `offset` - f y, whose slots are multiples of N at least any slot
+    of f y, so no slot borrows.
     """
 
-    def __init__(self, ring):
+    def __init__(self, ring, count):
         self.coeff_ring = ring
-        self.p, self.n = ring.p, ring.n
+        self.p, self.n, self.count = ring.p, ring.n, count
         pn = self.pn = ring.pn
         # gcd(p^n, coefficients) = p^v for the valuation v (a field is W_1)
         self.valuations = {ring.p ** v: v for v in range(ring.n + 1)}
         self.m = m = len(ring.lifted_modulus) - 1
         self.g = ring.lifted_modulus
         # a product of two reduced m-slot coefficients has slots below
-        # m (N-1)^2: slot k sums a_i b_j over at most m pairs i + j = k
+        # m (N-1)^2 (slot k sums a_i b_j over at most m pairs i + j = k), a
+        # sum of `count` of them below count times that, and its fold adds
+        # at most (m-1) (N-1)^2: one count of headroom, which also holds a
+        # row operation (slots below 2 m (N-1)^2 + 2 (N-1)) and a Frobenius
+        # image.  Exact up to m = MAX_DEGREE and q^n = MAX_RING_ORDER
         self.slot_bound = m * (pn - 1) ** 2
-        # x^(m+i) mod g, i < m - 1: what a fold multiplies the top slots by
-        self.tops = [_reduce([0] * (m + i) + [1], self.g, pn) for i in range(m - 1)]
-        w = self.slot_width = self.width(_MAX_INNER)
+        w = self.slot_width = ((count + 1) * self.slot_bound).bit_length()
         self.mask, self.shifts = (1 << w) - 1, range(0, w * m, w)
-        self.fold = self.folder(w)
-        self.offset = self.spread([-(-self.slot_bound // pn) * pn] * (2 * m - 1), w)
+        self.offset = sum(-(-self.slot_bound // pn) * pn << (w * k) for k in range(2 * m - 1))
+        self.fold = self._fold() if m > 1 else pn.__rmod__
 
-    def width(self, count):
-        """Slot width that holds a sum of `count` coefficient products, each
-        slot at most count * m (N-1)^2, and its fold, which adds at most
-        (m-1) (N-1)^2 more: one count of headroom.  The ring's `slot_width`
-        is width(64), exact for a matrix product of inner dimension at most
-        64 (`mat_mul` refuses more at m > 1; at m = 1 the fold is the sum
-        mod N, exact at any size), a row operation (slots below 2 m (N-1)^2
-        + 2 (N-1)) and a Frobenius image.  Exact int arithmetic, so it holds
-        up to m = MAX_DEGREE and q^n = MAX_RING_ORDER included."""
-        return ((count + 1) * self.slot_bound).bit_length()
+    def _fold(self):
+        """The fold at m > 1 of 2m - 1 slots: each top slot m + i, taken mod N,
+        adds its multiple of x^(m+i) mod g to the m low slots, then mod N."""
+        pn, m, mask, shifts, w = self.pn, self.m, self.mask, self.shifts, self.slot_width
+        low = (1 << w * m) - 1
+        # x^(m+i) mod g, i < m - 1: what the fold multiplies the top slots by
+        tops = [(w * (m + i), self._join(_reduce([0] * (m + i) + [1], self.g, pn)))
+                for i in range(m - 1)]
+        # N = 2^n: the low slots mod N are their low n bits, kept by one mask
+        keep = self._join([pn - 1] * m) if pn & (pn - 1) == 0 else 0
+
+        def fold(v):
+            lo = v & low
+            for sh, top in tops:
+                lo += (v >> sh & mask) % pn * top
+            if keep:
+                return lo & keep
+            r = 0
+            for s in shifts:
+                r |= (lo >> s & mask) % pn << s
+            return r
+        return fold
+
+    def _join(self, coeffs):
+        """The slot int of m residues: the inverse of `slots`."""
+        return sum(map(operator.lshift, coeffs, self.shifts))
 
     def reduced(self, c):
         """The slot int of a ring element."""
-        return c.coeffs[0] if self.m == 1 else sum(map(operator.lshift, c.coeffs, self.shifts))
+        return c.coeffs[0] if self.m == 1 else self._join(c.coeffs)
 
     def element(self, r):
         """The ring element of a slot int."""
@@ -310,40 +331,6 @@ class CoeffPacking:
 
     def element_matrix(self, A):
         return [list(map(self.element, row)) for row in A]
-
-    def spread(self, coeffs, width):
-        """The int of residues in consecutive slots of `width` bits."""
-        return sum(map(operator.lshift, coeffs, itertools.count(0, width)))
-
-    def unspread(self, v, width):
-        """The m residues of an int with `width`-bit slots: the inverse of `spread`."""
-        mask = (1 << width) - 1
-        return tuple([v >> s & mask for s in range(0, width * self.m, width)])
-
-    def folder(self, width):
-        """The fold at `width`: the slot int of an int whose 2m - 1 slots of
-        `width` bits hold a sum of products of slot ints.  Each top slot
-        m + i, taken mod N, adds its multiple of x^(m+i) mod g to the m low
-        slots, which are then taken mod N (at m = 1, the sum mod N)."""
-        pn, m = self.pn, self.m
-        if m == 1:
-            return pn.__rmod__
-        mask, low, shifts = (1 << width) - 1, (1 << width * m) - 1, range(0, width * m, width)
-        tops = [(width * (m + i), self.spread(top, width)) for i, top in enumerate(self.tops)]
-        # N = 2^n: the low slots mod N are their low n bits, kept by one mask
-        keep = self.spread([pn - 1] * m, width) if pn & (pn - 1) == 0 else 0
-
-        def fold(v):
-            lo = v & low
-            for sh, top in tops:
-                lo += (v >> sh & mask) % pn * top
-            if keep:
-                return lo & keep
-            r = 0
-            for s in shifts:
-                r |= (lo >> s & mask) % pn << s
-            return r
-        return fold
 
     def is_unit(self, r):
         """Whether r is a unit: some residue is prime to p."""
@@ -369,7 +356,7 @@ class CoeffPacking:
         one = (1,) + (0,) * (m - 1)
         for _ in range(pn.bit_length()):
             if (e := _mulmod(r, y, g, pn)) == one:
-                return self.spread(y, self.slot_width)
+                return self._join(y)
             y = _mulmod(y, (2 - e[0],) + tuple([-c for c in e[1:]]), g, pn)
         raise InternalInvariantError("unit inversion failed to converge")
 
@@ -392,7 +379,7 @@ class CoeffPacking:
             img, powers = _powmod(_reduce([0, 1], g, pn), e, g, pn), [_reduce([1], g, pn)]
             while len(powers) < self.m:
                 powers.append(_mulmod(powers[-1], img, g, pn))
-            out.append([self.spread(c, self.slot_width) for c in powers])
+            out.append(list(map(self._join, powers)))
         return out
 
     def frobenius(self, M, inverse=False):
@@ -404,13 +391,13 @@ class CoeffPacking:
         return [[fold(sum(map(mul, slots(r), images))) for r in row] for row in M]
 
     def mat_mul(self, A, B):
-        """A B for matrices of slot ints: each entry one int dot product, folded
-        once; inner dimensions must agree, and at m > 1 be at most 64 (`width`)."""
+        """A B for rectangular matrices of slot ints: one int dot product and one
+        fold per entry; inner dimensions must agree, and be at most `count` at m > 1."""
         inner = len(B)
-        if any(len(row) != inner for row in A) or len(set(map(len, B))) > 1:
+        if len(A[0]) != inner:
             raise DomainError("matrix dimensions do not match")
-        if inner > _MAX_INNER and self.m > 1:
-            raise DomainError(f"inner dimension {inner} is above the limit {_MAX_INNER}")
+        if inner > self.count and self.m > 1:
+            raise DomainError(f"inner dimension {inner} is above the limit {self.count}")
         cols, mul, fold = list(zip(*B)), operator.mul, self.fold
         return [[fold(sum(map(mul, row, col))) for col in cols] for row in A]
 
@@ -458,8 +445,9 @@ class _CoeffRing:
 
     @functools.cached_property
     def packing(self):
-        """The ring's `CoeffPacking`, made on first use."""
-        return CoeffPacking(self)
+        """The ring's `CoeffPacking`, made on first use: its matrix products
+        take an inner dimension up to 64 at m > 1."""
+        return CoeffPacking(self, 64)
 
     def zero(self):
         return self._element(self, (0,) * (len(self.lifted_modulus) - 1))

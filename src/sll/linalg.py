@@ -1,14 +1,16 @@
 """Small dense exact linear algebra over the package's coefficient rings.
 
 Matrices are lists of row lists of ring elements.  `mat_mul`, `mat_vec`,
-`invert`, `rref_field`, `rank_field` and `smith_form_local` take elements
-of one coefficient ring (F_q or W_n(F_q)) only, in matching dimensions;
-anything else is a `DomainError`.  Each computes on slot ints (one int
-product and one fold per entry, `base_rings.CoeffPacking`) and builds ring
-elements once at the end; `sll.dieudonne` calls the row-level `_rref`,
-`_invert` and `_smith` on the rows it stores.  The one Gauss-Jordan loop,
-`_rref`, pivots on units: over a field the nonzero entries, over W_n(F_q)
-enough for every matrix invertible mod p, the only kind `invert` accepts.
+`invert`, `rref_field`, `rank_field` and `smith_form_local` take non-empty
+rectangular matrices of one coefficient ring (F_q or W_n(F_q)) only, in
+matching dimensions; anything else is a `DomainError`.  Each computes on
+slot ints of the ring's `packing` (one int product and one fold per entry,
+`base_rings.CoeffPacking`) and builds ring elements once at the end; the
+row-level `_rref`, `_invert` and `_smith` take rows of slot ints of any
+packing (`sll.dieudonne`'s stored rows, `quadforms.gram_inverse`).  The
+one Gauss-Jordan loop, `_rref`, pivots on units: over a field the nonzero
+entries, over W_n(F_q) enough for every matrix invertible mod p, the only
+kind `invert` accepts.
 `bilinear` (v^T G w, skipping the zeros that the pairings are full of) and
 `det` stay on `Residue` arithmetic.
 """
@@ -35,8 +37,11 @@ def transpose(A):
 
 def _packing(ring, *matrices):
     """The `CoeffPacking` of the one coefficient ring, `ring` unless that is
-    None, of every entry of the matrices; DomainError as for Residue operands."""
+    None, of every entry of the matrices; DomainError as for Residue operands,
+    and for a matrix with no entry or with rows of unequal length."""
     for M in matrices:
+        if not M or not M[0] or len(set(map(len, M))) > 1:
+            raise DomainError("matrix is empty or ragged")
         for row in M:
             for e in row:
                 if not isinstance(e, Residue):

@@ -1,11 +1,12 @@
 """Quadratic forms over W_n(F_q) and F_q, and the one owner of the
 quadratic form of a series: `QuadraticForm.from_series` reads its degree-2
 part (`TruncatedSeries.quadratic_coefficients`), `bilinear_gram` builds the
-Gram matrix and `gram_inverse` inverts it.  The inversion pivots on units,
-so it is the one non-degeneracy test; `is_nondegenerate`, `quadric_class`
-(the split or non-split class of the smooth quadric over the residue field)
-and the normal form of `sll.singularity` ask it.  The test and the class
-depend only on the form mod p, and both work at every p, including 2.
+Gram matrix and `gram_inverse` inverts it in slot ints of a `CoeffPacking`.
+The inversion pivots on units, so it is the one non-degeneracy test;
+`is_nondegenerate`, `quadric_class` (the split or non-split class of the
+smooth quadric over the residue field) and `sll.singularity` ask it.  The
+test and the class depend only on the form mod p, and both work at every
+p, including 2.
 """
 
 from __future__ import annotations
@@ -75,14 +76,18 @@ def bilinear_gram(Q):
 
 
 @functools.lru_cache(maxsize=1)
-def gram_inverse(Q):
-    """The inverse of the Gram matrix of Q, as rows of ring elements, or a
-    PreconditionError (part "quadratic") if Q is degenerate.  `linalg.invert`
-    pivots on units, so it is also the test that the Gram matrix mod p is
-    non-degenerate (a failure is not kept).  The last inverse is kept: the
-    normal form asks for it again when its linear shift leaves Q unchanged."""
+def gram_inverse(Q, packing):
+    """The inverse of the Gram matrix of Q, as row tuples of slot ints of
+    `packing`, a `CoeffPacking` of Q's ring, or a PreconditionError (part
+    "quadratic") if Q is degenerate.  `linalg._invert` pivots on units, so
+    it is also the test that the Gram matrix mod p is non-degenerate (a
+    failure is not kept).  The last inverse is kept: the normal form asks
+    for it again, in its series ring's packing, when its linear shift
+    leaves Q unchanged."""
+    if packing.coeff_ring != Q.coeff_ring:
+        raise DomainError("the packing is not of the form's coefficient ring")
     try:
-        inverse = linalg.invert(Q.coeff_ring, bilinear_gram(Q))
+        inverse = linalg._invert(packing, packing.reduced_matrix(bilinear_gram(Q)))
     except DomainError:
         raise PreconditionError("quadratic part is degenerate", part="quadratic") from None
     return tuple(map(tuple, inverse))
@@ -91,7 +96,7 @@ def gram_inverse(Q):
 def is_nondegenerate(Q):
     """True iff det of the Gram matrix is a unit in the coefficient ring."""
     try:
-        gram_inverse(Q)
+        gram_inverse(Q, Q.coeff_ring.packing)
     except PreconditionError:
         return False
     return True
@@ -112,7 +117,7 @@ def quadric_class(Q):
     n = Q.nvars
     if n % 2:
         raise PreconditionError("the quadric class needs an even number of variables")
-    gram_inverse(Q)  # refuses a degenerate Q
+    gram_inverse(Q, Q.coeff_ring.packing)  # refuses a degenerate Q
     field, res = Q.coeff_ring.field, Q.coeff_ring.residue
     G = linalg.mat_map(bilinear_gram(Q), res)
     if field.p != 2:

@@ -8,8 +8,9 @@ truncation test, and each coefficient is one int holding its m reduced
 residues in bit slots of one width per series ring, so one int product is
 the whole coefficient product and no operand is re-spread.  Each output
 coefficient is summed unreduced and reduced once inside its int.
-`_Packing` owns the keys; the slot arithmetic is the coefficient ring's
-`base_rings.CoeffPacking`, which `sll.linalg`'s matrix products share.
+`_Packing` owns the keys; the slot arithmetic is its `coeff`, a
+`base_rings.CoeffPacking` of the coefficient ring whose width is the
+series ring's, the same layout as `sll.linalg`'s at another count.
 Coefficients are packed where a series is built, and exponent tuples and
 ring elements are built only where a caller reads them (`coeffs`, `terms`,
 `constant_term`, `linear_coefficients`, `quadratic_coefficients`); terms
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 
+from .base_rings import CoeffPacking
 from .errors import DomainError, PreconditionError, ValidationError
 
 
@@ -73,24 +75,25 @@ class SeriesRing:
 
     def constant(self, c):
         c = self.coeff_ring.element(c)
-        return TruncatedSeries(self, {0: self._packing.pack(c)} if c else {})
+        return TruncatedSeries(self, {0: self._packing.coeff.reduced(c)} if c else {})
 
     def variable(self, i):
         if not 0 <= i < self.nvars:
             raise DomainError("variable index out of range")
         packing = self._packing
-        return TruncatedSeries(self, {packing.weights[i]: packing.pack(self.coeff_ring.one())})
+        return TruncatedSeries(self, {packing.weights[i]: 1})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
 
     def from_terms(self, terms):
         """Build from an iterable of (exponent tuple, coefficient)."""
-        key, pack = self._packing.key, self._packing.pack
+        key, pack = self._packing.key, self._packing.coeff.reduced
         coeffs = {}
         for exps, c in terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            # an exponent is an int, as a coefficient is: not a bool, float or string
+            if len(exps) != self.nvars or any(type(e) is not int or e < 0 for e in exps):
                 raise ValidationError("bad exponent vector")
             if sum(exps) >= self.degree:
                 continue
@@ -109,8 +112,9 @@ class _Packing:
     a `TruncatedSeries` stores, in which its operations and the normal-form
     phases of `sll.singularity` do all their arithmetic, and the only code
     that does arithmetic on monomial keys.  Its coefficients are slot ints
-    at the ring's one `width`: m reduced residues in slots of `width` bits,
-    whose arithmetic is `coeff`, the coefficient ring's `CoeffPacking`.
+    of `coeff`, its own `CoeffPacking` of the coefficient ring, whose slots
+    hold as many products as there are monomials below D; it packs, reads
+    and folds them by `coeff.reduced`, `coeff.element` and `coeff.fold`.
 
     A monomial x^e is the int key deg(e) << (s * nvars) | sum_i e_i << (s * i)
     with s = D.bit_length() bits per exponent field, so adding two keys
@@ -121,15 +125,14 @@ class _Packing:
     truncation test, a row of products over keys in ascending order stops
     at its first truncated pair, and key >> (s * nvars) is the total degree.
     Products of stored slot ints are summed unreduced per output key, each
-    key is reduced once back to a slot int at `width`, and zeros are dropped.
+    key is folded once back to a slot int, and zeros are dropped.
     """
 
     def __init__(self, ring):
-        coeff = self.coeff = ring.coeff_ring.packing
         # a product key sums at most min(len(a), len(b)) products, a substitution
         # key one per term of f: at most the comb(D - 1 + nvars, nvars) monomials
-        self.width = coeff.width(math.comb(ring.degree - 1 + ring.nvars, ring.nvars))
-        self.fold = coeff.folder(self.width)
+        count = math.comb(ring.degree - 1 + ring.nvars, ring.nvars)
+        self.coeff = CoeffPacking(ring.coeff_ring, count)
         self.nvars = ring.nvars
         self.shift = ring.degree.bit_length()
         # a key's total degree is key >> degree_shift
@@ -142,32 +145,24 @@ class _Packing:
         # deg(e) = sum_i e_i, so the key is sum_i e_i (2^(s*i) + 2^(s*nvars))
         return sum(map(operator.mul, e, self.weights))
 
-    def pack(self, c):
-        """The slot int of a ring element."""
-        return self.coeff.spread(c.coeffs, self.width)
-
-    def coefficient(self, v):
-        """The ring element of a slot int."""
-        ring = self.coeff.coeff_ring
-        return ring._element(ring, self.coeff.unspread(v, self.width))
-
     def unpack(self, packed):
         """The {exponents: coefficient} map of a {key: slot int} map."""
         shift, mask = self.shift, (1 << self.shift) - 1
         shifts = range(0, shift * self.nvars, shift)
         return {tuple([k >> s & mask for s in shifts]): c
-                for k, c in zip(packed, map(self.coefficient, packed.values()))}
+                for k, c in zip(packed, map(self.coeff.element, packed.values()))}
 
     def linear(self, coeffs):
-        """The packed linear form sum_i coeffs[i] x_i of ring elements."""
-        return {w: self.pack(c) for w, c in zip(self.weights, coeffs) if c}
+        """The packed linear form sum_i coeffs[i] x_i of slot ints."""
+        return {w: c for w, c in zip(self.weights, coeffs) if c}
 
     def add(self, a, b):
         """The sum of two packed maps: the smaller is walked, and a key that
         both hold is summed and folded, or dropped if the sum is zero."""
         small, out = (a, dict(b)) if len(a) < len(b) else (b, dict(a))
+        fold = self.coeff.fold
         for k, c in small.items():
-            if k in out and not (c := self.fold(out[k] + c)):
+            if k in out and not (c := fold(out[k] + c)):
                 del out[k]
             else:
                 out[k] = c
@@ -213,7 +208,7 @@ class _Packing:
                 if k >= limit:
                     break
                 acc[k] = get(k, 0) + c1 * c2
-        fold = self.fold
+        fold = self.coeff.fold
         return {k: r for k, v in acc.items() if (r := fold(v))}
 
     def substitute(self, fs, images):
@@ -223,7 +218,7 @@ class _Packing:
         shift, mask = self.shift, (1 << self.shift) - 1
         fields = tuple(enumerate(range(0, self.degree_shift, shift)))
         pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
-        mul, fold = self.mul, self.fold
+        mul, fold = self.mul, self.coeff.fold
         results = []
         for f in fs:
             # every term of f adds at most one product c * v (the constant
@@ -305,16 +300,16 @@ class TruncatedSeries:
     # -- graded structure -----------------------------------------
 
     def constant_term(self):
-        return self.parent._packing.coefficient(self.packed.get(0, 0))
+        return self.parent._packing.coeff.element(self.packed.get(0, 0))
 
     def linear_coefficients(self):
         packing = self.parent._packing
-        return [packing.coefficient(self.packed.get(w, 0)) for w in packing.weights]
+        return [packing.coeff.element(self.packed.get(w, 0)) for w in packing.weights]
 
     def quadratic_coefficients(self):
         """q_ij, i <= j, row by row, with sum q_ij x_i x_j the degree-2 part."""
         packing, weights = self.parent._packing, self.parent._packing.weights
-        return [packing.coefficient(self.packed.get(w + v, 0))
+        return [packing.coeff.element(self.packed.get(w + v, 0))
                 for i, w in enumerate(weights) for v in weights[i:]]
 
     def graded_part(self, d):

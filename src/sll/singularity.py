@@ -17,7 +17,8 @@ through; the series kernel visits only the products of total degree below D.
 
 Each phase reads the quadratic part Q once (`QuadraticForm.from_series`)
 and asks `quadforms.gram_inverse` for G^{-1}, which is also the test that
-Q is non-degenerate.  That module keeps the last inverse, so G is inverted
+Q is non-degenerate, in slot ints of the series ring's packing: no ring
+element is built.  That module keeps the last inverse, so G is inverted
 once per normal form, unless the linear shift moves Q.
 
 The output is a certificate f(phi(x)) = unit * (a' + Q'(x)), checked by
@@ -90,8 +91,8 @@ def _coeff_ring_of(f):
 def _step_forms(ring, Q):
     """The linear forms -sum_k Ginv[j][k] y_k, one per j, as packed maps of
     the series ring, with Ginv the inverse Gram matrix of Q."""
-    linear = ring._packing.linear
-    return [linear([-g for g in row]) for row in gram_inverse(Q)]
+    packing = ring._packing
+    return [packing.neg(packing.linear(row)) for row in gram_inverse(Q, packing.coeff)]
 
 
 def _step(F, d, forms):

@@ -134,6 +134,21 @@ def test_monomial_keys_are_read_only_in_series():
     assert [r for r in readers if not r.startswith("series.py:")] == []
 
 
+SLOT_LAYOUT = ("slot_width", "shifts", "mask", "offset", "slot_bound")
+
+
+def test_slot_layout_is_read_only_in_base_rings():
+    # `CoeffPacking` lays out its slots at its own width; every other module
+    # asks it for slot ints, residues and elements instead of shifting slots
+    readers = []
+    for path in (SRC / "sll").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in SLOT_LAYOUT):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers and [r for r in readers if not r.startswith("base_rings.py:")] == []
+
+
 def test_dieudonne_reads_mod_p_facts_off_witt_entries():
     # every mod-p fact of a module is read off its W_n(F_q) entries, and row
     # reduction is the one invertibility test: sll.dieudonne reads no

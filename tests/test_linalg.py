@@ -3,9 +3,10 @@ import random
 import pytest
 
 from sll import linalg
-from sll.base_rings import FiniteField, WittRing, field_for_q
+from sll.base_rings import CoeffPacking, FiniteField, WittRing, field_for_q
 from sll.dieudonne import base_change, make_standard
 from sll.errors import DomainError
+from sll.series import SeriesRing
 from .oracles import (independent_rank, int_poly_reduce, loop_divide_exact_p, loop_invert,
                       loop_is_unit, loop_rref, loop_smith_form, loop_valuation, naive_mat_mul,
                       naive_mat_vec, power_frobenius, power_inverse)
@@ -122,28 +123,29 @@ FOLD_RINGS = [(p, m, n) for p, m, n in PRODUCT_RINGS if m > 1]
 @pytest.mark.parametrize("p,m,n", FOLD_RINGS,
                          ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in FOLD_RINGS])
 def test_fold_holds_at_its_headroom(p, m, n):
-    # `folder`'s in-int fold of a packed sum, against the 2m - 1 slots reduced one
-    # degree at a time, at the slot width of `count` products with every
-    # slot at its maximum: count * m (N-1)^2 in each slot, or, in the top
-    # m - 1 slots that the fold multiplies in, the largest value below that
-    # which is N - 1 mod N; and a real sum of count products of the
-    # coefficient with every residue N - 1
+    # the in-int fold of a packed sum, against the 2m - 1 slots reduced one
+    # degree at a time, on `CoeffPacking(ring, count)`, whose slots hold
+    # `count` products, with every slot at its maximum: count * m (N-1)^2
+    # in each slot, or, in the top m - 1 slots that the fold multiplies in,
+    # the largest value below that which is N - 1 mod N; and a real sum of
+    # count products of the coefficient with every residue N - 1
     ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
-    packing, g, N = ring.packing, ring.lifted_modulus, ring.pn
-    top = [N - 1] * m
-    for count in [1, 2, 3] + _counts_below_powers_of_two(packing.slot_bound):
+    g, N = ring.lifted_modulus, ring.pn
+    for count in [1, 2, 3] + _counts_below_powers_of_two(ring.packing.slot_bound):
+        packing = CoeffPacking(ring, count)
         full = count * packing.slot_bound
         high = full - (full + 1) % N
-        width = packing.width(count)
+        width = packing.slot_width
         cases = [[full] * (2 * m - 1), [full] * m + [high] * (m - 1)]
-        spread = packing.spread(top, width)
-        real = count * spread * spread
+        top = packing.reduced(ring.element([N - 1] * m))
+        assert top == sum((N - 1) << (width * k) for k in range(m))
+        real = count * top * top
         mask = (1 << width) - 1
         cases.append([real >> (width * k) & mask for k in range(2 * m - 1)])
         for slots in cases:
             value = sum(s << (width * k) for k, s in enumerate(slots))
             want = sum(r << (width * k) for k, r in enumerate(int_poly_reduce(slots, g, N)))
-            assert packing.folder(width)(value) == want, (count, slots)
+            assert packing.fold(value) == want, (count, slots)
 
 
 def test_products_accept_equal_rings_and_refuse_mixed_ones():
@@ -325,12 +327,40 @@ def test_products_and_inverses_refuse_mismatched_dimensions():
         linalg.invert(ring, [[e(1), e(0)], [e(0)]])
 
 
+_RAGGED_RING = WittRing(FiniteField(3), 2)
+_e = _RAGGED_RING.element
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.rank_field(_RAGGED_RING, [[_e(1)], [_e(0), _e(1)]]),
+    lambda: linalg.rref_field(_RAGGED_RING, [[_e(1)], [_e(0), _e(1)]]),
+    lambda: linalg.smith_form_local(_RAGGED_RING, [[_e(1)], [_e(0), _e(1)]]),
+    lambda: linalg.rank_field(_RAGGED_RING, [[_e(1), _e(0)], [_e(0)]]),
+    lambda: linalg.rref_field(_RAGGED_RING, [[_e(1), _e(0)], [_e(0)]]),
+    lambda: linalg.smith_form_local(_RAGGED_RING, [[_e(1), _e(0)], [_e(0)]]),
+    lambda: linalg.smith_form_local(_RAGGED_RING, []),
+    lambda: linalg.rank_field(_RAGGED_RING, [[]]),
+    lambda: linalg.invert(_RAGGED_RING, []),
+    lambda: linalg.mat_mul([], []),
+    lambda: linalg.mat_vec([[_e(1)]], []),
+], ids=["rank-short-first", "rref-short-first", "smith-short-first", "rank-short-last",
+        "rref-short-last", "smith-short-last", "smith-empty", "rank-no-columns",
+        "invert-empty", "mul-empty", "vec-empty"])
+def test_ragged_and_empty_matrices_are_refused(call):
+    # a matrix with no entry, or rows of unequal length, is a DomainError,
+    # not a rank read off the rows that happen to zip, nor an IndexError
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.mark.parametrize("p,m,n", [(2, 2, 1), (3, 2, 1), (2, 2, 3), (2, 8, 32)],
                          ids=["F4", "F9", "W3(F4)", "W32(F256)"])
 def test_products_are_exact_up_to_the_width_bound_and_refused_beyond(p, m, n):
-    # at m > 1 the ring's one slot width holds a sum of 64 products: every
-    # entry at N - 1 at inner dimension 64 matches the Residue sums, and 65
-    # is refused
+    # at m > 1 the ring's packing holds a sum of 64 products: every entry
+    # at N - 1 at inner dimension 64 matches the Residue sums, and 65 is
+    # refused; a series ring's packing holds its own count of products,
+    # comb(D - 1 + nvars, nvars) = 10 at D = 3 in three variables, and
+    # refuses an inner dimension above it
     ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
     for inner in (63, 64):
         A, B = _full_matrix(ring, 2, inner), _full_matrix(ring, inner, 2)
@@ -340,6 +370,14 @@ def test_products_are_exact_up_to_the_width_bound_and_refused_beyond(p, m, n):
         linalg.mat_mul(_full_matrix(ring, 2, 65), _full_matrix(ring, 65, 2))
     with pytest.raises(DomainError):
         linalg.mat_vec(_full_matrix(ring, 1, 65), [ring.one()] * 65)
+    packing = SeriesRing(ring, 3, 3)._packing.coeff
+    assert packing.count == 10
+    A, B = _full_matrix(ring, 2, 10), _full_matrix(ring, 10, 2)
+    got = packing.mat_mul(packing.reduced_matrix(A), packing.reduced_matrix(B))
+    assert packing.element_matrix(got) == naive_mat_mul(A, B)
+    with pytest.raises(DomainError, match="above the limit 10"):
+        packing.mat_mul(packing.reduced_matrix(_full_matrix(ring, 2, 11)),
+                        packing.reduced_matrix(_full_matrix(ring, 11, 2)))
 
 
 

@@ -5,7 +5,7 @@ import pytest
 from sll.base_rings import FiniteField, WittRing
 from sll.deformation import classify_point, standard_frame
 from sll.dieudonne import make_standard
-from sll.errors import PreconditionError
+from sll.errors import DomainError, PreconditionError
 from sll import linalg
 from sll.quadforms import (QuadraticForm, bilinear_gram, gram_inverse, is_nondegenerate,
                            quadric_class)
@@ -220,12 +220,15 @@ def test_forms_over_two_precisions_share_no_inverse():
     assert tuples[0] == tuples[1]
     assert forms[0] != forms[1]
     gram_inverse.cache_clear()
-    inverses = [gram_inverse(Q) for Q in forms * 2]
+    inverses = [gram_inverse(Q, Q.coeff_ring.packing) for Q in forms * 2]
     for Q, inverse in zip(forms * 2, inverses):
-        X = [list(row) for row in inverse]
+        X = Q.coeff_ring.packing.element_matrix(inverse)
         assert naive_mat_mul(bilinear_gram(Q), X) == linalg.identity(Q.coeff_ring, 2)
-    coeffs = [[[c.coeffs for c in row] for row in inverse] for inverse in inverses]
-    assert coeffs[0] != coeffs[1] and coeffs[:2] == coeffs[2:]
+    assert inverses[0] != inverses[1] and inverses[:2] == inverses[2:]
+    assert gram_inverse.cache_info().hits == 0
+    # and no form is inverted in the slot ints of another ring
+    with pytest.raises(DomainError):
+        gram_inverse(forms[0], forms[1].coeff_ring.packing)
 
 
 # n = 0: the field F_q itself
@@ -273,7 +276,7 @@ def test_degenerate_mod_p_but_not_mod_p2(p):
     assert ring.valuation(linalg.det(ring, bilinear_gram(Q))) == 2
     assert not residue_rank_nondegenerate(Q) and not is_nondegenerate(Q)
     with pytest.raises(PreconditionError) as err:
-        gram_inverse(Q)
+        gram_inverse(Q, ring.packing)
     assert err.value.part == "quadratic"
     with pytest.raises(PreconditionError):
         quadric_class(Q)

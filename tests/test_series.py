@@ -182,8 +182,8 @@ def test_sums_fold_only_the_keys_both_summands_hold(p, m, n, monkeypatch):
         f, high = random_series(S, rng), random_series(S, rng, min_degree=3)
         low = S.from_terms((e, c) for e, c in f.coeffs.items() if sum(e) < 3)
         cases += [(low, high), (f, high), (f, -f), (f, S.zero())]
-    real, folds = S._packing.fold, []
-    monkeypatch.setattr(S._packing, "fold", lambda v: folds.append(v) or real(v))
+    real, folds = S._packing.coeff.fold, []
+    monkeypatch.setattr(S._packing.coeff, "fold", lambda v: folds.append(v) or real(v))
     shared_counts = set()
     for a, b in cases:
         for x, y in ((a, b), (b, a)):
@@ -501,6 +501,16 @@ def test_json_monomial_limit():
         else:
             with pytest.raises(ValidationError, match="1820"):
                 series_from_json(series_to_json(cubic))
+
+
+@pytest.mark.parametrize("exps", [(-1, 0), (1,), (1, 0, 0), (1.7, 0), (True, 0), ("1", 0),
+                                  (1.0, 1)])
+def test_from_terms_refuses_bad_exponents(exps):
+    # an exponent is a non-negative int, one per variable: a float, bool or
+    # string is refused, as a coefficient is, and never read as an int
+    S = SeriesRing(FiniteField(3), 2, 4)
+    with pytest.raises(ValidationError, match="bad exponent vector"):
+        S.from_terms([(exps, 1)])
 
 
 def test_parent_mismatch_rejected():

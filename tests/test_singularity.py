@@ -27,9 +27,8 @@ def ring_W(p, m, n):
 
 def _quadratic_inverse(f):
     """The inverse Gram matrix of the quadratic part of f, as the normal
-    form gets it, in rows of reduced coefficients."""
-    reduced = f.parent.coeff_ring.packing.reduced
-    return [[reduced(c) for c in row] for row in gram_inverse(QuadraticForm.from_series(f))]
+    form gets it, in rows of slot ints of f's series ring."""
+    return [list(row) for row in gram_inverse(QuadraticForm.from_series(f), f.parent._packing.coeff)]
 
 
 def standard_quadric(S):
@@ -321,8 +320,9 @@ def test_gram_inverse_matches_residue_inverse(p, m, n):
             G = bilinear_gram(Q)
             got = _quadratic_inverse(Q.to_series(S))
             want = loop_invert(ring, G)
-            assert got == [[ring.packing.reduced(c) for c in row] for row in want]
-            X = ring.packing.element_matrix(got)
+            packing = S._packing.coeff
+            assert got == packing.reduced_matrix(want)
+            X = packing.element_matrix(got)
             assert naive_mat_mul(G, X) == linalg.identity(ring, nvars)
 
 
@@ -355,22 +355,7 @@ def test_degenerate_quadratic_part_at_every_entry_point(p, m, n):
         assert (cls.tag, cls.detail) == ("Undetermined", "degenerate_quadratic_part")
 
 
-def _counted_inverts(monkeypatch):
-    """A list that records each `linalg.invert` call."""
-    from sll import linalg
-
-    calls = []
-    invert = linalg.invert
-
-    def counted(ring, A):
-        calls.append(ring)
-        return invert(ring, A)
-
-    monkeypatch.setattr(linalg, "invert", counted)
-    return calls
-
-
-def test_gram_inverse_is_made_once_when_the_shift_keeps_the_quadratic_part(monkeypatch):
+def test_gram_inverse_is_made_once_when_the_shift_keeps_the_quadratic_part():
     # linear coefficients in (p^2) and no cubic term over W_3: the shift b
     # lies in (p^2), so it moves the quadratic part by b^2 = 0 and strip
     # reuses kill_linear_term's inverse
@@ -381,15 +366,19 @@ def test_gram_inverse_is_made_once_when_the_shift_keeps_the_quadratic_part(monke
     rng = random.Random("gram-reuse")
     x = S.variables()
     p2 = ring.p_element() ** 2
-    calls = _counted_inverts(monkeypatch)
     for _ in range(4):
         f = S.constant(ring.p_element()) + random_nondegenerate_quadratic(S, rng)
         f = f + random_tail(S, rng, min_degree=4)
         f = f + sum((xi * S.constant(p2 * ring.random_element(rng)) for xi in x), S.zero())
         gram_inverse.cache_clear()
-        del calls[:]
         nf = normal_form(f)
-        assert len(calls) == 1
+        # one inversion, which strip_higher_terms finds kept, in slot ints of
+        # the series ring's own packing
+        info = gram_inverse.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        gram_inverse(QuadraticForm.from_series(f), S._packing.coeff)
+        info = gram_inverse.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
         b, f1 = kill_linear_term(f)
         assert any(b) and f1.graded_part(2) == f.graded_part(2)
         phi, a_prime, q_prime = naive_normal_form(f)
@@ -397,7 +386,7 @@ def test_gram_inverse_is_made_once_when_the_shift_keeps_the_quadratic_part(monke
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 1, 3), (2, 2, 3), (3, 2, 2)])
-def test_gram_inverse_is_made_again_when_the_shift_moves_the_quadratic_part(p, m, n, monkeypatch):
+def test_gram_inverse_is_made_again_when_the_shift_moves_the_quadratic_part(p, m, n):
     # dense inputs with linear coefficients in (p): the shift moves the
     # quadratic part through the cubic terms, so strip needs a new inverse;
     # the certificate and strip's drift check hold, and phi, a' and Q'
@@ -407,14 +396,12 @@ def test_gram_inverse_is_made_again_when_the_shift_moves_the_quadratic_part(p, m
     ring = ring_W(p, m, n)
     S = SeriesRing(ring, 4, 7)
     rng = random.Random(f"gram-moved:{p}:{m}:{n}")
-    calls = _counted_inverts(monkeypatch)
     moved = 0
     for _ in range(6):
         f = random_normal_form_input(S, rng, 1)
         gram_inverse.cache_clear()
-        del calls[:]
         nf = reduce_to_quadric(f)
-        inverts = len(calls)
+        inverts = gram_inverse.cache_info().misses
         assert nf.certificate_holds(f)
         _, f1 = kill_linear_term(f)
         changed = f1.graded_part(2) != f.graded_part(2)
@@ -445,7 +432,7 @@ def test_a_degenerate_quadratic_part_raises_on_every_call():
                 kill_linear_term(S.constant(ring.p_element()) + quadratic)
         got = _quadratic_inverse(good)
         assert got == want
-        X = ring.packing.element_matrix(got)
+        X = S._packing.coeff.element_matrix(got)
         assert naive_mat_mul(G, X) == [[ring.element(int(i == j)) for j in range(4)]
                                        for i in range(4)]
 
