@@ -259,7 +259,9 @@ class CoeffPacking:
     and zero and one are 0 and 1 at every m and width.  A sum of products
     is reduced once, inside the int, by `fold`, and x - f y is folded from
     x + `offset` - f y, whose slots are multiples of N at least any slot
-    of f y, so no slot borrows.
+    of f y, so no slot borrows.  `mat_mul` and `submul` run straight-line
+    code compiled once per shape on first use (`_mat_mul_kernel`,
+    `_submul_kernel`): each entry is one sum of products and one fold.
     """
 
     def __init__(self, ring, count):
@@ -365,9 +367,12 @@ class CoeffPacking:
         return list(map(self.fold, map(c.__mul__, row)))
 
     def submul(self, row, f, other):
-        """The row x - f y, x in `row` and y in `other`."""
-        fold, offset = self.fold, self.offset
-        return [fold(x + offset - f * y) if y else x for x, y in zip(row, other)]
+        """The row x - f y, x in `row` and y in `other`, rows of one length
+        (`_submul_kernel`); an entry with y = 0 passes through."""
+        try:
+            return _submul_kernel(len(row))(row, f, other, self.fold, self.offset)
+        except ValueError:
+            raise DomainError("matrix is ragged") from None
 
     @functools.cached_property
     def _sigmas(self):
@@ -392,14 +397,77 @@ class CoeffPacking:
 
     def mat_mul(self, A, B):
         """A B for rectangular matrices of slot ints: one int dot product and one
-        fold per entry; inner dimensions must agree, and be at most `count` at m > 1."""
+        fold per entry (`_mat_mul_kernel`); inner dimensions must agree, and be
+        at most `count` at m > 1."""
         inner = len(B)
         if len(A[0]) != inner:
             raise DomainError("matrix dimensions do not match")
         if inner > self.count and self.m > 1:
             raise DomainError(f"inner dimension {inner} is above the limit {self.count}")
-        cols, mul, fold = list(zip(*B)), operator.mul, self.fold
-        return [[fold(sum(map(mul, row, col))) for col in cols] for row in A]
+        try:
+            return _mat_mul_kernel(inner, len(B[0]) if B else 0)(A, B, self.fold)
+        except ValueError:
+            raise DomainError("matrix is ragged") from None
+
+
+# `CoeffPacking.mat_mul` and `submul` as straight-line code, one function per
+# shape; unpacking each operand into local names checks its shape, with a
+# ValueError that the callers report as a ragged matrix.
+
+
+def _balanced(terms):
+    """The source of the sum of `terms` as a balanced tree of +, nested
+    about log2(len(terms)) deep, so a long sum compiles."""
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return f"({_balanced(terms[:half])} + {_balanced(terms[half:])})"
+
+
+def _target(names):
+    """The source of the unpacking target [n0, n1, ...]."""
+    return f"[{', '.join(names)}]"
+
+
+def _compiled(name, source):
+    namespace = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@functools.lru_cache(maxsize=64)
+def _mat_mul_kernel(inner, cols):
+    """kernel(A, B, fold) = A B, each entry folded, for an A of rows of
+    `inner` entries and a B of `inner` rows of `cols` entries; B's entries
+    are read into local names once per call."""
+    a = [f"a{k}" for k in range(inner)]
+    b = [[f"b{k}_{j}" for j in range(cols)] for k in range(inner)]
+    row = ", ".join(f"fold({_balanced([f'{a[k]} * {b[k][j]}' for k in range(inner)])})"
+                    for j in range(cols))
+    return _compiled(f"mat_mul {inner}x{cols}", f"""\
+def kernel(A, B, fold):
+    {_target(map(_target, b))} = B
+    out = []
+    for {_target(a)} in A:
+        out.append([{row}])
+    return out
+""")
+
+
+@functools.lru_cache(maxsize=64)
+def _submul_kernel(length):
+    """kernel(row, f, other, fold, offset) = the row x - f y, x in `row` and y
+    in `other`, two rows of `length` entries; x - f y is folded from
+    x + offset - f y, and an entry with y = 0 is x unchanged."""
+    x = [f"x{k}" for k in range(length)]
+    y = [f"y{k}" for k in range(length)]
+    row = ", ".join(f"fold({xk} + offset - f * {yk}) if {yk} else {xk}" for xk, yk in zip(x, y))
+    return _compiled(f"submul {length}", f"""\
+def kernel(row, f, other, fold, offset):
+    {_target(x)} = row
+    {_target(y)} = other
+    return [{row}]
+""")
 
 
 # ---------------------------------------------------------------------------

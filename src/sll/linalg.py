@@ -4,8 +4,10 @@ Matrices are lists of row lists of ring elements.  `mat_mul`, `mat_vec`,
 `invert`, `rref_field`, `rank_field` and `smith_form_local` take non-empty
 rectangular matrices of one coefficient ring (F_q or W_n(F_q)) only, in
 matching dimensions; anything else is a `DomainError`.  Each computes on
-slot ints of the ring's `packing` (one int product and one fold per entry,
-`base_rings.CoeffPacking`) and builds ring elements once at the end; the
+slot ints of the ring's `packing` (`base_rings.CoeffPacking`) and builds
+ring elements once at the end: a product entry is one int sum of products
+and one fold, and a row operation one int product and one fold per entry,
+in straight-line code that the packing compiles once per shape; the
 row-level `_rref`, `_invert` and `_smith` take rows of slot ints of any
 packing (`sll.dieudonne`'s stored rows, `quadforms.gram_inverse`).  The
 one Gauss-Jordan loop, `_rref`, pivots on units: over a field the nonzero

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ValidationError
 
 
 class QuadraticForm:
@@ -22,6 +22,8 @@ class QuadraticForm:
     coefficient ring, stored by its upper-triangular coefficient matrix."""
 
     def __init__(self, coeff_ring, nvars, upper):
+        if type(nvars) is not int or nvars < 1:
+            raise ValidationError("need at least one variable")
         self.coeff_ring = coeff_ring
         self.nvars = nvars
         table = {}

@@ -668,3 +668,21 @@ def test_base_change_and_verdict_multiply_per_entry_only_in_inverse(monkeypatch)
     monkeypatch.setattr(base_rings, "_mulmod", counted)
     assert lagrangian_witness_search(base_change(module, g)).found
     assert callers and set(callers) == {"inverse"}
+
+
+def test_a_witness_search_compiles_each_kernel_shape_once():
+    # the straight-line product and row kernels compile once per shape: a
+    # base change and witness search over W_3(F_4) compile the shapes they
+    # use once each, and the same work again compiles none
+    kernels = (base_rings._mat_mul_kernel, base_rings._submul_kernel)
+    ring = WittRing(field_for_q(4), 3)
+    module = make_standard(ring, "iia")
+    _, g = _seeded_base_changes(ring, random.Random("kernel-cache"))
+    for kernel in kernels:
+        kernel.cache_clear()
+    assert lagrangian_witness_search(base_change(module, g)).found
+    first = [kernel.cache_info() for kernel in kernels]
+    assert all(info.misses == info.currsize > 0 for info in first)
+    assert all(info.maxsize is not None and info.currsize <= info.maxsize for info in first)
+    assert lagrangian_witness_search(base_change(module, g)).found
+    assert [kernel.cache_info().misses for kernel in kernels] == [info.misses for info in first]

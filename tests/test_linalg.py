@@ -411,6 +411,73 @@ def _slot_elements(ring, rng):
     return xs + [ring.random_element(rng) for _ in range(8)]
 
 
+# (rows, inner, cols) of the compiled product kernels checked below: 1x1,
+# a row times a column, the witness verdict's 1x4 and 4x4 products, and the
+# 4x8 rows of a Gram-inverse row reduction on both sides of a product
+KERNEL_SHAPES = [(1, 1, 1), (1, 4, 1), (2, 4, 4), (4, 4, 2), (4, 4, 4), (4, 8, 4), (4, 4, 8)]
+
+
+@pytest.mark.parametrize("p,m,n", SLOT_RINGS,
+                         ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in SLOT_RINGS])
+def test_product_kernels_match_the_residue_sums(p, m, n):
+    # each shape's straight-line product against the Residue sums: every
+    # residue at N - 1 (the largest sums), zero rows, and seeded entries of
+    # which about a third are zero
+    ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
+    packing, rng = ring.packing, random.Random(f"kernels:{p}:{m}:{n}")
+    for rows, inner, cols in KERNEL_SHAPES:
+        full = _full_matrix(ring, inner, cols)
+        for A, B in ((_full_matrix(ring, rows, inner), full),
+                     ([[ring.zero()] * inner for _ in range(rows)], full),
+                     (_sparse_matrix(ring, rng, rows, inner), _sparse_matrix(ring, rng, inner, cols))):
+            got = packing.mat_mul(packing.reduced_matrix(A), packing.reduced_matrix(B))
+            assert packing.element_matrix(got) == naive_mat_mul(A, B), (rows, inner, cols)
+
+
+@pytest.mark.parametrize("p,m,n", SLOT_RINGS,
+                         ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in SLOT_RINGS])
+def test_row_kernels_match_a_zip_of_the_rows(p, m, n):
+    # x - f y at row lengths 1 to 8 against the Residue differences; where
+    # y is zero the entry of the row passes through as it is
+    ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
+    packing, red = ring.packing, ring.packing.reduced
+    rng = random.Random(f"rows:{p}:{m}:{n}")
+    xs = _slot_elements(ring, rng)
+    for length in range(1, 9):
+        row = [rng.choice(xs) for _ in range(length)]
+        other = [ring.zero() if k % 3 == 1 else rng.choice(xs) for k in range(length)]
+        rows = [red(x) for x in row]
+        for f in (xs[0], rng.choice(xs)):
+            got = packing.submul(rows, red(f), [red(y) for y in other])
+            assert got == [red(x - f * y) for x, y in zip(row, other)], (length, f)
+            assert all(got[k] is rows[k] for k in range(1, length, 3))
+
+
+def test_a_long_sum_compiles_balanced():
+    # at m = 1 a product takes any inner dimension; a sum of 3,000 products
+    # nested left to right would exceed the compiler's recursion limit, and
+    # written as a balanced tree it compiles and is exact
+    ring = WittRing(FiniteField(3), 2)
+    rng = random.Random("long-sum")
+    for A, B in ((_full_matrix(ring, 1, 3000), _full_matrix(ring, 3000, 1)),
+                 (_sparse_matrix(ring, rng, 1, 3000), _sparse_matrix(ring, rng, 3000, 1))):
+        assert linalg.mat_mul(A, B) == naive_mat_mul(A, B)
+
+
+@pytest.mark.parametrize("call", [
+    lambda packing: packing.mat_mul([[1, 2, 3, 4], [1, 2]], [[1]] * 4),
+    lambda packing: packing.mat_mul([[1, 2], [3, 4]], [[1, 2], [1]]),
+    lambda packing: packing.submul([1, 2], 1, [1]),
+    lambda packing: packing.submul([1], 1, [1, 2]),
+], ids=["ragged-A", "ragged-B", "short-other", "long-other"])
+def test_ragged_operands_are_refused_by_the_packing(call):
+    # the row-level callers pass slot ints straight to the packing: a ragged
+    # operand is a DomainError, not a product of the entries that zip
+    for ring in (WittRing(FiniteField(3), 2), WittRing(FiniteField(2, 2), 2)):
+        with pytest.raises(DomainError, match="matrix is ragged"):
+            call(ring.packing)
+
+
 @pytest.mark.parametrize("p,m,n", SLOT_RINGS,
                          ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in SLOT_RINGS])
 def test_slot_int_ops_match_the_residue_routes(p, m, n):

@@ -5,7 +5,7 @@ import pytest
 from sll.base_rings import FiniteField, WittRing
 from sll.deformation import classify_point, standard_frame
 from sll.dieudonne import make_standard
-from sll.errors import DomainError, PreconditionError
+from sll.errors import DomainError, PreconditionError, ValidationError
 from sll import linalg
 from sll.quadforms import (QuadraticForm, bilinear_gram, gram_inverse, is_nondegenerate,
                            quadric_class)
@@ -198,6 +198,17 @@ def test_quadric_class_refuses_degenerate_and_odd_nvars():
             quadric_class(QuadraticForm(ring, 4, {(0, 1): one, (2, 2): one}))
         with pytest.raises(PreconditionError):
             quadric_class(QuadraticForm(ring, 3, {(0, 0): one, (1, 2): one}))
+
+
+@pytest.mark.parametrize("nvars", [0, -1, True, False, 2.0, "2", None],
+                         ids=["zero", "negative", "true", "false", "float", "str", "none"])
+def test_a_form_needs_an_int_count_of_variables(nvars):
+    # with no variable the Gram matrix is empty, so its inverse is too and
+    # the unit-pivot test would pass vacuously: a zero-variable form read
+    # non-degenerate and "nonsplit"; a bool or a float is no count either
+    with pytest.raises(ValidationError, match="need at least one variable"):
+        QuadraticForm(ring_W(3, 1, 2), nvars, {})
+    assert QuadraticForm(ring_W(3, 1, 2), 1, {(0, 0): 1}).nvars == 1
 
 
 def test_equal_forms_hash_equal():
