@@ -247,7 +247,7 @@ class WittElement(Residue):
 class CoeffPacking:
     """The packed-integer form of the coefficients of one ring at one slot
     width, sized for a sum of `count` products: the coefficient arithmetic
-    of `linalg`, `dieudonne` and `series._Packing`, and the only code that
+    of `linalg`, `dieudonne` and `series.SeriesRing`, and the only code that
     knows the slot layout.  The ring's `packing` has count 64; each series
     ring has its own.
 

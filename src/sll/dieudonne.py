@@ -37,29 +37,25 @@ def _standard_pairing(p):
 class DieudonneModule:
     """Free rank-4 module with semilinear F, V and an alternating pairing,
     stored as rows of slot ints (`base_rings.CoeffPacking`); `F_matrix`,
-    `V_matrix` and `J` are read-only views in ring elements, built on first read."""
+    `V_matrix` and `J` are read-only, and each read builds a new matrix of
+    ring elements from the rows, so writing into one changes nothing else."""
 
     def __init__(self, ring, F_matrix, V_matrix, J):
         if not isinstance(ring, WittRing):
             raise DomainError("Dieudonne modules live over Witt rings")
         if ring.n < 2:
             raise PreconditionError("dual-lattice tests need one spare digit: n >= 2")
-        views = [[[ring.element(x) for x in row] for row in A] for A in (F_matrix, V_matrix, J)]
-        self._store(ring, *map(ring.packing.reduced_matrix, views), dict(zip(("_F", "_V", "_J"), views)))
+        self._store(ring, *(ring.packing.reduced_matrix([[ring.element(x) for x in row] for row in A])
+                            for A in (F_matrix, V_matrix, J)))
 
-    def _store(self, ring, F, V, J, views):
+    def _store(self, ring, F, V, J):
         """Set the attributes, here only, from rows of slot ints; returns self."""
-        self.ring, self._views, self._F, self._V, self._J = ring, views, F, V, J
+        self.ring, self._F, self._V, self._J = ring, F, V, J
         return self
 
-    def _view(self, rows):
-        view = self._views.get(rows)
-        if view is None:
-            view = self._views[rows] = self.ring.packing.element_matrix(getattr(self, rows))
-        return view
-
-    F_matrix, V_matrix, J = (property(lambda self, rows=rows: self._view(rows))
-                             for rows in ("_F", "_V", "_J"))
+    F_matrix, V_matrix, J = (
+        property(lambda self, rows=rows: self.ring.packing.element_matrix(getattr(self, rows)))
+        for rows in ("_F", "_V", "_J"))
 
     # -- operator and pairing actions -------------------------------------
 
@@ -313,4 +309,4 @@ def base_change(module, g):
     ginv = linalg._invert(packing, g)
     return DieudonneModule.__new__(DieudonneModule)._store(
         module.ring, mul(ginv, mul(module._F, sigma(g))), mul(ginv, mul(module._V, sigma(g, inverse=True))),
-        mul(linalg.transpose(g), mul(module._J, g)), {})
+        mul(linalg.transpose(g), mul(module._J, g)))

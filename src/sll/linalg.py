@@ -74,8 +74,6 @@ def det(ring, A):
     n = len(A)
     if n == 1:
         return A[0][0]
-    if n == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
     acc = ring.zero()
     sign = True
     for j in range(n):
@@ -129,13 +127,9 @@ def rref_field(ring, A):
     Over a field this is the usual RREF; over W_n(F_q) a column with no
     unit entry below the pivot rows is passed over."""
     packing = _packing(ring, A)
-    rows = packing.reduced_matrix(A)
-    work = rows[:]
+    work = packing.reduced_matrix(A)
     pivots = _rref(packing, work)
-    # an untouched (or equal) input row is copied: cheaper than building new elements
-    element = packing.element
-    return [A[rows.index(r)][:] if r in rows else [element(x) for x in r]
-            for r in work], pivots
+    return packing.element_matrix(work), pivots
 
 
 def _rref(packing, work):

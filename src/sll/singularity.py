@@ -7,13 +7,13 @@ the Gram matrix of the quadratic part.  Repeated at d = 1 until the linear
 part vanishes, the step is the Newton iteration for the shift that kills
 the linear term; applied once at each d = 3 .. D-1, it strips the higher
 terms.  f and phi stay `TruncatedSeries` throughout; the keys of their
-packed maps are read only in `sll.series`, whose `_Packing` splits a
-series at a degree, writes its degree-d part as sum x_i h_i, and
-substitutes.  A step is two substitutions: y = h into the linear forms
--sum_k G^{-1}[j][k] y_k, then the step into f and every phi_j at once.  A
-step at degree d >= 3 is x -> x + u with u of order d - 1, so only the
-monomials of degree below D - d + 2 are substituted and the rest pass
-through; the series kernel visits only the products of total degree below D.
+packed maps are read only in `sll.series`, whose `SeriesRing` writes a
+degree-d part as sum x_i h_i and substitutes.  A step is two
+substitutions: y = h into the linear forms -sum_k G^{-1}[j][k] y_k, then
+the step into f and every phi_j at once.  A step at degree d >= 3 is
+x -> x + u with u of order d - 1, so only the monomials of degree below
+D - d + 2 are substituted and the rest are added as they stand; the series
+kernel visits only the products of total degree below D.
 
 Each phase reads the quadratic part Q once (`QuadraticForm.from_series`)
 and asks `quadforms.gram_inverse` for G^{-1}, which is also the test that
@@ -91,23 +91,22 @@ def _coeff_ring_of(f):
 def _step_forms(ring, Q):
     """The linear forms -sum_k Ginv[j][k] y_k, one per j, as packed maps of
     the series ring, with Ginv the inverse Gram matrix of Q."""
-    packing = ring._packing
-    return [packing.neg(packing.linear(row)) for row in gram_inverse(Q, packing.coeff)]
+    return [ring._neg(ring._linear(row)) for row in gram_inverse(Q, ring.packing)]
 
 
 def _step(F, d, forms):
     """The substitution x_j -> x_j - sum_k Ginv[j][k] h_k as packed maps,
-    where the degree-d part of F is sum_i x_i h_i (`series._Packing.factor`),
+    where the degree-d part of F is sum_i x_i h_i (`SeriesRing._factor`),
     or None if there is no such part.  The corrections are one substitution
     y = h into all the forms[j] (`_step_forms`).  The step cancels that
     part up to terms of higher degree (d >= 3) or higher valuation (d = 1)."""
-    ring, packing = F.parent, F.parent._packing
-    h = packing.factor(F.packed, d)
+    ring = F.parent
+    h = ring._factor(F.packed, d)
     if not any(h):
         return None
     # a correction has degree d - 1, never 1, so it does not meet x_j
-    return [packing.add(u, x.packed)
-            for u, x in zip(packing.substitute(forms, h), ring.variables())]
+    return [ring._add(u, x.packed)
+            for u, x in zip(ring._substitute(forms, h, ring.degree), ring.variables())]
 
 
 def _apply_step(gs, step, cut):
@@ -116,10 +115,7 @@ def _apply_step(gs, step, cut):
     gains terms of degree >= k + d - 2, so one of degree >= cut passes
     through unchanged: only the part below the cut is substituted."""
     ring = gs[0].parent
-    packing = ring._packing
-    lows, highs = zip(*[packing.split(g.packed, cut) for g in gs])
-    return [TruncatedSeries(ring, packing.add(low, high))
-            for low, high in zip(packing.substitute(lows, step), highs)]
+    return [TruncatedSeries(ring, g) for g in ring._substitute([g.packed for g in gs], step, cut)]
 
 
 def _absorb(F, phi, d, forms):

@@ -628,8 +628,9 @@ def test_base_change_matches_the_residue_products(q, n):
 
 def test_module_views_are_the_matrices_given():
     # F_matrix, V_matrix and J read back what the constructor was given, as
-    # ring elements, from ints, coefficient lists or elements alike; a view
-    # is built once and cannot be assigned
+    # ring elements, from ints, coefficient lists or elements alike; each
+    # read is a new matrix, so writing into one changes no later read, and
+    # none can be assigned
     ring = WittRing(field_for_q(4), 3)
     rng = random.Random("module-views")
     F = [[ring.random_element(rng) for _ in range(4)] for _ in range(4)]
@@ -642,9 +643,31 @@ def test_module_views_are_the_matrices_given():
     changed = base_change(module, linalg.identity(ring, 4))
     for name in ("F_matrix", "V_matrix", "J"):
         assert getattr(changed, name) == getattr(module, name)
-        assert getattr(changed, name) is getattr(changed, name)
+        read = getattr(changed, name)
+        read[0][0], read[1] = ring.one() + read[0][0], []
+        assert getattr(changed, name) == getattr(module, name)
         with pytest.raises(AttributeError):
             setattr(module, name, F)
+
+
+def test_a_write_into_a_read_matrix_changes_nothing():
+    # zeroing <e1, e3> in a read J once left pair() reading 0 and
+    # dual_lattice() refusing the pairing, while validate() and the witness
+    # verdict, which read the stored rows, still passed
+    ring = WittRing(FiniteField(3), 2)
+    module = make_standard(ring, "iia")
+    e1, e3 = basis_vector(ring, 0), basis_vector(ring, 2)
+    def reads():
+        dual = dual_lattice(module)
+        return (module.pair(e1, e3), module.validate(), dual.basis_columns, dual.precision,
+                module.F_matrix, module.V_matrix, module.J)
+
+    before = reads()
+    for name in ("F_matrix", "V_matrix", "J"):
+        getattr(module, name)[0][2] = ring.zero()
+    assert before[0] == ring.one() and all(before[1].values())
+    assert reads() == before
+    assert lagrangian_witness_search(module).found
 
 
 def test_base_change_and_verdict_multiply_per_entry_only_in_inverse(monkeypatch):

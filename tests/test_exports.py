@@ -122,16 +122,22 @@ def test_ring_primitives_are_written_once():
     assert maximal_ideal == []
 
 
+KEY_LAYOUT = ("_shift", "_degree_shift", "_limit", "_weights")
+
+
 def test_monomial_keys_are_read_only_in_series():
-    # `_Packing.weights` and `degree_shift` lay out the monomial keys; every
-    # other module asks `sll.series` for coefficients instead of adding keys
+    # `SeriesRing._shift`, `_degree_shift`, `_limit` and `_weights` lay out
+    # the monomial keys; every other module asks `sll.series` for
+    # coefficients instead of adding keys
     readers = []
     for path in (SRC / "sll").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                    and node.attr in ("weights", "degree_shift")):
-                readers.append(f"{path.name}:{node.lineno}")
-    assert [r for r in readers if not r.startswith("series.py:")] == []
+                    and node.attr in KEY_LAYOUT):
+                readers.append((path.name, node.attr, node.lineno))
+    # every name is read, so a renamed field cannot pass unchecked
+    assert {attr for _, attr, _ in readers} == set(KEY_LAYOUT)
+    assert [r for r in readers if r[0] != "series.py"] == []
 
 
 SLOT_LAYOUT = ("slot_width", "shifts", "mask", "offset", "slot_bound")

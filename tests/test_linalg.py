@@ -370,7 +370,7 @@ def test_products_are_exact_up_to_the_width_bound_and_refused_beyond(p, m, n):
         linalg.mat_mul(_full_matrix(ring, 2, 65), _full_matrix(ring, 65, 2))
     with pytest.raises(DomainError):
         linalg.mat_vec(_full_matrix(ring, 1, 65), [ring.one()] * 65)
-    packing = SeriesRing(ring, 3, 3)._packing.coeff
+    packing = SeriesRing(ring, 3, 3).packing
     assert packing.count == 10
     A, B = _full_matrix(ring, 2, 10), _full_matrix(ring, 10, 2)
     got = packing.mat_mul(packing.reduced_matrix(A), packing.reduced_matrix(B))

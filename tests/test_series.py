@@ -9,6 +9,7 @@ from sll.jsonio import series_from_json, series_to_json
 from sll.series import SeriesRing, TruncatedSeries
 
 from .oracles import dict_add, dict_of, dict_scale, naive_compose, naive_mul, series_equals_dict
+from .test_linalg import SLOT_RINGS
 
 
 def ring_W(p, m, n):
@@ -182,8 +183,8 @@ def test_sums_fold_only_the_keys_both_summands_hold(p, m, n, monkeypatch):
         f, high = random_series(S, rng), random_series(S, rng, min_degree=3)
         low = S.from_terms((e, c) for e, c in f.coeffs.items() if sum(e) < 3)
         cases += [(low, high), (f, high), (f, -f), (f, S.zero())]
-    real, folds = S._packing.coeff.fold, []
-    monkeypatch.setattr(S._packing.coeff, "fold", lambda v: folds.append(v) or real(v))
+    real, folds = S.packing.fold, []
+    monkeypatch.setattr(S.packing, "fold", lambda v: folds.append(v) or real(v))
     shared_counts = set()
     for a, b in cases:
         for x, y in ((a, b), (b, a)):
@@ -266,7 +267,7 @@ def test_substitute_several_series_in_one_call(p, m, n):
         fs = [random_series(S, rng), S.zero(), S.constant(ring.random_element(rng) or ring.one()),
               random_series(S, rng, max_terms=40), *images]
         rng.shuffle(fs)
-        got = S._packing.substitute([f.packed for f in fs], [phi.packed for phi in images])
+        got = S._substitute([f.packed for f in fs], [phi.packed for phi in images], S.degree)
         assert len(got) == len(fs)
         for f, packed in zip(fs, got):
             assert packed == f.substitute(images).packed
@@ -278,10 +279,45 @@ def test_substitute_several_series_in_one_call(p, m, n):
     dense = S.from_terms((e, top) for e in monomials)
     images = [S.from_terms((e, top) for e in monomials if sum(e) >= 1)] * 3
     fs = [S.constant(top), S.zero(), dense]
-    got = S._packing.substitute([f.packed for f in fs], [phi.packed for phi in images])
+    got = S._substitute([f.packed for f in fs], [phi.packed for phi in images], S.degree)
     for f, packed in zip(fs, got):
         assert series_equals_dict(TruncatedSeries(S, packed), naive_compose(f, images))
-    assert S._packing.substitute([], [phi.packed for phi in S.variables()]) == []
+    assert S._substitute([], [phi.packed for phi in S.variables()], S.degree) == []
+
+
+@pytest.mark.parametrize("p,m,n", SLOT_RINGS,
+                         ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in SLOT_RINGS])
+def test_substitute_adds_the_terms_from_the_cut_as_they_stand(p, m, n):
+    # at every cut 3..D the result is the naive composition of the terms
+    # below the cut plus the terms at or above it, unchanged: every residue
+    # is N - 1 and every monomial present, so a kept term lands on keys
+    # that already sum the most products a slot holds
+    ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
+    S = SeriesRing(ring, 2, 6)
+    top = ring.element([ring.pn - 1] * (len(ring.lifted_modulus) - 1))
+    monomials = [e for e in itertools.product(range(6), repeat=2) if sum(e) < 6]
+    dense = S.from_terms((e, top) for e in monomials)
+    images = [S.from_terms((e, top) for e in monomials if sum(e) >= 1),
+              S.from_terms((e, top) for e in monomials if sum(e) >= 2)]
+    fs = [dense, S.from_terms((e, top) for e in monomials if sum(e) % 2), S.zero()]
+    for cut in range(3, S.degree + 1):
+        got = S._substitute([f.packed for f in fs], [phi.packed for phi in images], cut)
+        for f, packed in zip(fs, got):
+            low = S.from_terms((e, c) for e, c in f.coeffs.items() if sum(e) < cut)
+            high = {e: c for e, c in f.coeffs.items() if sum(e) >= cut}
+            assert series_equals_dict(TruncatedSeries(S, packed),
+                                      dict_add(naive_compose(low, images), high))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 3.5, "4", None])
+def test_a_ring_needs_int_counts_of_variables_and_degree(bad):
+    # both size the packing (math.comb, degree.bit_length()): a bool, float,
+    # string or None is refused as QuadraticForm refuses it, never read as an int
+    with pytest.raises(ValidationError, match="need at least one variable"):
+        SeriesRing(ring_W(3, 1, 2), bad, 4)
+    with pytest.raises(ValidationError, match="truncation degree must be >= 3"):
+        SeriesRing(ring_W(3, 1, 2), 2, bad)
+    assert SeriesRing(ring_W(3, 1, 2), 1, 3).packing.count == 3
 
 
 def test_substitution_associativity_up_to_truncation():

@@ -28,7 +28,7 @@ def ring_W(p, m, n):
 def _quadratic_inverse(f):
     """The inverse Gram matrix of the quadratic part of f, as the normal
     form gets it, in rows of slot ints of f's series ring."""
-    return [list(row) for row in gram_inverse(QuadraticForm.from_series(f), f.parent._packing.coeff)]
+    return [list(row) for row in gram_inverse(QuadraticForm.from_series(f), f.parent.packing)]
 
 
 def standard_quadric(S):
@@ -320,7 +320,7 @@ def test_gram_inverse_matches_residue_inverse(p, m, n):
             G = bilinear_gram(Q)
             got = _quadratic_inverse(Q.to_series(S))
             want = loop_invert(ring, G)
-            packing = S._packing.coeff
+            packing = S.packing
             assert got == packing.reduced_matrix(want)
             X = packing.element_matrix(got)
             assert naive_mat_mul(G, X) == linalg.identity(ring, nvars)
@@ -376,7 +376,7 @@ def test_gram_inverse_is_made_once_when_the_shift_keeps_the_quadratic_part():
         # the series ring's own packing
         info = gram_inverse.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        gram_inverse(QuadraticForm.from_series(f), S._packing.coeff)
+        gram_inverse(QuadraticForm.from_series(f), S.packing)
         info = gram_inverse.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         b, f1 = kill_linear_term(f)
@@ -432,7 +432,7 @@ def test_a_degenerate_quadratic_part_raises_on_every_call():
                 kill_linear_term(S.constant(ring.p_element()) + quadratic)
         got = _quadratic_inverse(good)
         assert got == want
-        X = S._packing.coeff.element_matrix(got)
+        X = S.packing.element_matrix(got)
         assert naive_mat_mul(G, X) == [[ring.element(int(i == j)) for j in range(4)]
                                        for i in range(4)]
 
