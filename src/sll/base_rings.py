@@ -17,9 +17,12 @@ The polynomial arithmetic over Z/N is written once: `_reduce` is the one
 reduction by a monic modulus (of a `Residue` product, of the x^(m+i) by
 which each `CoeffPacking` folds a packed sum inside the int at its own
 slot width, and in the gcd and the modulus lift), `_powmod` the one
-square-and-multiply loop (`**`, Frobenius, Teichmuller lifts), and
-`is_irreducible` is Ben-Or's test on both (M. Ben-Or, *Probabilistic
-algorithms in finite fields*, FOCS 1981).
+square-and-multiply loop on residue tuples (`**`, Frobenius, Teichmuller
+lifts), and `is_irreducible` is Ben-Or's test on both (M. Ben-Or,
+*Probabilistic algorithms in finite fields*, FOCS 1981).  `CoeffPacking`
+computes on slot ints: its fold at m > 1 is straight-line code compiled
+once per slot layout, and its unit inverse is int products and folds;
+only its Frobenius images, made once, go through `_mulmod` and `_powmod`.
 
 Elements are immutable value objects; rings are shareable read-only
 contexts; every operation is pure.
@@ -261,7 +264,10 @@ class CoeffPacking:
     x + `offset` - f y, whose slots are multiples of N at least any slot
     of f y, so no slot borrows.  `mat_mul` and `submul` run straight-line
     code compiled once per shape on first use (`_mat_mul_kernel`,
-    `_submul_kernel`): each entry is one sum of products and one fold.
+    `_submul_kernel`): each entry is one sum of products and one fold.  At
+    m > 1 the fold is itself straight-line code, compiled once per slot
+    layout (`_fold_kernel`), and `inverse` is int products and folds, so
+    no slot-int routine calls `_mulmod` or `_powmod`.
     """
 
     def __init__(self, ring, count):
@@ -282,30 +288,9 @@ class CoeffPacking:
         w = self.slot_width = ((count + 1) * self.slot_bound).bit_length()
         self.mask, self.shifts = (1 << w) - 1, range(0, w * m, w)
         self.offset = sum(-(-self.slot_bound // pn) * pn << (w * k) for k in range(2 * m - 1))
-        self.fold = self._fold() if m > 1 else pn.__rmod__
-
-    def _fold(self):
-        """The fold at m > 1 of 2m - 1 slots: each top slot m + i, taken mod N,
-        adds its multiple of x^(m+i) mod g to the m low slots, then mod N."""
-        pn, m, mask, shifts, w = self.pn, self.m, self.mask, self.shifts, self.slot_width
-        low = (1 << w * m) - 1
-        # x^(m+i) mod g, i < m - 1: what the fold multiplies the top slots by
-        tops = [(w * (m + i), self._join(_reduce([0] * (m + i) + [1], self.g, pn)))
-                for i in range(m - 1)]
-        # N = 2^n: the low slots mod N are their low n bits, kept by one mask
-        keep = self._join([pn - 1] * m) if pn & (pn - 1) == 0 else 0
-
-        def fold(v):
-            lo = v & low
-            for sh, top in tops:
-                lo += (v >> sh & mask) % pn * top
-            if keep:
-                return lo & keep
-            r = 0
-            for s in shifts:
-                r |= (lo >> s & mask) % pn << s
-            return r
-        return fold
+        # at m > 1 the fold of 2m - 1 slots is straight-line code for this
+        # layout (`_fold_kernel`); at m = 1 it is the sum mod N
+        self.fold = _fold_kernel(pn, self.g, w) if m > 1 else pn.__rmod__
 
     def _join(self, coeffs):
         """The slot int of m residues: the inverse of `slots`."""
@@ -348,18 +333,24 @@ class CoeffPacking:
         return r // self.p ** k
 
     def inverse(self, r):
-        """The inverse of a unit r: the residue inverse r^(q-2) mod p, lifted
-        by Newton's y <- y (2 - r y), each round doubling the exact digits."""
-        p, pn, g, m = self.p, self.pn, self.g, self.m
-        if m == 1:
+        """The inverse of a unit r: y = r^(q-2), the inverse mod p, by
+        square-and-multiply, lifted by Newton's y <- y (2 - r y), each round
+        doubling the exact digits.  At m > 1 both run on slot ints, one
+        `fold` per product, with 2 - r y folded from offset + 2 - r y; a
+        non-unit never reaches r y = 1 and is an InternalInvariantError."""
+        pn, fold = self.pn, self.fold
+        if self.m == 1:
             return pow(r, -1, pn)
-        r = self.slots(r)
-        y = _powmod(tuple([c % p for c in r]), p ** m - 2, tuple([c % p for c in g]), p)
-        one = (1,) + (0,) * (m - 1)
+        y = r
+        for bit in bin(self.p ** self.m - 2)[3:]:
+            y = fold(y * y)
+            if bit == "1":
+                y = fold(y * r)
+        two = self.offset + 2
         for _ in range(pn.bit_length()):
-            if (e := _mulmod(r, y, g, pn)) == one:
-                return self._join(y)
-            y = _mulmod(y, (2 - e[0],) + tuple([-c for c in e[1:]]), g, pn)
+            if (e := fold(r * y)) == 1:
+                return y
+            y = fold(y * fold(two - e))
         raise InternalInvariantError("unit inversion failed to converge")
 
     def scale(self, c, row):
@@ -451,6 +442,40 @@ def kernel(A, B, fold):
     for {_target(a)} in A:
         out.append([{row}])
     return out
+""")
+
+
+@functools.lru_cache(maxsize=64)
+def _fold_kernel(pn, g, width):
+    """kernel(v) = the fold at m = len(g) - 1 > 1 of a sum v of 2m - 1 slots
+    of `width` bits: each top slot m + i, taken mod N = pn, adds its multiple
+    of x^(m+i) mod g, a literal slot int, to the m low slots, which are then
+    taken mod N.  Every slot sum is below 2^width, so nothing lies above the
+    top slot and no low slot carries."""
+    m, mask = len(g) - 1, (1 << width) - 1
+
+    def join(coeffs):
+        return sum(c << (width * k) for k, c in enumerate(coeffs))
+
+    def slot(v, k, top):
+        """The source of slot k of v, whose highest slot is `top`: shifted
+        down and masked, with no shift at k = 0 and no mask at the top."""
+        src = f"{v} >> {width * k}" if k else v
+        return f"({src})" if k == top else f"({src} & {mask})"
+
+    lo = [f"(v & {(1 << width * m) - 1})"]
+    lo += [f"{slot('v', m + i, 2 * m - 2)} % {pn} * {join(_reduce([0] * (m + i) + [1], g, pn))}"
+           for i in range(m - 1)]
+    if pn & (pn - 1) == 0:
+        # N = 2^n: the low slots mod N are their low n bits, kept by one mask
+        out = f"lo & {join([pn - 1] * m)}"
+    else:
+        out = " | ".join(f"{slot('lo', k, m - 1)} % {pn}" + (f" << {width * k}" if k else "")
+                         for k in range(m))
+    return _compiled(f"fold {pn} {g} {width}", f"""\
+def kernel(v):
+    lo = {' + '.join(lo)}
+    return {out}
 """)
 
 

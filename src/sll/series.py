@@ -36,7 +36,7 @@ class SeriesRing:
     keys.  A coefficient is a slot int of `packing`, the ring's own
     `base_rings.CoeffPacking` of the coefficient ring (`sll.linalg`'s
     layout at another count): its m reduced residues in bit slots of one
-    width, wide enough for a sum of as many products as there are
+    width, wide enough for a sum of count^2 products, count the number of
     monomials below D, packed, read and folded by `packing.reduced`,
     `packing.element` and `packing.fold`.
 
@@ -50,6 +50,10 @@ class SeriesRing:
     at its first truncated pair, and key >> (s * nvars) is the total degree.
     Products of stored slot ints are summed unreduced per output key, each
     key is folded once back to a slot int, and zeros are dropped.
+
+    `_splits` memoizes, for each monomial key below D that `_substitute`
+    has met, its leading (variable, exponent) pairs and its last variable
+    and exponent: at most count entries, and no result depends on it.
     """
 
     def __init__(self, coeff_ring, nvars, degree, var_names=None):
@@ -67,15 +71,19 @@ class SeriesRing:
         if len(set(self.var_names)) != nvars or not all(
                 isinstance(v, str) and v.isidentifier() for v in self.var_names):
             raise ValidationError(f"variable names must be distinct identifiers: {self.var_names}")
-        # a product key sums at most min(len(a), len(b)) products, a substitution
-        # key one per term of f: at most the comb(D - 1 + nvars, nvars) monomials
-        self.packing = CoeffPacking(coeff_ring, math.comb(degree - 1 + nvars, nvars))
+        # with count = comb(D - 1 + nvars, nvars) monomials below D, a product
+        # key sums at most min(len(a), len(b)) <= count products; a substitution
+        # key at most one product per term of f, times min(len, len) <= count
+        # pairs of a leading term and the last power: count^2 products
+        count = math.comb(degree - 1 + nvars, nvars)
+        self.packing = CoeffPacking(coeff_ring, count ** 2)
         self._shift = degree.bit_length()
         # a key's total degree is key >> _degree_shift
         self._degree_shift = self._shift * nvars
         self._limit = degree << self._degree_shift
         self._weights = tuple((1 << self._shift * i) + (1 << self._degree_shift)
                               for i in range(nvars))
+        self._splits = {}
 
     def __eq__(self, other):
         return (
@@ -160,8 +168,9 @@ class SeriesRing:
         return out
 
     def _neg(self, a):
-        """-a for a packed map: a times the constant -1, whose slot int is N - 1."""
-        return self._mul(a, {0: self.packing.pn - 1})
+        """-a for a packed map: each term scaled by -1, whose slot int is N - 1."""
+        packing = self.packing
+        return dict(zip(a, packing.scale(packing.pn - 1, a.values())))
 
     def _factor(self, packed, d):
         """[h_1, ..., h_n] with sum_i x_i h_i the degree-d part of `packed`,
@@ -194,40 +203,64 @@ class SeriesRing:
         fold = self.packing.fold
         return {k: r for k, v in acc.items() if (r := fold(v))}
 
+    def _split(self, k):
+        """(leading (variable, exponent) pairs, (last variable, last exponent))
+        of a monomial key k > 0, memoized in `_splits`."""
+        mask = (1 << self._shift) - 1
+        fields = [(i, e) for i, s in enumerate(range(0, self._degree_shift, self._shift))
+                  if (e := k >> s & mask)]
+        split = self._splits[k] = (tuple(fields[:-1]), fields[-1])
+        return split
+
     def _substitute(self, fs, images, cut):
         """[f(images_1, ..., images_n) for f in fs], packed, truncated and
         reduced, for images that move no monomial of degree >= cut: such a
         term of f is added as it stands (cut = D substitutes every term).
         Each x_i^k is a product of images[i] with x_i^(k-1), made once for
-        all of fs, and each monomial's image a product of those."""
-        shift, mask = self._shift, (1 << self._shift) - 1
-        fields = tuple(enumerate(range(0, self._degree_shift, shift)))
+        all of fs.  A term c x^e's image is not built: the product of its
+        leading factors, every power but the last variable's, is, and c
+        times each of its terms is folded once; those terms are multiplied
+        straight into the accumulator against the last power, sorted once
+        per call, with the truncation break of `_mul`."""
         cut <<= self._degree_shift
+        limit, splits, split = self._limit, self._splits, self._split
         pows = [[None, phi] for phi in images]  # pows[i][k] = phi_i^k, k >= 1
+        rows = {}  # (i, k): sorted(phi_i^k items)
         mul, fold = self._mul, self.packing.fold
+
+        def power(i, e):
+            pi = pows[i]
+            while len(pi) <= e:
+                pi.append(mul(pi[-1], images[i]))
+            return pi[e]
+
         results = []
         for f in fs:
-            # every term of f adds at most one product c * v (a term kept
-            # as it stands, the constant term included, c alone) to each
-            # output coefficient
+            # per output key, each term of f adds at most count products
+            # (a term kept as it stands, the constant term included, c alone)
             out = {}
             get = out.get
             for k, c in f.items():
-                mono = None
-                if k < cut:
-                    for i, s in fields:
-                        ei = k >> s & mask
-                        if not ei:
-                            continue
-                        pi = pows[i]
-                        while len(pi) <= ei:
-                            pi.append(mul(pi[-1], images[i]))
-                        mono = pi[ei] if mono is None else mul(mono, pi[ei])
-                if mono is None:
+                if not k or k >= cut:
                     out[k] = get(k, 0) + c
                     continue
-                for key, v in mono.items():
-                    out[key] = get(key, 0) + c * v
+                lead, last = splits.get(k) or split(k)
+                row = rows.get(last)
+                if row is None:
+                    row = rows[last] = sorted(power(*last).items())
+                if lead:
+                    mono = power(*lead[0])
+                    for i, e in lead[1:]:
+                        mono = mul(mono, power(i, e))
+                    terms = [(k1, r) for k1, v in mono.items() if (r := fold(c * v))]
+                else:
+                    terms = ((0, c),)
+                for k1, c1 in terms:
+                    for k2, c2 in row:
+                        key = k1 + k2
+                        if key >= limit:
+                            break
+                        out[key] = get(key, 0) + c1 * c2
             results.append({k: r for k, v in out.items() if (r := fold(v))})
         return results
 

@@ -155,6 +155,23 @@ def test_slot_layout_is_read_only_in_base_rings():
     assert readers and [r for r in readers if not r.startswith("base_rings.py:")] == []
 
 
+def test_slot_int_routines_call_no_residue_kernel():
+    # CoeffPacking computes on slot ints: no method but `_sigmas`, which
+    # makes the Frobenius images once per packing, calls the Residue
+    # kernels `_mulmod` or `_powmod`, and neither does a compiled kernel
+    tree = ast.parse((SRC / "sll" / "base_rings.py").read_text(encoding="utf-8"))
+    [packing] = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "CoeffPacking"]
+    routines = [node for node in packing.body if isinstance(node, ast.FunctionDef)]
+    routines += [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.endswith("_kernel")]
+    calls = {(routine.name, node.func.id) for routine in routines for node in ast.walk(routine)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("_mulmod", "_powmod")}
+    assert calls == {("_sigmas", "_mulmod"), ("_sigmas", "_powmod")}
+    assert {"_fold_kernel", "inverse"} <= {routine.name for routine in routines}
+
+
 def test_dieudonne_reads_mod_p_facts_off_witt_entries():
     # every mod-p fact of a module is read off its W_n(F_q) entries, and row
     # reduction is the one invertibility test: sll.dieudonne reads no

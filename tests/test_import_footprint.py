@@ -69,13 +69,13 @@ def test_import_sll_loads_no_submodule():
 
 
 def test_no_kernel_is_compiled_at_import():
-    # the CoeffPacking product and row kernels compile on first use: after
-    # every public name of `sll` is loaded, and after `sll.cli`, both caches
-    # are empty, and both are bounded
+    # the CoeffPacking product, row and fold kernels compile on first use:
+    # after every public name of `sll` is loaded, and after `sll.cli`, every
+    # cache is empty, and every one is bounded
     out = _child("-c", """
 import sll
 from sll import base_rings
-kernels = (base_rings._mat_mul_kernel, base_rings._submul_kernel)
+kernels = (base_rings._mat_mul_kernel, base_rings._submul_kernel, base_rings._fold_kernel)
 for name in sll.__all__:
     getattr(sll, name)
 print(*[k.cache_info().currsize for k in kernels])
@@ -84,5 +84,5 @@ print(*[k.cache_info().currsize for k in kernels])
 print(*[k.cache_info().maxsize for k in kernels])
 """)
     loaded, cli, bounds = [line.split() for line in out.stdout.splitlines()]
-    assert loaded == cli == ["0", "0"]
+    assert loaded == cli == ["0", "0", "0"]
     assert all(0 < int(bound) <= 1024 for bound in bounds)

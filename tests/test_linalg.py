@@ -5,7 +5,7 @@ import pytest
 from sll import linalg
 from sll.base_rings import CoeffPacking, FiniteField, WittRing, field_for_q
 from sll.dieudonne import base_change, make_standard
-from sll.errors import DomainError
+from sll.errors import DomainError, InternalInvariantError
 from sll.series import SeriesRing
 from .oracles import (independent_rank, int_poly_reduce, loop_divide_exact_p, loop_invert,
                       loop_is_unit, loop_rref, loop_smith_form, loop_valuation, naive_mat_mul,
@@ -359,7 +359,7 @@ def test_products_are_exact_up_to_the_width_bound_and_refused_beyond(p, m, n):
     # at m > 1 the ring's packing holds a sum of 64 products: every entry
     # at N - 1 at inner dimension 64 matches the Residue sums, and 65 is
     # refused; a series ring's packing holds its own count of products,
-    # comb(D - 1 + nvars, nvars) = 10 at D = 3 in three variables, and
+    # comb(D - 1 + nvars, nvars)^2 = 100 at D = 3 in three variables, and
     # refuses an inner dimension above it
     ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
     for inner in (63, 64):
@@ -371,13 +371,13 @@ def test_products_are_exact_up_to_the_width_bound_and_refused_beyond(p, m, n):
     with pytest.raises(DomainError):
         linalg.mat_vec(_full_matrix(ring, 1, 65), [ring.one()] * 65)
     packing = SeriesRing(ring, 3, 3).packing
-    assert packing.count == 10
-    A, B = _full_matrix(ring, 2, 10), _full_matrix(ring, 10, 2)
+    assert packing.count == 100
+    A, B = _full_matrix(ring, 2, 100), _full_matrix(ring, 100, 2)
     got = packing.mat_mul(packing.reduced_matrix(A), packing.reduced_matrix(B))
     assert packing.element_matrix(got) == naive_mat_mul(A, B)
-    with pytest.raises(DomainError, match="above the limit 10"):
-        packing.mat_mul(packing.reduced_matrix(_full_matrix(ring, 2, 11)),
-                        packing.reduced_matrix(_full_matrix(ring, 11, 2)))
+    with pytest.raises(DomainError, match="above the limit 100"):
+        packing.mat_mul(packing.reduced_matrix(_full_matrix(ring, 2, 101)),
+                        packing.reduced_matrix(_full_matrix(ring, 101, 2)))
 
 
 
@@ -519,3 +519,27 @@ def test_slot_int_ops_match_the_residue_routes(p, m, n):
                 linalg.invert(ring, M)
         else:
             assert linalg.invert(ring, M) == inverse
+
+
+# the slot-int rings small enough to take every element
+SMALL_SLOT_RINGS = [(p, m, n) for p, m, n in SLOT_RINGS if p ** (m * n) <= 125]
+
+
+@pytest.mark.parametrize("p,m,n", SMALL_SLOT_RINGS,
+                         ids=[f"F{p ** m}" if n == 1 else f"W{n}(F{p ** m})" for p, m, n in SMALL_SLOT_RINGS])
+def test_inverse_matches_the_power_oracle_on_every_unit(p, m, n):
+    # the slot-int unit inverse against x^(u - 1) on Residues, u the order
+    # of the unit group, on every unit; at m > 1 a non-unit ends its bounded
+    # Newton rounds with an InternalInvariantError
+    ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
+    packing = ring.packing
+    units = 0
+    for x in ring.elements():
+        r = packing.reduced(x)
+        if packing.is_unit(r):
+            units += 1
+            assert packing.inverse(r) == packing.reduced(power_inverse(ring, x)), x
+        elif m > 1:
+            with pytest.raises(InternalInvariantError):
+                packing.inverse(r)
+    assert units == (p ** m - 1) * p ** (m * (n - 1))

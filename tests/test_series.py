@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from sll.errors import DomainError, PreconditionError, ValidationError
 from sll.jsonio import series_from_json, series_to_json
 from sll.series import SeriesRing, TruncatedSeries
 
-from .oracles import dict_add, dict_of, dict_scale, naive_compose, naive_mul, series_equals_dict
+from .oracles import (dict_add, dict_mul, dict_of, dict_scale, naive_compose, naive_mul,
+                      series_equals_dict)
 from .test_linalg import SLOT_RINGS
 
 
@@ -291,7 +293,9 @@ def test_substitute_adds_the_terms_from_the_cut_as_they_stand(p, m, n):
     # at every cut 3..D the result is the naive composition of the terms
     # below the cut plus the terms at or above it, unchanged: every residue
     # is N - 1 and every monomial present, so a kept term lands on keys
-    # that already sum the most products a slot holds
+    # that already sum the most products a slot holds; in 4 variables the
+    # monomials of 2, 3 and 4 variables multiply their last power straight
+    # into the sum, which the series packing sizes for count^2 products
     ring = FiniteField(p, m) if n == 1 else WittRing(FiniteField(p, m), n)
     S = SeriesRing(ring, 2, 6)
     top = ring.element([ring.pn - 1] * (len(ring.lifted_modulus) - 1))
@@ -307,6 +311,53 @@ def test_substitute_adds_the_terms_from_the_cut_as_they_stand(p, m, n):
             high = {e: c for e, c in f.coeffs.items() if sum(e) >= cut}
             assert series_equals_dict(TruncatedSeries(S, packed),
                                       dict_add(naive_compose(low, images), high))
+    S = SeriesRing(ring, 4, 5)
+    monomials = [e for e in itertools.product(range(5), repeat=4) if sum(e) < 5]
+    dense = S.from_terms((e, top) for e in monomials)
+    images = [S.from_terms((e, top) for e in monomials if sum(e) >= 1 + i % 2) for i in range(4)]
+    # the naive image of each monomial, x^e = x^(e - 1_i) x_i for its first
+    # variable i, by dict convolution, made once for every cut
+    naive = {(0,) * 4: {(0,) * 4: ring.one()}}
+    for e in monomials[1:]:
+        i = next(i for i, ei in enumerate(e) if ei)
+        rest = e[:i] + (e[i] - 1,) + e[i + 1:]
+        naive[e] = dict_mul(naive[rest], dict_of(images[i]), S.degree)
+    assert {sum(map(bool, e)) for e in monomials} == {0, 1, 2, 3, 4}
+    for cut in range(3, S.degree + 1):
+        [packed] = S._substitute([dense.packed], [phi.packed for phi in images], cut)
+        want = {e: top for e in monomials if sum(e) >= cut}
+        for e in monomials:
+            if sum(e) < cut:
+                want = dict_add(want, dict_scale(naive[e], top))
+        assert series_equals_dict(TruncatedSeries(S, packed), want), cut
+
+
+def test_substitute_memo_holds_each_monomial_below_the_truncation_once():
+    # `_splits` holds one entry per monomial key that a substitution split,
+    # at most the comb(D - 1 + nvars, nvars) monomials below D, each the
+    # key's leading (variable, exponent) pairs and its last ones; a ring
+    # with a warm memo and an equal fresh ring substitute to equal maps
+    ring = ring_W(3, 2, 2)
+    rng = random.Random("splits")
+    for nvars, D in ((2, 6), (3, 5), (4, 5)):
+        S = SeriesRing(ring, nvars, D)
+        count = math.comb(D - 1 + nvars, nvars)
+        dense = S.from_terms((e, ring.one()) for e in itertools.product(range(D), repeat=nvars)
+                             if sum(e) < D)
+        fs = [dense] + [random_series(S, rng, max_terms=30) for _ in range(6)]
+        images = [random_series(S, rng, min_degree=1) for _ in range(nvars)]
+        warm = [f.substitute(images) for f in fs]
+        assert [f.substitute(images) for f in fs] == warm
+        assert len(S._splits) <= count and set(S._splits) == set(dense.packed) - {0}
+        for k, (lead, last) in S._splits.items():
+            assert 0 < k < S._limit and k >> S._degree_shift < D
+            assert sum(e * S._weights[i] for i, e in (*lead, last)) == k
+            variables = [i for i, _ in lead] + [last[0]]
+            assert variables == sorted(set(variables))
+        fresh = SeriesRing(ring, nvars, D)
+        assert fresh == S and fresh._splits == {}
+        got = fresh._substitute([f.packed for f in fs], [phi.packed for phi in images], D)
+        assert got == [g.packed for g in warm]
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, 3.5, "4", None])
@@ -317,7 +368,7 @@ def test_a_ring_needs_int_counts_of_variables_and_degree(bad):
         SeriesRing(ring_W(3, 1, 2), bad, 4)
     with pytest.raises(ValidationError, match="truncation degree must be >= 3"):
         SeriesRing(ring_W(3, 1, 2), 2, bad)
-    assert SeriesRing(ring_W(3, 1, 2), 1, 3).packing.count == 3
+    assert SeriesRing(ring_W(3, 1, 2), 1, 3).packing.count == 3 ** 2
 
 
 def test_substitution_associativity_up_to_truncation():
